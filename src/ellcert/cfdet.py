@@ -15,7 +15,7 @@ is how they arise, and fail for generic antisymmetric arrays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -61,9 +61,6 @@ class TensorBackend:
 
     def neg(self, x):
         return -x
-
-    def scal(self, c, x):
-        return c * x
 
     def norm(self, x) -> float:
         return float(np.linalg.norm(x, 2))
@@ -156,10 +153,13 @@ def minors(m: CFMatrix) -> list:
 
 def verify_commuting_family(m: CFMatrix) -> float:
     """max over pairs of |[H_i, H_j]| / (|H_i| |H_j|) with H_i = (M^0)^-1 M^i."""
-    be = m.backend
-    ms = minors(m)
+    return _ratio_commutator_residual(minors(m), m.backend)
+
+
+def _ratio_commutator_residual(ms, be) -> float:
+    """max over pairs of |[H_i, H_j]| / max(1, |H_i| |H_j|), H_i = ms[0]^-1 ms[i]."""
     inv0 = be.invert(ms[0])
-    hs = [be.mul(inv0, ms[i]) for i in range(1, m.n + 1)]
+    hs = [be.mul(inv0, d) for d in ms[1:]]
     worst = 0.0
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
@@ -197,15 +197,7 @@ def delta_family(fgrid, backend) -> float:
         # so rows commute and cf_det applies.
         grid = [[fgrid[rows[c]][r] for c in range(n)] for r in range(n)]
         deltas.append(cf_det(grid, be))
-    inv0 = be.invert(deltas[0])
-    hs = [be.mul(inv0, d) for d in deltas[1:]]
-    worst = 0.0
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            comm = be.add(be.mul(hs[i], hs[j]), be.neg(be.mul(hs[j], hs[i])))
-            scale = max(1.0, be.norm(hs[i]) * be.norm(hs[j]))
-            worst = max(worst, be.norm(comm) / scale)
-    return worst
+    return _ratio_commutator_residual(deltas, be)
 
 
 def random_delta_grid(backend: TensorBackend, seed: int) -> list:
@@ -239,12 +231,6 @@ def form_apply(lam: np.ndarray, *vectors) -> complex:
     for x in vectors:
         v = np.tensordot(v, x, axes=([0], [0]))
     return complex(v)
-
-
-@dataclass
-class PluckerData:
-    lam: np.ndarray
-    vectors: list = field(default_factory=list)
 
 
 def plucker_residual(order: int, lam: np.ndarray, vectors: Sequence[np.ndarray]) -> float:

@@ -22,35 +22,25 @@ the three-term Fay identity for the odd theta.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .cfdet import cf_det
 from .context import ThetaContext
 from .errors import PoleError
 from . import expr as ex
-from .sampling import sample_points, stack_assignments
+from .sampling import pair_guards, rel_residual, sample_points, stack_assignments
+from .shiftops import GeneratorAlgebra, TermMap, TermMapBackend, bosonize, sum_to_zero_residual
 
 
 @dataclass(frozen=True)
-class PoissonShiftAlgebra:
+class PoissonShiftAlgebra(GeneratorAlgebra):
     var_names: tuple
     gen_names: tuple
     c: tuple  # bracket constants, one row per generator
     ctx: ThetaContext
-
-    @property
-    def r(self):
-        return len(self.gen_names)
-
-    @property
-    def p(self):
-        return len(self.var_names)
-
-    def zero_index(self):
-        return (0,) * self.r
 
 
 def make_poisson_algebra(var_names, gen_names, c, ctx) -> PoissonShiftAlgebra:
@@ -72,48 +62,10 @@ def make_classical_bpn(p: int, n: int, ctx: ThetaContext) -> PoissonShiftAlgebra
                                 [f"e{i}" for i in range(1, p + 1)], c, ctx)
 
 
-class PoissonElement:
-    """Finite sum of coefficient * generator-monomial terms (all commuting)."""
+class PoissonElement(TermMap):
+    """Term map whose generators commute: the product just adds exponents."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: PoissonShiftAlgebra, terms: Mapping[tuple, ex.MeroExpr]):
-        self.algebra = algebra
-        cleaned = {}
-        for mi, coeff in terms.items():
-            if isinstance(coeff, ex.Const) and coeff.value == 0:
-                continue
-            cleaned[tuple(mi)] = coeff
-        self.terms = cleaned
-
-    @classmethod
-    def zero(cls, algebra):
-        return cls(algebra, {})
-
-    @classmethod
-    def function(cls, algebra, coeff):
-        return cls(algebra, {algebra.zero_index(): ex._as_expr(coeff)})
-
-    @classmethod
-    def generator(cls, algebra, name, coeff=1):
-        mi = [0] * algebra.r
-        mi[algebra.gen_names.index(name)] = 1
-        return cls(algebra, {tuple(mi): ex._as_expr(coeff)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        merged = dict(self.terms)
-        for mi, c in other.terms.items():
-            merged[mi] = ex.add(merged[mi], c) if mi in merged else c
-        return PoissonElement(self.algebra, merged)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return PoissonElement(self.algebra, {mi: ex.neg(c) for mi, c in self.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other):
         if not isinstance(other, PoissonElement):
@@ -125,12 +77,6 @@ class PoissonElement:
                 contrib = ex.mul(F, G)
                 out[mi] = ex.add(out[mi], contrib) if mi in out else contrib
         return PoissonElement(self.algebra, out)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
-
-    def scaled(self, c):
-        return PoissonElement(self.algebra, {mi: ex.mul(ex._as_expr(c), co) for mi, co in self.terms.items()})
 
     def evaluate(self, env, ctx=None):
         """Value at a point of the phase space: env binds variables and generators."""
@@ -187,26 +133,8 @@ def pbracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
 def pbracket_residual(a: PoissonElement, b: PoissonElement, samples: int = 20,
                       seed: int = 0, guards: Sequence[ex.MeroExpr] = ()) -> float:
     """Sampled residual of {a,b} == 0, scaled by the two Leibniz halves."""
-    alg = a.algebra
     P, N = pbracket_halves(a, b)
-    keys = set(P.terms) | set(N.terms)
-    if not keys:
-        return 0.0
-    zero = ex.const(0)
-    for attempt in range(8):
-        pts = sample_points(samples, alg.var_names, guards, seed + 7919 * attempt, alg.ctx)
-        stacked = stack_assignments(pts)
-        worst = 0.0
-        try:
-            for mi in keys:
-                vp = np.asarray(ex.evaluate(P.terms.get(mi, zero), stacked, alg.ctx))
-                vn = np.asarray(ex.evaluate(N.terms.get(mi, zero), stacked, alg.ctx))
-                scale = np.maximum(1.0, np.maximum(np.abs(vp), np.abs(vn)))
-                worst = max(worst, float(np.max(np.abs(vp - vn) / scale)))
-        except PoleError:
-            continue
-        return worst
-    raise PoleError("bracket coefficients pole at every sampled batch")
+    return sum_to_zero_residual([P, -N], samples=samples, seed=seed, guards=guards)
 
 
 class RatioBracket:
@@ -266,23 +194,6 @@ def pbracket_ratio(f, h, g, k) -> RatioBracket:
 
 # Determinant hamiltonians ------------------------------------------------------
 
-def _pdet(grid) -> PoissonElement:
-    n = len(grid)
-    total = None
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = grid[0][perm[0]]
-        for r in range(1, n):
-            term = term * grid[r][perm[r]]
-        term = term if sign > 0 else -term
-        total = term if total is None else total + term
-    return total
-
-
 @functools.lru_cache(maxsize=16)
 def classical_delta_elements(n: int, ctx: ThetaContext):
     """Delta_0 .. Delta_n over the cone algebra.
@@ -299,10 +210,11 @@ def classical_delta_elements(n: int, ctx: ThetaContext):
             return PoissonElement.generator(alg, f"f{r + 1}")
         return PoissonElement.function(alg, ex.theta_basis_of(col - 1, n, f"z{r + 1}"))
 
+    be = TermMapBackend(alg, PoissonElement)
     deltas = []
     for omit in range(n + 1):
         grid = [[entry(r, col) for col in range(n + 1) if col != omit] for r in range(n)]
-        deltas.append(_pdet(grid))
+        deltas.append(cf_det(grid, be))
     return alg, deltas
 
 
@@ -328,18 +240,11 @@ def _stacked_phase_points(alg, count, seed, guards):
     return stack_assignments(envs), envs
 
 
-def _pairwise_theta_guards(var_names, n_unused=None):
-    guards = []
-    for a, b in itertools.combinations(var_names, 2):
-        guards.append(ex.theta1_of(ex.aff(a, (-1, b))))
-    return guards
-
-
 @functools.lru_cache(maxsize=16)
 def _hamiltonian_brackets(n: int, ctx: ThetaContext):
     """Cached symbolic ratio-brackets for all hamiltonian pairs."""
     alg, deltas = classical_delta_elements(n, ctx)
-    guards = _pairwise_theta_guards(alg.var_names)
+    guards = pair_guards(alg.var_names)
     guards.append(ex.theta1_of(ex.aff(*alg.var_names)))  # theta(sum z): zero of Delta_0
     brackets = [pbracket_ratio(deltas[i], deltas[0], deltas[j], deltas[0])
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -377,13 +282,9 @@ def _jacobi_delta_terms(n: int, ctx: ThetaContext, ijk):
 def jacobi_delta_residual(n: int, ctx: ThetaContext, ijk, seed: int = 0, points: int = 20) -> float:
     """Residual of Delta_i {Delta_j, Delta_k} + cyclic permutations = 0."""
     alg, elems = _jacobi_delta_terms(n, ctx, tuple(ijk))
-    guards = _pairwise_theta_guards(alg.var_names)
-    stacked, _ = _stacked_phase_points(alg, points, seed, guards)
+    stacked, _ = _stacked_phase_points(alg, points, seed, pair_guards(alg.var_names))
     vals = [np.asarray(e.evaluate(stacked, ctx)) for e in elems]
-    scale = np.asarray(1.0)
-    for v in vals:
-        scale = np.maximum(scale, np.abs(v))
-    return float(np.max(np.abs(sum(vals)) / scale))
+    return rel_residual(sum(vals), *vals)
 
 
 # Classical bosonization ---------------------------------------------------------
@@ -397,16 +298,7 @@ def psi_p(f: ex.MeroExpr, p: int, n: int, ctx: ThetaContext) -> PoissonElement:
     if len(names) != 1:
         raise ValueError(f"psi_p needs a function of one variable, got {sorted(names)}")
     (w,) = names
-    alg = make_classical_bpn(p, n, ctx)
-    total = PoissonElement.zero(alg)
-    for a in range(1, p + 1):
-        fa = ex.substitute(f, {w: ex.aff(f"u{a}")})
-        den = ex.prod_over(
-            ex.theta1_of(ex.aff(f"u{a}", (-1, f"u{i}"))) for i in range(1, p + 1) if i != a
-        )
-        coeff = fa if isinstance(den, ex.Const) else ex.quot(fa, den)
-        total = total + PoissonElement.generator(alg, f"e{a}", coeff)
-    return total
+    return bosonize(f, w, make_classical_bpn(p, n, ctx), PoissonElement)
 
 
 def psi2_pair_residual(ctx: ThetaContext, seed: int = 0, samples: int = 20,
@@ -421,8 +313,7 @@ def psi2_pair_residual(ctx: ThetaContext, seed: int = 0, samples: int = 20,
     g = ex.add(*(ex.mul(ex.const(c[1][i]), ex.theta_basis_of(i, 2, "w")) for i in range(2)))
     a = psi_p(f, 2, 2, ctx)
     b = psi_p(g, 2, 2, ctx)
-    guard = [ex.theta1_of(ex.aff("u1", (-1, "u2")))]
-    return pbracket_residual(a, b, samples=samples, seed=seed, guards=guard)
+    return pbracket_residual(a, b, samples=samples, seed=seed, guards=pair_guards(a.algebra.var_names))
 
 
 # Fay identity -------------------------------------------------------------------

@@ -7,7 +7,8 @@ so the accepted list depends only on the seed, never on scheduling.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import itertools
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -16,6 +17,8 @@ from .errors import PoleError, SamplingExhaustedError
 from . import expr as ex
 
 _MAX_DRAW_FACTOR = 1000
+_RETRY_BATCHES = 8
+_RETRY_STRIDE = 7919
 
 
 def sample_points(count: int,
@@ -65,6 +68,32 @@ def _passes_guards(assignment, guard_exprs, ctx) -> bool:
         if np.any(np.abs(v) < ctx.pole_guard):
             return False
     return True
+
+
+def pair_guards(names: Sequence[str], theta_of=ex.theta1_of) -> list:
+    """theta(a - b) for every pair of names: the coincidence poles."""
+    return [theta_of(ex.aff(a, (-1, b))) for a, b in itertools.combinations(names, 2)]
+
+
+def sampled_max(measure: Callable[[dict], float],
+                var_names: Sequence[str],
+                guard_exprs: Sequence[ex.MeroExpr],
+                samples: int,
+                seed: int,
+                ctx: ThetaContext) -> float:
+    """measure(stacked points) on the first seeded batch that does not pole.
+
+    Batch k is drawn with seed + _RETRY_STRIDE*k; a PoleError raised by measure
+    discards the whole batch, so no partial value of a poled batch leaks into
+    the result.  Raises PoleError when all 8 batches pole.
+    """
+    for attempt in range(_RETRY_BATCHES):
+        pts = sample_points(samples, var_names, guard_exprs, seed + _RETRY_STRIDE * attempt, ctx)
+        try:
+            return measure(stack_assignments(pts))
+        except PoleError:
+            continue
+    raise PoleError(f"sampled values pole at all {_RETRY_BATCHES} seeded batches")
 
 
 def stack_assignments(assignments: Sequence[Mapping]) -> dict:

@@ -7,7 +7,10 @@ and a complex shift matrix S.  Conjugation is oriented as
 
 so multiplying coefficient-times-monomial terms translates the right-hand
 coefficient's arguments by the left monomial's accumulated shift.  Operators
-are finite maps from generator exponent tuples to MeroExpr coefficients.
+are finite maps from generator exponent tuples to MeroExpr coefficients; the
+term-map base (TermMap over a GeneratorAlgebra), its sampled residual and
+the bosonization formula are shared with the Poisson layer, whose elements
+are the same maps with commuting generators.
 
 Instances built here: the Weyl-like algebra with one generator per variable
 shifting only its own variable by -n*eta; the bosonization target B_{p,n}
@@ -30,23 +33,13 @@ import numpy as np
 from .context import ThetaContext
 from .errors import PoleError, SingularOperatorError
 from . import expr as ex
-from .sampling import sample_points, stack_assignments
+from .sampling import rel_residual, sampled_max
 
 _PRUNE_POINTS = 5
 
 
-@dataclass(frozen=True)
-class ShiftAlgebra:
-    var_names: tuple
-    gen_names: tuple
-    shift: tuple  # row per generator, entries per variable
-    ctx: ThetaContext
-
-    def __post_init__(self):
-        if len(self.shift) != len(self.gen_names):
-            raise ValueError("shift matrix needs one row per generator")
-        if any(len(row) != len(self.var_names) for row in self.shift):
-            raise ValueError("shift matrix rows must match the variable count")
+class GeneratorAlgebra:
+    """Variable and generator bookkeeping shared by the shift and Poisson algebras."""
 
     @property
     def r(self) -> int:
@@ -59,6 +52,23 @@ class ShiftAlgebra:
     def gen_index(self, name: str) -> int:
         return self.gen_names.index(name)
 
+    def zero_index(self) -> tuple:
+        return (0,) * self.r
+
+
+@dataclass(frozen=True)
+class ShiftAlgebra(GeneratorAlgebra):
+    var_names: tuple
+    gen_names: tuple
+    shift: tuple  # row per generator, entries per variable
+    ctx: ThetaContext
+
+    def __post_init__(self):
+        if len(self.shift) != len(self.gen_names):
+            raise ValueError("shift matrix needs one row per generator")
+        if any(len(row) != len(self.var_names) for row in self.shift):
+            raise ValueError("shift matrix rows must match the variable count")
+
     def translation_of(self, exponents: Sequence[int]) -> dict:
         """Accumulated shift of each variable under the monomial g^exponents."""
         deltas: dict[str, complex] = {}
@@ -70,21 +80,22 @@ class ShiftAlgebra:
                         deltas[name] = deltas.get(name, 0j) + e * s
         return deltas
 
-    def zero_index(self) -> tuple:
-        return (0,) * self.r
-
 
 def make_algebra(var_names: Iterable[str], gen_names: Iterable[str], shift, ctx) -> ShiftAlgebra:
     rows = tuple(tuple(complex(s) for s in row) for row in shift)
     return ShiftAlgebra(tuple(var_names), tuple(gen_names), rows, ctx)
 
 
-class ShiftOp:
-    """Immutable finite sum of coefficient * generator-monomial terms."""
+class TermMap:
+    """Immutable finite sum of coefficient * generator-monomial terms.
+
+    terms maps exponent tuples to MeroExpr coefficients; constant-zero
+    coefficients are dropped on construction.  Subclasses add the product.
+    """
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: ShiftAlgebra, terms: Mapping[tuple, ex.MeroExpr]):
+    def __init__(self, algebra: GeneratorAlgebra, terms: Mapping[tuple, ex.MeroExpr]):
         self.algebra = algebra
         cleaned = {}
         for mi, coeff in terms.items():
@@ -93,33 +104,62 @@ class ShiftOp:
             cleaned[tuple(mi)] = coeff
         self.terms = cleaned
 
-    # construction helpers
+    @classmethod
+    def zero(cls, algebra):
+        return cls(algebra, {})
 
     @classmethod
-    def zero(cls, algebra) -> "ShiftOp":
-        return cls(algebra, {})
+    def function(cls, algebra, coeff):
+        """Multiplication operator: coefficient times the empty monomial."""
+        return cls(algebra, {algebra.zero_index(): ex._as_expr(coeff)})
+
+    @classmethod
+    def generator(cls, algebra, name: str, coeff=1):
+        mi = [0] * algebra.r
+        mi[algebra.gen_index(name)] = 1
+        return cls(algebra, {tuple(mi): ex._as_expr(coeff)})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check_same(other)
+        merged = dict(self.terms)
+        for mi, c in other.terms.items():
+            merged[mi] = ex.add(merged[mi], c) if mi in merged else c
+        return type(self)(self.algebra, merged)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.algebra, {mi: ex.neg(c) for mi, c in self.terms.items()})
+
+    def __rmul__(self, other):
+        return self.scaled(other)
+
+    def scaled(self, c):
+        if isinstance(c, ex.MeroExpr) or c != 1:
+            return type(self)(self.algebra, {mi: ex.mul(ex._as_expr(c), co) for mi, co in self.terms.items()})
+        return self
+
+    def _check_same(self, other):
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
+            raise ValueError("operands live in different algebras")
+
+
+class ShiftOp(TermMap):
+    """Difference operator: the product translates coefficients by shifts."""
+
+    __slots__ = ()
 
     @classmethod
     def one(cls, algebra) -> "ShiftOp":
         return cls(algebra, {algebra.zero_index(): ex.const(1)})
 
     @classmethod
-    def function(cls, algebra, coeff) -> "ShiftOp":
-        """Multiplication operator: coefficient times the empty monomial."""
-        return cls(algebra, {algebra.zero_index(): ex._as_expr(coeff)})
-
-    @classmethod
-    def generator(cls, algebra, name: str, coeff=1) -> "ShiftOp":
-        mi = [0] * algebra.r
-        mi[algebra.gen_index(name)] = 1
-        return cls(algebra, {tuple(mi): ex._as_expr(coeff)})
-
-    @classmethod
     def monomial(cls, algebra, exponents: Sequence[int], coeff=1) -> "ShiftOp":
         return cls(algebra, {tuple(exponents): ex._as_expr(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_multiplication(self) -> bool:
         zi = self.algebra.zero_index()
@@ -128,37 +168,13 @@ class ShiftOp:
     def degrees(self) -> set:
         return {sum(mi) for mi in self.terms}
 
-    # arithmetic
-
     def __add__(self, other: "ShiftOp") -> "ShiftOp":
-        self._check_same(other)
-        merged = dict(self.terms)
-        for mi, c in other.terms.items():
-            merged[mi] = ex.add(merged[mi], c) if mi in merged else c
-        return ShiftOp(self.algebra, merged)._pruned()
-
-    def __sub__(self, other: "ShiftOp") -> "ShiftOp":
-        return self + (-other)
-
-    def __neg__(self) -> "ShiftOp":
-        return ShiftOp(self.algebra, {mi: ex.neg(c) for mi, c in self.terms.items()})
+        return super().__add__(other)._pruned()
 
     def __mul__(self, other):
         if isinstance(other, ShiftOp):
             return shift_mul(self, other)
         return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
-
-    def scaled(self, c) -> "ShiftOp":
-        if isinstance(c, ex.MeroExpr) or c != 1:
-            return ShiftOp(self.algebra, {mi: ex.mul(ex._as_expr(c), co) for mi, co in self.terms.items()})
-        return self
-
-    def _check_same(self, other):
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise ValueError("operands live in different shift algebras")
 
     def _pruned(self) -> "ShiftOp":
         """Drop terms whose coefficient samples to ~0 at a few guard points.
@@ -231,31 +247,14 @@ def op_equal(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0,
     """Sampled equality residual, relative to the cancelling coefficients.
 
     max over the multi-indices of a-b and over pole-guarded points of
-    |a_m - b_m| / max(1, |a_m|, |b_m|).  Points where a coefficient poles
-    are skipped and redrawn.
+    |a_m - b_m| / max(1, |a_m|, |b_m|).  A batch where a coefficient poles
+    is redrawn whole.
     """
     a._check_same(b)
-    alg = a.algebra
-    keys = set(a.terms) | set(b.terms)
-    if not keys:
-        return 0.0
-    zero = ex.const(0)
-    worst = 0.0
-    for batch in _assignment_batches(alg, samples, seed, guards):
-        stacked = stack_assignments(batch)
-        try:
-            for mi in keys:
-                va = np.asarray(ex.evaluate(a.terms.get(mi, zero), stacked, alg.ctx))
-                vb = np.asarray(ex.evaluate(b.terms.get(mi, zero), stacked, alg.ctx))
-                scale = np.maximum(1.0, np.maximum(np.abs(va), np.abs(vb)))
-                worst = max(worst, float(np.max(np.abs(va - vb) / scale)))
-        except PoleError:
-            continue
-        return worst
-    raise PoleError("coefficients pole at every sampled batch")
+    return sum_to_zero_residual([a, -b], samples=samples, seed=seed, guards=guards)
 
 
-def sum_to_zero_residual(parts: Sequence[ShiftOp], samples: int = 20, seed: int = 0,
+def sum_to_zero_residual(parts: Sequence[TermMap], samples: int = 20, seed: int = 0,
                          guards: Sequence[ex.MeroExpr] = ()) -> float:
     """Residual of sum(parts) == 0, scaled by the largest single part.
 
@@ -263,34 +262,20 @@ def sum_to_zero_residual(parts: Sequence[ShiftOp], samples: int = 20, seed: int 
     multi-index coefficient of the total is compared against the biggest
     contribution that went into it.
     """
-    if not parts:
+    keys = set().union(*(p.terms for p in parts))
+    if not keys:
         return 0.0
     alg = parts[0].algebra
-    keys = set()
-    for p in parts:
-        keys |= set(p.terms)
     zero = ex.const(0)
-    worst = 0.0
-    for batch in _assignment_batches(alg, samples, seed, guards):
-        stacked = stack_assignments(batch)
-        try:
-            for mi in keys:
-                vals = [np.asarray(ex.evaluate(p.terms.get(mi, zero), stacked, alg.ctx)) for p in parts]
-                total = sum(vals)
-                scale = np.asarray(1.0)
-                for v in vals:
-                    scale = np.maximum(scale, np.abs(v))
-                worst = max(worst, float(np.max(np.abs(total) / scale)))
-        except PoleError:
-            continue
+
+    def measure(stacked):
+        worst = 0.0
+        for mi in keys:
+            vals = [np.asarray(ex.evaluate(p.terms.get(mi, zero), stacked, alg.ctx)) for p in parts]
+            worst = max(worst, rel_residual(sum(vals), *vals))
         return worst
-    raise PoleError("coefficients pole at every sampled batch")
 
-
-def _assignment_batches(alg: ShiftAlgebra, samples: int, seed: int, guards):
-    """A few independent seeded batches; callers take the first pole-free one."""
-    for attempt in range(8):
-        yield sample_points(samples, alg.var_names, guards, seed + 7919 * attempt, alg.ctx)
+    return sampled_max(measure, alg.var_names, guards, samples, seed, alg.ctx)
 
 
 def commutator_residual(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0,
@@ -317,6 +302,21 @@ def make_Bpn(p: int, n: int, ctx: ThetaContext) -> ShiftAlgebra:
     shift = [[((n - 2) * ctx.eta if b == a else -2 * ctx.eta) for b in range(p)] for a in range(p)]
     return make_algebra([f"u{i}" for i in range(1, p + 1)],
                         [f"e{i}" for i in range(1, p + 1)], shift, ctx)
+
+
+def bosonize(f: ex.MeroExpr, var: str, algebra: GeneratorAlgebra, element: type) -> TermMap:
+    """sum_a f(u_a) / prod_{i != a} theta(u_a - u_i) * e_a, f a function of var.
+
+    The one formula behind both bosonizations: element is ShiftOp over
+    B_{p,n} or PoissonElement over its classical counterpart.
+    """
+    p = algebra.p
+    total = element.zero(algebra)
+    for a in range(1, p + 1):
+        fa = ex.substitute(f, {var: ex.aff(f"u{a}")})
+        den = ex.prod_over(ex.theta1_of(ex.aff(f"u{a}", (-1, f"u{i}"))) for i in range(1, p + 1) if i != a)
+        total = total + element.generator(algebra, f"e{a}", ex.quot(fa, den))
+    return total
 
 
 def make_Btilde(p_list: Sequence[int], ctx: ThetaContext) -> ShiftAlgebra:
@@ -359,31 +359,36 @@ def make_sos(n: int, ctx: ThetaContext) -> ShiftAlgebra:
     return make_algebra(var_names, gen_names, shift, ctx)
 
 
-class ShiftOpBackend:
-    """Adapter exposing ShiftOps through the determinant backend protocol."""
+class TermMapBackend:
+    """Term maps through the part of the determinant backend protocol cf_det uses."""
 
-    def __init__(self, algebra: ShiftAlgebra, norm_samples: int = 8, seed: int = 0):
+    def __init__(self, algebra: GeneratorAlgebra, element: type):
         self.algebra = algebra
-        self._norm_samples = norm_samples
-        self._seed = seed
+        self._element = element
 
     def zero(self):
-        return ShiftOp.zero(self.algebra)
-
-    def one(self):
-        return ShiftOp.one(self.algebra)
+        return self._element.zero(self.algebra)
 
     def add(self, x, y):
         return x + y
 
     def mul(self, x, y):
-        return shift_mul(x, y)
+        return x * y
 
     def neg(self, x):
         return -x
 
-    def scal(self, c, x):
-        return x.scaled(c)
+
+class ShiftOpBackend(TermMapBackend):
+    """Adapter exposing ShiftOps through the determinant backend protocol."""
+
+    def __init__(self, algebra: ShiftAlgebra, norm_samples: int = 8, seed: int = 0):
+        super().__init__(algebra, ShiftOp)
+        self._norm_samples = norm_samples
+        self._seed = seed
+
+    def one(self):
+        return ShiftOp.one(self.algebra)
 
     def invert(self, x):
         return invert_multiplication(x)
@@ -393,14 +398,8 @@ class ShiftOpBackend:
         if x.is_zero():
             return 0.0
         alg = self.algebra
-        worst = 0.0
-        for batch in _assignment_batches(alg, self._norm_samples, self._seed, ()):
-            stacked = stack_assignments(batch)
-            try:
-                for coeff in x.terms.values():
-                    v = np.asarray(ex.evaluate(coeff, stacked, alg.ctx))
-                    worst = max(worst, float(np.max(np.abs(v))))
-            except PoleError:
-                continue
-            return worst
-        return float("inf")
+
+        def measure(stacked):
+            return max(float(np.max(np.abs(ex.evaluate(c, stacked, alg.ctx)))) for c in x.terms.values())
+
+        return sampled_max(measure, alg.var_names, (), self._norm_samples, self._seed, alg.ctx)

@@ -28,9 +28,10 @@ import numpy as np
 from .context import ThetaContext
 from .errors import InconclusiveRankError, PoleError
 from . import expr as ex
-from .sampling import sample_points, stack_assignments
+from .sampling import pair_guards, rel_residual, sample_points, sampled_max, stack_assignments
 from .shiftops import (
     ShiftOp,
+    bosonize,
     make_Bpn,
     op_equal,
     shift_mul,
@@ -74,19 +75,17 @@ class SymThetaFun:
             swapped = dict(stacked)
             swapped[names[0]], swapped[names[1]] = stacked[names[1]], stacked[names[0]]
             vs = np.asarray(ex.evaluate(self.body, swapped, self.ctx))
-            worst = max(worst, float(np.max(np.abs(v - vs) / np.maximum(1.0, np.abs(v)))))
+            worst = max(worst, rel_residual(v - vs, v))
         per = dict(stacked)
         per[names[0]] = stacked[names[0]] + 1
         vp = np.asarray(ex.evaluate(self.body, per, self.ctx))
-        worst = max(worst, float(np.max(np.abs(vp - v) / np.maximum(1.0, np.abs(v)))))
+        worst = max(worst, rel_residual(vp - v, v))
         qp = dict(stacked)
         qp[names[0]] = stacked[names[0]] + self.ctx.tau
         vq = np.asarray(ex.evaluate(self.body, qp, self.ctx))
         mult = (-1) ** self.order_n * np.exp(-2j * math.pi * self.order_n * stacked[names[0]])
         expect = mult * v
-        scale = np.maximum(1.0, np.maximum(np.abs(vq), np.abs(expect)))
-        worst = max(worst, float(np.max(np.abs(vq - expect) / scale)))
-        return worst
+        return max(worst, rel_residual(vq - expect, vq, expect))
 
 
 def theta_gen(i: int, n: int, ctx: ThetaContext) -> SymThetaFun:
@@ -135,28 +134,19 @@ def plain_symmetrized_product(f: SymThetaFun, g: SymThetaFun) -> SymThetaFun:
     return SymThetaFun(a + b, f.order_n, ex.add(*terms), f.ctx)
 
 
-def _pair_guards(count):
-    names = _zvars(count)
-    return [ex.theta1_of(ex.aff(x, (-1, y))) for x, y in itertools.combinations(names, 2)]
-
-
 def star_assoc_residual(f: SymThetaFun, g: SymThetaFun, h: SymThetaFun,
                         samples: int = 20, seed: int = 0) -> float:
     """Sampled residual of (f*g)*h == f*(g*h)."""
     left = star(star(f, g), h).body
     right = star(f, star(g, h)).body
-    deg = f.degree + g.degree + h.degree
-    for attempt in range(8):
-        pts = sample_points(samples, _zvars(deg), _pair_guards(deg), seed + 7919 * attempt, f.ctx)
-        stacked = stack_assignments(pts)
-        try:
-            lv = np.asarray(ex.evaluate(left, stacked, f.ctx))
-            rv = np.asarray(ex.evaluate(right, stacked, f.ctx))
-        except PoleError:
-            continue
-        scale = np.maximum(1.0, np.maximum(np.abs(lv), np.abs(rv)))
-        return float(np.max(np.abs(lv - rv) / scale))
-    raise PoleError("associativity sampling poled at every batch")
+    names = _zvars(f.degree + g.degree + h.degree)
+
+    def measure(stacked):
+        lv = np.asarray(ex.evaluate(left, stacked, f.ctx))
+        rv = np.asarray(ex.evaluate(right, stacked, f.ctx))
+        return rel_residual(lv - rv, lv, rv)
+
+    return sampled_max(measure, names, pair_guards(names), samples, seed, f.ctx)
 
 
 def eta_flatness_ratio(n: int, ctx: ThetaContext, scales=(1e-2, 1e-3),
@@ -172,7 +162,7 @@ def eta_flatness_ratio(n: int, ctx: ThetaContext, scales=(1e-2, 1e-3),
         f = theta_gen(0, n, cs)
         g = theta_gen(1 % n, n, cs)
         comm = star(f, g).body - star(g, f).body
-        pts = sample_points(samples, _zvars(2), _pair_guards(2), seed, cs)
+        pts = sample_points(samples, _zvars(2), pair_guards(_zvars(2)), seed, cs)
         stacked = stack_assignments(pts)
         mags.append(float(np.max(np.abs(np.asarray(ex.evaluate(comm, stacked, cs))))))
     return mags[0] / mags[1]
@@ -184,16 +174,7 @@ def phi_p(f: SymThetaFun, p: int, ctx: ThetaContext) -> ShiftOp:
     """phi_p(f) = sum_a f(u_a) / prod_{i != a} theta(u_a - u_i) * e_a."""
     if f.degree != 1:
         raise ValueError("phi_p is defined on degree-one elements")
-    alg = make_Bpn(p, f.order_n, ctx)
-    total = ShiftOp.zero(alg)
-    for a in range(1, p + 1):
-        fa = ex.substitute(f.body, {"z1": ex.aff(f"u{a}")})
-        den = ex.prod_over(
-            ex.theta1_of(ex.aff(f"u{a}", (-1, f"u{i}"))) for i in range(1, p + 1) if i != a
-        )
-        coeff = fa if isinstance(den, ex.Const) else ex.quot(fa, den)
-        total = total + ShiftOp.generator(alg, f"e{a}", coeff)
-    return total
+    return bosonize(f.body, "z1", make_Bpn(p, f.order_n, ctx), ShiftOp)
 
 
 @dataclass
@@ -226,8 +207,7 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
     npts = samples or 2 * n * n + 8
-    pair_guard = [ex.theta1_of(ex.aff("z1", (-1, "z2")))]
-    pts = sample_points(npts, ["z1", "z2"], pair_guard, seed, ctx)
+    pts = sample_points(npts, ["z1", "z2"], pair_guards(["z1", "z2"]), seed, ctx)
     stacked = stack_assignments(pts)
 
     gens = [theta_gen(i, n, ctx) for i in range(n)]
@@ -258,7 +238,7 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
         for j in range(n):
             ops[(i, j)] = shift_mul(phis[i], phis[j])
     kernel = U[:, r:]
-    guards = [ex.theta1_of(ex.aff("u1", (-1, f"u{i}"))) for i in range(2, p + 1)]
+    guards = pair_guards(phis[0].algebra.var_names)
     worst = 0.0
     for kv in range(kernel.shape[1]):
         c = np.conj(kernel[:, kv]) / row_scale
@@ -300,8 +280,8 @@ def qnk_relation_residual(n: int, i: int, j: int, p: int, ctx: ThetaContext,
             raise PoleError("structure-constant denominator vanishes at this eta")
         coeff = complex(num / den)
         parts.append(shift_mul(phis[(j - r_) % n], phis[(i + r_) % n]).scaled(coeff))
-    guards = [ex.theta1_of(ex.aff("u1", (-1, f"u{i2}"))) for i2 in range(2, p + 1)]
-    residual = sum_to_zero_residual(parts, samples=samples, seed=seed, guards=guards)
+    residual = sum_to_zero_residual(parts, samples=samples, seed=seed,
+                                    guards=pair_guards(phis[0].algebra.var_names))
     return QnkReport(residual=residual, convention_matched=residual <= ctx.id_tol,
                      trivially_zero=False)
 
@@ -377,8 +357,5 @@ def fu_commutator_residual(u: complex, v: complex, m: int, a: complex, b: comple
     """[f(u), f(v)] residual in the bosonized algebra."""
     fu = build_fu_bosonized(u, m, a, b, psi_index, ctx)
     fv = build_fu_bosonized(v, m, a, b, psi_index, ctx)
-    p = m - 1
-    guards = [ex.theta1_of(ex.aff(f"u{x}", (-1, f"u{y}")))
-              for x in range(1, p + 1) for y in range(x + 1, p + 1)]
     return op_equal(shift_mul(fu, fv), shift_mul(fv, fu),
-                    samples=samples, seed=seed, guards=guards)
+                    samples=samples, seed=seed, guards=pair_guards(fu.algebra.var_names))

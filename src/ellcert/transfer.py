@@ -30,7 +30,7 @@ import numpy as np
 from .context import ThetaContext
 from .errors import PoleError
 from . import expr as ex
-from .sampling import sample_points, stack_assignments
+from .sampling import pair_guards, sample_points, stack_assignments
 from .shiftops import (
     ShiftAlgebra,
     ShiftOp,
@@ -160,14 +160,14 @@ def build_T(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
     return ShiftOp(alg, terms)
 
 
-def _pair_guards(names):
-    return [ex.theta1_of(ex.aff(a, (-1, b))) for a, b in itertools.combinations(names, 2)]
+def _kernel_guards(names, theta_of):
+    """Zeros of the kernel denominators: theta(z_a - z_b) and theta(sum z)."""
+    return pair_guards(names, theta_of) + [theta_of(ex.Affine({v: 1 for v in names}))]
 
 
 def vn_family(n: int, ctx: ThetaContext) -> TransferFamily:
     alg = make_Vn(n, ctx)
-    names = [f"z{i}" for i in range(1, n + 1)]
-    guards = _pair_guards(names) + [ex.theta1_of(ex.Affine({v: 1 for v in names}))]
+    guards = _kernel_guards(alg.var_names, ex.theta1_of)
     return TransferFamily(alg, lambda u: build_T(u, n, ctx), f"T.z{n}", guards)
 
 
@@ -210,7 +210,7 @@ def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
     t_det = shift_mul(invert_multiplication(d0), acc)
     t_exp = build_T(u, n, ctx)
 
-    guards = _pair_guards(names) + [ex.theta1_of(ex.Affine({v: 1 for v in names}))]
+    guards = _kernel_guards(names, ex.theta1_of)
     pts = sample_points(samples, names, guards, seed, ctx)
     mi0 = next(iter(t_exp.terms))
     c_det = ex.evaluate(t_det.terms[mi0], pts[0], ctx)
@@ -266,12 +266,23 @@ def btilde_family(p_list: Sequence[int], ctx: ThetaContext) -> TransferFamily:
     n = len(p_list) + 1
     for g in range(1, n):
         layer = [f"z{b}_{g}" for b in range(1, p_list[g - 1] + 1)]
-        guards.extend(_pair_guards(layer))
+        guards.extend(pair_guards(layer))
     return TransferFamily(alg, lambda u: build_T_tilde(u, p_list, ctx),
                           f"T.chain{p_list}", guards)
 
 
 # Face-model auxiliary transfer ----------------------------------------------------
+
+def _sos_kernel(u, n, al, names):
+    """Face-model kernel of z_al with lam = z_1+...+z_n inlined, odd theta."""
+    others = [b for b in range(n) if b != al]
+    # u + z_al - lam = u - sum_{b != al} z_b
+    num = [ex.theta_odd_of(ex.Affine({names[b]: -1 for b in others}, const=u))]
+    num += [ex.theta_odd_of(ex.aff(names[b], const=u)) for b in others]
+    den = [ex.theta_odd_of(ex.aff(names[b], (-1, names[al]))) for b in others]
+    den.append(ex.theta_odd_of(ex.Affine({v: 1 for v in names})))
+    return ex.quot(ex.prod_over(num), ex.prod_over(den))
+
 
 def build_sos_Taux(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
     """Auxiliary face-model transfer operator with lam = z_1+...+z_n inlined.
@@ -286,13 +297,7 @@ def build_sos_Taux(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
     names = [f"z{i}" for i in range(1, n + 1)]
     terms = {}
     for al in range(n):
-        others = [b for b in range(n) if b != al]
-        # u + z_al - lam = u - sum_{b != al} z_b
-        num = [ex.theta_odd_of(ex.Affine({names[b]: -1 for b in others}, const=u))]
-        num += [ex.theta_odd_of(ex.aff(names[b], const=u)) for b in others]
-        den = [ex.theta_odd_of(ex.aff(names[b], (-1, names[al]))) for b in others]
-        den.append(ex.theta_odd_of(ex.Affine({v: 1 for v in names})))
-        kernel = ex.quot(ex.prod_over(num), ex.prod_over(den))
+        kernel = _sos_kernel(u, n, al, names)
         up = ex.mul(kernel, ex.theta_odd_of(ex.aff(names[al], const=-ctx.eta)))
         down = ex.mul(kernel, ex.theta_odd_of(ex.aff(names[al], const=ctx.eta)))
         mi_up = [0] * alg.r
@@ -306,9 +311,7 @@ def build_sos_Taux(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
 
 def sos_family(n: int, ctx: ThetaContext) -> TransferFamily:
     alg = make_sos(n, ctx)
-    names = [f"z{i}" for i in range(1, n + 1)]
-    guards = [ex.theta_odd_of(ex.aff(a, (-1, b))) for a, b in itertools.combinations(names, 2)]
-    guards.append(ex.theta_odd_of(ex.Affine({v: 1 for v in names})))
+    guards = _kernel_guards(alg.var_names, ex.theta_odd_of)
     return TransferFamily(alg, lambda u: build_sos_Taux(u, n, ctx), f"T.face{n}", guards)
 
 
@@ -332,21 +335,13 @@ def sos_vs_T_coefficient_ratio(u: complex, n: int, ctx: ThetaContext,
     # T^{+2eta} seen through the reflection
     assert cmp_alg.shift[0][0] == -2 * ctx.eta
     names = [f"z{i}" for i in range(1, n + 1)]
-    guards = [ex.theta_odd_of(ex.aff(a, (-1, b))) for a, b in itertools.combinations(names, 2)]
-    guards.append(ex.theta_odd_of(ex.Affine({v: 1 for v in names})))
-    pts = sample_points(samples, names, guards, seed, ctx)
+    pts = sample_points(samples, names, _kernel_guards(names, ex.theta_odd_of), seed, ctx)
     stacked = stack_assignments(pts)
     reflected = {v: np.negative(stacked[v]) for v in names}
     ratios = []
     for al in range(n):
-        others = [b for b in range(n) if b != al]
-        num = [ex.theta_odd_of(ex.Affine({names[b]: -1 for b in others}, const=u))]
-        num += [ex.theta_odd_of(ex.aff(names[b], const=u)) for b in others]
-        den = [ex.theta_odd_of(ex.aff(names[b], (-1, names[al]))) for b in others]
-        den.append(ex.theta_odd_of(ex.Affine({v: 1 for v in names})))
-        sos_kernel = ex.quot(ex.prod_over(num), ex.prod_over(den))
         basic = _transfer_coefficient(u, n, al, names, ex.theta_odd_of, sum_shift=0j)
-        cs = np.asarray(ex.evaluate(sos_kernel, reflected, ctx))
+        cs = np.asarray(ex.evaluate(_sos_kernel(u, n, al, names), reflected, ctx))
         cb = np.asarray(ex.evaluate(basic, stacked, ctx))
         ratios.append(cs / cb)
     ref = ratios[0].flat[0]

@@ -14,6 +14,7 @@ from ellcert.errors import SingularOperatorError
 from ellcert.sampling import sample_points
 from ellcert.shiftops import (
     ShiftOp,
+    ShiftOpBackend,
     commutator_residual,
     invert_multiplication,
     make_Bpn,
@@ -23,6 +24,7 @@ from ellcert.shiftops import (
     op_equal,
     shift_commutator,
     shift_mul,
+    sum_to_zero_residual,
 )
 
 CTX = ThetaContext()
@@ -165,6 +167,36 @@ class TestOpEqual:
         a = ShiftOp.function(alg, ex.theta1_of(ex.aff("z1", const=1)))
         b = ShiftOp.function(alg, ex.theta1_of("z1"))
         assert op_equal(a, b, samples=20, seed=2) <= CTX.id_tol
+
+
+class TestPoledBatchIsDiscarded:
+    """A batch where a coefficient poles is redrawn whole, so nothing measured
+    on it may reach the result.  With samples=1, batch 0 is the point p1
+    (seed 0) and batch 1 the point p2 (seed 0 + 7919)."""
+
+    @staticmethod
+    def _operators():
+        alg = make_Vn(2, CTX)
+        p1 = sample_points(1, alg.var_names, [], 0, CTX)[0]["z1"]
+        p2 = sample_points(1, alg.var_names, [], 7919, CTX)[0]["z1"]
+        z1 = ex.var("z1")
+        # f1: z1 - p2 is |p1 - p2| at batch 0 and exactly 0 at batch 1;
+        # f2: poles at batch 0 and is exactly 0 at batch 1.
+        gap = ShiftOp.generator(alg, "f1", z1 - ex.const(p2))
+        poled = ShiftOp.generator(alg, "f2", (z1 - ex.const(p2)) / (z1 - ex.const(p1)))
+        return alg, gap + poled, poled
+
+    def test_op_equal(self):
+        _, both, poled = self._operators()
+        assert op_equal(both, poled, samples=1, seed=0) == 0.0
+
+    def test_sum_to_zero_residual(self):
+        _, both, poled = self._operators()
+        assert sum_to_zero_residual([both, -poled], samples=1, seed=0) == 0.0
+
+    def test_backend_norm(self):
+        alg, both, _ = self._operators()
+        assert ShiftOpBackend(alg, norm_samples=1, seed=0).norm(both) == 0.0
 
 
 class TestInstances:
