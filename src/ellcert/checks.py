@@ -1,18 +1,19 @@
 """Named check registry: every certified identity behind one dispatch surface.
 
-A check resolves its parameters, runs the underlying residual computation at
-a fixed seed, and reports a ReportRecord.  Records are JSON-serializable and
-deterministic: re-running a config byte-identically reproduces every
-residual_max (wall times of course vary).
-
-An inconclusive outcome (no usable singular-value gap) is a distinct
-non-pass, non-fail state: the record carries status="inconclusive" in its
-resolved params, pass=false, and residual_max=-1.0.
+Each check is declared once, by the `check` decorator on its body, with a
+`Param` (default, parser, documented range) per key.  `run_check` resolves the
+raw parameters against it, so a body sees only parsed, in-range values and an
+undeclared key is an error, never a silent default.  Records are deterministic:
+re-running a config byte-identically reproduces every residual_max.  A record
+without a residual has status "inconclusive" (no usable singular-value gap) or
+"error" (the check raised; see `error_record`), pass=false, residual_max=-1.0.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -20,10 +21,11 @@ from typing import Callable
 import numpy as np
 
 from .context import ThetaContext
-from .errors import InconclusiveRankError, ParameterError
+from .errors import (EvaluationOverflowError, InconclusiveRankError, ParameterError,
+                     SingularOperatorError)
 from . import expr as ex
 from .sampling import rel_residual
-from .theta import theta_basis
+from .theta import reduce_to_fundamental, theta1, theta_basis
 from . import cfdet
 from . import poisson
 from . import starprod
@@ -33,39 +35,199 @@ DEFAULT_SEED = 42
 DEFAULT_TAU = 0.8j
 DEFAULT_ETA = 0.171717 + 0.0323j
 
+# theta1(N*eta) must stay off the lattice for N = 1..ETA_ORDERS: twice the
+# largest order (6) any check builds, so that no shift it forms is degenerate.
+ETA_ORDERS = 12
 
-def _context(params) -> ThetaContext:
-    return ThetaContext(tau=complex(params.get("tau", DEFAULT_TAU)),
-                        eta=complex(params.get("eta", DEFAULT_ETA)))
+
+# Parameter specs ---------------------------------------------------------------
+
+def parse_value(text: str):
+    """Config text as an int, float or complex when it reads as one, else the text."""
+    text = text.strip()
+    for conv in (int, float, complex):
+        try:
+            return conv(text)
+        except ValueError:
+            continue
+    return text
 
 
-def _int_list(value, name) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    if isinstance(value, int):
-        return [value]
+def _integer(raw, lo=None, hi=None) -> int:
+    value = parse_value(raw) if isinstance(raw, str) else raw
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{raw!r} is not an integer")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise ValueError(f"{value} is not{_span(lo, hi)}")
+    return int(value)
+
+
+def _complex(raw) -> complex:
+    value = parse_value(raw) if isinstance(raw, str) else raw
+    if not isinstance(value, numbers.Number) or not cmath.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return complex(value)
+
+
+def _positive(raw) -> float:
+    value = _complex(raw)
+    if value.imag or not value.real > 0:
+        raise ValueError(f"{raw!r} is not a positive real number")
+    return value.real
+
+
+def _span(lo, hi) -> str:
+    if lo is None:
+        return ""
+    return f" in [{lo}, {hi}]" if hi is not None else f" >= {lo}"
+
+
+def _items(raw, sep, item) -> tuple:
+    """A `sep`-separated list (or one bare value), parsed item by item; never empty."""
+    values = tuple(item(tok) for tok in str(raw).replace(" ", "").split(sep) if tok != "")
+    if not values:
+        raise ValueError("empty list")
+    return values
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter of a check: default (in config notation), parser, documented range."""
+
+    default: object
+    parse: Callable[[object], object]
+    allowed: str
+
+
+def integer(default, lo=None, hi=None) -> Param:
+    return Param(default, lambda raw: _integer(raw, lo, hi), f"integer{_span(lo, hi)}")
+
+
+def count(default) -> Param:
+    """How many seeds, samples, points or cases to run: at least one."""
+    return integer(default, 1)
+
+
+def integers(default, lo, hi, max_len=None) -> Param:
+    """','-list of integers, each in [lo, hi]."""
+    def parse(raw):
+        values = _items(raw, ",", lambda tok: _integer(tok, lo, hi))
+        if max_len is not None and len(values) > max_len:
+            raise ValueError(f"{len(values)} entries, more than {max_len}")
+        return values
+
+    most = f", at most {max_len} of them" if max_len else ""
+    return Param(default, parse, f"','-list of integers{_span(lo, hi)}{most}")
+
+
+def pairs(default, first, second) -> Param:
+    """';'-list of NxK pairs, N in the range `first` and K in `second`."""
+    def pair(tok):
+        parts = str(tok).lower().split("x")
+        if len(parts) != 2:
+            raise ValueError(f"{tok!r} is not of the form NxK")
+        return _integer(parts[0], *first), _integer(parts[1], *second)
+
+    return Param(default, lambda raw: _items(raw, ";", pair),
+                 f"';'-list of NxK, N{_span(*first)}, K{_span(*second)}")
+
+
+def _tau(raw) -> ThetaContext:
+    # ThetaContext itself rejects Im tau < 0.3 (with a ValueError)
+    return ThetaContext(tau=_complex(raw))
+
+
+def _deformed(ctx: ThetaContext, eta: complex) -> ThetaContext:
+    """`ctx` at deformation `eta`, rejected when some N*eta is within `pole_guard` of the lattice.
+
+    theta1 is taken at N*eta reduced to the fundamental box, where it vanishes
+    only at 0; theta1(N*eta) is that value times a multiplier of modulus >= 1.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # theta raises EvaluationOverflowError itself
+        w, _ = reduce_to_fundamental(np.arange(1, ETA_ORDERS + 1) * eta, ctx)
+    values = np.abs(theta1(w, ctx))
+    n = int(np.argmin(values))
+    if values[n] < ctx.pole_guard:
+        raise ValueError(f"{n + 1}*eta is on the lattice (|theta1| = {values[n]:.1e} < pole_guard "
+                         f"{ctx.pole_guard:.0e} there): the deformation is degenerate")
+    return ctx.replace(eta=eta)
+
+
+SEED = integer(DEFAULT_SEED, 0)
+TAU = Param(DEFAULT_TAU, _tau, "complex, Im >= 0.3")
+TAUS = Param("0.8j;0.3+1.1j", lambda raw: _items(raw, ";", _tau), "';'-list of complex tau, Im >= 0.3")
+ETA = Param(DEFAULT_ETA, _complex, f"complex, N*eta off the lattice for N = 1..{ETA_ORDERS}")
+SIZES = pairs("2x2;2x3;3x2", (1, 4), (2, 4))
+
+
+def _parsed(key, value, parse):
     try:
-        return [int(tok) for tok in str(value).replace(" ", "").split(",") if tok]
-    except ValueError:
-        raise ParameterError(f"cannot parse {name}={value!r} as integers") from None
+        return None if value is None else parse(value)
+    except (ValueError, ArithmeticError, EvaluationOverflowError) as e:
+        raise ParameterError(f"{key}={value!r}: {e}") from None
 
 
-def _require_range(name, value, lo, hi):
-    if not lo <= value <= hi:
-        raise ParameterError(f"{name}={value} outside documented range [{lo}, {hi}]")
+# Registry ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CheckDef:
+    name: str
+    fn: Callable
+    tolerance: float
+    gating: bool
+    summary: str
+    params: dict  # key -> Param, `seed` and `tolerance` included
+
+    def resolve(self, raw: dict) -> dict:
+        """Parsed value of every declared key, defaults filled in; ParameterError otherwise."""
+        unknown = sorted(str(key) for key in raw if key not in self.params)
+        if unknown:
+            raise ParameterError(f"{self.name} takes no parameter {', '.join(unknown)}; "
+                                 f"it takes {', '.join(self.params)}")
+        values = {key: _parsed(key, raw.get(key, p.default), p.parse)
+                  for key, p in self.params.items()}
+        if "tau" in values:  # tau, and eta where declared, reach the body as one context
+            ctx = values.pop("tau")
+            if "eta" in values:
+                ctx = _parsed("eta", values.pop("eta"), lambda eta: _deformed(ctx, eta))
+            values["ctx"] = ctx
+        return values
+
+    def __call__(self, params: dict, seed=DEFAULT_SEED) -> float:
+        """Residual of the body at raw `params` and `seed`, resolved as `run_check` does."""
+        values = self.resolve({**params, "seed": seed})
+        del values["tolerance"]
+        return float(self.fn(**values))
+
+
+REGISTRY: dict[str, CheckDef] = {}
+
+
+def check(name, tolerance, summary, gating=True, **params):
+    """Register the decorated body as check `name`, with `params` as its spec.
+
+    Every check also takes `seed` (integer >= 0) and `tolerance` (its own by
+    default).  The body is called with `seed` and every declared key, parsed;
+    `tau` and, where declared, `eta` reach it as one ThetaContext `ctx`.
+    """
+    def register(body) -> CheckDef:
+        spec = {**params, "seed": SEED, "tolerance": Param(tolerance, _positive, "real > 0")}
+        REGISTRY[name] = CheckDef(name, body, tolerance, gating, summary, spec)
+        return REGISTRY[name]
+
+    return register
 
 
 # Check implementations ---------------------------------------------------------
 
-def check_theta_quasiperiodicity(params, seed) -> float:
-    n_max = int(params.get("n_max", 6))
-    _require_range("n_max", n_max, 1, 8)
-    points = int(params.get("points", 200))
-    taus = params.get("taus", "0.8j;0.3+1.1j")
-    tau_values = [complex(t) for t in str(taus).split(";")]
+@check("theta-quasiperiodicity", 1e-10, "basis theta periodicity and tau quasi-periodicity, orders 1..6",
+       n_max=integer(6, 1, 8), points=count(200), taus=TAUS)
+def check_theta_quasiperiodicity(seed, n_max, points, taus) -> float:
     worst = 0.0
-    for tau in tau_values:
-        ctx = ThetaContext(tau=tau)
+    for ctx in taus:
+        tau = ctx.tau
         rng = np.random.default_rng(seed)
         z = rng.random(points) + 1j * tau.imag * rng.random(points)
         for n in range(1, n_max + 1):
@@ -80,22 +242,8 @@ def check_theta_quasiperiodicity(params, seed) -> float:
     return worst
 
 
-def _cf_sizes(params):
-    sizes = params.get("sizes", "2x2;2x3;3x2")
-    out = []
-    for tok in str(sizes).split(";"):
-        n, k = tok.lower().split("x")
-        out.append((int(n), int(k)))
-    for n, k in out:
-        _require_range("n", n, 1, 4)
-        _require_range("k", k, 2, 4)
-    return out
-
-
 def _well_conditioned_matrix(be, seed):
     # ill-conditioned M^0 draws are resampled, per the invertibility contract
-    from .errors import SingularOperatorError
-
     for bump in range(8):
         m = cfdet.random_cf_matrix(be, seed + 100_000 * bump)
         try:
@@ -106,134 +254,98 @@ def _well_conditioned_matrix(be, seed):
     raise SingularOperatorError("no well-conditioned draw in 8 attempts")
 
 
-def check_cf_commute(params, seed) -> float:
-    seeds = int(params.get("seeds", 20))
-    worst = 0.0
-    for n, k in _cf_sizes(params):
+def _cf_matrices(sizes, seeds, seed):
+    """(n, M) for every NxK size and each of `seeds` seed offsets, in that order."""
+    for n, k in sizes:
         be = cfdet.TensorBackend(n, k)
         for s in range(seeds):
-            m = _well_conditioned_matrix(be, seed + s)
-            worst = max(worst, cfdet.verify_commuting_family(m))
-    return worst
+            yield n, _well_conditioned_matrix(be, seed + s)
 
 
-def check_cf_triangle(params, seed) -> float:
-    seeds = int(params.get("seeds", 20))
-    worst = 0.0
-    for n, k in _cf_sizes(params):
-        be = cfdet.TensorBackend(n, k)
-        for s in range(seeds):
-            m = _well_conditioned_matrix(be, seed + s)
-            for i in range(n + 1):
-                for j in range(i + 1, n + 1):
-                    worst = max(worst, cfdet.verify_triangle(m, i, j))
-    return worst
+@check("cf-commute", 1e-9, "determinant-ratio commuting family over the tensor backend",
+       sizes=SIZES, seeds=count(20))
+def check_cf_commute(seed, sizes, seeds) -> float:
+    return max(cfdet.verify_commuting_family(m) for _, m in _cf_matrices(sizes, seeds, seed))
 
 
-def check_delta_family(params, seed) -> float:
-    n = int(params.get("n", 3))
-    k = int(params.get("k", 2))
-    _require_range("n", n, 1, 4)
-    _require_range("k", k, 2, 3)
-    seeds = int(params.get("seeds", 5))
+@check("cf-triangle", 1e-9, "triangle exchange relations for the minors",
+       sizes=SIZES, seeds=count(20))
+def check_cf_triangle(seed, sizes, seeds) -> float:
+    return max(cfdet.verify_triangle(m, i, j) for n, m in _cf_matrices(sizes, seeds, seed)
+               for i in range(n + 1) for j in range(i + 1, n + 1))
+
+
+@check("delta-family", 1e-9, "column-commuting grid variant of the commuting family",
+       n=integer(3, 1, 4), k=integer(2, 2, 3), seeds=count(5))
+def check_delta_family(seed, n, k, seeds) -> float:
     be = cfdet.TensorBackend(n, k)
     return max(cfdet.delta_family(cfdet.random_delta_grid(be, seed + s), be)
                for s in range(seeds))
 
 
-def check_plucker(params, seed) -> float:
-    orders = _int_list(params.get("orders", "2,3,4"), "orders")
-    seeds = int(params.get("seeds", 50))
-    worst = 0.0
-    for order in orders:
-        _require_range("order", order, 2, 4)
-        d = 2 * order
-        for s in range(seeds):
-            worst = max(worst, cfdet.plucker_check(order, d, seed + s))
-    return worst
+@check("plucker", 1e-10, "3/4/6-term multilinear identities for decomposable forms",
+       orders=integers("2,3,4", 2, 4), seeds=count(50))
+def check_plucker(seed, orders, seeds) -> float:
+    return max(cfdet.plucker_check(order, 2 * order, seed + s) for order in orders for s in range(seeds))
 
 
-def check_poisson_hamiltonians(params, seed) -> float:
-    ns = _int_list(params.get("n", "2,3,4"), "n")
-    seeds = int(params.get("seeds", 5))
-    points = int(params.get("points", 20))
-    ctx = _context(params)
-    worst = 0.0
-    for n in ns:
-        _require_range("n", n, 2, 4)
-        for s in range(seeds):
-            _, r = poisson.classical_hamiltonians(n, ctx, seed=seed + s, points=points)
-            worst = max(worst, r)
-    return worst
+@check("poisson-hamiltonians", 1e-9, "pairwise brackets of the determinant hamiltonians",
+       n=integers("2,3,4", 2, 4), seeds=count(5), points=count(20), tau=TAU)
+def check_poisson_hamiltonians(seed, n, seeds, points, ctx) -> float:
+    return max(poisson.classical_hamiltonians(order, ctx, seed=seed + s, points=points)[1]
+               for order in n for s in range(seeds))
 
 
-def check_poisson_jacobi(params, seed) -> float:
-    ctx = _context(params)
-    points = int(params.get("points", 20))
-    worst = 0.0
-    for n, triple in ((3, (1, 2, 3)), (4, (1, 2, 4))):
-        worst = max(worst, poisson.jacobi_delta_residual(n, ctx, triple, seed=seed, points=points))
-    return worst
+@check("poisson-jacobi", 1e-9, "cyclic determinant-bracket identity",
+       points=count(20), tau=TAU)
+def check_poisson_jacobi(seed, points, ctx) -> float:
+    return max(poisson.jacobi_delta_residual(n, ctx, triple, seed=seed, points=points)
+               for n, triple in ((3, (1, 2, 3)), (4, (1, 2, 4))))
 
 
 def _two_spectral_points(ctx, seed):
     rng = np.random.default_rng(seed)
-    u = complex(rng.random(), ctx.tau.imag * rng.random())
-    v = complex(rng.random(), ctx.tau.imag * rng.random())
-    return u, v
+    return tuple(complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(2))
 
 
-def check_transfer_commute(params, seed) -> float:
-    ns = _int_list(params.get("n", "2,3,4,5"), "n")
-    seeds = int(params.get("seeds", 5))
-    samples = int(params.get("samples", 20))
-    ctx = _context(params)
+def _commutator_max(fam, ctx, seeds, samples, seed) -> float:
+    """Largest [T(u), T(v)] residual of `fam` over `seeds` seeded spectral-point pairs."""
+    return max(transfer.transfer_commutator_residual(fam, *_two_spectral_points(ctx, seed + 100 * s),
+                                                     samples=samples, seed=seed + s)
+               for s in range(seeds))
+
+
+@check("transfer-commute", 1e-8, "[T(u), T(v)] = 0 for the basic family",
+       n=integers("2,3,4,5", 2, 6), seeds=count(5), samples=count(20), tau=TAU, eta=ETA)
+def check_transfer_commute(seed, n, seeds, samples, ctx) -> float:
+    return max(_commutator_max(transfer.vn_family(order, ctx), ctx, seeds, samples, seed) for order in n)
+
+
+@check("transfer-det", 1e-8, "explicit coefficients against the determinant form",
+       n=integers("2,3", 2, 4), samples=count(15), tau=TAU, eta=ETA)
+def check_transfer_det(seed, n, samples, ctx) -> float:
+    u, _ = _two_spectral_points(ctx, seed)
+    return max(transfer.transfer_det_consistency_residual(u, order, ctx, samples=samples, seed=seed)
+               for order in n)
+
+
+@check("star-assoc", 1e-8, "associativity of the star product",
+       n=integers("2,3,4", 2, 6), samples=count(15), tau=TAU, eta=ETA)
+def check_star_assoc(seed, n, samples, ctx) -> float:
     worst = 0.0
-    for n in ns:
-        _require_range("n", n, 2, 6)
-        fam = transfer.vn_family(n, ctx)
-        for s in range(seeds):
-            u, v = _two_spectral_points(ctx, seed + 100 * s)
-            worst = max(worst, transfer.transfer_commutator_residual(
-                fam, u, v, samples=samples, seed=seed + s))
-    return worst
-
-
-def check_transfer_det(params, seed) -> float:
-    ns = _int_list(params.get("n", "2,3"), "n")
-    samples = int(params.get("samples", 15))
-    ctx = _context(params)
-    worst = 0.0
-    for n in ns:
-        _require_range("n", n, 2, 4)
-        u, _ = _two_spectral_points(ctx, seed)
-        worst = max(worst, transfer.transfer_det_consistency_residual(
-            u, n, ctx, samples=samples, seed=seed))
-    return worst
-
-
-def check_star_assoc(params, seed) -> float:
-    ns = _int_list(params.get("n", "2,3,4"), "n")
-    samples = int(params.get("samples", 15))
-    ctx = _context(params)
-    worst = 0.0
-    for n in ns:
-        _require_range("n", n, 2, 6)
-        f = starprod.theta_gen(0, n, ctx)
-        g = starprod.theta_gen(1 % n, n, ctx)
-        h = starprod.theta_gen(n - 1, n, ctx)
+    for order in n:
+        f, g, h = (starprod.theta_gen(i, order, ctx) for i in (0, 1 % order, order - 1))
         worst = max(worst, starprod.star_assoc_residual(f, g, h, samples=samples, seed=seed))
     return worst
 
 
-def check_star_closure(params, seed) -> float:
-    ns = _int_list(params.get("n", "2,3,4"), "n")
-    ctx = _context(params)
+@check("star-closure", 1e-8, "star products stay symmetric and quasi-periodic",
+       n=integers("2,3,4", 2, 6), tau=TAU, eta=ETA)
+def check_star_closure(seed, n, ctx) -> float:
     worst = 0.0
-    for n in ns:
-        _require_range("n", n, 2, 6)
-        f = starprod.theta_gen(0, n, ctx)
-        g = starprod.theta_gen(n - 1, n, ctx)
+    for order in n:
+        f = starprod.theta_gen(0, order, ctx)
+        g = starprod.theta_gen(order - 1, order, ctx)
         fg = starprod.star(f, g)
         worst = max(worst, fg.invariant_residual(samples=10, seed=seed))
         worst = max(worst, starprod.star(fg, g).invariant_residual(samples=8, seed=seed + 1))
@@ -241,138 +353,89 @@ def check_star_closure(params, seed) -> float:
     return worst
 
 
-def check_eta_flatness(params, seed) -> float:
-    n = int(params.get("n", 3))
-    _require_range("n", n, 2, 6)
-    ctx = _context(params)
+@check("eta-flatness", 1.0, "star commutator scales linearly in the deformation",
+       n=integer(3, 2, 6), tau=TAU, eta=ETA)
+def check_eta_flatness(seed, n, ctx) -> float:
     ratio = starprod.eta_flatness_ratio(n, ctx, scales=(1e-2, 1e-3), samples=10, seed=seed)
     # linear scaling means ratio ~ 10; residual is the log2 distance from it
     return abs(math.log2(ratio / 10.0))
 
 
-def check_bosonization_rank(params, seed) -> float:
-    pairs = params.get("pairs", "3x1;3x2;4x2;5x2")
-    ctx = _context(params)
-    samples = params.get("samples")
+@check("bosonization-rank", 1e-7, "sampled rank n(n+1)/2 and kernel annihilation",
+       pairs=pairs("3x1;3x2;4x2;5x2", (2, 6), (1, 3)), samples=count(None), tau=TAU, eta=ETA)
+def check_bosonization_rank(seed, pairs, samples, ctx) -> float:
     worst = 0.0
-    for tok in str(pairs).split(";"):
-        n, p = (int(x) for x in tok.lower().split("x"))
-        _require_range("n", n, 2, 6)
-        _require_range("p", p, 1, 3)
-        res = starprod.hom_welldefined_residual(
-            n, p, ctx, seed=seed, samples=int(samples) if samples else None)
+    for n, p in pairs:
+        res = starprod.hom_welldefined_residual(n, p, ctx, seed=seed, samples=samples)
         if res.rank != res.expected_rank:
             return float("inf")
         worst = max(worst, res.kernel_residual)
     return worst
 
 
-def check_psi2(params, seed) -> float:
-    ctx = _context(params)
-    return poisson.psi2_pair_residual(ctx, seed=seed, samples=int(params.get("samples", 20)))
+@check("psi2", 1e-9, "classical bosonization images of the order-2 basis commute",
+       samples=count(20), tau=TAU)
+def check_psi2(seed, samples, ctx) -> float:
+    return poisson.psi2_pair_residual(ctx, seed=seed, samples=samples)
 
 
-def check_fu_commute(params, seed) -> float:
-    ms = _int_list(params.get("m", "2,3"), "m")
-    seeds = int(params.get("seeds", 3))
-    samples = int(params.get("samples", 12))
-    ctx = _context(params)
+@check("fu-commute", 1e-7, "degree-m family commutes in its bosonized image",
+       m=integers("2,3", 2, 3), seeds=count(3), samples=count(12), tau=TAU, eta=ETA)
+def check_fu_commute(seed, m, seeds, samples, ctx) -> float:
     worst = 0.0
-    for m in ms:
-        _require_range("m", m, 2, 3)
+    for degree in m:
         for s in range(seeds):
             rng = np.random.default_rng(seed + s)
             u, v, a, b = (complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(4))
             worst = max(worst, starprod.fu_commutator_residual(
-                u, v, m, a, b, 0, ctx, samples=samples, seed=seed + s))
+                u, v, degree, a, b, 0, ctx, samples=samples, seed=seed + s))
     return worst
 
 
-def check_casimir_diagonal(params, seed) -> float:
-    ms = _int_list(params.get("m", "2,3"), "m")
-    ctx = _context(params)
+@check("casimir-diagonal", 1e-10, "central elements vanish on the shifted diagonal",
+       m=integers("2,3", 2, 4), tau=TAU, eta=ETA)
+def check_casimir_diagonal(seed, m, ctx) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for m in ms:
-        _require_range("m", m, 2, 4)
+    for degree in m:
         for alpha in (0, 1):
-            c = starprod.casimir(alpha, m, ctx)
+            c = starprod.casimir(alpha, degree, ctx)
             for _ in range(5):
-                zs = [complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(m)]
+                zs = [complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(degree)]
                 generic = abs(c(*zs))
-                zs[1] = zs[0] + 2 * m * ctx.eta
+                zs[1] = zs[0] + 2 * degree * ctx.eta
                 worst = max(worst, abs(c(*zs)) / max(1.0, generic))
     return worst
 
 
-def check_ttilde_commute(params, seed) -> float:
-    p_list = tuple(_int_list(params.get("p", "2,2"), "p"))
-    seeds = int(params.get("seeds", 3))
-    samples = int(params.get("samples", 10))
-    for p in p_list:
-        _require_range("p", p, 1, 3)
-    if not 1 <= len(p_list) <= 3:
-        raise ParameterError(f"p_list length {len(p_list)} outside [1, 3]")
-    ctx = _context(params)
-    fam = transfer.btilde_family(p_list, ctx)
-    worst = 0.0
-    for s in range(seeds):
-        u, v = _two_spectral_points(ctx, seed + 100 * s)
-        worst = max(worst, transfer.transfer_commutator_residual(
-            fam, u, v, samples=samples, seed=seed + s))
-    return worst
+@check("ttilde-commute", 1e-7, "chain transfer function commutes",
+       p=integers("2,2", 1, 3, max_len=3), seeds=count(3), samples=count(10), tau=TAU, eta=ETA)
+def check_ttilde_commute(seed, p, seeds, samples, ctx) -> float:
+    return _commutator_max(transfer.btilde_family(p, ctx), ctx, seeds, samples, seed)
 
 
-def check_sos_commute(params, seed) -> float:
-    ns = _int_list(params.get("n", "2,3"), "n")
-    seeds = int(params.get("seeds", 3))
-    samples = int(params.get("samples", 10))
-    ctx = _context(params)
-    worst = 0.0
-    for n in ns:
-        _require_range("n", n, 2, 4)
-        fam = transfer.sos_family(n, ctx)
-        for s in range(seeds):
-            u, v = _two_spectral_points(ctx, seed + 100 * s)
-            worst = max(worst, transfer.transfer_commutator_residual(
-                fam, u, v, samples=samples, seed=seed + s))
-    return worst
+@check("sos-commute", 1e-8, "face-model auxiliary transfer commutes",
+       n=integers("2,3", 2, 4), seeds=count(3), samples=count(10), tau=TAU, eta=ETA)
+def check_sos_commute(seed, n, seeds, samples, ctx) -> float:
+    return max(_commutator_max(transfer.sos_family(order, ctx), ctx, seeds, samples, seed) for order in n)
 
 
-def check_sos_ratio(params, seed) -> float:
-    ns = _int_list(params.get("n", "2,3"), "n")
-    ctx = _context(params)
-    worst = 0.0
-    for n in ns:
-        _require_range("n", n, 2, 4)
-        u, _ = _two_spectral_points(ctx, seed)
-        worst = max(worst, transfer.sos_vs_T_coefficient_ratio(u, n, ctx, samples=10, seed=seed))
-    return worst
+@check("sos-ratio", 1e-8, "face-model kernel matches the basic kernel after reflection",
+       n=integers("2,3", 2, 4), tau=TAU, eta=ETA)
+def check_sos_ratio(seed, n, ctx) -> float:
+    u, _ = _two_spectral_points(ctx, seed)
+    return max(transfer.sos_vs_T_coefficient_ratio(u, order, ctx, samples=10, seed=seed) for order in n)
 
 
-def check_fay(params, seed) -> float:
-    count = int(params.get("count", 100))
-    taus = params.get("taus", "0.8j;0.3+1.1j")
-    worst = 0.0
-    for tau in (complex(t) for t in str(taus).split(";")):
-        worst = max(worst, poisson.fay_sweep(count, seed, ThetaContext(tau=tau)))
-    return worst
+@check("fay", 1e-10, "three-term trisecant identity for the odd theta",
+       count=count(100), taus=TAUS)
+def check_fay(seed, count, taus) -> float:
+    return max(poisson.fay_sweep(count, seed, ctx) for ctx in taus)
 
 
-def check_qnk_relation(params, seed) -> float:
-    n = int(params.get("n", 3))
-    i = int(params.get("i", 0))
-    j = int(params.get("j", 1))
-    p = int(params.get("p", 2))
-    _require_range("n", n, 2, 6)
-    _require_range("p", p, 1, 3)
-    ctx = _context(params)
-    report = starprod.qnk_relation_residual(n, i, j, p, ctx, seed=seed)
-    return report.residual
-
-
-def check_quotient_rule(params, seed) -> float:
-    ctx = _context(params)
+@check("quotient-rule", 1e-9, "fraction-field bracket extension rule",
+       points=count(20), tau=TAU)
+def check_quotient_rule(seed, points, ctx) -> float:
     alg = poisson.make_cone(2, ctx)
     h_coeff = ex.theta1_of(ex.aff("z1", (0.5, "z2")))
     h = poisson.PoissonElement.function(alg, h_coeff)
@@ -380,7 +443,7 @@ def check_quotient_rule(params, seed) -> float:
     one = poisson.PoissonElement.function(alg, ex.const(1))
     rb = poisson.pbracket_ratio(one, h, g, one)
     # guarding the denominator h measures every requested point, none skipped
-    envs = poisson._phase_space_points(alg, int(params.get("points", 20)), seed, [h_coeff])
+    envs = poisson._phase_space_points(alg, points, seed, [h_coeff])
     worst = 0.0
     for env in envs:
         lhs = rb(env)
@@ -389,69 +452,13 @@ def check_quotient_rule(params, seed) -> float:
     return worst
 
 
-# Registry ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckDef:
-    name: str
-    fn: Callable
-    tolerance: float
-    gating: bool = True
-    summary: str = ""
+@check("qnk-relation", 1e-7, "EXPERIMENTAL basis-convention-bound quadratic relation", gating=False,
+       n=integer(3, 2, 6), i=integer(0), j=integer(1), p=integer(2, 1, 3), tau=TAU, eta=ETA)
+def check_qnk_relation(seed, n, i, j, p, ctx) -> float:
+    return starprod.qnk_relation_residual(n, i, j, p, ctx, seed=seed).residual
 
 
-REGISTRY: dict[str, CheckDef] = {}
-
-
-def _register(name, fn, tolerance, gating=True, summary=""):
-    REGISTRY[name] = CheckDef(name, fn, tolerance, gating, summary)
-
-
-_register("theta-quasiperiodicity", check_theta_quasiperiodicity, 1e-10,
-          summary="basis theta periodicity and tau quasi-periodicity, orders 1..6")
-_register("cf-commute", check_cf_commute, 1e-9,
-          summary="determinant-ratio commuting family over the tensor backend")
-_register("cf-triangle", check_cf_triangle, 1e-9,
-          summary="triangle exchange relations for the minors")
-_register("delta-family", check_delta_family, 1e-9,
-          summary="column-commuting grid variant of the commuting family")
-_register("plucker", check_plucker, 1e-10,
-          summary="3/4/6-term multilinear identities for decomposable forms")
-_register("poisson-hamiltonians", check_poisson_hamiltonians, 1e-9,
-          summary="pairwise brackets of the determinant hamiltonians")
-_register("poisson-jacobi", check_poisson_jacobi, 1e-9,
-          summary="cyclic determinant-bracket identity")
-_register("transfer-commute", check_transfer_commute, 1e-8,
-          summary="[T(u), T(v)] = 0 for the basic family")
-_register("transfer-det", check_transfer_det, 1e-8,
-          summary="explicit coefficients against the determinant form")
-_register("star-assoc", check_star_assoc, 1e-8,
-          summary="associativity of the star product")
-_register("star-closure", check_star_closure, 1e-8,
-          summary="star products stay symmetric and quasi-periodic")
-_register("eta-flatness", check_eta_flatness, 1.0,
-          summary="star commutator scales linearly in the deformation")
-_register("bosonization-rank", check_bosonization_rank, 1e-7,
-          summary="sampled rank n(n+1)/2 and kernel annihilation")
-_register("psi2", check_psi2, 1e-9,
-          summary="classical bosonization images of the order-2 basis commute")
-_register("fu-commute", check_fu_commute, 1e-7,
-          summary="degree-m family commutes in its bosonized image")
-_register("casimir-diagonal", check_casimir_diagonal, 1e-10,
-          summary="central elements vanish on the shifted diagonal")
-_register("ttilde-commute", check_ttilde_commute, 1e-7,
-          summary="chain transfer function commutes")
-_register("sos-commute", check_sos_commute, 1e-8,
-          summary="face-model auxiliary transfer commutes")
-_register("sos-ratio", check_sos_ratio, 1e-8,
-          summary="face-model kernel matches the basic kernel after reflection")
-_register("fay", check_fay, 1e-10,
-          summary="three-term trisecant identity for the odd theta")
-_register("quotient-rule", check_quotient_rule, 1e-9,
-          summary="fraction-field bracket extension rule")
-_register("qnk-relation", check_qnk_relation, 1e-7, gating=False,
-          summary="EXPERIMENTAL basis-convention-bound quadratic relation")
-
+# Records -----------------------------------------------------------------------
 
 @dataclass
 class CheckSpec:
@@ -468,40 +475,29 @@ class ReportRecord:
     passed: bool
     wall_time_ms: int
     seed: int
+    status: str | None = None  # "inconclusive" or "error": no residual was measured
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "residual_max": self.residual_max,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "wall_time_ms": self.wall_time_ms,
-            "seed": self.seed,
-        }
+        params = {**self.params, "status": self.status} if self.status else self.params
+        return {"name": self.name, "params": params, "residual_max": self.residual_max,
+                "tolerance": self.tolerance, "pass": self.passed,
+                "wall_time_ms": self.wall_time_ms, "seed": self.seed}
 
     @property
     def inconclusive(self) -> bool:
-        return self.params.get("status") == "inconclusive"
+        return self.status == "inconclusive"
+
+    @property
+    def errored(self) -> bool:
+        return self.status == "error"
 
 
+_RECORD_FIELDS = {"name": "string", "params": "object", "residual_max": "number", "tolerance": "number",
+                  "pass": "boolean", "wall_time_ms": "integer", "seed": "integer"}
 REPORT_SCHEMA = {
     "type": "array",
-    "items": {
-        "type": "object",
-        "properties": {
-            "name": {"type": "string"},
-            "params": {"type": "object"},
-            "residual_max": {"type": "number"},
-            "tolerance": {"type": "number"},
-            "pass": {"type": "boolean"},
-            "wall_time_ms": {"type": "integer"},
-            "seed": {"type": "integer"},
-        },
-        "required": ["name", "params", "residual_max", "tolerance",
-                     "pass", "wall_time_ms", "seed"],
-        "additionalProperties": False,
-    },
+    "items": {"type": "object", "properties": {k: {"type": t} for k, t in _RECORD_FIELDS.items()},
+              "required": list(_RECORD_FIELDS), "additionalProperties": False},
 }
 
 
@@ -510,44 +506,41 @@ def run_check(spec: CheckSpec) -> ReportRecord:
     if spec.name not in REGISTRY:
         raise ParameterError(f"unknown check {spec.name!r}; see `list`")
     cd = REGISTRY[spec.name]
-    params = dict(spec.params)
-    seed = int(params.pop("seed", DEFAULT_SEED))
-    tolerance = float(params.pop("tolerance", cd.tolerance))
-    resolved = {k: _scalarize(v) for k, v in params.items()}
+    values = cd.resolve(spec.params)
+    tolerance = values.pop("tolerance")
+    params = _record_params(spec.params)
     t0 = time.perf_counter()
     try:
-        residual = float(cd.fn(params, seed))
-        status = None
+        residual, status = float(cd.fn(**values)), None
     except InconclusiveRankError as e:
-        residual = -1.0
-        status = "inconclusive"
-        resolved["gap"] = e.gap if e.gap is not None else -1.0
-    wall_ms = int(round((time.perf_counter() - t0) * 1000))
-    if status:
-        resolved["status"] = status
-        passed = False
-    else:
-        passed = residual <= tolerance
-    return ReportRecord(name=spec.name, params=resolved, residual_max=residual,
-                        tolerance=tolerance, passed=passed,
-                        wall_time_ms=wall_ms, seed=seed)
+        residual, status = -1.0, "inconclusive"
+        params["gap"] = e.gap if e.gap is not None else -1.0
+    return ReportRecord(spec.name, params, residual, tolerance, status is None and residual <= tolerance,
+                        int(round((time.perf_counter() - t0) * 1000)), values["seed"], status)
+
+
+def error_record(spec: CheckSpec, error: Exception, wall_time_ms: int) -> ReportRecord:
+    """Record of a check that raised `error`, at the seed asked for (-1 if not an integer)."""
+    cd = REGISTRY.get(spec.name)
+    seed = {"seed": DEFAULT_SEED, **spec.params}["seed"]
+    return ReportRecord(spec.name, {**_record_params(spec.params), "message": str(error)}, -1.0,
+                        cd.tolerance if cd else 0.0, False, wall_time_ms,
+                        seed if isinstance(seed, int) else -1, "error")
+
+
+def _record_params(params) -> dict:
+    return {k: _scalarize(v) for k, v in params.items() if k not in ("seed", "tolerance")}
 
 
 def _scalarize(v):
-    if isinstance(v, complex):
-        return str(v)
-    if isinstance(v, (int, float, str, bool)):
-        return v
-    return str(v)
+    return v if isinstance(v, (int, float, str, bool)) else str(v)
 
 
 def suite_exit_code(records, gating_map=None) -> int:
-    """0 all pass, 1 any gating failure, 2 any inconclusive."""
+    """0 all pass, 1 any gating failure, 2 any inconclusive, 3 any check raised."""
+    if any(r.errored for r in records):
+        return 3
     gating = gating_map or {name: cd.gating for name, cd in REGISTRY.items()}
-    failed = any(not r.passed and not r.inconclusive and gating.get(r.name, True)
-                 for r in records)
-    if failed:
+    if any(not r.passed and not r.inconclusive and gating.get(r.name, True) for r in records):
         return 1
-    if any(r.inconclusive for r in records):
-        return 2
-    return 0
+    return 2 if any(r.inconclusive for r in records) else 0

@@ -3,7 +3,8 @@
 Config files are INI: one section per check, section name = check name (an
 optional ":label" suffix distinguishes repeats), keys are the check's
 parameters.  Reports are JSON arrays of record objects; exit codes are
-0 = all pass, 1 = any failure, 2 = any inconclusive, 3 = I/O error.
+0 = all pass, 1 = any failure, 2 = any inconclusive, 3 = any error record (a
+check that raised), an unreadable config or an unwritable report.
 """
 
 from __future__ import annotations
@@ -12,20 +13,12 @@ import argparse
 import configparser
 import json
 import sys
+import time
 from importlib import resources
 
-from .checks import REGISTRY, CheckSpec, ReportRecord, run_check, suite_exit_code
-from .errors import EllcertError, ParameterError
-
-
-def _parse_value(text: str):
-    text = text.strip()
-    for conv in (int, float, complex):
-        try:
-            return conv(text)
-        except ValueError:
-            continue
-    return text
+from .checks import (REGISTRY, CheckSpec, ReportRecord, error_record, parse_value, run_check,
+                     suite_exit_code)
+from .errors import EllcertError
 
 
 def load_config(path: str) -> list[CheckSpec]:
@@ -39,58 +32,67 @@ def load_config(path: str) -> list[CheckSpec]:
     specs = []
     for section in cp.sections():
         name = section.split(":")[0].strip()
-        params = {k: _parse_value(v) for k, v in cp.items(section)}
+        params = {k: parse_value(v) for k, v in cp.items(section)}
         specs.append(CheckSpec(name=name, params=params))
     return specs
 
 
 def _print_record(r: ReportRecord):
-    if r.inconclusive:
-        state = "INCONCLUSIVE"
-        detail = f"gap={r.params.get('gap', '?')}"
+    if r.errored:
+        state, detail = "ERROR", "(message on stderr)"
+    elif r.inconclusive:
+        state, detail = "INCONCLUSIVE", f"gap={r.params.get('gap', '?')}"
     else:
         state = "PASS" if r.passed else "FAIL"
         detail = f"residual={r.residual_max:.3e} tol={r.tolerance:.1e}"
     print(f"{r.name:26s} {state:12s} {detail}  seed={r.seed}  {r.wall_time_ms} ms")
 
 
-def _write_report(records, path):
-    payload = [r.to_json_dict() for r in records]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _run_and_report(specs, out) -> int:
+    """Run every spec, print its record, write the report to `out` if given; the exit code.
+
+    A check that raises becomes an error record, and the checks after it
+    still run.
+    """
+    records = []
+    for spec in specs:
+        t0 = time.perf_counter()
+        try:
+            rec = run_check(spec)
+        except EllcertError as e:
+            print(f"{spec.name}: {e}", file=sys.stderr)
+            rec = error_record(spec, e, int(round((time.perf_counter() - t0) * 1000)))
+        records.append(rec)
+        _print_record(rec)
+    if out:
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                json.dump([r.to_json_dict() for r in records], fh, indent=2)
+                fh.write("\n")
+        except OSError as e:
+            print(f"cannot write report: {e}", file=sys.stderr)
+            return 3
+    return suite_exit_code(records)
 
 
 def cmd_list(_args) -> int:
-    width = max(len(n) for n in REGISTRY)
     for name, cd in sorted(REGISTRY.items()):
         gate = "" if cd.gating else "  [not gating]"
-        print(f"{name:{width}s}  tol={cd.tolerance:<8.1e} {cd.summary}{gate}")
+        print(f"{name}: {cd.summary}{gate}")
+        for key, p in cd.params.items():
+            default = "unset" if p.default is None else p.default
+            print(f"    {key:10s} = {default!s:20s} {p.allowed}")
     return 0
 
 
 def cmd_run(args) -> int:
     try:
         specs = load_config(args.config)
-    except OSError as e:
+    except (OSError, UnicodeError, configparser.Error) as e:
         print(f"cannot read config: {e}", file=sys.stderr)
         return 3
-    records = []
-    for spec in specs:
-        try:
-            rec = run_check(spec)
-        except (ParameterError, EllcertError) as e:
-            print(f"{spec.name}: {e}", file=sys.stderr)
-            return 3
-        records.append(rec)
-        _print_record(rec)
     out = args.json or (("default" if args.config == "default" else args.config) + ".report.json")
-    try:
-        _write_report(records, out)
-    except OSError as e:
-        print(f"cannot write report: {e}", file=sys.stderr)
-        return 3
-    return suite_exit_code(records)
+    return _run_and_report(specs, out)
 
 
 def cmd_check(args) -> int:
@@ -100,29 +102,17 @@ def cmd_check(args) -> int:
             print(f"--param expects key=value, got {kv!r}", file=sys.stderr)
             return 3
         key, value = kv.split("=", 1)
-        params[key.strip()] = _parse_value(value)
+        params[key.strip()] = parse_value(value)
     if args.seed is not None:
-        params["seed"] = args.seed
-    try:
-        rec = run_check(CheckSpec(name=args.name, params=params))
-    except ParameterError as e:
-        print(f"parameter error: {e}", file=sys.stderr)
-        return 3
-    _print_record(rec)
-    if args.json:
-        try:
-            _write_report([rec], args.json)
-        except OSError as e:
-            print(f"cannot write report: {e}", file=sys.stderr)
-            return 3
-    return suite_exit_code([rec])
+        params["seed"] = parse_value(args.seed)
+    return _run_and_report([CheckSpec(name=args.name, params=params)], args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ellcert",
                                  description="certify theta-operator identities by seeded sampling")
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list registered checks").set_defaults(fn=cmd_list)
+    sub.add_parser("list", help="list registered checks and their parameters").set_defaults(fn=cmd_list)
     run = sub.add_parser("run", help="run a config suite ('default' for the built-in one)")
     run.add_argument("config")
     run.add_argument("--json", help="report path (default: <config>.report.json)")
@@ -130,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run a single named check")
     chk.add_argument("name")
     chk.add_argument("--param", action="append", metavar="K=V")
-    chk.add_argument("--seed", type=int)
+    chk.add_argument("--seed", help="integer >= 0 (default 42)")
     chk.add_argument("--json")
     chk.set_defaults(fn=cmd_check)
     return ap

@@ -1,9 +1,12 @@
-"""Every library name the benchmark tracer wraps must still resolve.
+"""What the benchmark uses of the library must keep working.
 
 bench/tracer.py wraps each entry of its SPANS table by name, and replaces a
 Class.method entry through the class's own __dict__, so a refactor that
 renames, removes or moves one of them into a base class breaks the traced
-benchmark run (`--trace 1`).  This test only reads bench/tracer.py.
+benchmark run (`--trace 1`).  bench/workloads.py writes configs in the CLI
+format, and a check rejects any key it does not declare, so every section it
+writes (and every section of `default.cfg`) must resolve against the check
+specs.  These tests only read bench/tracer.py and bench/workloads.py.
 """
 
 import importlib
@@ -12,13 +15,21 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from ellcert.checks import REGISTRY
+from ellcert.cli import load_config
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _spans():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _bench_module("tracer")
     return [(layer, qual) for layer, quals in tracer.SPANS.items() for qual in quals]
 
 
@@ -30,3 +41,18 @@ def test_span_resolves(layer, qual):
         assert attr in vars(getattr(home, cls_name)), f"{qual} is not defined on {cls_name} itself"
     else:
         assert callable(getattr(home, qual, None)), f"ellcert.{layer}.{qual} is gone"
+
+
+WORKLOADS = _bench_module("workloads")
+
+
+@pytest.mark.parametrize("suite", ["default", *WORKLOADS.WORKLOADS])
+def test_suite_sections_resolve(suite, tmp_path):
+    path = "default"
+    if suite != "default":
+        path = tmp_path / f"{suite}.cfg"
+        path.write_text(WORKLOADS.config_text(suite, 42))
+    specs = load_config(str(path))
+    assert specs
+    for spec in specs:
+        REGISTRY[spec.name].resolve(spec.params)

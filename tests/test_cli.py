@@ -1,15 +1,17 @@
 """CLI harness: exit codes, report schema, determinism, error paths."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ellcert.checks import REPORT_SCHEMA, CheckSpec, run_check
+from ellcert.checks import REGISTRY, REPORT_SCHEMA, CheckSpec, parse_value, run_check
 from ellcert.cli import load_config, main
-from ellcert.errors import ParameterError
+from ellcert.errors import ParameterError, SamplingExhaustedError
 
 SMALL_SUITE = """
 [fay]
@@ -133,6 +135,28 @@ class TestSingleCheck:
         out = capsys.readouterr().out
         assert "fay" in out and "transfer-commute" in out
 
+    def test_list_prints_each_parameter_spec(self, capsys):
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        for cd in REGISTRY.values():
+            for key, p in cd.params.items():
+                assert f"{key:10s} = {'unset' if p.default is None else p.default!s:20s} {p.allowed}" in out
+
+    def test_check_error_is_recorded(self, tmp_path, capsys):
+        out = str(tmp_path / "one.json")
+        assert main(["check", "fay", "--param", "count=0", "--json", out]) == 3
+        (rec,) = json.load(open(out))
+        assert rec["params"]["status"] == "error" and "count=0" in rec["params"]["message"]
+        assert rec["pass"] is False and rec["residual_max"] == -1.0 and rec["seed"] == 42
+
+    def test_library_error_exits_three(self, monkeypatch, capsys):
+        def exhausted(**_):
+            raise SamplingExhaustedError("guards rejected every candidate")
+
+        monkeypatch.setitem(REGISTRY, "fay", dataclasses.replace(REGISTRY["fay"], fn=exhausted))
+        assert main(["check", "fay"]) == 3
+        assert capsys.readouterr().err == "fay: guards rejected every candidate\n"
+
     def test_config_loader_labels(self, tmp_path):
         cfg = write(tmp_path, "[fay:one]\ncount = 5\n\n[fay:two]\ncount = 6\n")
         specs = load_config(cfg)
@@ -143,3 +167,103 @@ class TestSingleCheck:
         proc = subprocess.run([sys.executable, "-m", "ellcert.cli", "list"],
                               capture_output=True, text=True)
         assert proc.returncode == 0 and "fay" in proc.stdout
+
+
+class TestSuiteErrors:
+    def test_bad_section_becomes_error_record(self, tmp_path, capsys):
+        cfg = write(tmp_path, "[fay]\ncount = 0\n\n[plucker]\norders = 2\nseeds = 2\n\n"
+                              "[no-such-check]\n\n[psi2]\nsamples = 8\nseed = 3\n")
+        out = str(tmp_path / "r.json")
+        assert main(["run", cfg, "--json", out]) == 3
+        report = json.load(open(out))
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert [r["name"] for r in report] == ["fay", "plucker", "no-such-check", "psi2"]
+        for bad in (report[0], report[2]):
+            assert bad["params"]["status"] == "error" and bad["params"]["message"]
+            assert bad["pass"] is False and bad["residual_max"] == -1.0
+        assert report[1]["pass"] and report[3]["pass"] and report[3]["seed"] == 3
+        assert len(capsys.readouterr().err.splitlines()) == 2
+
+    def test_unparsable_config_exits_three(self, tmp_path):
+        assert main(["run", write(tmp_path, "count = 3\n")]) == 3
+
+
+# Each input once ended in a ValueError traceback (exit 1, the code of a FAIL),
+# was silently ignored, or passed without sampling anything meaningful.
+BAD_INPUTS = {
+    "seeds-not-integer": ["check", "cf-commute", "--param", "seeds=abc"],
+    "tau-below-0.3": ["check", "transfer-commute", "--param", "tau=0.2j"],
+    "tolerance-not-number": ["check", "fay", "--param", "tolerance=abc"],
+    "seed-negative": ["check", "fay", "--seed", "-1"],
+    "seed-not-integer": ["check", "fay", "--seed", "abc"],
+    "size-not-pair": ["check", "cf-commute", "--param", "sizes=2x2;9"],
+    "pair-bad-separator": ["check", "bosonization-rank", "--param", "pairs=3y1"],
+    "taus-bad-entry": ["check", "fay", "--param", "taus=0.8j;x"],
+    "points-zero": ["check", "quotient-rule", "--param", "points=0"],
+    "samples-zero": ["check", "psi2", "--param", "samples=0"],
+    "misspelled-key": ["check", "fay", "--param", "seedz=3"],
+    "tau-not-read": ["check", "fay", "--param", "tau=0.8j"],
+    "eta-not-read": ["check", "plucker", "--param", "eta=0.1"],
+    "eta-not-read-by-poisson": ["check", "poisson-jacobi", "--param", "eta=0.1"],
+    "count-zero": ["check", "fay", "--param", "count=0"],
+    "seeds-negative": ["check", "plucker", "--param", "seeds=-1"],
+    "integer-not-integral": ["check", "qnk-relation", "--param", "i=1.5"],
+    "empty-list": ["check", "transfer-commute", "--param", "n="],
+    "transfer-commute-eta-zero": ["check", "transfer-commute", "--param", "eta=0"],
+    "transfer-commute-eta-2-torsion": ["check", "transfer-commute", "--param", "n=2", "--param", "eta=0.5"],
+    "casimir-diagonal-eta-zero": ["check", "casimir-diagonal", "--param", "eta=0"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_three_with_one_line(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_degenerate_eta_names_the_torsion_order():
+    with pytest.raises(ParameterError, match=r"2\*eta is on the lattice.*degenerate"):
+        REGISTRY["transfer-commute"].resolve({"eta": 0.5})
+
+
+def test_resolved_values_are_parsed():
+    values = REGISTRY["bosonization-rank"].resolve({"pairs": "3x1; 4X2", "seed": 7.0})
+    assert values["pairs"] == ((3, 1), (4, 2)) and values["samples"] is None and values["seed"] == 7
+    assert values["ctx"].tau == 0.8j and values["tolerance"] == 1e-7
+
+
+KEYS = sorted({key for cd in REGISTRY.values() for key in cd.params} | {"seedz", "ctx", ""})
+NUMBER_TEXT = st.from_regex(r"-?[0-9]{0,3}(\.[0-9]{0,3})?(e-?[0-9]{1,3})?([+-][0-9.]{1,4}j)?", fullmatch=True)
+EDGE_TEXT = ["nan", "inf", "-inf", "1e999", "1e999j", "9" * 5000, "1" + "0" * 400, "0", "-1", "1.5",
+             "0.5", "1/3", "0.2j", "(0.3+1.1j)", "3x1;;", ",", "", "2,3,4,5", "1,2,3,1", "1e5j", "1e13"]
+TEXT = st.one_of(
+    st.text(max_size=20),
+    NUMBER_TEXT,
+    st.lists(NUMBER_TEXT, max_size=4).map(",".join),
+    st.lists(st.tuples(NUMBER_TEXT, NUMBER_TEXT).map("x".join), max_size=4).map(";".join),
+    st.sampled_from(EDGE_TEXT),
+)
+
+
+def _resolves_or_parameter_error(name, raw):
+    try:
+        REGISTRY[name].resolve(raw)
+    except ParameterError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(REGISTRY)), parsed=st.booleans(),
+       raw=st.dictionaries(st.one_of(st.sampled_from(KEYS), st.text(max_size=6)), TEXT, max_size=4))
+def test_any_text_resolves_or_is_a_parameter_error(name, parsed, raw):
+    # only the spec resolver runs here, never a check body
+    _resolves_or_parameter_error(name, {k: parse_value(v) if parsed else v for k, v in raw.items()})
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_edge_text_under_every_key_resolves_or_is_a_parameter_error(name):
+    for key in REGISTRY[name].params:
+        for text in EDGE_TEXT:
+            _resolves_or_parameter_error(name, {key: text})
+            _resolves_or_parameter_error(name, {key: parse_value(text)})
