@@ -4,7 +4,8 @@ Config files are INI: one section per check, section name = check name (an
 optional ":label" suffix distinguishes repeats), keys are the check's
 parameters.  Reports are JSON arrays of record objects; exit codes are
 0 = all pass, 1 = any failure, 2 = any inconclusive, 3 = any error record (a
-check that raised), an unreadable config or an unwritable report.
+check that raised), a usage error, an unreadable config or an unwritable
+report.
 """
 
 from __future__ import annotations
@@ -108,9 +109,14 @@ def cmd_check(args) -> int:
     return _run_and_report([CheckSpec(name=args.name, params=params)], args.json)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 3: argparse's own 2 is the INCONCLUSIVE code
+        self.exit(3, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ellcert",
-                                 description="certify theta-operator identities by seeded sampling")
+    ap = _Parser(prog="ellcert",
+                 description="certify theta-operator identities by seeded sampling")
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list registered checks and their parameters").set_defaults(fn=cmd_list)
     run = sub.add_parser("run", help="run a config suite ('default' for the built-in one)")

@@ -14,12 +14,13 @@ variable, so a batch of sample points costs one tree walk.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .context import ThetaContext
-from .errors import PoleError, UnboundVariableError
+from .errors import EvaluationOverflowError, PoleError, UnboundVariableError
 from . import theta as _theta
 
 _TWO_PI_I = 2j * math.pi
@@ -68,6 +69,12 @@ class Affine:
     def coeff(self, name: str) -> complex:
         return self.coeffs.get(name, 0j)
 
+    def __eq__(self, other):
+        return isinstance(other, Affine) and self.const == other.const and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.const, frozenset(self.coeffs.items())))
+
     def __repr__(self):
         parts = [f"{c!r}*{n}" for n, c in sorted(self.coeffs.items())]
         if self.const != 0 or not parts:
@@ -88,9 +95,24 @@ def aff(*terms, const: complex = 0j) -> Affine:
 
 
 class MeroExpr:
-    """Base node.  All nodes are immutable and hashable by identity."""
+    """Base node.  Nodes are immutable values: two are equal, and hash alike,
+    when their types and fields (`_key`) are, so equality is structural.  The
+    hash is cached on the node."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def _key(self):  # the operand tuple of a sum or product is a multiset: a + b == b + a
+        return tuple(frozenset(Counter(v).items()) if type(v) is tuple else v
+                     for v in (getattr(self, name) for name in self.__slots__))
+
+    def __eq__(self, other):
+        return self is other or (type(self) is type(other) and hash(self) == hash(other)
+                                 and self._key() == other._key())
+
+    def __hash__(self):
+        if not hasattr(self, "_hash"):
+            self._hash = hash((type(self), self._key()))
+        return self._hash
 
     def _eval(self, env, ctx):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -272,14 +294,9 @@ class Product(MeroExpr):
             v = v * f._eval(env, ctx)
         return v
 
-    def _diff(self, var):
-        terms = []
-        for i, f in enumerate(self.factors):
-            df = f._diff(var)
-            if isinstance(df, Const) and df.value == 0:
-                continue
-            terms.append(mul(*self.factors[:i], df, *self.factors[i + 1:]))
-        return add(*terms)
+    def _diff(self, var):  # a factor with derivative zero makes its term zero, which add drops
+        return add(*(mul(*self.factors[:i], f._diff(var), *self.factors[i + 1:])
+                     for i, f in enumerate(self.factors)))
 
     def _subst(self, mapping):
         return mul(*(f._subst(mapping) for f in self.factors))
@@ -386,8 +403,7 @@ def _expr_of_affine(a: Affine) -> MeroExpr:
 def add(*terms) -> MeroExpr:
     flat = []
     const = 0j
-    for t in terms:
-        t = _as_expr(t)
+    for t in _cancel_pairs([_as_expr(t) for t in terms]):
         if isinstance(t, Sum):
             flat.extend(t.terms)
         elif isinstance(t, Const):
@@ -401,6 +417,21 @@ def add(*terms) -> MeroExpr:
     if len(flat) == 1:
         return flat[0]
     return Sum(tuple(flat))
+
+
+def _cancel_pairs(terms: list) -> list:
+    """Drop each operand pair x, neg(x).  Only whole operands cancel, so the
+    others keep their order and their trees."""
+    if not any(isinstance(t, Neg) for t in terms):
+        return terms
+    kept = []
+    for t in terms:
+        partner = t.child if isinstance(t, Neg) else Neg(t)
+        if partner in kept:
+            kept.remove(partner)
+        else:
+            kept.append(t)
+    return kept
 
 
 def mul(*factors) -> MeroExpr:
@@ -437,7 +468,7 @@ def neg(x) -> MeroExpr:
 def quot(num, den) -> MeroExpr:
     num = _as_expr(num)
     den = _as_expr(den)
-    if isinstance(num, Const) and num.value == 0:
+    if num == _ZERO:
         return _ZERO
     if isinstance(den, Const):
         if den.value == 1:
@@ -496,10 +527,15 @@ def evaluate(expr: MeroExpr, assignment: Mapping, ctx: ThetaContext):
     """Bottom-up evaluation at an assignment of variables to complex values.
 
     Values may be scalars or numpy arrays of a common shape; quotient nodes
-    whose denominator falls below ctx.pole_guard (relative to the local
-    numerator scale) raise PoleError.
+    whose denominator falls below ctx.pole_guard raise PoleError, and a
+    non-finite value (an overflow in some node) raises
+    EvaluationOverflowError.
     """
-    return expr._eval(assignment, ctx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = expr._eval(assignment, ctx)
+    if not np.all(np.isfinite(value)):
+        raise EvaluationOverflowError("expression evaluation produced a non-finite value")
+    return value
 
 
 def diff(expr: MeroExpr, variable: str) -> MeroExpr:

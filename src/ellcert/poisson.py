@@ -118,10 +118,8 @@ def pbracket_halves(a: PoissonElement, b: PoissonElement):
             mi = tuple(x + y for x, y in zip(m, k))
             p_part = ex.mul(F, _directional_derivative(alg, m, G))
             n_part = ex.mul(G, _directional_derivative(alg, k, F))
-            if not (isinstance(p_part, ex.Const) and p_part.value == 0):
-                P[mi] = ex.add(P[mi], p_part) if mi in P else p_part
-            if not (isinstance(n_part, ex.Const) and n_part.value == 0):
-                N[mi] = ex.add(N[mi], n_part) if mi in N else n_part
+            P[mi] = ex.add(P[mi], p_part) if mi in P else p_part
+            N[mi] = ex.add(N[mi], n_part) if mi in N else n_part
     return PoissonElement(alg, P), PoissonElement(alg, N)
 
 
@@ -235,11 +233,6 @@ def _phase_space_points(alg, count, seed, guards):
     return out
 
 
-def _stacked_phase_points(alg, count, seed, guards):
-    envs = _phase_space_points(alg, count, seed, guards)
-    return stack_assignments(envs), envs
-
-
 @functools.lru_cache(maxsize=16)
 def _hamiltonian_brackets(n: int, ctx: ThetaContext):
     """Cached symbolic ratio-brackets for all hamiltonian pairs."""
@@ -252,22 +245,15 @@ def _hamiltonian_brackets(n: int, ctx: ThetaContext):
 
 
 def classical_hamiltonians(n: int, ctx: ThetaContext, seed: int = 0, points: int = 20):
-    """Max pairwise |{H_i, H_j}| residual for H_i = Delta_i / Delta_0."""
+    """Max pairwise |{H_i, H_j}| residual for H_i = Delta_i / Delta_0 over all
+    the points; a bracket that poles at one of them raises PoleError."""
     alg, deltas, guards, brackets = _hamiltonian_brackets(n, ctx)
-    stacked, envs = _stacked_phase_points(alg, points, seed, list(guards))
+    stacked = stack_assignments(_phase_space_points(alg, points, seed, list(guards)))
     ratios = [(deltas[i], deltas[0]) for i in range(1, n + 1)]
     worst = 0.0
     for rb in brackets:
-        try:
-            values, scales = rb.residual_batch(stacked)
-            worst = max(worst, float(np.max(np.abs(values) / scales)))
-        except PoleError:
-            for env in envs:  # drop only the poled points
-                try:
-                    value, scale = rb.residual_at(env)
-                except PoleError:
-                    continue
-                worst = max(worst, abs(value) / scale)
+        values, scales = rb.residual_batch(stacked)
+        worst = max(worst, float(np.max(np.abs(values) / scales)))
     return ratios, worst
 
 
@@ -282,7 +268,7 @@ def _jacobi_delta_terms(n: int, ctx: ThetaContext, ijk):
 def jacobi_delta_residual(n: int, ctx: ThetaContext, ijk, seed: int = 0, points: int = 20) -> float:
     """Residual of Delta_i {Delta_j, Delta_k} + cyclic permutations = 0."""
     alg, elems = _jacobi_delta_terms(n, ctx, tuple(ijk))
-    stacked, _ = _stacked_phase_points(alg, points, seed, pair_guards(alg.var_names))
+    stacked = stack_assignments(_phase_space_points(alg, points, seed, pair_guards(alg.var_names)))
     vals = [np.asarray(e.evaluate(stacked, ctx)) for e in elems]
     return rel_residual(sum(vals), *vals)
 

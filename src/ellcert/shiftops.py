@@ -19,7 +19,8 @@ algebra with e-generators that shift every *other* variable of their own
 layer by -n*eta plus t/f generator pairs; and the 2n-generator algebra of
 +/-2*eta elementary shifts used by the face-model transfer matrix.
 
-Operator equality is decided by seeded pole-guarded sampling of every
+Operator arithmetic is exact and samples nothing (expr.add cancels x against
+neg(x)); operator equality is decided by seeded pole-guarded sampling of every
 coefficient, relative to the magnitude of the terms being cancelled.
 """
 
@@ -31,11 +32,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .context import ThetaContext
-from .errors import PoleError, SingularOperatorError
+from .errors import SingularOperatorError
 from . import expr as ex
 from .sampling import rel_residual, sampled_max
-
-_PRUNE_POINTS = 5
 
 
 class GeneratorAlgebra:
@@ -97,12 +96,7 @@ class TermMap:
 
     def __init__(self, algebra: GeneratorAlgebra, terms: Mapping[tuple, ex.MeroExpr]):
         self.algebra = algebra
-        cleaned = {}
-        for mi, coeff in terms.items():
-            if isinstance(coeff, ex.Const) and coeff.value == 0:
-                continue
-            cleaned[tuple(mi)] = coeff
-        self.terms = cleaned
+        self.terms = {tuple(mi): coeff for mi, coeff in terms.items() if coeff != ex._ZERO}
 
     @classmethod
     def zero(cls, algebra):
@@ -169,51 +163,17 @@ class ShiftOp(TermMap):
         return {sum(mi) for mi in self.terms}
 
     def __add__(self, other: "ShiftOp") -> "ShiftOp":
-        return super().__add__(other)._pruned()
+        # Defined on ShiftOp itself so that bench/tracer.py can time operator sums.
+        return super().__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, ShiftOp):
             return shift_mul(self, other)
         return self.scaled(other)
 
-    def _pruned(self) -> "ShiftOp":
-        """Drop terms whose coefficient samples to ~0 at a few guard points.
-
-        Exact structural cancellations evaluate to exactly 0.0 (the same
-        subtree is walked twice), so this keeps term maps small without
-        risking a genuine coefficient: five independent near-zeros of a
-        nonzero meromorphic function have probability ~0 at seeded points.
-        """
-        keep = {}
-        for mi, coeff in self.terms.items():
-            if _samples_to_zero(coeff, self.algebra):
-                continue
-            keep[mi] = coeff
-        if len(keep) == len(self.terms):
-            return self
-        return ShiftOp(self.algebra, keep)
-
     def __repr__(self):
         names = ",".join(self.algebra.gen_names)
         return f"ShiftOp<{len(self.terms)} terms over ({names})>"
-
-
-def _samples_to_zero(coeff: ex.MeroExpr, algebra: ShiftAlgebra) -> bool:
-    ctx = algebra.ctx
-    rng = np.random.default_rng(0xE11C)
-    good = 0
-    for _ in range(4 * _PRUNE_POINTS):
-        env = {v: complex(rng.random(), ctx.tau.imag * rng.random()) for v in algebra.var_names}
-        try:
-            val = ex.evaluate(coeff, env, ctx)
-        except PoleError:
-            continue
-        if abs(val) >= ctx.eval_tol:
-            return False
-        good += 1
-        if good >= _PRUNE_POINTS:
-            return True
-    return False  # could not decide; keep the term
 
 
 def shift_mul(a: ShiftOp, b: ShiftOp) -> ShiftOp:
@@ -227,7 +187,7 @@ def shift_mul(a: ShiftOp, b: ShiftOp) -> ShiftOp:
             mi = tuple(x + y for x, y in zip(m, k))
             contrib = ex.mul(F, ex.translate(G, deltas))
             out[mi] = ex.add(out[mi], contrib) if mi in out else contrib
-    return ShiftOp(alg, out)._pruned()
+    return ShiftOp(alg, out)
 
 
 def shift_commutator(a: ShiftOp, b: ShiftOp) -> ShiftOp:
@@ -266,12 +226,11 @@ def sum_to_zero_residual(parts: Sequence[TermMap], samples: int = 20, seed: int 
     if not keys:
         return 0.0
     alg = parts[0].algebra
-    zero = ex.const(0)
 
     def measure(stacked):
         worst = 0.0
         for mi in keys:
-            vals = [np.asarray(ex.evaluate(p.terms.get(mi, zero), stacked, alg.ctx)) for p in parts]
+            vals = [np.asarray(ex.evaluate(p.terms.get(mi, ex._ZERO), stacked, alg.ctx)) for p in parts]
             worst = max(worst, rel_residual(sum(vals), *vals))
         return worst
 

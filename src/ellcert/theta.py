@@ -15,8 +15,9 @@ Conventions (q = exp(2*pi*i*tau)):
             qh = exp(pi*i*tau); exactly odd, vanishes at 0.  This equals the
             classical first Jacobi theta with period-1 argument convention.
 
-Every evaluation first reduces the argument to the fundamental strip
-Re in [0,1), Im in [0, Im tau) and multiplies back the exact quasi-periodicity
+Every evaluation first reduces Re tau modulo 8 (the common period of all
+three series and multipliers) and the argument to the fundamental strip
+Re in [0,1), Im in [0, Im tau), and multiplies back the exact quasi-periodicity
 factor, so the series never sees a badly scaled exponential.  Exponents are
 combined before a single exp() call; computing coefficient and oscillatory
 factors separately overflows long before the product does.
@@ -45,11 +46,17 @@ _TWO_PI_I = 2j * math.pi
 _MAX_LATTICE_STEPS = 64.0
 
 
-def _lattice_reduce(z, ctx: ThetaContext):
+def _tau(ctx: ThetaContext) -> complex:
+    """ctx.tau with Re tau reduced exactly modulo 8: the odd theta gains e^(i*pi/4)
+    per unit step of tau, and nothing here changes under tau -> tau + 8."""
+    return complex(math.fmod(ctx.tau.real, 8.0), ctx.tau.imag)
+
+
+def _lattice_reduce(z, tau: complex):
     """Write z = w + a + b*tau with integer a, b and Im(w) in [0, Im tau)."""
     z = np.asarray(z, dtype=complex)
-    b = np.floor(z.imag / ctx.tau.imag)
-    w1 = z - b * ctx.tau
+    b = np.floor(z.imag / tau.imag)
+    w1 = z - b * tau
     a = np.floor(w1.real)
     w = w1 - a
     if np.any(np.abs(b) > _MAX_LATTICE_STEPS) or np.any(np.abs(a) > 1e12):
@@ -59,9 +66,8 @@ def _lattice_reduce(z, ctx: ThetaContext):
     return w, a, b
 
 
-def _series(kind: str, w, ctx: ThetaContext, order: int, index: int, deriv: int):
-    """Raw truncated series at a reduced argument (no multiplier)."""
-    M = ctx.trunc
+def _series(kind: str, w, tau: complex, M: int, order: int, index: int, deriv: int):
+    """Raw truncated series over the modes |j| <= M at a reduced argument (no multiplier)."""
     if kind == "order1":
         k = np.arange(-M, M + 1, dtype=float)
         sign = (-1.0) ** (k - 1)
@@ -80,24 +86,24 @@ def _series(kind: str, w, ctx: ThetaContext, order: int, index: int, deriv: int)
         raise ValueError(f"unknown theta kind {kind!r}")
 
     w = np.asarray(w, dtype=complex)
-    expo = _TWO_PI_I * (ctx.tau * cexp + np.multiply.outer(w, k))
+    expo = _TWO_PI_I * (tau * cexp + np.multiply.outer(w, k))
     terms = np.exp(expo) * sign
     if deriv:
         terms = terms * (_TWO_PI_I * k) ** deriv
     return terms.sum(axis=-1)
 
 
-def _multiplier(kind: str, ctx: ThetaContext, order: int, w, a, b):
+def _multiplier(kind: str, tau: complex, order: int, w, a, b):
     """Exact quasi-periodicity factor M with theta(z) = M * theta(w)."""
     if kind == "order1":
         sign = (-1.0) ** b
-        expo = -ctx.tau * b * (b - 1) / 2.0 - b * w
+        expo = -tau * b * (b - 1) / 2.0 - b * w
     elif kind == "basis":
         sign = (-1.0) ** (order * b)
-        expo = -ctx.tau * order * b * (b - 1) / 2.0 - order * b * w
+        expo = -tau * order * b * (b - 1) / 2.0 - order * b * w
     else:  # odd
         sign = (-1.0) ** (a + b)
-        expo = -ctx.tau * b * b / 2.0 - b * w
+        expo = -tau * b * b / 2.0 - b * w
     mult = sign * np.exp(_TWO_PI_I * expo)
     if not np.all(np.isfinite(mult)):
         raise EvaluationOverflowError("quasi-periodicity multiplier overflowed")
@@ -106,16 +112,18 @@ def _multiplier(kind: str, ctx: ThetaContext, order: int, w, a, b):
 
 def theta_value(kind: str, z, ctx: ThetaContext, order: int = 1, index: int = 0, deriv: int = 0):
     """Evaluate the deriv-th derivative of the chosen theta at z (vectorized)."""
-    w, a, b = _lattice_reduce(z, ctx)
-    mult = _multiplier(kind, ctx, order, w, a, b)
+    tau = _tau(ctx)
+    w, a, b = _lattice_reduce(z, tau)
+    mult = _multiplier(kind, tau, order, w, a, b)
     nu = order if kind == "basis" else 1
     if deriv == 0:
-        val = _series(kind, w, ctx, order, index, 0)
+        val = _series(kind, w, tau, ctx.trunc, order, index, 0)
     else:
         fac = -_TWO_PI_I * nu * b
         val = 0
         for r in range(deriv + 1):
-            val = val + math.comb(deriv, r) * fac ** (deriv - r) * _series(kind, w, ctx, order, index, r)
+            term = _series(kind, w, tau, ctx.trunc, order, index, r)
+            val = val + math.comb(deriv, r) * fac ** (deriv - r) * term
     out = mult * val
     if not np.all(np.isfinite(out)):
         raise EvaluationOverflowError("theta evaluation produced a non-finite value")
@@ -148,8 +156,9 @@ def reduce_to_fundamental(z: complex, ctx: ThetaContext):
     Returns (z_reduced, multiplier) with theta1(z) = multiplier * theta1(z_reduced)
     and Im(z_reduced) in [0, Im tau).
     """
-    w, a, b = _lattice_reduce(z, ctx)
-    mult = _multiplier("order1", ctx, 1, w, a, b)
+    tau = _tau(ctx)
+    w, a, b = _lattice_reduce(z, tau)
+    mult = _multiplier("order1", tau, 1, w, a, b)
     if np.ndim(z) == 0:
         return complex(w), complex(mult)
     return w, mult

@@ -212,6 +212,7 @@ BAD_INPUTS = {
     "transfer-commute-eta-zero": ["check", "transfer-commute", "--param", "eta=0"],
     "transfer-commute-eta-2-torsion": ["check", "transfer-commute", "--param", "n=2", "--param", "eta=0.5"],
     "casimir-diagonal-eta-zero": ["check", "casimir-diagonal", "--param", "eta=0"],
+    "casimir-diagonal-overflow": ["check", "casimir-diagonal", "--param", "eta=0.4+0.7j"],
 }
 
 
@@ -220,6 +221,36 @@ def test_bad_input_exits_three_with_one_line(argv, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+USAGE_ERRORS = {
+    "check-without-name": ["check"],
+    "unknown-command": ["frobnicate"],
+    "unknown-option": ["list", "--bogus"],
+    "no-command": [],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_exits_three(argv, capsys):
+    # 2 is the INCONCLUSIVE code, so argparse's own usage exit code must not leak
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["check", "--help"])
+    assert stop.value.code == 0 and "usage: " in capsys.readouterr().out
+
+
+def test_real_part_of_tau_leaves_fay_bit_identical():
+    near = REGISTRY["fay"]({"taus": "0.8j"}, 42)
+    far = REGISTRY["fay"]({"taus": "1e6+0.8j"}, 42)
+    assert far.hex() == near.hex()
 
 
 def test_degenerate_eta_names_the_torsion_order():

@@ -69,6 +69,37 @@ def test_free_vars():
     assert ex.free_vars(e) == frozenset({"z1", "z2", "z3"})
 
 
+class TestStructuralEquality:
+    @staticmethod
+    def _tree(c=0.3):
+        return ex.quot(ex.theta1_of(ex.aff("a", (2, "b"), const=c)) * ex.var("a"),
+                       ex.exp2pii("b") + ex.ipow(ex.theta_odd_of("a"), 2) - ex.const(2))
+
+    def test_rebuilt_tree_is_equal(self):
+        e = self._tree()
+        copy = ex.substitute(e, {"a": ex.aff("a"), "b": ex.aff("b")})  # every node rebuilt
+        assert copy is not e and copy == e and hash(copy) == hash(e)
+        assert ex.add(e, ex.neg(copy)) is ex._ZERO
+        assert copy - e is ex._ZERO
+
+    def test_one_constant_breaks_equality(self):
+        assert self._tree(0.3) != self._tree(0.31)
+        assert ex.add(self._tree(0.3), ex.neg(self._tree(0.31))) != ex._ZERO
+
+    def test_sums_and_products_compare_as_multisets(self):
+        z1, z2 = ex.var("z1"), ex.var("z2")
+        assert z1 * z2 == z2 * z1 and hash(z1 * z2) == hash(z2 * z1)
+        assert z1 * z2 - z2 * z1 is ex._ZERO
+        assert z1 + z2 == z2 + z1 and z1 + z1 != z1 and z1 + z1 + z2 != z1 + z2 + z2
+
+    def test_only_whole_operands_cancel(self):
+        x, y, w = ex.theta1_of("z"), ex.var("y"), ex.var("w")
+        assert ex.add(y, x, ex.neg(x), w) == y + w
+        # x inside the sum y + x is not an operand of the outer add, so it stays
+        kept = ex.add(y + x, ex.neg(x))
+        assert isinstance(kept, ex.Sum) and len(kept.terms) == 3
+
+
 class TestDiff:
     def test_constant_derivative_is_zero(self):
         d = ex.diff(ex.const(4 + 1j), "z")

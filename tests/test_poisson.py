@@ -5,8 +5,10 @@ import pytest
 
 from ellcert import ThetaContext
 from ellcert import expr as ex
+from ellcert.errors import PoleError
 from ellcert.poisson import (
     PoissonElement,
+    RatioBracket,
     classical_delta_elements,
     classical_hamiltonians,
     fay_residual,
@@ -139,6 +141,15 @@ class TestHamiltonians:
     def test_pairwise_commutation(self, n):
         _, worst = classical_hamiltonians(n, CTX, seed=0, points=8)
         assert worst <= 1e-9
+
+    def test_poled_bracket_raises_instead_of_skipping_points(self, monkeypatch):
+        # a residual measured at no point at all must not read as 0.0, a pass
+        def poles(self, env):
+            raise PoleError("ratio denominator vanishes at a sample point")
+
+        monkeypatch.setattr(RatioBracket, "residual_batch", poles)
+        with pytest.raises(PoleError):
+            classical_hamiltonians(2, CTX, seed=0, points=4)
 
     def test_row_swap_leaves_hamiltonians_invariant(self):
         n = 3

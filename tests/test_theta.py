@@ -12,6 +12,7 @@ import pytest
 
 from ellcert import ThetaContext, theta1, theta_basis, theta_odd, reduce_to_fundamental
 from ellcert.errors import EvaluationOverflowError
+from ellcert.theta import theta_value
 
 TWO_PI_I = 2j * math.pi
 
@@ -169,6 +170,33 @@ class TestReduce:
     def test_overflow_guard(self):
         with pytest.raises(EvaluationOverflowError):
             theta1(1000j, CTX)
+
+
+class TestRealPartOfTau:
+    """Re tau enters only modulo 8, the common period of the three theta kinds."""
+
+    KINDS = [("order1", 1, 0), ("basis", 3, 1), ("odd", 1, 0)]
+    CTX_D = ThetaContext(tau=0.375 + 1.1j)  # dyadic Re tau, so tau + 8 is exact
+
+    def _points(self):
+        # arguments up to a lattice step outside the box, so the multiplier is exercised too
+        rng = np.random.default_rng(23)
+        return 3 * rng.random(12) - 1 + 1j * (3 * rng.random(12) - 1) * self.CTX_D.tau.imag
+
+    @pytest.mark.parametrize("kind, order, index", KINDS)
+    def test_period_eight_is_bit_identical(self, kind, order, index):
+        z = self._points()
+        shifted = self.CTX_D.replace(tau=self.CTX_D.tau + 8)
+        for deriv in (0, 1):
+            want = theta_value(kind, z, self.CTX_D, order=order, index=index, deriv=deriv)
+            got = theta_value(kind, z, shifted, order=order, index=index, deriv=deriv)
+            assert np.array_equal(got, want)
+
+    def test_odd_theta_gains_an_eighth_root_of_unity_per_step(self):
+        z = self._points()
+        stepped = theta_odd(z, self.CTX_D.replace(tau=self.CTX_D.tau + 1))
+        want = np.exp(1j * math.pi / 4) * theta_odd(z, self.CTX_D)
+        assert np.all(np.abs(stepped - want) <= 1e-12 * np.maximum(1, np.abs(want)))
 
 
 class TestContext:

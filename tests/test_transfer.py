@@ -77,6 +77,17 @@ class TestBuildT:
         assert transfer_commutator_residual(fam, 0.31 + 0.11j, 0.73 + 0.29j,
                                             samples=12, seed=0) <= 1e-8
 
+    def test_operator_arithmetic_evaluates_nothing(self, monkeypatch):
+        # sums, negation and products of operators are exact: no coefficient is sampled
+        from ellcert.shiftops import shift_mul
+        calls = []
+        evaluate = ex.evaluate
+        monkeypatch.setattr(ex, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
+        T, S = build_T(0.3 + 0.1j, 3, CTX), build_T(0.7 + 0.2j, 3, CTX)
+        ops = [T + S, -T, T - T, shift_mul(T, S), shift_mul(S, T) - shift_mul(T, S)]
+        assert calls == []
+        assert ops[2].is_zero() and not ops[4].is_zero()
+
     def test_equal_parameters_structurally_zero(self):
         from ellcert.shiftops import shift_commutator
         T = build_T(0.3 + 0.1j, 2, CTX)
