@@ -25,6 +25,7 @@ from .errors import (EvaluationOverflowError, InconclusiveRankError, ParameterEr
                      SingularOperatorError)
 from . import expr as ex
 from .sampling import rel_residual
+from .shiftops import make_Vn
 from .theta import reduce_to_fundamental, theta1, theta_basis
 from . import cfdet
 from . import poisson
@@ -421,7 +422,7 @@ def check_sos_commute(seed, n, seeds, samples, ctx) -> float:
 
 
 @check("sos-ratio", 1e-8, "face-model kernel matches the basic kernel after reflection",
-       n=integers("2,3", 2, 4), tau=TAU, eta=ETA)
+       n=integers("2,3", 2, 4), tau=TAU)
 def check_sos_ratio(seed, n, ctx) -> float:
     u, _ = _two_spectral_points(ctx, seed)
     return max(transfer.sos_vs_T_coefficient_ratio(u, order, ctx, samples=10, seed=seed) for order in n)
@@ -436,12 +437,12 @@ def check_fay(seed, count, taus) -> float:
 @check("quotient-rule", 1e-9, "fraction-field bracket extension rule",
        points=count(20), tau=TAU)
 def check_quotient_rule(seed, points, ctx) -> float:
-    alg = poisson.make_cone(2, ctx)
+    alg = make_Vn(2, ctx)
     h_coeff = ex.theta1_of(ex.aff("z1", (0.5, "z2")))
     h = poisson.PoissonElement.function(alg, h_coeff)
     g = poisson.PoissonElement.generator(alg, "f2", ex.theta1_of("z2"))
     one = poisson.PoissonElement.function(alg, ex.const(1))
-    rb = poisson.pbracket_ratio(one, h, g, one)
+    rb = poisson.RatioBracket(one, h, g, one)
     # guarding the denominator h measures every requested point, none skipped
     envs = poisson._phase_space_points(alg, points, seed, [h_coeff])
     worst = 0.0

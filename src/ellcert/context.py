@@ -4,58 +4,38 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import ClassVar
 
 
 @dataclasses.dataclass(frozen=True)
 class ThetaContext:
-    """Immutable bundle of the numeric parameters every evaluation needs.
+    """Immutable pair of the numeric parameters every evaluation needs.
 
-    tau        modular parameter of the lattice Z + tau*Z, Im(tau) >= 0.3 so
-               that |q| = |exp(2*pi*i*tau)| <= exp(-0.6*pi) and the series
-               converge in a few dozen terms
-    eta        deformation parameter (generic; finite-order points are kept
-               away by sampling guards, never by symbolic limits)
-    order_n    default order of the theta basis carried by this context
-    trunc      series cutoff: Fourier mode index ranges over |j| <= trunc
+    tau  modular parameter of the lattice Z + tau*Z, Im(tau) >= 0.3 so that
+         |q| = |exp(2*pi*i*tau)| <= exp(-0.6*pi) and the series converge in a
+         few dozen terms.  Re tau is reduced exactly modulo 8 on construction:
+         the common period of every theta series and multiplier, so nothing
+         changes, and z + tau stays as accurate as z + (tau mod 8).
+    eta  deformation parameter (generic; finite-order points are kept away by
+         sampling guards, never by symbolic limits)
+
+    The tolerances are constants of the class, not settings:
     eval_tol   target accuracy of a single evaluation
-    id_tol     residual threshold for identity checks (must exceed eval_tol)
+    id_tol     residual threshold for identity checks
     pole_guard minimum allowed relative denominator magnitude
     """
 
     tau: complex = 0.8j
     eta: complex = 0.171717 + 0.0323j
-    order_n: int = 3
-    trunc: int = 30
-    eval_tol: float = 1e-12
-    id_tol: float = 1e-8
-    pole_guard: float = 1e-6
+
+    eval_tol: ClassVar[float] = 1e-12
+    id_tol: ClassVar[float] = 1e-8
+    pole_guard: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if self.tau.imag < 0.3:
             raise ValueError(f"Im(tau) = {self.tau.imag} < 0.3; series would converge too slowly")
-        if self.order_n < 1:
-            raise ValueError("order_n must be a positive integer")
-        if self.trunc < 1:
-            raise ValueError("trunc must be a positive integer")
-        if not (0 < self.eval_tol < self.id_tol):
-            raise ValueError("need 0 < eval_tol < id_tol")
-        if self.pole_guard <= 0:
-            raise ValueError("pole_guard must be positive")
-        # Tail bound |q|^(trunc^2 / (2 n)) must stay two orders below eval_tol.
-        qmag = math.exp(-2.0 * math.pi * self.tau.imag)
-        tail = qmag ** (self.trunc * self.trunc / (2.0 * self.order_n))
-        if tail >= self.eval_tol / 100.0:
-            raise ValueError(
-                f"trunc={self.trunc} too small for order_n={self.order_n}: "
-                f"tail bound {tail:.2e} >= eval_tol/100"
-            )
-
-    @property
-    def q(self) -> complex:
-        return complex(
-            math.e ** (-2.0 * math.pi * self.tau.imag) * math.cos(2.0 * math.pi * self.tau.real),
-            math.e ** (-2.0 * math.pi * self.tau.imag) * math.sin(2.0 * math.pi * self.tau.real),
-        )
+        object.__setattr__(self, "tau", complex(math.fmod(self.tau.real, 8.0), self.tau.imag))
 
     def replace(self, **kw) -> "ThetaContext":
         return dataclasses.replace(self, **kw)

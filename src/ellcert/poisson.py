@@ -1,19 +1,20 @@
 """Classical Poisson counterparts of the shift-operator constructions.
 
-A Poisson shift algebra has function coefficients in variables v_1..v_p and
-commuting generator symbols g_1..g_r with the triangular bracket
+The Poisson limit of a shift algebra (shiftops.ShiftAlgebra) has the same
+variables v_1..v_p and commuting generator symbols g_1..g_r, and its step
+matrix S gives the triangular bracket
 
-    {g_a, v_b} = c[a][b] * g_a,   {v, v} = {g, g} = 0,
+    {g_a, v_b} = S[a][b] * g_a,   {v, v} = {g, g} = 0,
 
 extended by Leibniz and bilinearity, so on elements F*g^m:
 
     {F g^m, G g^k} = (F * D_m(G) - G * D_k(F)) g^(m+k),
-    D_m(G) = sum_{a,b} m_a c[a][b] dG/dv_b.
+    D_m(G) = sum_{a,b} m_a S[a][b] dG/dv_b.
 
 Derivatives are symbolic (theta leaves carry derivative orders); finite
 differences could not reach the 1e-9 residual targets.
 
-Built on top: the cone bracket ({f_i, z_i} = -n f_i), determinant
+Built on top: the cone bracket of V_n ({f_i, z_i} = -n f_i), determinant
 hamiltonians H_i = Delta_i / Delta_0 and their pairwise bracket residuals,
 the Jacobi determinant identity, the classical bosonization map psi_p, and
 the three-term Fay identity for the odd theta.
@@ -22,7 +23,6 @@ the three-term Fay identity for the odd theta.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,34 +32,7 @@ from .context import ThetaContext
 from .errors import PoleError
 from . import expr as ex
 from .sampling import pair_guards, rel_residual, sample_points, stack_assignments
-from .shiftops import GeneratorAlgebra, TermMap, TermMapBackend, bosonize, sum_to_zero_residual
-
-
-@dataclass(frozen=True)
-class PoissonShiftAlgebra(GeneratorAlgebra):
-    var_names: tuple
-    gen_names: tuple
-    c: tuple  # bracket constants, one row per generator
-    ctx: ThetaContext
-
-
-def make_poisson_algebra(var_names, gen_names, c, ctx) -> PoissonShiftAlgebra:
-    rows = tuple(tuple(complex(x) for x in row) for row in c)
-    return PoissonShiftAlgebra(tuple(var_names), tuple(gen_names), rows, ctx)
-
-
-def make_cone(n: int, ctx: ThetaContext) -> PoissonShiftAlgebra:
-    """Classical cone algebra: {f_i, z_i} = -n f_i, everything else zero."""
-    c = [[(-n if i == a else 0) for i in range(n)] for a in range(n)]
-    return make_poisson_algebra([f"z{i}" for i in range(1, n + 1)],
-                                [f"f{i}" for i in range(1, n + 1)], c, ctx)
-
-
-def make_classical_bpn(p: int, n: int, ctx: ThetaContext) -> PoissonShiftAlgebra:
-    """{e_a, u_a} = (n-2) e_a, {e_a, u_b} = -2 e_a for a != b."""
-    c = [[((n - 2) if b == a else -2) for b in range(p)] for a in range(p)]
-    return make_poisson_algebra([f"u{i}" for i in range(1, p + 1)],
-                                [f"e{i}" for i in range(1, p + 1)], c, ctx)
+from .shiftops import TermMap, TermMapBackend, bosonize, make_Bpn, make_Vn, sum_to_zero_residual
 
 
 class PoissonElement(TermMap):
@@ -70,20 +43,13 @@ class PoissonElement(TermMap):
     def __mul__(self, other):
         if not isinstance(other, PoissonElement):
             return self.scaled(other)
-        out = {}
-        for m, F in self.terms.items():
-            for k, G in other.terms.items():
-                mi = tuple(x + y for x, y in zip(m, k))
-                contrib = ex.mul(F, G)
-                out[mi] = ex.add(out[mi], contrib) if mi in out else contrib
-        return PoissonElement(self.algebra, out)
+        return PoissonElement(self.algebra, self._convolve(other, lambda m, F, k, G: ex.mul(F, G)))
 
-    def evaluate(self, env, ctx=None):
+    def evaluate(self, env):
         """Value at a point of the phase space: env binds variables and generators."""
-        ctx = ctx or self.algebra.ctx
         total = 0
         for mi, coeff in self.terms.items():
-            v = ex.evaluate(coeff, env, ctx)
+            v = ex.evaluate(coeff, env, self.algebra.ctx)
             for gi, e in enumerate(mi):
                 if e:
                     v = v * env[self.algebra.gen_names[gi]] ** e
@@ -95,12 +61,12 @@ class PoissonElement(TermMap):
 
 
 def _directional_derivative(algebra, exponents, G: ex.MeroExpr) -> ex.MeroExpr:
-    """D_m(G) = sum_{a,b} m_a c[a][b] dG/dv_b."""
+    """D_m(G) = sum_{a,b} m_a S[a][b] dG/dv_b."""
     weights = [0j] * algebra.p
     for a, m in enumerate(exponents):
         if m:
             for b in range(algebra.p):
-                weights[b] += m * algebra.c[a][b]
+                weights[b] += m * complex(algebra.steps[a][b])
     parts = []
     for b, w in enumerate(weights):
         if w != 0:
@@ -111,15 +77,8 @@ def _directional_derivative(algebra, exponents, G: ex.MeroExpr) -> ex.MeroExpr:
 def pbracket_halves(a: PoissonElement, b: PoissonElement):
     """(P, N) with {a, b} = P - N; the halves carry the cancellation scale."""
     alg = a.algebra
-    P: dict[tuple, ex.MeroExpr] = {}
-    N: dict[tuple, ex.MeroExpr] = {}
-    for m, F in a.terms.items():
-        for k, G in b.terms.items():
-            mi = tuple(x + y for x, y in zip(m, k))
-            p_part = ex.mul(F, _directional_derivative(alg, m, G))
-            n_part = ex.mul(G, _directional_derivative(alg, k, F))
-            P[mi] = ex.add(P[mi], p_part) if mi in P else p_part
-            N[mi] = ex.add(N[mi], n_part) if mi in N else n_part
+    P = a._convolve(b, lambda m, F, k, G: ex.mul(F, _directional_derivative(alg, m, G)))
+    N = a._convolve(b, lambda m, F, k, G: ex.mul(G, _directional_derivative(alg, k, F)))
     return PoissonElement(alg, P), PoissonElement(alg, N)
 
 
@@ -158,19 +117,18 @@ class RatioBracket:
 
     def residual_batch(self, env):
         """Vectorized over array-valued assignments; returns (values, scales)."""
-        ctx = self.algebra.ctx
-        hv = np.asarray(self.h.evaluate(env, ctx))
-        kv = np.asarray(self.k.evaluate(env, ctx))
-        if np.any(np.minimum(np.abs(hv), np.abs(kv)) < ctx.pole_guard):
+        hv = np.asarray(self.h.evaluate(env))
+        kv = np.asarray(self.k.evaluate(env))
+        if np.any(np.minimum(np.abs(hv), np.abs(kv)) < ThetaContext.pole_guard):
             raise PoleError("ratio denominator vanishes at a sample point")
-        fv = self.f.evaluate(env, ctx)
-        gv = self.g.evaluate(env, ctx)
+        fv = self.f.evaluate(env)
+        gv = self.g.evaluate(env)
         hk = hv * kv
         terms = [
-            self.b_fg.evaluate(env, ctx) / hk,
-            -(fv / hv) * self.b_hg.evaluate(env, ctx) / hk,
-            -(gv / kv) * self.b_fk.evaluate(env, ctx) / hk,
-            (fv / hv) * (gv / kv) * self.b_hk.evaluate(env, ctx) / hk,
+            self.b_fg.evaluate(env) / hk,
+            -(fv / hv) * self.b_hg.evaluate(env) / hk,
+            -(gv / kv) * self.b_fk.evaluate(env) / hk,
+            (fv / hv) * (gv / kv) * self.b_hk.evaluate(env) / hk,
         ]
         value = sum(terms)
         scale = np.asarray(1.0)
@@ -186,22 +144,18 @@ class RatioBracket:
         return self.residual_at(env)[0]
 
 
-def pbracket_ratio(f, h, g, k) -> RatioBracket:
-    return RatioBracket(f, h, g, k)
-
-
 # Determinant hamiltonians ------------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
 def classical_delta_elements(n: int, ctx: ThetaContext):
-    """Delta_0 .. Delta_n over the cone algebra.
+    """Delta_0 .. Delta_n over the cone algebra (the Poisson limit of V_n).
 
     Column 0 is the generator column (entry f_r in row r), columns 1..n hold
     theta_{j-1}(z_r); Delta_i deletes column i.  Rows touch disjoint
     (z_r, f_r) pairs, so entries of different rows Poisson-commute and the
     ordinary determinant is well defined.
     """
-    alg = make_cone(n, ctx)
+    alg = make_Vn(n, ctx)
 
     def entry(r, col):
         if col == 0:
@@ -239,7 +193,7 @@ def _hamiltonian_brackets(n: int, ctx: ThetaContext):
     alg, deltas = classical_delta_elements(n, ctx)
     guards = pair_guards(alg.var_names)
     guards.append(ex.theta1_of(ex.aff(*alg.var_names)))  # theta(sum z): zero of Delta_0
-    brackets = [pbracket_ratio(deltas[i], deltas[0], deltas[j], deltas[0])
+    brackets = [RatioBracket(deltas[i], deltas[0], deltas[j], deltas[0])
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return alg, deltas, tuple(guards), tuple(brackets)
 
@@ -269,7 +223,7 @@ def jacobi_delta_residual(n: int, ctx: ThetaContext, ijk, seed: int = 0, points:
     """Residual of Delta_i {Delta_j, Delta_k} + cyclic permutations = 0."""
     alg, elems = _jacobi_delta_terms(n, ctx, tuple(ijk))
     stacked = stack_assignments(_phase_space_points(alg, points, seed, pair_guards(alg.var_names)))
-    vals = [np.asarray(e.evaluate(stacked, ctx)) for e in elems]
+    vals = [np.asarray(e.evaluate(stacked)) for e in elems]
     return rel_residual(sum(vals), *vals)
 
 
@@ -284,7 +238,7 @@ def psi_p(f: ex.MeroExpr, p: int, n: int, ctx: ThetaContext) -> PoissonElement:
     if len(names) != 1:
         raise ValueError(f"psi_p needs a function of one variable, got {sorted(names)}")
     (w,) = names
-    return bosonize(f, w, make_classical_bpn(p, n, ctx), PoissonElement)
+    return bosonize(f, w, make_Bpn(p, n, ctx), PoissonElement)
 
 
 def psi2_pair_residual(ctx: ThetaContext, seed: int = 0, samples: int = 20,

@@ -1,22 +1,23 @@
-"""Shift-monomial difference-operator algebras.
+"""Shift-monomial difference-operator algebras and their Poisson limit.
 
 An algebra fixes variable names v_1..v_p, commuting generator names g_1..g_r
-and a complex shift matrix S.  Conjugation is oriented as
+and an integer step matrix S.  Conjugation is oriented as
 
-    g_a * F(v_1,...,v_p) = F(v_1 + S[a][1], ..., v_p + S[a][p]) * g_a,
+    g_a * F(v_1,...,v_p) = F(v_1 + S[a][1]*eta, ..., v_p + S[a][p]*eta) * g_a,
 
 so multiplying coefficient-times-monomial terms translates the right-hand
 coefficient's arguments by the left monomial's accumulated shift.  Operators
-are finite maps from generator exponent tuples to MeroExpr coefficients; the
-term-map base (TermMap over a GeneratorAlgebra), its sampled residual and
-the bosonization formula are shared with the Poisson layer, whose elements
-are the same maps with commuting generators.
+are finite maps from generator exponent tuples to MeroExpr coefficients.  The
+same algebra carries the classical limit (poisson.PoissonElement): there the
+generators commute and S[a][b] is the bracket constant of {g_a, v_b}.  The
+term map, its product loop, its sampled residual and the bosonization formula
+are shared by both.
 
-Instances built here: the Weyl-like algebra with one generator per variable
-shifting only its own variable by -n*eta; the bosonization target B_{p,n}
-(own variable by (n-2)*eta, all the others by -2*eta); the layered chain
-algebra with e-generators that shift every *other* variable of their own
-layer by -n*eta plus t/f generator pairs; and the 2n-generator algebra of
+Instances built here: the Weyl-like algebra V_n with one generator per
+variable shifting only its own variable by -n*eta; the bosonization target
+B_{p,n} (own variable by (n-2)*eta, all the others by -2*eta); the layered
+chain algebra with e-generators that shift every *other* variable of their
+own layer by -n*eta plus t/f generator pairs; and the 2n-generator algebra of
 +/-2*eta elementary shifts used by the face-model transfer matrix.
 
 Operator arithmetic is exact and samples nothing (expr.add cancels x against
@@ -27,7 +28,7 @@ coefficient, relative to the magnitude of the terms being cancelled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,8 +38,22 @@ from . import expr as ex
 from .sampling import rel_residual, sampled_max
 
 
-class GeneratorAlgebra:
-    """Variable and generator bookkeeping shared by the shift and Poisson algebras."""
+@dataclass(frozen=True)
+class ShiftAlgebra:
+    """Variables, generators and the step matrix: g_a shifts v_b by S[a][b]*eta."""
+
+    var_names: tuple
+    gen_names: tuple
+    steps: tuple  # integer step matrix S: row per generator, entries per variable
+    ctx: ThetaContext
+
+    def __post_init__(self):
+        if len(self.steps) != len(self.gen_names):
+            raise ValueError("step matrix needs one row per generator")
+        if any(len(row) != len(self.var_names) for row in self.steps):
+            raise ValueError("step matrix rows must match the variable count")
+        if not all(isinstance(s, int) for row in self.steps for s in row):
+            raise ValueError("step matrix entries must be integers")
 
     @property
     def r(self) -> int:
@@ -54,34 +69,21 @@ class GeneratorAlgebra:
     def zero_index(self) -> tuple:
         return (0,) * self.r
 
-
-@dataclass(frozen=True)
-class ShiftAlgebra(GeneratorAlgebra):
-    var_names: tuple
-    gen_names: tuple
-    shift: tuple  # row per generator, entries per variable
-    ctx: ThetaContext
-
-    def __post_init__(self):
-        if len(self.shift) != len(self.gen_names):
-            raise ValueError("shift matrix needs one row per generator")
-        if any(len(row) != len(self.var_names) for row in self.shift):
-            raise ValueError("shift matrix rows must match the variable count")
-
     def translation_of(self, exponents: Sequence[int]) -> dict:
         """Accumulated shift of each variable under the monomial g^exponents."""
+        eta = self.ctx.eta
         deltas: dict[str, complex] = {}
         for gi, e in enumerate(exponents):
             if e:
-                for vi, s in enumerate(self.shift[gi]):
-                    if s != 0:
+                for vi, s in enumerate(self.steps[gi]):
+                    if s:
                         name = self.var_names[vi]
-                        deltas[name] = deltas.get(name, 0j) + e * s
+                        deltas[name] = deltas.get(name, 0j) + e * (s * eta)
         return deltas
 
 
-def make_algebra(var_names: Iterable[str], gen_names: Iterable[str], shift, ctx) -> ShiftAlgebra:
-    rows = tuple(tuple(complex(s) for s in row) for row in shift)
+def make_algebra(var_names: Iterable[str], gen_names: Iterable[str], steps, ctx) -> ShiftAlgebra:
+    rows = tuple(tuple(row) for row in steps)
     return ShiftAlgebra(tuple(var_names), tuple(gen_names), rows, ctx)
 
 
@@ -94,7 +96,7 @@ class TermMap:
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: GeneratorAlgebra, terms: Mapping[tuple, ex.MeroExpr]):
+    def __init__(self, algebra: ShiftAlgebra, terms: Mapping[tuple, ex.MeroExpr]):
         self.algebra = algebra
         self.terms = {tuple(mi): coeff for mi, coeff in terms.items() if coeff != ex._ZERO}
 
@@ -141,6 +143,17 @@ class TermMap:
         if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise ValueError("operands live in different algebras")
 
+    def _convolve(self, other: "TermMap", term: Callable) -> dict:
+        """sum of term(m, F, k, G) over the term pairs, collected at exponent m + k."""
+        self._check_same(other)
+        out: dict[tuple, ex.MeroExpr] = {}
+        for m, F in self.terms.items():
+            for k, G in other.terms.items():
+                mi = tuple(x + y for x, y in zip(m, k))
+                contrib = term(m, F, k, G)
+                out[mi] = ex.add(out[mi], contrib) if mi in out else contrib
+        return out
+
 
 class ShiftOp(TermMap):
     """Difference operator: the product translates coefficients by shifts."""
@@ -178,16 +191,8 @@ class ShiftOp(TermMap):
 
 def shift_mul(a: ShiftOp, b: ShiftOp) -> ShiftOp:
     """(F g^m)(G g^k) = F * (G translated by the shift of g^m) * g^(m+k)."""
-    a._check_same(b)
-    alg = a.algebra
-    out: dict[tuple, ex.MeroExpr] = {}
-    for m, F in a.terms.items():
-        deltas = alg.translation_of(m)
-        for k, G in b.terms.items():
-            mi = tuple(x + y for x, y in zip(m, k))
-            contrib = ex.mul(F, ex.translate(G, deltas))
-            out[mi] = ex.add(out[mi], contrib) if mi in out else contrib
-    return ShiftOp(alg, out)
+    shifts = {m: a.algebra.translation_of(m) for m in a.terms}
+    return ShiftOp(a.algebra, a._convolve(b, lambda m, F, k, G: ex.mul(F, ex.translate(G, shifts[m]))))
 
 
 def shift_commutator(a: ShiftOp, b: ShiftOp) -> ShiftOp:
@@ -246,28 +251,29 @@ def commutator_residual(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0
 # Algebra constructors ---------------------------------------------------------
 
 def make_Vn(n: int, ctx: ThetaContext) -> ShiftAlgebra:
-    """Generators f_i, variables z_i, with f_i z_i = (z_i - n*eta) f_i."""
+    """f_i z_i = (z_i - n*eta) f_i; its Poisson limit is the cone bracket {f_i, z_i} = -n f_i."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    shift = [[(-n * ctx.eta if i == a else 0) for i in range(n)] for a in range(n)]
+    steps = [[(-n if i == a else 0) for i in range(n)] for a in range(n)]
     return make_algebra([f"z{i}" for i in range(1, n + 1)],
-                        [f"f{i}" for i in range(1, n + 1)], shift, ctx)
+                        [f"f{i}" for i in range(1, n + 1)], steps, ctx)
 
 
 def make_Bpn(p: int, n: int, ctx: ThetaContext) -> ShiftAlgebra:
-    """Bosonization target: e_a shifts u_a by (n-2)*eta and u_b by -2*eta."""
+    """Bosonization target: e_a shifts u_a by (n-2)*eta and u_b by -2*eta
+    (Poisson limit: {e_a, u_a} = (n-2) e_a, {e_a, u_b} = -2 e_a for a != b)."""
     if p < 1 or n < 1:
         raise ValueError("sizes must be >= 1")
-    shift = [[((n - 2) * ctx.eta if b == a else -2 * ctx.eta) for b in range(p)] for a in range(p)]
+    steps = [[(n - 2 if b == a else -2) for b in range(p)] for a in range(p)]
     return make_algebra([f"u{i}" for i in range(1, p + 1)],
-                        [f"e{i}" for i in range(1, p + 1)], shift, ctx)
+                        [f"e{i}" for i in range(1, p + 1)], steps, ctx)
 
 
-def bosonize(f: ex.MeroExpr, var: str, algebra: GeneratorAlgebra, element: type) -> TermMap:
+def bosonize(f: ex.MeroExpr, var: str, algebra: ShiftAlgebra, element: type) -> TermMap:
     """sum_a f(u_a) / prod_{i != a} theta(u_a - u_i) * e_a, f a function of var.
 
-    The one formula behind both bosonizations: element is ShiftOp over
-    B_{p,n} or PoissonElement over its classical counterpart.
+    The one formula behind both bosonizations: element is ShiftOp or
+    PoissonElement, both over B_{p,n}.
     """
     p = algebra.p
     total = element.zero(algebra)
@@ -292,19 +298,19 @@ def make_Btilde(p_list: Sequence[int], ctx: ThetaContext) -> ShiftAlgebra:
     gen_names = [f"e{a}_{g}" for g in range(1, n) for a in range(1, p_list[g - 1] + 1)]
     gen_names += [f"f{g}" for g in range(1, n - 1)]
     vidx = {v: i for i, v in enumerate(var_names)}
-    shift = []
+    steps = []
     for g in range(1, n):
         for a in range(1, p_list[g - 1] + 1):
-            row = [0j] * len(var_names)
+            row = [0] * len(var_names)
             for b in range(1, p_list[g - 1] + 1):
                 if b != a:
-                    row[vidx[f"z{b}_{g}"]] = -n * ctx.eta
-            shift.append(row)
+                    row[vidx[f"z{b}_{g}"]] = -n
+            steps.append(row)
     for g in range(1, n - 1):
-        row = [0j] * len(var_names)
-        row[vidx[f"t{g}"]] = -n * ctx.eta
-        shift.append(row)
-    return make_algebra(var_names, gen_names, shift, ctx)
+        row = [0] * len(var_names)
+        row[vidx[f"t{g}"]] = -n
+        steps.append(row)
+    return make_algebra(var_names, gen_names, steps, ctx)
 
 
 def make_sos(n: int, ctx: ThetaContext) -> ShiftAlgebra:
@@ -313,15 +319,15 @@ def make_sos(n: int, ctx: ThetaContext) -> ShiftAlgebra:
         raise ValueError("n must be >= 1")
     var_names = [f"z{i}" for i in range(1, n + 1)]
     gen_names = [f"Tp{i}" for i in range(1, n + 1)] + [f"Tm{i}" for i in range(1, n + 1)]
-    shift = [[(+2 * ctx.eta if i == a else 0) for i in range(n)] for a in range(n)]
-    shift += [[(-2 * ctx.eta if i == a else 0) for i in range(n)] for a in range(n)]
-    return make_algebra(var_names, gen_names, shift, ctx)
+    steps = [[(2 if i == a else 0) for i in range(n)] for a in range(n)]
+    steps += [[(-2 if i == a else 0) for i in range(n)] for a in range(n)]
+    return make_algebra(var_names, gen_names, steps, ctx)
 
 
 class TermMapBackend:
     """Term maps through the part of the determinant backend protocol cf_det uses."""
 
-    def __init__(self, algebra: GeneratorAlgebra, element: type):
+    def __init__(self, algebra: ShiftAlgebra, element: type):
         self.algebra = algebra
         self._element = element
 

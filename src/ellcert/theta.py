@@ -15,8 +15,9 @@ Conventions (q = exp(2*pi*i*tau)):
             qh = exp(pi*i*tau); exactly odd, vanishes at 0.  This equals the
             classical first Jacobi theta with period-1 argument convention.
 
-Every evaluation first reduces Re tau modulo 8 (the common period of all
-three series and multipliers) and the argument to the fundamental strip
+Every evaluation takes Re tau reduced modulo 8 (the common period of all
+three series and multipliers; ThetaContext reduces it), reduces the argument
+to the fundamental strip
 Re in [0,1), Im in [0, Im tau), and multiplies back the exact quasi-periodicity
 factor, so the series never sees a badly scaled exponential.  Exponents are
 combined before a single exp() call; computing coefficient and oscillatory
@@ -45,11 +46,10 @@ _TWO_PI_I = 2j * math.pi
 # in double precision for any allowed tau.
 _MAX_LATTICE_STEPS = 64.0
 
-
-def _tau(ctx: ThetaContext) -> complex:
-    """ctx.tau with Re tau reduced exactly modulo 8: the odd theta gains e^(i*pi/4)
-    per unit step of tau, and nothing here changes under tau -> tau + 8."""
-    return complex(math.fmod(ctx.tau.real, 8.0), ctx.tau.imag)
+# Series cutoff: the Fourier mode index ranges over |j| <= _TRUNC.  For the
+# orders the checks build (at most 9) and Im tau >= 0.3 the tail
+# |q|^(_TRUNC^2 / (2 n)) is below 1e-40.
+_TRUNC = 30
 
 
 def _lattice_reduce(z, tau: complex):
@@ -66,19 +66,20 @@ def _lattice_reduce(z, tau: complex):
     return w, a, b
 
 
-def _series(kind: str, w, tau: complex, M: int, order: int, index: int, deriv: int):
-    """Raw truncated series over the modes |j| <= M at a reduced argument (no multiplier)."""
+def _series(kind: str, w, tau: complex, order: int, index: int, deriv: int):
+    """Raw truncated series over the modes |j| <= _TRUNC at a reduced argument (no multiplier)."""
+    modes = np.arange(-_TRUNC, _TRUNC + 1, dtype=float)
     if kind == "order1":
-        k = np.arange(-M, M + 1, dtype=float)
+        k = modes
         sign = (-1.0) ** (k - 1)
         cexp = k * (k - 1) / 2.0
     elif kind == "basis":
-        j = np.arange(-M, M + 1, dtype=float)
+        j = modes
         k = index + j * order
         sign = (-1.0) ** (j * order)
         cexp = index * j + order * j * (j - 1) / 2.0
     elif kind == "odd":
-        m = np.arange(-M, M + 1, dtype=float)
+        m = modes
         k = m + 0.5
         sign = -1j * (-1.0) ** m
         cexp = (m + 0.5) ** 2 / 2.0
@@ -112,17 +113,17 @@ def _multiplier(kind: str, tau: complex, order: int, w, a, b):
 
 def theta_value(kind: str, z, ctx: ThetaContext, order: int = 1, index: int = 0, deriv: int = 0):
     """Evaluate the deriv-th derivative of the chosen theta at z (vectorized)."""
-    tau = _tau(ctx)
+    tau = ctx.tau
     w, a, b = _lattice_reduce(z, tau)
     mult = _multiplier(kind, tau, order, w, a, b)
     nu = order if kind == "basis" else 1
     if deriv == 0:
-        val = _series(kind, w, tau, ctx.trunc, order, index, 0)
+        val = _series(kind, w, tau, order, index, 0)
     else:
         fac = -_TWO_PI_I * nu * b
         val = 0
         for r in range(deriv + 1):
-            term = _series(kind, w, tau, ctx.trunc, order, index, r)
+            term = _series(kind, w, tau, order, index, r)
             val = val + math.comb(deriv, r) * fac ** (deriv - r) * term
     out = mult * val
     if not np.all(np.isfinite(out)):
@@ -137,9 +138,9 @@ def theta1(z, ctx: ThetaContext):
     return theta_value("order1", z, ctx)
 
 
-def theta_basis(i: int, z, ctx: ThetaContext, n: int | None = None):
-    """i-th basis element of the order-n theta space (n defaults to ctx.order_n)."""
-    n = ctx.order_n if n is None else int(n)
+def theta_basis(i: int, z, ctx: ThetaContext, n: int):
+    """i-th basis element of the order-n theta space."""
+    n = int(n)
     if not 0 <= i < n:
         raise ValueError(f"basis index {i} out of range for order {n}")
     return theta_value("basis", z, ctx, order=n, index=i)
@@ -156,9 +157,8 @@ def reduce_to_fundamental(z: complex, ctx: ThetaContext):
     Returns (z_reduced, multiplier) with theta1(z) = multiplier * theta1(z_reduced)
     and Im(z_reduced) in [0, Im tau).
     """
-    tau = _tau(ctx)
-    w, a, b = _lattice_reduce(z, tau)
-    mult = _multiplier("order1", tau, 1, w, a, b)
+    w, a, b = _lattice_reduce(z, ctx.tau)
+    mult = _multiplier("order1", ctx.tau, 1, w, a, b)
     if np.ndim(z) == 0:
         return complex(w), complex(mult)
     return w, mult

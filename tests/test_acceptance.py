@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the one-line verdicts.
 """
 
 import json
+import pathlib
 import time
 
 
@@ -146,6 +147,11 @@ def test_13_harness_determinism(tmp_path):
         reports.append(json.load(open(out)))
     strip = lambda rep: [{k: v for k, v in r.items() if k != "wall_time_ms"} for r in rep]
     assert strip(reports[0]) == strip(reports[1]), "residuals not byte-identical across runs"
+    # and identical to the committed report: an intended drift updates tests/data/default_report.json
+    golden = json.loads((pathlib.Path(__file__).parent / "data" / "default_report.json").read_text())
+    got = [{"name": r["name"], "params": r["params"], "pass": r["pass"], "seed": r["seed"],
+            "tolerance": r["tolerance"], "residual_max": float.hex(r["residual_max"])} for r in reports[0]]
+    assert got == golden, "default suite drifted from tests/data/default_report.json"
     elapsed = time.perf_counter() - t0
     print(f"ACCEPTANCE 13 harness-determinism: PASS "
           f"checks={len(reports[0])} identical-residuals exit=0 time={elapsed:.1f}s")

@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ellcert.checks import REGISTRY, REPORT_SCHEMA, CheckSpec, parse_value, run_check
 from ellcert.cli import load_config, main
-from ellcert.errors import ParameterError, SamplingExhaustedError
+from ellcert.errors import InconclusiveRankError, ParameterError, SamplingExhaustedError
 
 SMALL_SUITE = """
 [fay]
@@ -213,6 +215,8 @@ BAD_INPUTS = {
     "transfer-commute-eta-2-torsion": ["check", "transfer-commute", "--param", "n=2", "--param", "eta=0.5"],
     "casimir-diagonal-eta-zero": ["check", "casimir-diagonal", "--param", "eta=0"],
     "casimir-diagonal-overflow": ["check", "casimir-diagonal", "--param", "eta=0.4+0.7j"],
+    "eta-not-read-by-sos-ratio": ["check", "sos-ratio", "--param", "n=3",
+                                  "--param", "eta=0.38202169242764034+0.13201330840497705j"],
 }
 
 
@@ -250,6 +254,12 @@ def test_help_exits_zero(capsys):
 def test_real_part_of_tau_leaves_fay_bit_identical():
     near = REGISTRY["fay"]({"taus": "0.8j"}, 42)
     far = REGISTRY["fay"]({"taus": "1e6+0.8j"}, 42)
+    assert far.hex() == near.hex()
+
+
+def test_real_part_of_tau_leaves_quasiperiodicity_bit_identical():
+    near = REGISTRY["theta-quasiperiodicity"]({"taus": "3.5+0.8j"}, 42)
+    far = REGISTRY["theta-quasiperiodicity"]({"taus": "1000003.5+0.8j"}, 42)
     assert far.hex() == near.hex()
 
 
@@ -298,3 +308,43 @@ def test_edge_text_under_every_key_resolves_or_is_a_parameter_error(name):
         for text in EDGE_TEXT:
             _resolves_or_parameter_error(name, {key: text})
             _resolves_or_parameter_error(name, {key: parse_value(text)})
+
+
+def _stub(seed, **_):
+    """Stand-in check body: PASS, FAIL or INCONCLUSIVE by seed, no identity evaluated."""
+    if seed % 3 == 2:
+        raise InconclusiveRankError("stub", gap=0.5)
+    return float(seed % 3)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as stop:  # argparse usage errors and --help
+        return stop.code
+
+
+NAMES = st.one_of(st.sampled_from(sorted(REGISTRY)), st.text(max_size=8))
+PARAM_TEXT = st.one_of(st.tuples(st.sampled_from(KEYS), TEXT).map("=".join), st.text(max_size=12))
+CHECK_ARGV = st.builds(
+    lambda name, params, seed: ["check", name] + [a for t in params for a in ("--param", t)]
+    + ([] if seed is None else ["--seed", seed]),
+    NAMES, st.lists(PARAM_TEXT, max_size=3), st.one_of(st.none(), TEXT))
+SECTION = st.builds(lambda name, items: f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items),
+                    NAMES, st.lists(st.tuples(st.sampled_from(KEYS), TEXT), max_size=3))
+CONFIG_TEXT = st.one_of(st.lists(SECTION, max_size=3).map("\n".join), st.text(max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=CHECK_ARGV, config=CONFIG_TEXT, use_config=st.booleans())
+def test_any_command_line_ends_in_an_exit_code(argv, config, use_config):
+    # every check body is a stub, so this drives parsing, resolution and reporting only
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for name, cd in REGISTRY.items():
+            mp.setitem(REGISTRY, name, dataclasses.replace(cd, fn=_stub))
+        if use_config:
+            cfg = os.path.join(tmp, "fuzz.cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(config)
+            argv = ["run", cfg]
+        assert _exit_code(argv) in (0, 1, 2, 3)

@@ -14,14 +14,12 @@ from ellcert.poisson import (
     fay_residual,
     fay_sweep,
     jacobi_delta_residual,
-    make_classical_bpn,
-    make_cone,
     pbracket,
-    pbracket_ratio,
     pbracket_residual,
     psi2_pair_residual,
     psi_p,
 )
+from ellcert.shiftops import make_Bpn, make_Vn
 CTX = ThetaContext()
 
 
@@ -43,13 +41,13 @@ def phase_env(alg, rng):
 
 class TestBracketAxioms:
     def test_self_bracket_vanishes(self):
-        alg = make_cone(2, CTX)
+        alg = make_Vn(2, CTX)
         a = PoissonElement.generator(alg, "f1", ex.theta1_of("z1"))
         assert pbracket_residual(a, a, samples=6, seed=0) == 0.0
 
     def test_cone_defining_bracket(self):
         # {f1, z1} = -3 f1 in the n = 3 cone algebra
-        alg = make_cone(3, CTX)
+        alg = make_Vn(3, CTX)
         f1 = PoissonElement.generator(alg, "f1")
         z1 = PoissonElement.function(alg, ex.var("z1"))
         got = pbracket(f1, z1)
@@ -62,7 +60,7 @@ class TestBracketAxioms:
 
     def test_classical_bpn_bracket(self):
         # {e1, u2} = -2 e1 in b_{2,4}
-        alg = make_classical_bpn(2, 4, CTX)
+        alg = make_Bpn(2, 4, CTX)
         e1 = PoissonElement.generator(alg, "e1")
         u2 = PoissonElement.function(alg, ex.var("u2"))
         got = pbracket(e1, u2)
@@ -70,7 +68,7 @@ class TestBracketAxioms:
         assert abs(got.evaluate(env) - (-2) * env["e1"]) < 1e-12
 
     def test_antisymmetry_and_leibniz(self):
-        alg = make_classical_bpn(2, 3, CTX)
+        alg = make_Bpn(2, 3, CTX)
         rng = np.random.default_rng(5)
         for trial in range(20):
             a, b, c = (random_element(alg, rng) for _ in range(3))
@@ -82,7 +80,7 @@ class TestBracketAxioms:
             assert abs(lhs - rhs) <= 1e-9 * max(1, abs(lhs), abs(rhs))
 
     def test_jacobi_identity_sampled(self):
-        alg = make_classical_bpn(2, 3, CTX)
+        alg = make_Bpn(2, 3, CTX)
         rng = np.random.default_rng(7)
         for trial in range(10):
             a, b, c = (random_element(alg, rng) for _ in range(3))
@@ -97,30 +95,30 @@ class TestBracketAxioms:
 
 class TestRatioBracket:
     def test_unit_denominators_reduce_to_plain_bracket(self):
-        alg = make_cone(2, CTX)
+        alg = make_Vn(2, CTX)
         one = PoissonElement.function(alg, ex.const(1))
         f = PoissonElement.generator(alg, "f1", ex.theta1_of("z1"))
         g = PoissonElement.generator(alg, "f2", ex.var("z2"))
-        rb = pbracket_ratio(f, one, g, one)
+        rb = RatioBracket(f, one, g, one)
         env = phase_env(alg, np.random.default_rng(2))
         assert abs(rb(env) - pbracket(f, g).evaluate(env)) < 1e-10
 
     def test_constant_ratio_brackets_to_zero(self):
-        alg = make_cone(2, CTX)
+        alg = make_Vn(2, CTX)
         h = PoissonElement.function(alg, ex.theta1_of(ex.aff("z1", "z2")))
         g = PoissonElement.generator(alg, "f1", ex.var("z1"))
-        rb = pbracket_ratio(h, h, g, PoissonElement.function(alg, ex.const(1)))
+        rb = RatioBracket(h, h, g, PoissonElement.function(alg, ex.const(1)))
         env = phase_env(alg, np.random.default_rng(3))
         value, scale = rb.residual_at(env)
         assert abs(value) / scale <= CTX.id_tol
 
     def test_quotient_rule(self):
         # {1/h, g} + {h, g} / h^2 = 0
-        alg = make_cone(2, CTX)
+        alg = make_Vn(2, CTX)
         h = PoissonElement.function(alg, ex.theta1_of(ex.aff("z1", (0.5, "z2"))))
         g = PoissonElement.generator(alg, "f2", ex.theta1_of("z2"))
         one = PoissonElement.function(alg, ex.const(1))
-        inv_bracket = pbracket_ratio(one, h, g, one)
+        inv_bracket = RatioBracket(one, h, g, one)
         rng = np.random.default_rng(4)
         for _ in range(20):
             env = phase_env(alg, rng)
@@ -130,10 +128,10 @@ class TestRatioBracket:
             assert abs(lhs - rhs) <= 1e-9 * max(1, abs(lhs), abs(rhs))
 
     def test_rejects_non_multiplication_denominator(self):
-        alg = make_cone(2, CTX)
+        alg = make_Vn(2, CTX)
         f = PoissonElement.generator(alg, "f1")
         with pytest.raises(ValueError):
-            pbracket_ratio(f, f, f, f)
+            RatioBracket(f, f, f, f)
 
 
 class TestHamiltonians:

@@ -18,6 +18,7 @@ from ellcert.shiftops import (
     commutator_residual,
     invert_multiplication,
     make_Bpn,
+    make_algebra,
     make_Btilde,
     make_sos,
     make_Vn,
@@ -202,12 +203,13 @@ class TestPoledBatchIsDiscarded:
 class TestInstances:
     def test_vn_shift_matrix(self):
         alg = make_Vn(1, CTX)
-        assert alg.shift == ((-CTX.eta,),)
+        assert alg.steps == ((-1,),)
+        assert alg.translation_of((1,)) == {"z1": -CTX.eta}
 
     def test_bpn_shift_matrix(self):
         alg = make_Bpn(2, 4, CTX)
-        e = CTX.eta
-        assert alg.shift == ((2 * e, -2 * e), (-2 * e, 2 * e))
+        assert alg.steps == ((2, -2), (-2, 2))
+        assert alg.translation_of((1, 0)) == {"u1": 2 * CTX.eta, "u2": -2 * CTX.eta}
 
     def test_btilde_layout(self):
         alg = make_Btilde((2, 2), CTX)  # n = 3
@@ -216,13 +218,13 @@ class TestInstances:
         assert len([g for g in alg.gen_names if g.startswith("e")]) == 4
         assert len([g for g in alg.gen_names if g.startswith("f")]) == 1
         # e_{1,1} shifts z_{2,1} by -3*eta and nothing else
-        row = alg.shift[alg.gen_index("e1_1")]
+        row = alg.steps[alg.gen_index("e1_1")]
         nz = {alg.var_names[i]: s for i, s in enumerate(row) if s != 0}
-        assert nz == {"z2_1": -3 * CTX.eta}
+        assert nz == {"z2_1": -3}
         # f_1 shifts t_1 by -3*eta
-        row = alg.shift[alg.gen_index("f1")]
+        row = alg.steps[alg.gen_index("f1")]
         nz = {alg.var_names[i]: s for i, s in enumerate(row) if s != 0}
-        assert nz == {"t1": -3 * CTX.eta}
+        assert nz == {"t1": -3}
 
     def test_btilde_own_variable_commutes_exactly(self):
         alg = make_Btilde((2, 2), CTX)
@@ -235,6 +237,10 @@ class TestInstances:
         assert alg.gen_names == ("Tp1", "Tp2", "Tm1", "Tm2")
         assert alg.translation_of((1, 0, 0, 0)) == {"z1": 2 * CTX.eta}
         assert alg.translation_of((0, 0, 0, 1)) == {"z2": -2 * CTX.eta}
+
+    def test_rejects_non_integer_steps(self):
+        with pytest.raises(ValueError):
+            make_algebra(["z1"], ["f1"], [[0.5]], CTX)
 
 
 class TestInversion:
