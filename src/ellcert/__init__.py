@@ -8,7 +8,7 @@ star product and its bosonizations), and certifies every commutation or
 identity claim by seeded randomized sampling with controlled tolerances.
 """
 
-from .context import ThetaContext, DEFAULT_CONTEXT
+from .context import ThetaContext
 from .errors import (
     EllcertError,
     EvaluationOverflowError,
@@ -23,7 +23,6 @@ from .theta import theta1, theta_basis, theta_odd, reduce_to_fundamental
 
 __all__ = [
     "ThetaContext",
-    "DEFAULT_CONTEXT",
     "EllcertError",
     "EvaluationOverflowError",
     "InconclusiveRankError",

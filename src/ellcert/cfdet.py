@@ -1,11 +1,17 @@
 """Cartier-Foata determinants over partially commutative backends.
 
-A backend supplies the element arithmetic; entries of an n x (n+1) grid whose
-rows live in pairwise commuting subalgebras admit a well defined determinant
-per n x n minor: the permutation sum with products taken in a fixed row
-order.  The ratios H_i = (M^0)^-1 M^i then commute, and the triangle
-relations M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i hold; both are certified here
-over an exact finite-dimensional tensor model.
+A backend supplies the element arithmetic (add, mul, neg); entries of an
+n x (n+1) grid whose rows live in pairwise commuting subalgebras admit a well
+defined determinant per n x n minor: the permutation sum with products taken
+in row order (Cartier & Foata, LNM 85, 1969).  The ratios H_i = (M^0)^-1 M^i
+then commute, and the triangle relations M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i
+hold; both are certified here over an exact finite-dimensional tensor model.
+
+Every determinant comes from one row-ordered Laplace recursion over column
+sets: level k holds the C(width, k) determinants of the first k rows, each
+k products from level k-1.  All n+1 minors of an n x (n+1) grid thus cost
+C(n+1, k) * k products at each level k = 2..n, 70 in all at n = 4 (n+1
+permutation sums take 360), and no size cap is needed.
 
 Also houses the multilinear Plucker identities used by the Poisson layer;
 these hold for decomposable alternating forms (partial determinants), which
@@ -15,23 +21,12 @@ is how they arise, and fail for generic antisymmetric arrays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SingularOperatorError
-
-_MAX_CF_SIZE = 6  # n! * n multiplications; identities are degree-independent
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 class TensorBackend:
@@ -83,81 +78,56 @@ class TensorBackend:
         return self.site_element(site, block)
 
 
-@dataclass
-class CFMatrix:
-    """n x (n+1) grid with rows in pairwise commuting subalgebras."""
-
-    entries: list  # entries[row][col]
-    backend: object
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def row_commutation_residual(self, samples: int = 4, seed: int = 0) -> float:
-        """Sampled witness for the commuting-rows declaration."""
-        be = self.backend
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(samples):
-            i, j = rng.choice(self.n, size=2, replace=False)
-            x = self.entries[i][rng.integers(0, self.n + 1)]
-            y = self.entries[j][rng.integers(0, self.n + 1)]
-            comm = be.add(be.mul(x, y), be.neg(be.mul(y, x)))
-            scale = max(1.0, be.norm(x) * be.norm(y))
-            worst = max(worst, be.norm(comm) / scale)
-        return worst
-
-
-def random_cf_matrix(backend: TensorBackend, seed: int) -> CFMatrix:
+def random_cf_matrix(backend: TensorBackend, seed: int) -> list:
+    """n x (n+1) grid whose row i acts on site i only, so rows commute."""
     rng = np.random.default_rng(seed)
     n = backend.n
-    entries = [[backend.random_site_element(i, rng) for _ in range(n + 1)] for i in range(n)]
-    return CFMatrix(entries, backend)
+    return [[backend.random_site_element(i, rng) for _ in range(n + 1)] for i in range(n)]
 
 
-def cf_det(grid, backend, row_order: Sequence[int] | None = None):
-    """Permutation-sum determinant with products taken in fixed row order.
+def _column_sets(grid, backend) -> dict:
+    """D[S] for every set S of len(grid) columns, keyed by S in increasing order.
 
-    By the commuting-rows hypothesis the value is independent of row_order.
+    D[S] is the determinant of the rows 0..|S|-1 on the columns S, expanded
+    along its last row:  D[S] = sum_{c in S} (-1)^#{c' in S: c' > c}
+    D[S - c] * grid[|S|-1][c].  Every product keeps the row order, so the
+    value is the fixed-row-order permutation sum, exact over any ring.
     """
-    n = len(grid)
-    if n > _MAX_CF_SIZE:
-        raise ValueError(f"cf_det capped at n={_MAX_CF_SIZE} (cost n!*n)")
-    if any(len(row) != n for row in grid):
+    width = len(grid[0])
+    level = {(c,): grid[0][c] for c in range(width)}
+    for r in range(1, len(grid)):
+        nxt = {}
+        for cols in itertools.combinations(range(width), r + 1):
+            total = None
+            for pos, c in enumerate(cols):
+                term = backend.mul(level[cols[:pos] + cols[pos + 1:]], grid[r][c])
+                if (r - pos) % 2:
+                    term = backend.neg(term)
+                total = term if total is None else backend.add(total, term)
+            nxt[cols] = total
+        level = nxt
+    return level
+
+
+def cf_det(grid, backend):
+    """Determinant of a square grid with products taken in row order."""
+    if any(len(row) != len(grid) for row in grid):
         raise ValueError("cf_det needs a square grid")
-    order = list(range(n)) if row_order is None else list(row_order)
-    if sorted(order) != list(range(n)):
-        raise ValueError("row_order must be a permutation of the rows")
-    total = backend.zero()
-    for perm in itertools.permutations(range(n)):
-        term = None
-        for r in order:
-            e = grid[r][perm[r]]
-            term = e if term is None else backend.mul(term, e)
-        if _perm_sign(perm) < 0:
-            term = backend.neg(term)
-        total = backend.add(total, term)
-    return total
+    (det,) = _column_sets(grid, backend).values()
+    return det
 
 
-def minors(m: CFMatrix) -> list:
-    """M^0 ... M^n: the determinant with the i-th column deleted."""
-    n = m.n
-    out = []
-    for i in range(n + 1):
-        grid = [[m.entries[r][c] for c in range(n + 1) if c != i] for r in range(n)]
-        out.append(cf_det(grid, m.backend))
-    return out
+def minors(grid, backend) -> list:
+    """M^0 ... M^n of an n x (n+1) grid: the determinant with column i deleted."""
+    if any(len(row) != len(grid) + 1 for row in grid):
+        raise ValueError("minors needs an n x (n+1) grid")
+    # the n-sets come in lexicographic order, the one without column i i-th from the end
+    return list(_column_sets(grid, backend).values())[::-1]
 
 
-def verify_commuting_family(m: CFMatrix) -> float:
-    """max over pairs of |[H_i, H_j]| / (|H_i| |H_j|) with H_i = (M^0)^-1 M^i."""
-    return _ratio_commutator_residual(minors(m), m.backend)
-
-
-def _ratio_commutator_residual(ms, be) -> float:
+def verify_commuting_family(ms, backend) -> float:
     """max over pairs of |[H_i, H_j]| / max(1, |H_i| |H_j|), H_i = ms[0]^-1 ms[i]."""
+    be = backend
     inv0 = be.invert(ms[0])
     hs = [be.mul(inv0, d) for d in ms[1:]]
     worst = 0.0
@@ -169,15 +139,18 @@ def _ratio_commutator_residual(ms, be) -> float:
     return worst
 
 
-def verify_triangle(m: CFMatrix, i: int, j: int) -> float:
-    """Residual of M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i."""
-    be = m.backend
-    ms = minors(m)
+def verify_triangle(ms, backend) -> float:
+    """max over i < j of the residual of M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i."""
+    be = backend
     inv0 = be.invert(ms[0])
-    lhs = be.mul(ms[i], be.mul(inv0, ms[j]))
-    rhs = be.mul(ms[j], be.mul(inv0, ms[i]))
-    scale = max(1.0, be.norm(ms[i]) * be.norm(inv0) * be.norm(ms[j]))
-    return be.norm(be.add(lhs, be.neg(rhs))) / scale
+    worst = 0.0
+    for i in range(len(ms)):
+        for j in range(i + 1, len(ms)):
+            lhs = be.mul(ms[i], be.mul(inv0, ms[j]))
+            rhs = be.mul(ms[j], be.mul(inv0, ms[i]))
+            scale = max(1.0, be.norm(ms[i]) * be.norm(inv0) * be.norm(ms[j]))
+            worst = max(worst, be.norm(be.add(lhs, be.neg(rhs))) / scale)
+    return worst
 
 
 def delta_family(fgrid, backend) -> float:
@@ -188,16 +161,8 @@ def delta_family(fgrid, backend) -> float:
     sigma: I -> {1..n} of sign(sigma) * prod f_{i, sigma(i)}, and Delta_i
     omits the first index i.
     """
-    be = backend
-    n = len(fgrid) - 1
-    deltas = []
-    for omit in range(n + 1):
-        rows = [i for i in range(n + 1) if i != omit]
-        # grid[r][c] = f_{rows[c], r+1}: row r collects second-index r+1,
-        # so rows commute and cf_det applies.
-        grid = [[fgrid[rows[c]][r] for c in range(n)] for r in range(n)]
-        deltas.append(cf_det(grid, be))
-    return _ratio_commutator_residual(deltas, be)
+    # row r of the transpose collects second index r+1, so its rows commute
+    return verify_commuting_family(minors(list(zip(*fgrid)), backend), backend)
 
 
 def random_delta_grid(backend: TensorBackend, seed: int) -> list:
@@ -209,6 +174,10 @@ def random_delta_grid(backend: TensorBackend, seed: int) -> list:
 
 # Plucker identities -----------------------------------------------------------
 
+# covectors as a determinant backend: row r of the grid becomes tensor axis r
+_OUTER = SimpleNamespace(add=np.add, mul=np.multiply.outer, neg=np.negative)
+
+
 def decomposable_form(order: int, d: int, seed: int) -> np.ndarray:
     """Antisymmetrization of the outer product of `order` random covectors.
 
@@ -217,13 +186,7 @@ def decomposable_form(order: int, d: int, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     us = rng.normal(size=(order, d)) + 1j * rng.normal(size=(order, d))
-    lam = np.zeros((d,) * order, dtype=complex)
-    for perm in itertools.permutations(range(order)):
-        outer = us[perm[0]]
-        for p in perm[1:]:
-            outer = np.multiply.outer(outer, us[p])
-        lam += _perm_sign(perm) * outer
-    return lam
+    return cf_det([us] * order, _OUTER)
 
 
 def form_apply(lam: np.ndarray, *vectors) -> complex:

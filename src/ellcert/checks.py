@@ -243,37 +243,36 @@ def check_theta_quasiperiodicity(seed, n_max, points, taus) -> float:
     return worst
 
 
-def _well_conditioned_matrix(be, seed):
+def _well_conditioned_minors(be, seed):
     # ill-conditioned M^0 draws are resampled, per the invertibility contract
     for bump in range(8):
-        m = cfdet.random_cf_matrix(be, seed + 100_000 * bump)
+        ms = cfdet.minors(cfdet.random_cf_matrix(be, seed + 100_000 * bump), be)
         try:
-            be.invert(cfdet.minors(m)[0])
+            be.invert(ms[0])
         except SingularOperatorError:
             continue
-        return m
+        return ms
     raise SingularOperatorError("no well-conditioned draw in 8 attempts")
 
 
-def _cf_matrices(sizes, seeds, seed):
-    """(n, M) for every NxK size and each of `seeds` seed offsets, in that order."""
+def _cf_minors(sizes, seeds, seed):
+    """(minors, backend) for every NxK size and each of `seeds` seed offsets, in that order."""
     for n, k in sizes:
         be = cfdet.TensorBackend(n, k)
         for s in range(seeds):
-            yield n, _well_conditioned_matrix(be, seed + s)
+            yield _well_conditioned_minors(be, seed + s), be
 
 
 @check("cf-commute", 1e-9, "determinant-ratio commuting family over the tensor backend",
        sizes=SIZES, seeds=count(20))
 def check_cf_commute(seed, sizes, seeds) -> float:
-    return max(cfdet.verify_commuting_family(m) for _, m in _cf_matrices(sizes, seeds, seed))
+    return max(cfdet.verify_commuting_family(ms, be) for ms, be in _cf_minors(sizes, seeds, seed))
 
 
 @check("cf-triangle", 1e-9, "triangle exchange relations for the minors",
        sizes=SIZES, seeds=count(20))
 def check_cf_triangle(seed, sizes, seeds) -> float:
-    return max(cfdet.verify_triangle(m, i, j) for n, m in _cf_matrices(sizes, seeds, seed)
-               for i in range(n + 1) for j in range(i + 1, n + 1))
+    return max(cfdet.verify_triangle(ms, be) for ms, be in _cf_minors(sizes, seeds, seed))
 
 
 @check("delta-family", 1e-9, "column-commuting grid variant of the commuting family",

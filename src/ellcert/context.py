@@ -39,6 +39,3 @@ class ThetaContext:
 
     def replace(self, **kw) -> "ThetaContext":
         return dataclasses.replace(self, **kw)
-
-
-DEFAULT_CONTEXT = ThetaContext()

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cfdet import cf_det
+from .cfdet import minors
 from .context import ThetaContext
 from .errors import PoleError
 from . import expr as ex
@@ -162,12 +162,8 @@ def classical_delta_elements(n: int, ctx: ThetaContext):
             return PoissonElement.generator(alg, f"f{r + 1}")
         return PoissonElement.function(alg, ex.theta_basis_of(col - 1, n, f"z{r + 1}"))
 
-    be = TermMapBackend(alg, PoissonElement)
-    deltas = []
-    for omit in range(n + 1):
-        grid = [[entry(r, col) for col in range(n + 1) if col != omit] for r in range(n)]
-        deltas.append(cf_det(grid, be))
-    return alg, deltas
+    grid = [[entry(r, col) for col in range(n + 1)] for r in range(n)]
+    return alg, minors(grid, TermMapBackend())
 
 
 def _phase_space_points(alg, count, seed, guards):
@@ -220,7 +216,7 @@ def _jacobi_delta_terms(n: int, ctx: ThetaContext, ijk):
 
 
 def jacobi_delta_residual(n: int, ctx: ThetaContext, ijk, seed: int = 0, points: int = 20) -> float:
-    """Residual of Delta_i {Delta_j, Delta_k} + cyclic permutations = 0."""
+    """Residual of Delta_i {Delta_j, Delta_k} + its cyclic shifts in (i, j, k) = 0."""
     alg, elems = _jacobi_delta_terms(n, ctx, tuple(ijk))
     stacked = stack_assignments(_phase_space_points(alg, points, seed, pair_guards(alg.var_names)))
     vals = [np.asarray(e.evaluate(stacked)) for e in elems]

@@ -325,14 +325,7 @@ def make_sos(n: int, ctx: ThetaContext) -> ShiftAlgebra:
 
 
 class TermMapBackend:
-    """Term maps through the part of the determinant backend protocol cf_det uses."""
-
-    def __init__(self, algebra: ShiftAlgebra, element: type):
-        self.algebra = algebra
-        self._element = element
-
-    def zero(self):
-        return self._element.zero(self.algebra)
+    """Term maps through the part of the determinant backend protocol cfdet uses."""
 
     def add(self, x, y):
         return x + y
@@ -345,18 +338,12 @@ class TermMapBackend:
 
 
 class ShiftOpBackend(TermMapBackend):
-    """Adapter exposing ShiftOps through the determinant backend protocol."""
+    """ShiftOp term maps with a sampled operator norm."""
 
     def __init__(self, algebra: ShiftAlgebra, norm_samples: int = 8, seed: int = 0):
-        super().__init__(algebra, ShiftOp)
+        self.algebra = algebra
         self._norm_samples = norm_samples
         self._seed = seed
-
-    def one(self):
-        return ShiftOp.one(self.algebra)
-
-    def invert(self, x):
-        return invert_multiplication(x)
 
     def norm(self, x) -> float:
         """Sampled sup-norm over coefficients at seeded guard-free points."""

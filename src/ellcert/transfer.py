@@ -34,7 +34,7 @@ from .sampling import pair_guards, sample_points, stack_assignments
 from .shiftops import (
     ShiftAlgebra,
     ShiftOp,
-    ShiftOpBackend,
+    TermMapBackend,
     invert_multiplication,
     make_Btilde,
     make_sos,
@@ -42,7 +42,7 @@ from .shiftops import (
     op_equal,
     shift_mul,
 )
-from .cfdet import cf_det
+from .cfdet import minors
 from .theta import theta_basis, theta1
 
 
@@ -182,32 +182,25 @@ def transfer_commutator_residual(family: TransferFamily, u: complex, v: complex,
 
 def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
                                       samples: int = 15, seed: int = 0) -> float:
-    """build_T(u) against D_0^{-1} sum_j (-1)^j theta_j(u) D_j.
+    """build_T(u) against D^{-1} sum_j (-1)^j theta_j(u) D_j.
 
-    D_j is the Cartier-Foata determinant of the theta grid with column j
-    replaced by the generator column (placed last); rows commute because row
-    r only touches (z_r, f_r).  One global u-independent constant relates
-    the two forms; it is measured at the first sample point and divided out.
+    D and D_j are the Cartier-Foata minors of the grid whose row r is
+    theta_0(z_r) .. theta_{n-1}(z_r), f_r: D deletes the generator column,
+    D_j the theta column j.  Rows commute because row r only touches
+    (z_r, f_r).  One global u-independent constant relates the two forms; it
+    is measured at the first sample point and divided out.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     alg = make_Vn(n, ctx)
-    be = ShiftOpBackend(alg)
     names = [f"z{i}" for i in range(1, n + 1)]
-
-    def theta_entry(j, r):
-        return ShiftOp.function(alg, ex.theta_basis_of(j, n, names[r]))
-
-    d0 = cf_det([[theta_entry(j, r) for j in range(n)] for r in range(n)], be)
+    grid = [[ShiftOp.function(alg, ex.theta_basis_of(j, n, names[r])) for j in range(n)]
+            + [ShiftOp.generator(alg, f"f{r + 1}")] for r in range(n)]
+    ms = minors(grid, TermMapBackend())
     acc = ShiftOp.zero(alg)
     for j in range(n):
-        cols = [c for c in range(n) if c != j]
-        grid = [[theta_entry(c, r) for c in cols] + [ShiftOp.generator(alg, f"f{r + 1}")]
-                for r in range(n)]
-        dj = cf_det(grid, be)
-        sign = (-1) ** j
-        acc = acc + dj.scaled(sign * theta_basis(j, u, ctx, n=n))
-    t_det = shift_mul(invert_multiplication(d0), acc)
+        acc = acc + ms[j].scaled((-1) ** j * theta_basis(j, u, ctx, n=n))
+    t_det = shift_mul(invert_multiplication(ms[n]), acc)
     t_exp = build_T(u, n, ctx)
 
     guards = _kernel_guards(names, ex.theta1_of)

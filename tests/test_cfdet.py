@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from ellcert.cfdet import (
-    CFMatrix,
     TensorBackend,
     cf_det,
     decomposable_form,
@@ -30,12 +29,6 @@ from ellcert.errors import SingularOperatorError
 class ScalarBackend:
     """Plain complex numbers; the commutative sanity case."""
 
-    def zero(self):
-        return 0j
-
-    def one(self):
-        return 1 + 0j
-
     def add(self, x, y):
         return x + y
 
@@ -54,21 +47,36 @@ class ScalarBackend:
         return 1 / x
 
 
+class CountingBackend(ScalarBackend):
+    """Scalar backend that counts its products."""
+
+    def __init__(self):
+        self.muls = 0
+
+    def mul(self, x, y):
+        self.muls += 1
+        return x * y
+
+
+def perm_sign(perm):
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
 def brute_perm_det(grid):
     """Independent oracle: raw permutation sum over numpy matrices."""
     n = len(grid)
     dim = grid[0][0].shape[0]
     total = np.zeros((dim, dim), dtype=complex)
     for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
         term = np.eye(dim, dtype=complex)
         for r in range(n):
             term = term @ grid[r][perm[r]]
-        total += sign * term
+        total += perm_sign(perm) * term
     return total
 
 
@@ -93,63 +101,80 @@ class TestCfDet:
         assert np.allclose(got, want, atol=1e-12)
 
     def test_row_order_independence(self):
+        # commuting rows: permuting them only multiplies the determinant by the sign
         be = TensorBackend(3, 2)
         rng = np.random.default_rng(8)
         grid = [[be.random_site_element(i, rng) for _ in range(3)] for i in range(3)]
         base = cf_det(grid, be)
+        scale = max(1.0, be.norm(base))
         for order in ([1, 0, 2], [2, 1, 0], [1, 2, 0]):
-            alt = cf_det(grid, be, row_order=order)
-            scale = max(1.0, be.norm(base))
-            assert be.norm(alt - base) / scale <= 1e-10
+            alt = cf_det([grid[r] for r in order], be)
+            assert be.norm(alt - perm_sign(order) * base) / scale <= 1e-10
 
-    def test_size_cap(self):
+    def test_rejects_wrong_shapes(self):
         be = ScalarBackend()
         with pytest.raises(ValueError):
-            cf_det([[1] * 7 for _ in range(7)], be)
+            cf_det([[1, 2, 3], [4, 5, 6]], be)
+        with pytest.raises(ValueError):
+            minors([[1, 2], [3, 4]], be)
 
 
 class TestMinors:
     def test_n1_column_deletion_convention(self):
-        be = ScalarBackend()
-        m = CFMatrix([[2 + 0j, 5 + 0j]], be)  # [a b] -> (M^0, M^1) = (b, a)
-        assert minors(m) == [5 + 0j, 2 + 0j]
+        # [a b] -> (M^0, M^1) = (b, a)
+        assert minors([[2 + 0j, 5 + 0j]], ScalarBackend()) == [5 + 0j, 2 + 0j]
 
     def test_scalar_classical_minors(self):
         rng = np.random.default_rng(1)
         A = rng.normal(size=(3, 4))
-        m = CFMatrix([[complex(A[i, j]) for j in range(4)] for i in range(3)], ScalarBackend())
-        got = minors(m)
+        got = minors([[complex(A[i, j]) for j in range(4)] for i in range(3)], ScalarBackend())
         for i in range(4):
             want = np.linalg.det(np.delete(A, i, axis=1))
             assert abs(got[i] - want) < 1e-12 * max(1, abs(want))
 
-    def test_tensor_n3_against_brute_force(self):
-        be = TensorBackend(3, 2)
-        m = random_cf_matrix(be, 11)
-        got = minors(m)
-        for i in range(4):
-            grid = [[m.entries[r][c] for c in range(4) if c != i] for r in range(3)]
-            want = brute_perm_det(grid)
+    def test_one_recursion_for_all_minors(self):
+        # sum over levels k = 2..4 of C(5, k) * k products; n+1 permutation sums take 360
+        rng = np.random.default_rng(6)
+        A = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+        be = CountingBackend()
+        got = minors([list(row) for row in A], be)
+        assert be.muls == 70
+        for i in range(5):
+            want = np.linalg.det(np.delete(A, i, axis=1))
+            assert abs(got[i] - want) < 1e-12 * max(1, abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tensor_against_brute_force(self, n):
+        be = TensorBackend(n, 2)
+        grid = random_cf_matrix(be, 11)
+        got = minors(grid, be)
+        for i in range(n + 1):
+            want = brute_perm_det([[row[c] for c in range(n + 1) if c != i] for row in grid])
             assert np.allclose(got[i], want, atol=1e-9)
 
 
 class TestCommutingFamily:
     def test_rows_commute_witness(self):
-        m = random_cf_matrix(TensorBackend(3, 2), 2)
-        assert m.row_commutation_residual(samples=8, seed=0) < 1e-12
+        # sampled witness for the commuting-rows declaration
+        be = TensorBackend(3, 2)
+        grid = random_cf_matrix(be, 2)
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            i, j = rng.choice(3, size=2, replace=False)
+            x, y = grid[i][rng.integers(0, 4)], grid[j][rng.integers(0, 4)]
+            scale = max(1.0, be.norm(x) * be.norm(y))
+            assert be.norm(x @ y - y @ x) / scale < 1e-12
 
     def test_n1_trivial(self):
         be = TensorBackend(1, 2)
-        m = random_cf_matrix(be, 3)
-        assert verify_commuting_family(m) < 1e-12
+        assert verify_commuting_family(minors(random_cf_matrix(be, 3), be), be) < 1e-12
 
     @pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2)])
     def test_residual_small(self, n, k):
         be = TensorBackend(n, k)
         for seed in range(3):
-            m = random_cf_matrix(be, seed)
             try:
-                r = verify_commuting_family(m)
+                r = verify_commuting_family(minors(random_cf_matrix(be, seed), be), be)
             except SingularOperatorError:
                 continue
             assert r <= 1e-9
@@ -157,19 +182,19 @@ class TestCommutingFamily:
 
 class TestTriangle:
     def test_equal_indices_zero(self):
-        m = random_cf_matrix(TensorBackend(2, 2), 7)
-        assert verify_triangle(m, 1, 1) == 0.0
+        # a repeated minor exchanges with itself exactly; M^0 pairs only round
+        be = TensorBackend(2, 2)
+        m0, m1, _ = minors(random_cf_matrix(be, 7), be)
+        assert verify_triangle([m0, m1, m1], be) <= 1e-13
 
     def test_scalar_case_zero(self):
         rng = np.random.default_rng(4)
-        m = CFMatrix([[complex(x) for x in row] for row in rng.normal(size=(3, 4))], ScalarBackend())
-        assert verify_triangle(m, 1, 2) < 1e-12
+        grid = [[complex(x) for x in row] for row in rng.normal(size=(3, 4))]
+        assert verify_triangle(minors(grid, ScalarBackend()), ScalarBackend()) < 1e-12
 
     def test_tensor_residual_small(self):
-        m = random_cf_matrix(TensorBackend(3, 2), 21)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert verify_triangle(m, i, j) <= 1e-9
+        be = TensorBackend(3, 2)
+        assert verify_triangle(minors(random_cf_matrix(be, 21), be), be) <= 1e-9
 
 
 class TestDeltaFamily:
