@@ -78,8 +78,7 @@ def _run_and_report(specs, out) -> int:
 
 def cmd_list(_args) -> int:
     for name, cd in sorted(REGISTRY.items()):
-        gate = "" if cd.gating else "  [not gating]"
-        print(f"{name}: {cd.summary}{gate}")
+        print(f"{name}: {cd.summary}")
         for key, p in cd.params.items():
             default = "unset" if p.default is None else p.default
             print(f"    {key:10s} = {default!s:20s} {p.allowed}")

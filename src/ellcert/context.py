@@ -19,17 +19,13 @@ class ThetaContext:
     eta  deformation parameter (generic; finite-order points are kept away by
          sampling guards, never by symbolic limits)
 
-    The tolerances are constants of the class, not settings:
-    eval_tol   target accuracy of a single evaluation
-    id_tol     residual threshold for identity checks
-    pole_guard minimum allowed relative denominator magnitude
+    pole_guard, the minimum allowed denominator magnitude, is a constant of
+    the class, not a setting.
     """
 
     tau: complex = 0.8j
     eta: complex = 0.171717 + 0.0323j
 
-    eval_tol: ClassVar[float] = 1e-12
-    id_tol: ClassVar[float] = 1e-8
     pole_guard: ClassVar[float] = 1e-6
 
     def __post_init__(self):

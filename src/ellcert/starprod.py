@@ -13,12 +13,14 @@ The bosonization sends a degree-one element f to
 in the shift algebra B_{p,n}.  Its well-definedness is certified without any
 basis convention: the sampled rank of {theta_i * theta_j} must equal
 n(n+1)/2, and every sampled kernel vector must annihilate the corresponding
-operator combination.  The explicit quadratic-relation check depends on the
-basis normalization and is therefore reported, never asserted.
+operator combination.  The explicit quadratic relations of Q_{n,1}(E, eta)
+hold in Odesskii's normalized basis, which is built from theta_a by a
+constant and a shift; `qnk_relation_residual` certifies them.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -93,12 +95,6 @@ def theta_gen(i: int, n: int, ctx: ThetaContext) -> SymThetaFun:
     return SymThetaFun(1, n, ex.theta_basis_of(i, n, "z1"), ctx)
 
 
-def theta_line(coeffs, n: int, ctx: ThetaContext) -> SymThetaFun:
-    body = ex.add(*(ex.mul(ex.const(c), ex.theta_basis_of(i, n, "z1"))
-                    for i, c in enumerate(coeffs) if c != 0))
-    return SymThetaFun(1, n, body, ctx)
-
-
 def star(f: SymThetaFun, g: SymThetaFun) -> SymThetaFun:
     """Shuffle form of the star product; lands in degree f.degree + g.degree."""
     if f.order_n != g.order_n or f.ctx != g.ctx:
@@ -119,19 +115,6 @@ def star(f: SymThetaFun, g: SymThetaFun) -> SymThetaFun:
                                        ex.theta1_of(diffarg)))
         terms.append(ex.prod_over(factors))
     return SymThetaFun(a + b, n, ex.add(*terms), f.ctx)
-
-
-def plain_symmetrized_product(f: SymThetaFun, g: SymThetaFun) -> SymThetaFun:
-    """Shuffle sum of f*g with no kernel and no shifts: the eta = 0 limit."""
-    a, b = f.degree, g.degree
-    total_vars = _zvars(a + b)
-    terms = []
-    for fslots in itertools.combinations(range(a + b), a):
-        gslots = [i for i in range(a + b) if i not in fslots]
-        fmap = {f"z{i+1}": ex.aff(total_vars[s]) for i, s in enumerate(fslots)}
-        gmap = {f"z{j+1}": ex.aff(total_vars[s]) for j, s in enumerate(gslots)}
-        terms.append(ex.mul(ex.substitute(f.body, fmap), ex.substitute(g.body, gmap)))
-    return SymThetaFun(a + b, f.order_n, ex.add(*terms), f.ctx)
 
 
 def star_assoc_residual(f: SymThetaFun, g: SymThetaFun, h: SymThetaFun,
@@ -177,23 +160,9 @@ def phi_p(f: SymThetaFun, p: int, ctx: ThetaContext) -> ShiftOp:
     return bosonize(f.body, "z1", make_Bpn(p, f.order_n, ctx), ShiftOp)
 
 
-@dataclass
-class HomCheckResult:
-    rank: int
-    expected_rank: int
-    gap: float
-    kernel_dim: int
-    kappa: float
-    kernel_residual: float
-
-    @property
-    def residual(self) -> float:
-        return self.kernel_residual
-
-
 def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
                              samples: int | None = None,
-                             gap_threshold: float = 1e3) -> HomCheckResult:
+                             gap_threshold: float = 1e3) -> float:
     """Convention-free certification that phi_p descends from the relations.
 
     (a) Sample the n^2 products theta_i * theta_j at pole-guarded point
@@ -201,8 +170,8 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
         of at least gap_threshold, else the check is inconclusive.
     (b) Every kernel vector c of the sample matrix satisfies
         sum c_ij theta_i * theta_j = 0; the operator
-        sum c_ij phi_p(theta_i) phi_p(theta_j) must then vanish, with
-        tolerance scaled by the conditioning kappa = sigma_1 / sigma_r.
+        sum c_ij phi_p(theta_i) phi_p(theta_j) must then vanish.  The largest
+        sum_to_zero_residual over the kernel vectors is returned.
     """
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
@@ -229,14 +198,9 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
     if gap < gap_threshold:
         raise InconclusiveRankError(
             f"singular-value gap {gap:.2e} below {gap_threshold:.0e}; resample", gap=gap)
-    rank = r
-    kappa = float(S[0] / S[r - 1])
 
-    ops = {}
     phis = [phi_p(g, p, ctx) for g in gens]
-    for i in range(n):
-        for j in range(n):
-            ops[(i, j)] = shift_mul(phis[i], phis[j])
+    ops = {(i, j): shift_mul(phis[i], phis[j]) for i in range(n) for j in range(n)}
     kernel = U[:, r:]
     guards = pair_guards(phis[0].algebra.var_names)
     worst = 0.0
@@ -244,46 +208,51 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
         c = np.conj(kernel[:, kv]) / row_scale
         parts = [ops[(i, j)].scaled(complex(c[i * n + j])) for i in range(n) for j in range(n)]
         worst = max(worst, sum_to_zero_residual(parts, samples=10, seed=seed + 1, guards=guards))
-    return HomCheckResult(rank=rank, expected_rank=r, gap=gap,
-                          kernel_dim=n * n - r, kappa=kappa, kernel_residual=worst)
+    return worst
 
 
-@dataclass
-class QnkReport:
-    residual: float
-    convention_matched: bool
-    trivially_zero: bool
+def _odesskii_gen(a: int, n: int, ctx: ThetaContext) -> SymThetaFun:
+    """Odesskii's normalized basis element theta^O_a, 0 <= a < n, through this library's theta_a.
 
-
-def qnk_relation_residual(n: int, i: int, j: int, p: int, ctx: ThetaContext,
-                          seed: int = 0, samples: int = 12) -> QnkReport:
-    """Quadratic-relation residual for the k = 1 structure constants.
-
-    Builds sum_r theta_{j-i}(0) / (theta_{j-i-r}(-eta) theta_r(eta)) *
-    phi_p(theta_{j-r}) phi_p(theta_{i+r}) and reports its distance from the
-    zero operator.  The sign conventions of the structure constants are tied
-    to the theta-basis choice, which the quasi-periodicity conditions leave
-    free, so a large residual means convention mismatch, not a broken
-    homomorphism; hom_welldefined_residual is the normative test.
+    even n: q^(a(a-n)/(2n)) theta_a(z + 1/(2n)); odd n: q^(a(a-n)/(2n)) e^(pi*i*a/n) theta_a(z),
+    with q = exp(2*pi*i*tau).
     """
-    from .theta import theta_basis
+    scale = cmath.exp(1j * math.pi * a * ((a - n) * ctx.tau + n % 2) / n)
+    shift = 0.0 if n % 2 else 1 / (2 * n)
+    body = ex.mul(ex.const(scale), ex.theta_basis_of(a, n, ex.aff("z1", const=shift)))
+    return SymThetaFun(1, n, body, ctx)
 
-    num = theta_basis((j - i) % n, 0.0, ctx, n=n)
-    if abs(num) < ctx.eval_tol:
-        return QnkReport(residual=0.0, convention_matched=True, trivially_zero=True)
-    gens = [theta_gen(s, n, ctx) for s in range(n)]
+
+def qnk_relation_residual(n: int, p: int, ctx: ThetaContext,
+                          seed: int = 0, samples: int = 12) -> float:
+    """Largest residual of the quadratic relations of Q_{n,1}(E, eta) under phi_p.
+
+    With x_a = theta^O_a (Odesskii's normalized basis, `_odesskii_gen`), every
+    ordered pair i != j mod n gives the relation
+
+        sum_r theta^O_{j-i}(0) / (theta^O_{j-i-r}(eta) theta^O_r(-eta))
+              * phi_p(x_{j-r}) phi_p(x_{i+r}) = 0
+
+    (Feigin & Odesskii, Funct. Anal. Appl. 23, 1989; Odesskii, "Elliptic
+    algebras", arXiv:math/0303021), with eta negated against Odesskii's text
+    to match this library's orientation of B_{p,n}.  Each relation is
+    measured by sum_to_zero_residual; the largest is returned.
+    """
+    gens = [_odesskii_gen(a, n, ctx) for a in range(n)]
     phis = [phi_p(g, p, ctx) for g in gens]
-    parts = []
-    for r_ in range(n):
-        den = theta_basis((j - i - r_) % n, -ctx.eta, ctx, n=n) * theta_basis(r_ % n, ctx.eta, ctx, n=n)
-        if abs(den) < ctx.pole_guard:
-            raise PoleError("structure-constant denominator vanishes at this eta")
-        coeff = complex(num / den)
-        parts.append(shift_mul(phis[(j - r_) % n], phis[(i + r_) % n]).scaled(coeff))
-    residual = sum_to_zero_residual(parts, samples=samples, seed=seed,
-                                    guards=pair_guards(phis[0].algebra.var_names))
-    return QnkReport(residual=residual, convention_matched=residual <= ctx.id_tol,
-                     trivially_zero=False)
+    products = {(a, b): shift_mul(phis[a], phis[b]) for a in range(n) for b in range(n)}
+    guards = pair_guards(phis[0].algebra.var_names)
+    worst = 0.0
+    for i, j in itertools.permutations(range(n), 2):
+        num = gens[(j - i) % n](0.0)
+        parts = []
+        for r in range(n):
+            den = gens[(j - i - r) % n](ctx.eta) * gens[r](-ctx.eta)
+            if abs(den) < ctx.pole_guard:
+                raise PoleError("structure-constant denominator vanishes at this eta")
+            parts.append(products[(j - r) % n, (i + r) % n].scaled(complex(num / den)))
+        worst = max(worst, sum_to_zero_residual(parts, samples=samples, seed=seed, guards=guards))
+    return worst
 
 
 # Central elements and the commuting family ---------------------------------------

@@ -43,73 +43,7 @@ from .shiftops import (
     shift_mul,
 )
 from .cfdet import minors
-from .theta import theta_basis, theta1
-
-
-# Theta Vandermonde determinant ---------------------------------------------------
-
-def theta_vandermonde_det(zs: Sequence[complex], ctx: ThetaContext) -> complex:
-    """det[theta_j(z_i)] over the order-n basis, n = len(zs)."""
-    n = len(zs)
-    A = np.array([[theta_basis(j, z, ctx, n=n) for j in range(n)] for z in zs])
-    return complex(np.linalg.det(A))
-
-
-def _vandermonde_product(zs, ctx) -> complex:
-    p = theta1(sum(zs), ctx)
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            p *= theta1(zs[i] - zs[j], ctx)
-    return p
-
-
-def vandermonde_ratio_residual(n: int, ctx: ThetaContext, seed: int = 0,
-                               pairs: int = 10) -> float:
-    """Is det / (prod theta(z_i - z_j) * theta(sum z)) an exponential of an
-    affine function?  R(z + delta e_k) / R(z) must not depend on the base z.
-
-    The constant and the affine weights are basis-dependent and not asserted.
-    """
-    rng = np.random.default_rng(seed)
-    delta = 0.07 + 0.013j
-    worst = 0.0
-    for k in range(n):
-        ratios = []
-        trials = 0
-        while len(ratios) < pairs and trials < 50 * pairs:
-            trials += 1
-            zs = [complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(n)]
-            base = _vandermonde_product(zs, ctx)
-            if abs(base) < 1e-3:
-                continue
-            r0 = theta_vandermonde_det(zs, ctx) / base
-            zs2 = list(zs)
-            zs2[k] += delta
-            base2 = _vandermonde_product(zs2, ctx)
-            if abs(base2) < 1e-3:
-                continue
-            ratios.append((theta_vandermonde_det(zs2, ctx) / base2) / r0)
-        for r in ratios[1:]:
-            worst = max(worst, abs(r / ratios[0] - 1))
-    return worst
-
-
-def vandermonde_zero_residual(n: int, ctx: ThetaContext, seed: int = 0,
-                              configs: int = 50) -> float:
-    """Vanishing on the product formula's zero loci: coincident points and
-    lattice-valued coordinate sums."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for trial in range(configs):
-        zs = [complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(n)]
-        if trial % 2 == 0:
-            i, j = rng.choice(n, size=2, replace=False)
-            zs[i] = zs[j]
-        else:
-            zs[0] = -sum(zs[1:]) + rng.integers(-1, 2) + rng.integers(-1, 2) * ctx.tau
-        scale = max(1.0, *(abs(theta_basis(j2, z, ctx, n=n)) for j2 in range(n) for z in zs)) ** n
-        worst = max(worst, abs(theta_vandermonde_det(zs, ctx)) / scale)
-    return worst
+from .theta import theta_basis
 
 
 # The basic transfer family -------------------------------------------------------

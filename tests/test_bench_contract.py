@@ -6,7 +6,8 @@ renames, removes or moves one of them into a base class breaks the traced
 benchmark run (`--trace 1`).  bench/workloads.py writes configs in the CLI
 format, and a check rejects any key it does not declare, so every section it
 writes (and every section of `default.cfg`) must resolve against the check
-specs.  These tests only read bench/tracer.py and bench/workloads.py.
+specs.  bench/worker.py reads each check's `gating` flag.  These tests only
+read bench/tracer.py and bench/workloads.py.
 """
 
 import importlib
@@ -56,3 +57,8 @@ def test_suite_sections_resolve(suite, tmp_path):
     assert specs
     for spec in specs:
         REGISTRY[spec.name].resolve(spec.params)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_every_check_gates(name):
+    assert REGISTRY[name].gating is True

@@ -81,10 +81,11 @@ class TestSuite:
         report = json.load(open(out))
         assert report[0]["pass"] is False
 
-    def test_experimental_check_does_not_gate(self, tmp_path):
-        cfg = write(tmp_path, "[qnk-relation]\nn = 3\ni = 0\nj = 1\np = 2\n")
+    def test_every_check_gates(self, tmp_path):
+        cfg = write(tmp_path, "[qnk-relation]\nn = 3\np = 2\ntolerance = 1e-30\n")
         out = str(tmp_path / "r.json")
-        assert main(["run", cfg, "--json", out]) == 0
+        assert main(["run", cfg, "--json", out]) == 1
+        assert json.load(open(out))[0]["pass"] is False
 
     def test_inconclusive_exits_two(self, tmp_path):
         # starving the rank computation of samples leaves the gap unresolved
@@ -209,7 +210,8 @@ BAD_INPUTS = {
     "eta-not-read-by-poisson": ["check", "poisson-jacobi", "--param", "eta=0.1"],
     "count-zero": ["check", "fay", "--param", "count=0"],
     "seeds-negative": ["check", "plucker", "--param", "seeds=-1"],
-    "integer-not-integral": ["check", "qnk-relation", "--param", "i=1.5"],
+    "integer-not-integral": ["check", "qnk-relation", "--param", "p=1.5"],
+    "qnk-relation-takes-no-i": ["check", "qnk-relation", "--param", "i=0"],
     "empty-list": ["check", "transfer-commute", "--param", "n="],
     "transfer-commute-eta-zero": ["check", "transfer-commute", "--param", "eta=0"],
     "transfer-commute-eta-2-torsion": ["check", "transfer-commute", "--param", "n=2", "--param", "eta=0.5"],

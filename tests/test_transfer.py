@@ -12,15 +12,75 @@ from ellcert.transfer import (
     btilde_family,
     sos_family,
     sos_vs_T_coefficient_ratio,
-    theta_vandermonde_det,
     transfer_commutator_residual,
     transfer_det_consistency_residual,
-    vandermonde_ratio_residual,
-    vandermonde_zero_residual,
     vn_family,
 )
 
 CTX = ThetaContext()
+ID_TOL = 1e-8
+
+
+def theta_vandermonde_det(zs, ctx):
+    """det[theta_j(z_i)] over the order-n basis, n = len(zs)."""
+    n = len(zs)
+    A = np.array([[theta_basis(j, z, ctx, n=n) for j in range(n)] for z in zs])
+    return complex(np.linalg.det(A))
+
+
+def vandermonde_product(zs, ctx):
+    p = theta1(sum(zs), ctx)
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            p *= theta1(zs[i] - zs[j], ctx)
+    return p
+
+
+def vandermonde_ratio_residual(n, ctx, seed=0, pairs=10):
+    """Is det / (prod theta(z_i - z_j) * theta(sum z)) an exponential of an
+    affine function?  R(z + delta e_k) / R(z) must not depend on the base z.
+
+    The constant and the affine weights are basis-dependent and not asserted.
+    """
+    rng = np.random.default_rng(seed)
+    delta = 0.07 + 0.013j
+    worst = 0.0
+    for k in range(n):
+        ratios = []
+        trials = 0
+        while len(ratios) < pairs and trials < 50 * pairs:
+            trials += 1
+            zs = [complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(n)]
+            base = vandermonde_product(zs, ctx)
+            if abs(base) < 1e-3:
+                continue
+            r0 = theta_vandermonde_det(zs, ctx) / base
+            zs2 = list(zs)
+            zs2[k] += delta
+            base2 = vandermonde_product(zs2, ctx)
+            if abs(base2) < 1e-3:
+                continue
+            ratios.append((theta_vandermonde_det(zs2, ctx) / base2) / r0)
+        for r in ratios[1:]:
+            worst = max(worst, abs(r / ratios[0] - 1))
+    return worst
+
+
+def vandermonde_zero_residual(n, ctx, seed=0, configs=50):
+    """Vanishing on the product formula's zero loci: coincident points and
+    lattice-valued coordinate sums."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for trial in range(configs):
+        zs = [complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(n)]
+        if trial % 2 == 0:
+            i, j = rng.choice(n, size=2, replace=False)
+            zs[i] = zs[j]
+        else:
+            zs[0] = -sum(zs[1:]) + rng.integers(-1, 2) + rng.integers(-1, 2) * ctx.tau
+        scale = max(1.0, *(abs(theta_basis(j2, z, ctx, n=n)) for j2 in range(n) for z in zs)) ** n
+        worst = max(worst, abs(theta_vandermonde_det(zs, ctx)) / scale)
+    return worst
 
 
 def boxpt(rng):
@@ -33,21 +93,21 @@ class TestVandermonde:
         zs = [boxpt(rng) for _ in range(3)]
         zs[1] = zs[0]
         scale = max(1.0, *(abs(theta_basis(j, z, CTX, n=3)) for j in range(3) for z in zs))
-        assert abs(theta_vandermonde_det(zs, CTX)) <= CTX.id_tol * scale ** 3
+        assert abs(theta_vandermonde_det(zs, CTX)) <= ID_TOL * scale ** 3
 
     def test_lattice_sum_vanishes(self):
         rng = np.random.default_rng(1)
         zs = [boxpt(rng) for _ in range(3)]
         zs[0] = 1 + CTX.tau - zs[1] - zs[2]
         scale = max(1.0, *(abs(theta_basis(j, z, CTX, n=3)) for j in range(3) for z in zs))
-        assert abs(theta_vandermonde_det(zs, CTX)) <= CTX.id_tol * scale ** 3
+        assert abs(theta_vandermonde_det(zs, CTX)) <= ID_TOL * scale ** 3
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ratio_is_exponential_affine(self, n):
-        assert vandermonde_ratio_residual(n, CTX, seed=0, pairs=6) <= CTX.id_tol
+        assert vandermonde_ratio_residual(n, CTX, seed=0, pairs=6) <= ID_TOL
 
     def test_zero_loci_sweep(self):
-        assert vandermonde_zero_residual(3, CTX, seed=2, configs=50) <= CTX.id_tol
+        assert vandermonde_zero_residual(3, CTX, seed=2, configs=50) <= ID_TOL
 
 
 class TestBuildT:
