@@ -27,14 +27,18 @@ _TWO_PI_I = 2j * math.pi
 
 
 class Affine:
-    """Affine combination  const + sum(coeff[v] * v)  of named variables."""
+    """Affine combination  const + sum(coeff[v] * v)  of named variables.
+
+    The coefficients are stored sorted by variable name and `value` sums in
+    that order, so equal Affines evaluate bit-identically.
+    """
 
     __slots__ = ("coeffs", "const")
 
     def __init__(self, coeffs: Mapping[str, complex] | None = None, const: complex = 0j):
         cleaned = {}
         if coeffs:
-            for name, c in coeffs.items():
+            for name, c in sorted(coeffs.items()):
                 c = complex(c)
                 if c != 0:
                     cleaned[name] = c
@@ -73,10 +77,10 @@ class Affine:
         return isinstance(other, Affine) and self.const == other.const and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.const, frozenset(self.coeffs.items())))
+        return hash((self.const, tuple(self.coeffs.items())))
 
     def __repr__(self):
-        parts = [f"{c!r}*{n}" for n, c in sorted(self.coeffs.items())]
+        parts = [f"{c!r}*{n}" for n, c in self.coeffs.items()]
         if self.const != 0 or not parts:
             parts.append(repr(self.const))
         return " + ".join(parts)

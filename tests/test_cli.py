@@ -216,7 +216,7 @@ BAD_INPUTS = {
     "transfer-commute-eta-zero": ["check", "transfer-commute", "--param", "eta=0"],
     "transfer-commute-eta-2-torsion": ["check", "transfer-commute", "--param", "n=2", "--param", "eta=0.5"],
     "casimir-diagonal-eta-zero": ["check", "casimir-diagonal", "--param", "eta=0"],
-    "casimir-diagonal-overflow": ["check", "casimir-diagonal", "--param", "eta=0.4+0.7j"],
+    "casimir-diagonal-overflow": ["check", "casimir-diagonal", "--param", "eta=0.3+0.9j"],
     "eta-not-read-by-sos-ratio": ["check", "sos-ratio", "--param", "n=3",
                                   "--param", "eta=0.38202169242764034+0.13201330840497705j"],
 }

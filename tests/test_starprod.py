@@ -9,6 +9,7 @@ import pytest
 
 from ellcert import ThetaContext, theta1
 from ellcert import expr as ex
+from ellcert.checks import REGISTRY
 from ellcert.errors import InconclusiveRankError
 from ellcert.sampling import pair_guards
 from ellcert.shiftops import shift_mul, sum_to_zero_residual
@@ -217,7 +218,40 @@ class TestQnk:
         assert relation_residual(4, 2, CTX, odesskii_basis, CTX.eta) <= 1e-10
 
 
+DIAGONAL = REGISTRY["casimir-diagonal"]
+
+
+def moved_diagonal_residual(m, seed, moved):
+    """The casimir-diagonal check at one degree m, on the diagonal z_2 = z_1 + 2m*eta + moved."""
+    ctx = DIAGONAL.resolve({"m": str(m), "seed": seed})["ctx"]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for alpha in (0, 1):
+        c = casimir(alpha, m, ctx)
+        for _ in range(5):
+            zs = [complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(m)]
+            generic = abs(c(*zs))
+            zs[1] = zs[0] + 2 * m * ctx.eta + moved
+            worst = max(worst, abs(c(*zs)) / max(1.0, generic))
+    return worst
+
+
 class TestCasimir:
+    SEEDS = range(60)
+
+    def test_m4_passes_at_every_seed(self):
+        # the diagonal factor's argument is summed in sorted variable order,
+        # fl(-2m*eta - z1) + fl(z1 + 2m*eta), which is exactly 0
+        for seed in self.SEEDS:
+            residual = DIAGONAL({"m": "4"}, seed)
+            assert residual <= DIAGONAL.tolerance, seed
+            assert moved_diagonal_residual(4, seed, 0.0) == residual, seed  # the mutant, unmoved, is the check
+
+    @pytest.mark.parametrize("moved", [1e-6, 1e-9])
+    def test_m4_moved_diagonal_fails_at_every_seed(self, moved):
+        for seed in self.SEEDS:
+            assert moved_diagonal_residual(4, seed, moved) > DIAGONAL.tolerance, seed
+
     def test_diagonal_vanishing(self):
         for m in (2, 3):
             c = casimir(0, m, CTX)
