@@ -440,8 +440,9 @@ def check_quotient_rule(seed, points, ctx) -> float:
     envs = poisson._phase_space_points(alg, points, seed, [h_coeff])
     worst = 0.0
     for env in envs:
-        lhs = rb(env)
-        rhs = -poisson.pbracket(h, g).evaluate(env) / h.evaluate(env) ** 2
+        at = ex.Evaluator(env, ctx)
+        lhs = rb(at)
+        rhs = -poisson.pbracket(h, g).evaluate(at) / h.evaluate(at) ** 2
         worst = max(worst, rel_residual(lhs - rhs, lhs, rhs))
     return worst
 

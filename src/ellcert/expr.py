@@ -8,7 +8,9 @@ order), and affine substitution of variables, which is how shift operators
 translate coefficient arguments.
 
 Evaluation accepts scalar complex values or equally-shaped numpy arrays per
-variable, so a batch of sample points costs one tree walk.
+variable, so a batch of sample points costs one tree walk.  An `Evaluator`
+holds one such assignment and computes each distinct node once, however
+many trees evaluated through it share the node.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class MeroExpr:
             self._hash = hash((type(self), self._key()))
         return self._hash
 
-    def _eval(self, env, ctx):  # pragma: no cover - abstract
+    def _eval(self, ev):  # pragma: no cover - abstract
         raise NotImplementedError
 
     def _diff(self, var):  # pragma: no cover - abstract
@@ -164,9 +166,9 @@ class Var(MeroExpr):
     def __init__(self, name: str):
         self.name = name
 
-    def _eval(self, env, ctx):
+    def _eval(self, ev):
         try:
-            return env[self.name]
+            return ev.env[self.name]
         except KeyError:
             raise UnboundVariableError(f"no value bound for variable {self.name!r}") from None
 
@@ -189,7 +191,7 @@ class Const(MeroExpr):
     def __init__(self, value: complex):
         self.value = complex(value)
 
-    def _eval(self, env, ctx):
+    def _eval(self, ev):
         return self.value
 
     def _diff(self, var):
@@ -220,9 +222,9 @@ class Theta(MeroExpr):
         self.index = int(index)
         self.deriv = int(deriv)
 
-    def _eval(self, env, ctx):
-        z = self.arg.value(env)
-        return _theta.theta_value(self.kind, z, ctx, order=self.order,
+    def _eval(self, ev):
+        z = self.arg.value(ev.env)
+        return _theta.theta_value(self.kind, z, ev.ctx, order=self.order,
                                   index=self.index, deriv=self.deriv)
 
     def _diff(self, var):
@@ -247,8 +249,8 @@ class ExpLin(MeroExpr):
     def __init__(self, arg: Affine):
         self.arg = arg
 
-    def _eval(self, env, ctx):
-        return np.exp(_TWO_PI_I * self.arg.value(env))
+    def _eval(self, ev):
+        return np.exp(_TWO_PI_I * self.arg.value(ev.env))
 
     def _diff(self, var):
         c = self.arg.coeff(var)
@@ -269,10 +271,10 @@ class Sum(MeroExpr):
     def __init__(self, terms: tuple):
         self.terms = terms
 
-    def _eval(self, env, ctx):
-        v = self.terms[0]._eval(env, ctx)
+    def _eval(self, ev):
+        v = ev._value(self.terms[0])
         for t in self.terms[1:]:
-            v = v + t._eval(env, ctx)
+            v = v + ev._value(t)
         return v
 
     def _diff(self, var):
@@ -292,10 +294,10 @@ class Product(MeroExpr):
     def __init__(self, factors: tuple):
         self.factors = factors
 
-    def _eval(self, env, ctx):
-        v = self.factors[0]._eval(env, ctx)
+    def _eval(self, ev):
+        v = ev._value(self.factors[0])
         for f in self.factors[1:]:
-            v = v * f._eval(env, ctx)
+            v = v * ev._value(f)
         return v
 
     def _diff(self, var):  # a factor with derivative zero makes its term zero, which add drops
@@ -317,13 +319,13 @@ class Quotient(MeroExpr):
         self.num = num
         self.den = den
 
-    def _eval(self, env, ctx):
-        nv = self.num._eval(env, ctx)
-        dv = self.den._eval(env, ctx)
+    def _eval(self, ev):
+        nv = ev._value(self.num)
+        dv = ev._value(self.den)
         # Local scale 1: sampling keeps every argument O(1)-normalized, while
         # numerators (high-order thetas) legitimately reach 1e15 and would
         # poison any numerator-relative threshold.
-        if np.any(np.abs(dv) < ctx.pole_guard):
+        if np.any(np.abs(dv) < ev.ctx.pole_guard):
             raise PoleError("denominator magnitude below pole guard")
         return nv / dv
 
@@ -346,8 +348,8 @@ class Neg(MeroExpr):
     def __init__(self, child: MeroExpr):
         self.child = child
 
-    def _eval(self, env, ctx):
-        return -self.child._eval(env, ctx)
+    def _eval(self, ev):
+        return -ev._value(self.child)
 
     def _diff(self, var):
         return neg(self.child._diff(var))
@@ -368,8 +370,8 @@ class IntPow(MeroExpr):
         self.base = base
         self.power = int(power)
 
-    def _eval(self, env, ctx):
-        return self.base._eval(env, ctx) ** self.power
+    def _eval(self, ev):
+        return ev._value(self.base) ** self.power
 
     def _diff(self, var):
         db = self.base._diff(var)
@@ -527,19 +529,47 @@ def _as_affine(arg) -> Affine:
 
 # Public operations -----------------------------------------------------------
 
-def evaluate(expr: MeroExpr, assignment: Mapping, ctx: ThetaContext):
-    """Bottom-up evaluation at an assignment of variables to complex values.
+class Evaluator:
+    """Bottom-up evaluation at one assignment of variables to complex values.
 
-    Values may be scalars or numpy arrays of a common shape; quotient nodes
-    whose denominator falls below ctx.pole_guard raise PoleError, and a
-    non-finite value (an overflow in some node) raises
-    EvaluationOverflowError.
+    Values may be scalars or numpy arrays of a common shape, so one
+    evaluator serves a whole sampled batch.  Every node evaluated through it
+    is computed once: values are memoized by node, and nodes are equal by
+    structure, so a subtree shared by several trees, or rebuilt equal by
+    differentiation or substitution, costs one evaluation.  Operand
+    permutations of a sum or product are equal nodes, so they share the
+    value of whichever was evaluated first.  Evaluate everything compared on
+    one batch through one evaluator; a batch that raises PoleError is
+    dropped with its evaluator.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = expr._eval(assignment, ctx)
-    if not np.all(np.isfinite(value)):
-        raise EvaluationOverflowError("expression evaluation produced a non-finite value")
-    return value
+
+    __slots__ = ("env", "ctx", "_memo")
+
+    def __init__(self, env: Mapping, ctx: ThetaContext):
+        self.env = env
+        self.ctx = ctx
+        self._memo: dict = {}
+
+    def __call__(self, expr: MeroExpr):
+        """Value of expr.  Quotient nodes whose denominator falls below
+        ctx.pole_guard raise PoleError, and a non-finite value (an overflow
+        in some node) raises EvaluationOverflowError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = self._value(expr)
+        if not np.all(np.isfinite(value)):
+            raise EvaluationOverflowError("expression evaluation produced a non-finite value")
+        return value
+
+    def _value(self, node: MeroExpr):
+        value = self._memo.get(node)
+        if value is None:
+            value = self._memo[node] = node._eval(self)
+        return value
+
+
+def evaluate(expr: MeroExpr, assignment: Mapping, ctx: ThetaContext):
+    """Value of expr at one assignment, through a fresh Evaluator."""
+    return Evaluator(assignment, ctx)(expr)
 
 
 def diff(expr: MeroExpr, variable: str) -> MeroExpr:

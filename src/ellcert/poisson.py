@@ -45,14 +45,15 @@ class PoissonElement(TermMap):
             return self.scaled(other)
         return PoissonElement(self.algebra, self._convolve(other, lambda m, F, k, G: ex.mul(F, G)))
 
-    def evaluate(self, env):
-        """Value at a point of the phase space: env binds variables and generators."""
+    def evaluate(self, at: ex.Evaluator):
+        """Value at a point of the phase space, or a batch of them: the
+        evaluator's assignment binds variables and generators."""
         total = 0
         for mi, coeff in self.terms.items():
-            v = ex.evaluate(coeff, env, self.algebra.ctx)
+            v = at(coeff)
             for gi, e in enumerate(mi):
                 if e:
-                    v = v * env[self.algebra.gen_names[gi]] ** e
+                    v = v * at.env[self.algebra.gen_names[gi]] ** e
             total = total + v
         return total
 
@@ -98,9 +99,10 @@ class RatioBracket:
     """Evaluator of {f/h, g/k} for multiplication-operator denominators h, k.
 
     {f/h, g/k} = ({f,g} - (f/h){h,g} - (g/k){f,k} + (f/h)(g/k){h,k}) / (h k),
-    each inner bracket taken in the ambient algebra.  Calling the object at a
-    phase-space point returns the value; residual_at also reports the largest
-    constituent term as the cancellation scale.
+    each inner bracket taken in the ambient algebra.  Calling the object with
+    the evaluator of a phase-space point returns the value; residual_at also
+    reports the largest constituent term as the cancellation scale.  All
+    eight elements evaluate through the one evaluator passed in.
     """
 
     def __init__(self, f, h, g, k):
@@ -115,20 +117,20 @@ class RatioBracket:
         self.b_fk = pbracket(f, k)
         self.b_hk = pbracket(h, k)
 
-    def residual_batch(self, env):
+    def residual_batch(self, at: ex.Evaluator):
         """Vectorized over array-valued assignments; returns (values, scales)."""
-        hv = np.asarray(self.h.evaluate(env))
-        kv = np.asarray(self.k.evaluate(env))
+        hv = np.asarray(self.h.evaluate(at))
+        kv = np.asarray(self.k.evaluate(at))
         if np.any(np.minimum(np.abs(hv), np.abs(kv)) < ThetaContext.pole_guard):
             raise PoleError("ratio denominator vanishes at a sample point")
-        fv = self.f.evaluate(env)
-        gv = self.g.evaluate(env)
+        fv = self.f.evaluate(at)
+        gv = self.g.evaluate(at)
         hk = hv * kv
         terms = [
-            self.b_fg.evaluate(env) / hk,
-            -(fv / hv) * self.b_hg.evaluate(env) / hk,
-            -(gv / kv) * self.b_fk.evaluate(env) / hk,
-            (fv / hv) * (gv / kv) * self.b_hk.evaluate(env) / hk,
+            self.b_fg.evaluate(at) / hk,
+            -(fv / hv) * self.b_hg.evaluate(at) / hk,
+            -(gv / kv) * self.b_fk.evaluate(at) / hk,
+            (fv / hv) * (gv / kv) * self.b_hk.evaluate(at) / hk,
         ]
         value = sum(terms)
         scale = np.asarray(1.0)
@@ -136,12 +138,12 @@ class RatioBracket:
             scale = np.maximum(scale, np.abs(t))
         return value, scale
 
-    def residual_at(self, env):
-        value, scale = self.residual_batch(env)
+    def residual_at(self, at: ex.Evaluator):
+        value, scale = self.residual_batch(at)
         return complex(value), float(scale)
 
-    def __call__(self, env):
-        return self.residual_at(env)[0]
+    def __call__(self, at: ex.Evaluator):
+        return self.residual_at(at)[0]
 
 
 # Determinant hamiltonians ------------------------------------------------------
@@ -198,11 +200,12 @@ def classical_hamiltonians(n: int, ctx: ThetaContext, seed: int = 0, points: int
     """Max pairwise |{H_i, H_j}| residual for H_i = Delta_i / Delta_0 over all
     the points; a bracket that poles at one of them raises PoleError."""
     alg, deltas, guards, brackets = _hamiltonian_brackets(n, ctx)
-    stacked = stack_assignments(_phase_space_points(alg, points, seed, list(guards)))
+    pts = _phase_space_points(alg, points, seed, list(guards))
+    at = ex.Evaluator(stack_assignments(pts), alg.ctx)
     ratios = [(deltas[i], deltas[0]) for i in range(1, n + 1)]
     worst = 0.0
     for rb in brackets:
-        values, scales = rb.residual_batch(stacked)
+        values, scales = rb.residual_batch(at)
         worst = max(worst, float(np.max(np.abs(values) / scales)))
     return ratios, worst
 
@@ -218,8 +221,9 @@ def _jacobi_delta_terms(n: int, ctx: ThetaContext, ijk):
 def jacobi_delta_residual(n: int, ctx: ThetaContext, ijk, seed: int = 0, points: int = 20) -> float:
     """Residual of Delta_i {Delta_j, Delta_k} + its cyclic shifts in (i, j, k) = 0."""
     alg, elems = _jacobi_delta_terms(n, ctx, tuple(ijk))
-    stacked = stack_assignments(_phase_space_points(alg, points, seed, pair_guards(alg.var_names)))
-    vals = [np.asarray(e.evaluate(stacked)) for e in elems]
+    pts = _phase_space_points(alg, points, seed, pair_guards(alg.var_names))
+    at = ex.Evaluator(stack_assignments(pts), alg.ctx)
+    vals = [np.asarray(e.evaluate(at)) for e in elems]
     return rel_residual(sum(vals), *vals)
 
 

@@ -75,22 +75,25 @@ def pair_guards(names: Sequence[str], theta_of=ex.theta1_of) -> list:
     return [theta_of(ex.aff(a, (-1, b))) for a, b in itertools.combinations(names, 2)]
 
 
-def sampled_max(measure: Callable[[dict], float],
+def sampled_max(measure: Callable[[ex.Evaluator], float],
                 var_names: Sequence[str],
                 guard_exprs: Sequence[ex.MeroExpr],
                 samples: int,
                 seed: int,
                 ctx: ThetaContext) -> float:
-    """measure(stacked points) on the first seeded batch that does not pole.
+    """measure(evaluator of the stacked points) on the first seeded batch
+    that does not pole.
 
-    Batch k is drawn with seed + _RETRY_STRIDE*k; a PoleError raised by measure
-    discards the whole batch, so no partial value of a poled batch leaks into
-    the result.  Raises PoleError when all 8 batches pole.
+    Batch k is drawn with seed + _RETRY_STRIDE*k and gets one Evaluator, so
+    everything measure compares on the batch evaluates each node once.  A
+    PoleError raised by measure discards the whole batch with its evaluator,
+    so no partial value of a poled batch leaks into the result.  Raises
+    PoleError when all 8 batches pole.
     """
     for attempt in range(_RETRY_BATCHES):
         pts = sample_points(samples, var_names, guard_exprs, seed + _RETRY_STRIDE * attempt, ctx)
         try:
-            return measure(stack_assignments(pts))
+            return measure(ex.Evaluator(stack_assignments(pts), ctx))
         except PoleError:
             continue
     raise PoleError(f"sampled values pole at all {_RETRY_BATCHES} seeded batches")

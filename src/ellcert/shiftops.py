@@ -232,10 +232,10 @@ def sum_to_zero_residual(parts: Sequence[TermMap], samples: int = 20, seed: int 
         return 0.0
     alg = parts[0].algebra
 
-    def measure(stacked):
+    def measure(at):
         worst = 0.0
         for mi in keys:
-            vals = [np.asarray(ex.evaluate(p.terms.get(mi, ex._ZERO), stacked, alg.ctx)) for p in parts]
+            vals = [np.asarray(at(p.terms.get(mi, ex._ZERO))) for p in parts]
             worst = max(worst, rel_residual(sum(vals), *vals))
         return worst
 
@@ -351,7 +351,7 @@ class ShiftOpBackend(TermMapBackend):
             return 0.0
         alg = self.algebra
 
-        def measure(stacked):
-            return max(float(np.max(np.abs(ex.evaluate(c, stacked, alg.ctx)))) for c in x.terms.values())
+        def measure(at):
+            return max(float(np.max(np.abs(at(c)))) for c in x.terms.values())
 
         return sampled_max(measure, alg.var_names, (), self._norm_samples, self._seed, alg.ctx)

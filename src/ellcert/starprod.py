@@ -124,9 +124,9 @@ def star_assoc_residual(f: SymThetaFun, g: SymThetaFun, h: SymThetaFun,
     right = star(f, star(g, h)).body
     names = _zvars(f.degree + g.degree + h.degree)
 
-    def measure(stacked):
-        lv = np.asarray(ex.evaluate(left, stacked, f.ctx))
-        rv = np.asarray(ex.evaluate(right, stacked, f.ctx))
+    def measure(at):
+        lv = np.asarray(at(left))
+        rv = np.asarray(at(right))
         return rel_residual(lv - rv, lv, rv)
 
     return sampled_max(measure, names, pair_guards(names), samples, seed, f.ctx)
@@ -177,14 +177,13 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
         raise ValueError("need n >= 2 and p >= 1")
     npts = samples or 2 * n * n + 8
     pts = sample_points(npts, ["z1", "z2"], pair_guards(["z1", "z2"]), seed, ctx)
-    stacked = stack_assignments(pts)
+    at = ex.Evaluator(stack_assignments(pts), ctx)
 
     gens = [theta_gen(i, n, ctx) for i in range(n)]
     rows = []
     for i in range(n):
         for j in range(n):
-            body = star(gens[i], gens[j]).body
-            rows.append(np.asarray(ex.evaluate(body, stacked, ctx)))
+            rows.append(np.asarray(at(star(gens[i], gens[j]).body)))
     A = np.array(rows)
     row_scale = np.max(np.abs(A), axis=1)
     A = A / row_scale[:, None]

@@ -140,8 +140,9 @@ def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
     guards = _kernel_guards(names, ex.theta1_of)
     pts = sample_points(samples, names, guards, seed, ctx)
     mi0 = next(iter(t_exp.terms))
-    c_det = ex.evaluate(t_det.terms[mi0], pts[0], ctx)
-    c_exp = ex.evaluate(t_exp.terms[mi0], pts[0], ctx)
+    at = ex.Evaluator(pts[0], ctx)
+    c_det = at(t_det.terms[mi0])
+    c_exp = at(t_exp.terms[mi0])
     if abs(c_exp) < ctx.pole_guard:
         raise PoleError("reference coefficient too small to normalize")
     const = c_det / c_exp
@@ -261,12 +262,13 @@ def sos_vs_T_coefficient_ratio(u: complex, n: int, ctx: ThetaContext,
     names = [f"z{i}" for i in range(1, n + 1)]
     pts = sample_points(samples, names, _kernel_guards(names, ex.theta_odd_of), seed, ctx)
     stacked = stack_assignments(pts)
-    reflected = {v: np.negative(stacked[v]) for v in names}
+    at = ex.Evaluator(stacked, ctx)
+    at_reflected = ex.Evaluator({v: np.negative(stacked[v]) for v in names}, ctx)
     ratios = []
     for al in range(n):
         basic = _transfer_coefficient(u, n, al, names, ex.theta_odd_of, sum_shift=0j)
-        cs = np.asarray(ex.evaluate(_sos_kernel(u, n, al, names), reflected, ctx))
-        cb = np.asarray(ex.evaluate(basic, stacked, ctx))
+        cs = np.asarray(at_reflected(_sos_kernel(u, n, al, names)))
+        cb = np.asarray(at(basic))
         ratios.append(cs / cb)
     ref = ratios[0].flat[0]
     spread = 0.0

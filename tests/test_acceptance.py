@@ -4,12 +4,16 @@ Run with `pytest tests/test_acceptance.py -s` to see the one-line verdicts.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
-
+import ellcert
 from ellcert import ThetaContext
 from ellcert.checks import (
+    REGISTRY,
     check_casimir_diagonal,
     check_cf_commute,
     check_cf_triangle,
@@ -33,6 +37,7 @@ from ellcert.cli import main
 from ellcert.starprod import hom_welldefined_residual
 
 SEED = 42
+GOLDEN = pathlib.Path(__file__).parent / "data" / "default_report.json"
 
 
 def report(num, name, residual, tol, elapsed, budget):
@@ -41,6 +46,12 @@ def report(num, name, residual, tol, elapsed, budget):
           f"residual={residual:.3e} tol={tol:.0e} time={elapsed:.1f}s budget={budget:.0f}s")
     assert residual <= tol, f"criterion {num} ({name}): residual {residual:.3e} > {tol:.0e}"
     assert elapsed < budget, f"criterion {num} ({name}): {elapsed:.1f}s over budget {budget}s"
+
+
+def golden_view(records):
+    """A report in the form of tests/data/default_report.json: residuals as float.hex."""
+    return [{"name": r["name"], "params": r["params"], "pass": r["pass"], "seed": r["seed"],
+             "tolerance": r["tolerance"], "residual_max": float.hex(r["residual_max"])} for r in records]
 
 
 def timed(fn, *args):
@@ -145,10 +156,36 @@ def test_13_harness_determinism(tmp_path):
     strip = lambda rep: [{k: v for k, v in r.items() if k != "wall_time_ms"} for r in rep]
     assert strip(reports[0]) == strip(reports[1]), "residuals not byte-identical across runs"
     # and identical to the committed report: an intended drift updates tests/data/default_report.json
-    golden = json.loads((pathlib.Path(__file__).parent / "data" / "default_report.json").read_text())
-    got = [{"name": r["name"], "params": r["params"], "pass": r["pass"], "seed": r["seed"],
-            "tolerance": r["tolerance"], "residual_max": float.hex(r["residual_max"])} for r in reports[0]]
-    assert got == golden, "default suite drifted from tests/data/default_report.json"
+    assert golden_view(reports[0]) == json.loads(GOLDEN.read_text()), \
+        "default suite drifted from tests/data/default_report.json"
     elapsed = time.perf_counter() - t0
     print(f"ACCEPTANCE 13 harness-determinism: PASS "
           f"checks={len(reports[0])} identical-residuals exit=0 time={elapsed:.1f}s")
+
+
+# The checks of the benchmark's poisson and shift workloads.
+POISSON_AND_SHIFT = ("poisson-hamiltonians", "poisson-jacobi", "psi2", "quotient-rule",
+                     "transfer-commute", "sos-commute", "ttilde-commute", "transfer-det",
+                     "bosonization-rank", "fu-commute", "star-assoc", "star-closure",
+                     "eta-flatness", "sos-ratio")
+
+
+def test_14_report_independent_of_process_history(tmp_path):
+    # Residual bits must not depend on what the process built before, as they
+    # would with a process-global node table that keeps the first-built
+    # operand order of a + b versus b + a.
+    t0 = time.perf_counter()
+    golden = json.loads(GOLDEN.read_text())
+    src = str(pathlib.Path(ellcert.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = tmp_path / "fresh.json"
+    subprocess.run([sys.executable, "-m", "ellcert.cli", "run", "default", "--json", str(fresh)],
+                   env=env, cwd=tmp_path, check=True, capture_output=True)
+    assert golden_view(json.loads(fresh.read_text())) == golden, "fresh interpreter drifted"
+    for name in POISSON_AND_SHIFT:
+        REGISTRY[name]({}, 7)
+    warm = tmp_path / "warm.json"
+    assert main(["run", "default", "--json", str(warm)]) == 0
+    assert golden_view(json.loads(warm.read_text())) == golden, "drifted after other checks ran in-process"
+    print(f"ACCEPTANCE 14 process-history: PASS fresh and warm reports equal the golden file "
+          f"time={time.perf_counter() - t0:.1f}s")

@@ -7,7 +7,8 @@ import pytest
 
 from ellcert import ThetaContext
 from ellcert import expr as ex
-from ellcert.errors import PoleError, UnboundVariableError
+from ellcert import theta as theta_module
+from ellcert.errors import EvaluationOverflowError, PoleError, UnboundVariableError
 from ellcert.sampling import sample_points, stack_assignments
 
 CTX = ThetaContext()
@@ -198,3 +199,60 @@ class TestSampling:
         never = ex.const(0)
         with pytest.raises(SamplingExhaustedError):
             sample_points(2, ["z"], [never], 1, CTX)
+
+
+@pytest.fixture
+def theta_calls(monkeypatch):
+    """Kinds of every theta_value call made while the fixture is active."""
+    calls = []
+    real = theta_module.theta_value
+
+    def counted(kind, z, ctx, **kw):
+        calls.append(kind)
+        return real(kind, z, ctx, **kw)
+
+    monkeypatch.setattr(theta_module, "theta_value", counted)
+    return calls
+
+
+class TestEvaluator:
+    def test_equal_affines_evaluate_bit_identically(self):
+        env = {"a": 0.1 + 0.7j, "b": 0.3 + 0.2j, "c": 0.9 + 0.4j}
+        one = ex.Affine({"c": 0.7, "a": 1 / 3, "b": -2.1}, const=0.25j)
+        other = ex.Affine({"b": -2.1, "c": 0.7, "a": 1 / 3}, const=0.25j)
+        bits = lambda v: (v.real.hex(), v.imag.hex())
+        assert one == other and hash(one) == hash(other) and repr(one) == repr(other)
+        assert bits(one.value(env)) == bits(other.value(env))
+        # summed in the two insertion orders, the same terms differ in the last bit
+        terms = [0.25j, 0.7 * env["c"], 1 / 3 * env["a"], -2.1 * env["b"]]
+        assert bits(sum(terms)) != bits(sum([terms[0], terms[3], terms[1], terms[2]]))
+
+    def test_shared_node_is_computed_once(self, theta_calls):
+        t = ex.theta1_of(ex.aff("z", const=0.1))
+        u = ex.theta_odd_of(ex.aff("z", "w"))
+        rebuilt = ex.theta1_of(ex.aff("z", const=0.1))  # equal to t, another object
+        at = ex.Evaluator({"z": 0.3 + 0.2j, "w": 0.6 + 0.1j}, CTX)
+        first = at(t * u + ex.const(2))
+        second = at(ex.quot(rebuilt, u) - t)
+        assert theta_calls == ["order1", "odd"]
+        assert first == ex.evaluate(t * u + ex.const(2), at.env, CTX)
+        assert second == ex.evaluate(ex.quot(rebuilt, u) - t, at.env, CTX)
+        assert len(theta_calls) == 6  # each ex.evaluate call has a fresh evaluator
+
+    def test_overflow_in_a_memoized_node_raises_for_every_root(self, theta_calls):
+        huge = ex.exp2pii(ex.aff((-200j, "z"))) * ex.theta1_of("z")  # exp(400*pi) overflows
+        at = ex.Evaluator({"z": 1.0 + 0.3j}, CTX)
+        with pytest.raises(EvaluationOverflowError):
+            at(huge + ex.const(1))
+        with pytest.raises(EvaluationOverflowError):
+            at(huge * ex.var("z"))  # reuses the memoized non-finite product
+        with pytest.raises(EvaluationOverflowError):
+            at(huge)
+        assert theta_calls == ["order1"]
+
+    def test_pole_guard_holds_on_every_evaluation(self):
+        at = ex.Evaluator({"z": 0.0}, CTX)
+        pole = ex.quot(ex.const(1), ex.var("z"))
+        for root in (pole, pole + ex.const(1)):
+            with pytest.raises(PoleError):
+                at(root)

@@ -5,6 +5,7 @@ import pytest
 
 from ellcert import ThetaContext
 from ellcert import expr as ex
+from ellcert import theta as theta_module
 from ellcert.errors import PoleError
 from ellcert.poisson import (
     PoissonElement,
@@ -13,6 +14,7 @@ from ellcert.poisson import (
     classical_hamiltonians,
     fay_residual,
     fay_sweep,
+    _jacobi_delta_terms,
     jacobi_delta_residual,
     pbracket,
     pbracket_residual,
@@ -40,6 +42,11 @@ def phase_env(alg, rng):
     return env
 
 
+def phase_point(alg, rng):
+    """Evaluator of one random phase-space point."""
+    return ex.Evaluator(phase_env(alg, rng), CTX)
+
+
 class TestBracketAxioms:
     def test_self_bracket_vanishes(self):
         alg = make_Vn(2, CTX)
@@ -56,8 +63,8 @@ class TestBracketAxioms:
         r = pbracket_residual(got + want.scaled(-1), PoissonElement.zero(alg), samples=4, seed=1)
         # direct comparison: single term with constant coefficient
         assert list(got.terms) == [(1, 0, 0)]
-        env = phase_env(alg, np.random.default_rng(0))
-        assert abs(got.evaluate(env) - want.evaluate(env)) < 1e-12
+        at = phase_point(alg, np.random.default_rng(0))
+        assert abs(got.evaluate(at) - want.evaluate(at)) < 1e-12
 
     def test_classical_bpn_bracket(self):
         # {e1, u2} = -2 e1 in b_{2,4}
@@ -65,19 +72,19 @@ class TestBracketAxioms:
         e1 = PoissonElement.generator(alg, "e1")
         u2 = PoissonElement.function(alg, ex.var("u2"))
         got = pbracket(e1, u2)
-        env = phase_env(alg, np.random.default_rng(1))
-        assert abs(got.evaluate(env) - (-2) * env["e1"]) < 1e-12
+        at = phase_point(alg, np.random.default_rng(1))
+        assert abs(got.evaluate(at) - (-2) * at.env["e1"]) < 1e-12
 
     def test_antisymmetry_and_leibniz(self):
         alg = make_Bpn(2, 3, CTX)
         rng = np.random.default_rng(5)
         for trial in range(20):
             a, b, c = (random_element(alg, rng) for _ in range(3))
-            env = phase_env(alg, rng)
-            anti = pbracket(a, b).evaluate(env) + pbracket(b, a).evaluate(env)
-            assert abs(anti) < 1e-9 * max(1, abs(pbracket(a, b).evaluate(env)))
-            lhs = pbracket(a, b * c).evaluate(env)
-            rhs = (pbracket(a, b) * c).evaluate(env) + (b * pbracket(a, c)).evaluate(env)
+            at = phase_point(alg, rng)
+            anti = pbracket(a, b).evaluate(at) + pbracket(b, a).evaluate(at)
+            assert abs(anti) < 1e-9 * max(1, abs(pbracket(a, b).evaluate(at)))
+            lhs = pbracket(a, b * c).evaluate(at)
+            rhs = (pbracket(a, b) * c).evaluate(at) + (b * pbracket(a, c)).evaluate(at)
             assert abs(lhs - rhs) <= 1e-9 * max(1, abs(lhs), abs(rhs))
 
     def test_jacobi_identity_sampled(self):
@@ -85,11 +92,11 @@ class TestBracketAxioms:
         rng = np.random.default_rng(7)
         for trial in range(10):
             a, b, c = (random_element(alg, rng) for _ in range(3))
-            env = phase_env(alg, rng)
+            at = phase_point(alg, rng)
             terms = [
-                pbracket(a, pbracket(b, c)).evaluate(env),
-                pbracket(b, pbracket(c, a)).evaluate(env),
-                pbracket(c, pbracket(a, b)).evaluate(env),
+                pbracket(a, pbracket(b, c)).evaluate(at),
+                pbracket(b, pbracket(c, a)).evaluate(at),
+                pbracket(c, pbracket(a, b)).evaluate(at),
             ]
             assert abs(sum(terms)) <= 1e-8 * max(1, *(abs(t) for t in terms))
 
@@ -101,16 +108,15 @@ class TestRatioBracket:
         f = PoissonElement.generator(alg, "f1", ex.theta1_of("z1"))
         g = PoissonElement.generator(alg, "f2", ex.var("z2"))
         rb = RatioBracket(f, one, g, one)
-        env = phase_env(alg, np.random.default_rng(2))
-        assert abs(rb(env) - pbracket(f, g).evaluate(env)) < 1e-10
+        at = phase_point(alg, np.random.default_rng(2))
+        assert abs(rb(at) - pbracket(f, g).evaluate(at)) < 1e-10
 
     def test_constant_ratio_brackets_to_zero(self):
         alg = make_Vn(2, CTX)
         h = PoissonElement.function(alg, ex.theta1_of(ex.aff("z1", "z2")))
         g = PoissonElement.generator(alg, "f1", ex.var("z1"))
         rb = RatioBracket(h, h, g, PoissonElement.function(alg, ex.const(1)))
-        env = phase_env(alg, np.random.default_rng(3))
-        value, scale = rb.residual_at(env)
+        value, scale = rb.residual_at(phase_point(alg, np.random.default_rng(3)))
         assert abs(value) / scale <= ID_TOL
 
     def test_quotient_rule(self):
@@ -122,10 +128,10 @@ class TestRatioBracket:
         inv_bracket = RatioBracket(one, h, g, one)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            env = phase_env(alg, rng)
-            hv = h.evaluate(env)
-            lhs = inv_bracket(env)
-            rhs = -pbracket(h, g).evaluate(env) / hv ** 2
+            at = phase_point(alg, rng)
+            hv = h.evaluate(at)
+            lhs = inv_bracket(at)
+            rhs = -pbracket(h, g).evaluate(at) / hv ** 2
             assert abs(lhs - rhs) <= 1e-9 * max(1, abs(lhs), abs(rhs))
 
     def test_rejects_non_multiplication_denominator(self):
@@ -143,7 +149,7 @@ class TestHamiltonians:
 
     def test_poled_bracket_raises_instead_of_skipping_points(self, monkeypatch):
         # a residual measured at no point at all must not read as 0.0, a pass
-        def poles(self, env):
+        def poles(self, at):
             raise PoleError("ratio denominator vanishes at a sample point")
 
         monkeypatch.setattr(RatioBracket, "residual_batch", poles)
@@ -158,9 +164,10 @@ class TestHamiltonians:
         swapped = dict(env)
         swapped["z1"], swapped["z2"] = env["z2"], env["z1"]
         swapped["f1"], swapped["f2"] = env["f2"], env["f1"]
+        at, at_swapped = ex.Evaluator(env, CTX), ex.Evaluator(swapped, CTX)
         for i in range(1, n + 1):
-            h = deltas[i].evaluate(env) / deltas[0].evaluate(env)
-            hs = deltas[i].evaluate(swapped) / deltas[0].evaluate(swapped)
+            h = deltas[i].evaluate(at) / deltas[0].evaluate(at)
+            hs = deltas[i].evaluate(at_swapped) / deltas[0].evaluate(at_swapped)
             assert abs(h - hs) <= ID_TOL * max(1, abs(h))
 
     def test_generator_column_rescaling(self):
@@ -174,8 +181,9 @@ class TestHamiltonians:
         scaled_env = dict(env)
         for g in alg.gen_names:
             scaled_env[g] = env[g] * gscale
-        d_vals = [deltas[i].evaluate(env) for i in range(n + 1)]
-        s_vals = [deltas[i].evaluate(scaled_env) for i in range(n + 1)]
+        at, at_scaled = ex.Evaluator(env, CTX), ex.Evaluator(scaled_env, CTX)
+        d_vals = [deltas[i].evaluate(at) for i in range(n + 1)]
+        s_vals = [deltas[i].evaluate(at_scaled) for i in range(n + 1)]
         assert abs(s_vals[0] - d_vals[0]) < 1e-12 * max(1, abs(d_vals[0]))
         for i in range(1, n + 1):
             assert abs(s_vals[i] - gscale * d_vals[i]) <= 1e-10 * max(1, abs(d_vals[i]))
@@ -186,7 +194,39 @@ class TestHamiltonians:
                 assert abs(r - rs) <= ID_TOL * max(1, abs(r))
 
 
+def theta_leaves(trees):
+    """The distinct theta nodes reachable from the trees."""
+    seen, leaves, stack = set(), set(), list(trees)
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if isinstance(node, ex.Theta):
+            leaves.add(node)
+        for name in node.__slots__:
+            value = getattr(node, name)
+            stack.extend(c for c in (value if type(value) is tuple else (value,)) if isinstance(c, ex.MeroExpr))
+    return leaves
+
+
 class TestJacobiDelta:
+    def test_batch_evaluates_each_distinct_theta_leaf_once(self, monkeypatch):
+        # the sampler's guards see one point per call, the batch all 8 at once
+        batch_calls = []
+        real = theta_module.theta_value
+
+        def counted(kind, z, ctx, **kw):
+            if np.ndim(z):
+                batch_calls.append(kind)
+            return real(kind, z, ctx, **kw)
+
+        monkeypatch.setattr(theta_module, "theta_value", counted)
+        jacobi_delta_residual(3, CTX, (1, 2, 3), seed=0, points=8)
+        _, elems = _jacobi_delta_terms(3, CTX, (1, 2, 3))
+        leaves = theta_leaves(c for e in elems for c in e.terms.values())  # 18 of 972 leaf occurrences
+        assert len(batch_calls) == len(leaves) > 0
+
     def test_repeated_index_collapses(self):
         assert jacobi_delta_residual(3, CTX, (1, 1, 2), seed=0, points=4) <= 1e-12
 
@@ -204,7 +244,7 @@ class TestPsiP:
         assert list(el.terms) == [(1,)]
         env = {"u1": 0.3 + 0.2j, "e1": 1.0}
         want = ex.evaluate(ex.substitute(f, {"w": ex.aff("u1")}), env, CTX)
-        assert abs(el.evaluate(env) - want) < 1e-12
+        assert abs(el.evaluate(ex.Evaluator(env, CTX)) - want) < 1e-12
 
     def test_linearity(self):
         f = ex.theta_basis_of(0, 2, "w")
@@ -212,7 +252,8 @@ class TestPsiP:
         both = psi_p(ex.add(f, g), 2, 2, CTX)
         sep = psi_p(f, 2, 2, CTX) + psi_p(g, 2, 2, CTX)
         env = {"u1": 0.3 + 0.2j, "u2": 0.7 + 0.4j, "e1": 1.2, "e2": 0.8 - 0.1j}
-        assert abs(both.evaluate(env) - sep.evaluate(env)) < 1e-11
+        at = ex.Evaluator(env, CTX)
+        assert abs(both.evaluate(at) - sep.evaluate(at)) < 1e-11
 
     def test_pair_bracket_vanishes(self):
         assert psi2_pair_residual(CTX, seed=0, samples=12) <= 1e-9
