@@ -15,7 +15,6 @@ from .errors import (
     InconclusiveRankError,
     ParameterError,
     PoleError,
-    SamplingExhaustedError,
     SingularOperatorError,
     UnboundVariableError,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "InconclusiveRankError",
     "ParameterError",
     "PoleError",
-    "SamplingExhaustedError",
     "SingularOperatorError",
     "UnboundVariableError",
     "theta1",

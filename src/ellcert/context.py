@@ -16,8 +16,8 @@ class ThetaContext:
          few dozen terms.  Re tau is reduced exactly modulo 8 on construction:
          the common period of every theta series and multiplier, so nothing
          changes, and z + tau stays as accurate as z + (tau mod 8).
-    eta  deformation parameter (generic; finite-order points are kept away by
-         sampling guards, never by symbolic limits)
+    eta  deformation parameter, generic: checks reject a finite-order eta
+         when parsing it (theta1(N*eta) below pole_guard for some N = 1..12)
 
     pole_guard, the minimum allowed denominator magnitude, is a constant of
     the class, not a setting.

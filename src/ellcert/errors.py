@@ -17,14 +17,6 @@ class EvaluationOverflowError(EllcertError):
     """Argument reduction produced an ill-conditioned multiplier (|b| too large)."""
 
 
-class SamplingExhaustedError(EllcertError):
-    """Guard expressions rejected too many candidate points.
-
-    Usually signals degenerate parameters, e.g. a deformation parameter on
-    the lattice.
-    """
-
-
 class SingularOperatorError(EllcertError):
     """An operator that must be invertible is numerically singular."""
 

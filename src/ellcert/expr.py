@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -103,13 +103,15 @@ def aff(*terms, const: complex = 0j) -> Affine:
 class MeroExpr:
     """Base node.  Nodes are immutable values: two are equal, and hash alike,
     when their types and fields (`_key`) are, so equality is structural.  The
-    hash is cached on the node."""
+    key and the hash are cached on the node."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_fields")
 
     def _key(self):  # the operand tuple of a sum or product is a multiset: a + b == b + a
-        return tuple(frozenset(Counter(v).items()) if type(v) is tuple else v
-                     for v in (getattr(self, name) for name in self.__slots__))
+        if not hasattr(self, "_fields"):
+            self._fields = tuple(frozenset(Counter(v).items()) if type(v) is tuple else v
+                                 for v in (getattr(self, name) for name in self.__slots__))
+        return self._fields
 
     def __eq__(self, other):
         return self is other or (type(self) is type(other) and hash(self) == hash(other)
@@ -594,7 +596,3 @@ def free_vars(expr: MeroExpr) -> frozenset:
     acc: set = set()
     expr._collect_vars(acc)
     return frozenset(acc)
-
-
-def prod_over(factors: Iterable) -> MeroExpr:
-    return mul(*factors)

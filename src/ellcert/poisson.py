@@ -23,7 +23,6 @@ the three-term Fay identity for the odd theta.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .cfdet import minors
 from .context import ThetaContext
 from .errors import PoleError
 from . import expr as ex
-from .sampling import pair_guards, rel_residual, sample_points, stack_assignments
+from .sampling import rel_residual, sample_points, stack_assignments
 from .shiftops import TermMap, TermMapBackend, bosonize, make_Bpn, make_Vn, sum_to_zero_residual
 
 
@@ -88,11 +87,10 @@ def pbracket(a: PoissonElement, b: PoissonElement) -> PoissonElement:
     return P - N
 
 
-def pbracket_residual(a: PoissonElement, b: PoissonElement, samples: int = 20,
-                      seed: int = 0, guards: Sequence[ex.MeroExpr] = ()) -> float:
+def pbracket_residual(a: PoissonElement, b: PoissonElement, samples: int = 20, seed: int = 0) -> float:
     """Sampled residual of {a,b} == 0, scaled by the two Leibniz halves."""
     P, N = pbracket_halves(a, b)
-    return sum_to_zero_residual([P, -N], samples=samples, seed=seed, guards=guards)
+    return sum_to_zero_residual([P, -N], samples=samples, seed=seed)
 
 
 class RatioBracket:
@@ -168,9 +166,9 @@ def classical_delta_elements(n: int, ctx: ThetaContext):
     return alg, minors(grid, TermMapBackend())
 
 
-def _phase_space_points(alg, count, seed, guards):
-    """z-points from the guarded box plus nonzero generator values."""
-    pts = sample_points(count, alg.var_names, guards, seed, alg.ctx)
+def _phase_space_points(alg, count, seed):
+    """Seeded z-points from the sampling box plus nonzero generator values."""
+    pts = sample_points(count, alg.var_names, seed, alg.ctx)
     rng = np.random.default_rng(seed + 0x9E3779B9)
     out = []
     for p in pts:
@@ -189,18 +187,16 @@ def _phase_space_points(alg, count, seed, guards):
 def _hamiltonian_brackets(n: int, ctx: ThetaContext):
     """Cached symbolic ratio-brackets for all hamiltonian pairs."""
     alg, deltas = classical_delta_elements(n, ctx)
-    guards = pair_guards(alg.var_names)
-    guards.append(ex.theta1_of(ex.aff(*alg.var_names)))  # theta(sum z): zero of Delta_0
     brackets = [RatioBracket(deltas[i], deltas[0], deltas[j], deltas[0])
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return alg, deltas, tuple(guards), tuple(brackets)
+    return alg, deltas, tuple(brackets)
 
 
 def classical_hamiltonians(n: int, ctx: ThetaContext, seed: int = 0, points: int = 20):
     """Max pairwise |{H_i, H_j}| residual for H_i = Delta_i / Delta_0 over all
     the points; a bracket that poles at one of them raises PoleError."""
-    alg, deltas, guards, brackets = _hamiltonian_brackets(n, ctx)
-    pts = _phase_space_points(alg, points, seed, list(guards))
+    alg, deltas, brackets = _hamiltonian_brackets(n, ctx)
+    pts = _phase_space_points(alg, points, seed)
     at = ex.Evaluator(stack_assignments(pts), alg.ctx)
     ratios = [(deltas[i], deltas[0]) for i in range(1, n + 1)]
     worst = 0.0
@@ -221,7 +217,7 @@ def _jacobi_delta_terms(n: int, ctx: ThetaContext, ijk):
 def jacobi_delta_residual(n: int, ctx: ThetaContext, ijk, seed: int = 0, points: int = 20) -> float:
     """Residual of Delta_i {Delta_j, Delta_k} + its cyclic shifts in (i, j, k) = 0."""
     alg, elems = _jacobi_delta_terms(n, ctx, tuple(ijk))
-    pts = _phase_space_points(alg, points, seed, pair_guards(alg.var_names))
+    pts = _phase_space_points(alg, points, seed)
     at = ex.Evaluator(stack_assignments(pts), alg.ctx)
     vals = [np.asarray(e.evaluate(at)) for e in elems]
     return rel_residual(sum(vals), *vals)
@@ -253,7 +249,7 @@ def psi2_pair_residual(ctx: ThetaContext, seed: int = 0, samples: int = 20,
     g = ex.add(*(ex.mul(ex.const(c[1][i]), ex.theta_basis_of(i, 2, "w")) for i in range(2)))
     a = psi_p(f, 2, 2, ctx)
     b = psi_p(g, 2, 2, ctx)
-    return pbracket_residual(a, b, samples=samples, seed=seed, guards=pair_guards(a.algebra.var_names))
+    return pbracket_residual(a, b, samples=samples, seed=seed)
 
 
 # Fay identity -------------------------------------------------------------------

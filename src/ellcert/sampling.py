@@ -1,83 +1,40 @@
-"""Pole-guarded deterministic sampling of complex points.
+"""Deterministic sampling of complex points.
 
 Points are drawn from the box Re in [0,1), Im in [0, Im tau) with a seeded
-PCG64 stream.  Candidates are generated in bulk and filtered in index order,
-so the accepted list depends only on the seed, never on scheduling.
+PCG64 stream, so a batch depends only on the seed.  No point is rejected: a
+pole is detected where the division happens (a Quotient or RatioBracket
+denominator below ctx.pole_guard raises PoleError), and sampled_max then
+redraws the whole batch.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .context import ThetaContext
-from .errors import PoleError, SamplingExhaustedError
+from .errors import PoleError
 from . import expr as ex
 
-_MAX_DRAW_FACTOR = 1000
 _RETRY_BATCHES = 8
 _RETRY_STRIDE = 7919
 
 
-def sample_points(count: int,
-                  var_names: Sequence[str],
-                  guard_exprs: Sequence[ex.MeroExpr],
-                  seed: int,
-                  ctx: ThetaContext) -> list[dict]:
-    """Return `count` assignments of var_names to guarded box points.
-
-    A candidate is rejected when any guard expression has magnitude below
-    ctx.pole_guard at it (or fails to evaluate).  Raises
-    SamplingExhaustedError after 1000*count draws, which signals degenerate
-    parameters rather than bad luck.
-    """
+def sample_points(count: int, var_names: Sequence[str], seed: int, ctx: ThetaContext) -> list[dict]:
+    """Return `count` assignments of var_names to seeded box points."""
     if count < 1 or len(var_names) < 1:
         raise ValueError("count and dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    dim = len(var_names)
-    accepted: list[dict] = []
-    drawn = 0
-    limit = _MAX_DRAW_FACTOR * count
-    while len(accepted) < count and drawn < limit:
-        batch = min(max(4 * count, 16), limit - drawn)
-        re = rng.random((batch, dim))
-        im = rng.random((batch, dim)) * ctx.tau.imag
-        drawn += batch
-        pts = re + 1j * im
-        for row in pts:
-            asg = dict(zip(var_names, (complex(v) for v in row)))
-            if _passes_guards(asg, guard_exprs, ctx):
-                accepted.append(asg)
-                if len(accepted) == count:
-                    break
-    if len(accepted) < count:
-        raise SamplingExhaustedError(
-            f"guards rejected {drawn} candidates for {count} requested points"
-        )
-    return accepted
-
-
-def _passes_guards(assignment, guard_exprs, ctx) -> bool:
-    for g in guard_exprs:
-        try:
-            v = ex.evaluate(g, assignment, ctx)
-        except PoleError:
-            return False
-        if np.any(np.abs(v) < ctx.pole_guard):
-            return False
-    return True
-
-
-def pair_guards(names: Sequence[str], theta_of=ex.theta1_of) -> list:
-    """theta(a - b) for every pair of names: the coincidence poles."""
-    return [theta_of(ex.aff(a, (-1, b))) for a, b in itertools.combinations(names, 2)]
+    # max(4*count, 16) rows, real parts then imaginary parts: the golden residuals depend on this layout
+    shape = (max(4 * count, 16), len(var_names))
+    re = rng.random(shape)
+    im = rng.random(shape) * ctx.tau.imag
+    return [dict(zip(var_names, (complex(v) for v in row))) for row in (re + 1j * im)[:count]]
 
 
 def sampled_max(measure: Callable[[ex.Evaluator], float],
                 var_names: Sequence[str],
-                guard_exprs: Sequence[ex.MeroExpr],
                 samples: int,
                 seed: int,
                 ctx: ThetaContext) -> float:
@@ -91,7 +48,7 @@ def sampled_max(measure: Callable[[ex.Evaluator], float],
     PoleError when all 8 batches pole.
     """
     for attempt in range(_RETRY_BATCHES):
-        pts = sample_points(samples, var_names, guard_exprs, seed + _RETRY_STRIDE * attempt, ctx)
+        pts = sample_points(samples, var_names, seed + _RETRY_STRIDE * attempt, ctx)
         try:
             return measure(ex.Evaluator(stack_assignments(pts), ctx))
         except PoleError:

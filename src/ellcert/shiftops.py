@@ -21,8 +21,8 @@ own layer by -n*eta plus t/f generator pairs; and the 2n-generator algebra of
 +/-2*eta elementary shifts used by the face-model transfer matrix.
 
 Operator arithmetic is exact and samples nothing (expr.add cancels x against
-neg(x)); operator equality is decided by seeded pole-guarded sampling of every
-coefficient, relative to the magnitude of the terms being cancelled.
+neg(x)); operator equality is decided by seeded sampling of every coefficient,
+relative to the magnitude of the terms being cancelled; a poled batch is redrawn.
 """
 
 from __future__ import annotations
@@ -207,20 +207,18 @@ def invert_multiplication(op: ShiftOp) -> ShiftOp:
     return ShiftOp.function(op.algebra, ex.quot(ex.const(1), coeff))
 
 
-def op_equal(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0,
-             guards: Sequence[ex.MeroExpr] = ()) -> float:
+def op_equal(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0) -> float:
     """Sampled equality residual, relative to the cancelling coefficients.
 
-    max over the multi-indices of a-b and over pole-guarded points of
+    max over the multi-indices of a-b and over the sampled points of
     |a_m - b_m| / max(1, |a_m|, |b_m|).  A batch where a coefficient poles
     is redrawn whole.
     """
     a._check_same(b)
-    return sum_to_zero_residual([a, -b], samples=samples, seed=seed, guards=guards)
+    return sum_to_zero_residual([a, -b], samples=samples, seed=seed)
 
 
-def sum_to_zero_residual(parts: Sequence[TermMap], samples: int = 20, seed: int = 0,
-                         guards: Sequence[ex.MeroExpr] = ()) -> float:
+def sum_to_zero_residual(parts: Sequence[TermMap], samples: int = 20, seed: int = 0) -> float:
     """Residual of sum(parts) == 0, scaled by the largest single part.
 
     The right notion when a relation sums several operators to zero: each
@@ -239,13 +237,12 @@ def sum_to_zero_residual(parts: Sequence[TermMap], samples: int = 20, seed: int 
             worst = max(worst, rel_residual(sum(vals), *vals))
         return worst
 
-    return sampled_max(measure, alg.var_names, guards, samples, seed, alg.ctx)
+    return sampled_max(measure, alg.var_names, samples, seed, alg.ctx)
 
 
-def commutator_residual(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0,
-                        guards: Sequence[ex.MeroExpr] = ()) -> float:
+def commutator_residual(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0) -> float:
     """op_equal(a*b, b*a): the scale comes from the two products."""
-    return op_equal(shift_mul(a, b), shift_mul(b, a), samples=samples, seed=seed, guards=guards)
+    return op_equal(shift_mul(a, b), shift_mul(b, a), samples=samples, seed=seed)
 
 
 # Algebra constructors ---------------------------------------------------------
@@ -279,7 +276,7 @@ def bosonize(f: ex.MeroExpr, var: str, algebra: ShiftAlgebra, element: type) -> 
     total = element.zero(algebra)
     for a in range(1, p + 1):
         fa = ex.substitute(f, {var: ex.aff(f"u{a}")})
-        den = ex.prod_over(ex.theta1_of(ex.aff(f"u{a}", (-1, f"u{i}"))) for i in range(1, p + 1) if i != a)
+        den = ex.mul(*(ex.theta1_of(ex.aff(f"u{a}", (-1, f"u{i}"))) for i in range(1, p + 1) if i != a))
         total = total + element.generator(algebra, f"e{a}", ex.quot(fa, den))
     return total
 
@@ -346,7 +343,7 @@ class ShiftOpBackend(TermMapBackend):
         self._seed = seed
 
     def norm(self, x) -> float:
-        """Sampled sup-norm over coefficients at seeded guard-free points."""
+        """Sampled sup-norm over coefficients at seeded points (sampled_max)."""
         if x.is_zero():
             return 0.0
         alg = self.algebra
@@ -354,4 +351,4 @@ class ShiftOpBackend(TermMapBackend):
         def measure(at):
             return max(float(np.max(np.abs(at(c)))) for c in x.terms.values())
 
-        return sampled_max(measure, alg.var_names, (), self._norm_samples, self._seed, alg.ctx)
+        return sampled_max(measure, alg.var_names, self._norm_samples, self._seed, alg.ctx)

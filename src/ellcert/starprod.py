@@ -30,7 +30,7 @@ import numpy as np
 from .context import ThetaContext
 from .errors import InconclusiveRankError, PoleError
 from . import expr as ex
-from .sampling import pair_guards, rel_residual, sample_points, sampled_max, stack_assignments
+from .sampling import rel_residual, sample_points, sampled_max, stack_assignments
 from .shiftops import (
     ShiftOp,
     bosonize,
@@ -69,7 +69,7 @@ class SymThetaFun:
     def invariant_residual(self, samples: int = 12, seed: int = 0) -> float:
         """Sampled symmetry + quasi-periodicity residual (first variable)."""
         names = _zvars(self.degree)
-        pts = sample_points(samples, names, [], seed, self.ctx)
+        pts = sample_points(samples, names, seed, self.ctx)
         stacked = stack_assignments(pts)
         v = np.asarray(ex.evaluate(self.body, stacked, self.ctx))
         worst = 0.0
@@ -113,7 +113,7 @@ def star(f: SymThetaFun, g: SymThetaFun) -> SymThetaFun:
                 diffarg = ex.aff(total_vars[i], (-1, total_vars[j]))
                 factors.append(ex.quot(ex.theta1_of(diffarg.shifted(-n * eta)),
                                        ex.theta1_of(diffarg)))
-        terms.append(ex.prod_over(factors))
+        terms.append(ex.mul(*factors))
     return SymThetaFun(a + b, n, ex.add(*terms), f.ctx)
 
 
@@ -129,7 +129,7 @@ def star_assoc_residual(f: SymThetaFun, g: SymThetaFun, h: SymThetaFun,
         rv = np.asarray(at(right))
         return rel_residual(lv - rv, lv, rv)
 
-    return sampled_max(measure, names, pair_guards(names), samples, seed, f.ctx)
+    return sampled_max(measure, names, samples, seed, f.ctx)
 
 
 def eta_flatness_ratio(n: int, ctx: ThetaContext, scales=(1e-2, 1e-3),
@@ -145,7 +145,7 @@ def eta_flatness_ratio(n: int, ctx: ThetaContext, scales=(1e-2, 1e-3),
         f = theta_gen(0, n, cs)
         g = theta_gen(1 % n, n, cs)
         comm = star(f, g).body - star(g, f).body
-        pts = sample_points(samples, _zvars(2), pair_guards(_zvars(2)), seed, cs)
+        pts = sample_points(samples, _zvars(2), seed, cs)
         stacked = stack_assignments(pts)
         mags.append(float(np.max(np.abs(np.asarray(ex.evaluate(comm, stacked, cs))))))
     return mags[0] / mags[1]
@@ -165,8 +165,8 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
                              gap_threshold: float = 1e3) -> float:
     """Convention-free certification that phi_p descends from the relations.
 
-    (a) Sample the n^2 products theta_i * theta_j at pole-guarded point
-        pairs; the numerical rank must be n(n+1)/2 with a singular-value gap
+    (a) Sample the n^2 products theta_i * theta_j at seeded point pairs;
+        the numerical rank must be n(n+1)/2 with a singular-value gap
         of at least gap_threshold, else the check is inconclusive.
     (b) Every kernel vector c of the sample matrix satisfies
         sum c_ij theta_i * theta_j = 0; the operator
@@ -176,7 +176,7 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
     npts = samples or 2 * n * n + 8
-    pts = sample_points(npts, ["z1", "z2"], pair_guards(["z1", "z2"]), seed, ctx)
+    pts = sample_points(npts, ["z1", "z2"], seed, ctx)
     at = ex.Evaluator(stack_assignments(pts), ctx)
 
     gens = [theta_gen(i, n, ctx) for i in range(n)]
@@ -201,12 +201,11 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
     phis = [phi_p(g, p, ctx) for g in gens]
     ops = {(i, j): shift_mul(phis[i], phis[j]) for i in range(n) for j in range(n)}
     kernel = U[:, r:]
-    guards = pair_guards(phis[0].algebra.var_names)
     worst = 0.0
     for kv in range(kernel.shape[1]):
         c = np.conj(kernel[:, kv]) / row_scale
         parts = [ops[(i, j)].scaled(complex(c[i * n + j])) for i in range(n) for j in range(n)]
-        worst = max(worst, sum_to_zero_residual(parts, samples=10, seed=seed + 1, guards=guards))
+        worst = max(worst, sum_to_zero_residual(parts, samples=10, seed=seed + 1))
     return worst
 
 
@@ -240,7 +239,6 @@ def qnk_relation_residual(n: int, p: int, ctx: ThetaContext,
     gens = [_odesskii_gen(a, n, ctx) for a in range(n)]
     phis = [phi_p(g, p, ctx) for g in gens]
     products = {(a, b): shift_mul(phis[a], phis[b]) for a in range(n) for b in range(n)}
-    guards = pair_guards(phis[0].algebra.var_names)
     worst = 0.0
     for i, j in itertools.permutations(range(n), 2):
         num = gens[(j - i) % n](0.0)
@@ -250,7 +248,7 @@ def qnk_relation_residual(n: int, p: int, ctx: ThetaContext,
             if abs(den) < ctx.pole_guard:
                 raise PoleError("structure-constant denominator vanishes at this eta")
             parts.append(products[(j - r) % n, (i + r) % n].scaled(complex(num / den)))
-        worst = max(worst, sum_to_zero_residual(parts, samples=samples, seed=seed, guards=guards))
+        worst = max(worst, sum_to_zero_residual(parts, samples=samples, seed=seed))
     return worst
 
 
@@ -276,7 +274,7 @@ def casimir(alpha: int, m: int, ctx: ThetaContext) -> SymThetaFun:
         for j in range(m):
             if i != j:
                 factors.append(ex.theta1_of(ex.aff(names[i], (-1, names[j]), const=-2 * m * ctx.eta)))
-    return SymThetaFun(m, 2 * m, ex.prod_over(factors), ctx)
+    return SymThetaFun(m, 2 * m, ex.mul(*factors), ctx)
 
 
 def build_fu_bosonized(u: complex, m: int, a: complex, b: complex,
@@ -312,8 +310,8 @@ def build_fu_bosonized(u: complex, m: int, a: complex, b: complex,
         exp_coeffs = {names[be - 1]: 1 for be in others}
         exp_coeffs[names[al - 1]] = 2 * (m - 2)
         fal.append(ex.ExpLin(ex.Affine(exp_coeffs)))
-        num = ex.prod_over(kernel_num + fal)
-        coeff = num if not kernel_den else ex.quot(num, ex.prod_over(kernel_den))
+        num = ex.mul(*kernel_num, *fal)
+        coeff = num if not kernel_den else ex.quot(num, ex.mul(*kernel_den))
         mi = tuple(2 if idx == al - 1 else 1 for idx in range(p))
         terms[mi] = coeff
     return ShiftOp(alg, terms)
@@ -325,5 +323,4 @@ def fu_commutator_residual(u: complex, v: complex, m: int, a: complex, b: comple
     """[f(u), f(v)] residual in the bosonized algebra."""
     fu = build_fu_bosonized(u, m, a, b, psi_index, ctx)
     fv = build_fu_bosonized(v, m, a, b, psi_index, ctx)
-    return op_equal(shift_mul(fu, fv), shift_mul(fv, fu),
-                    samples=samples, seed=seed, guards=pair_guards(fu.algebra.var_names))
+    return op_equal(shift_mul(fu, fv), shift_mul(fv, fu), samples=samples, seed=seed)

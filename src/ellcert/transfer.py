@@ -22,7 +22,7 @@ identifies it with T(u) after reflecting the variables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .context import ThetaContext
 from .errors import PoleError
 from . import expr as ex
-from .sampling import pair_guards, sample_points, stack_assignments
+from .sampling import sample_points, stack_assignments
 from .shiftops import (
     ShiftAlgebra,
     ShiftOp,
@@ -55,7 +55,6 @@ class TransferFamily:
     algebra: ShiftAlgebra
     builder: Callable[[complex], ShiftOp]
     label: str
-    guards: list = field(default_factory=list)
 
     def build(self, u: complex) -> ShiftOp:
         op = self.builder(u)
@@ -73,7 +72,7 @@ def _transfer_coefficient(u, n, al, names, theta_of, sum_shift=None):
     den = [theta_of(ex.aff(names[al], (-1, names[b]))) for b in others]
     if sum_shift is not None:
         den.append(theta_of(ex.Affine({v: 1 for v in names}, const=sum_shift)))
-    return ex.quot(ex.prod_over(num), ex.prod_over(den))
+    return ex.quot(ex.mul(*num), ex.mul(*den))
 
 
 def build_T(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
@@ -94,15 +93,8 @@ def build_T(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
     return ShiftOp(alg, terms)
 
 
-def _kernel_guards(names, theta_of):
-    """Zeros of the kernel denominators: theta(z_a - z_b) and theta(sum z)."""
-    return pair_guards(names, theta_of) + [theta_of(ex.Affine({v: 1 for v in names}))]
-
-
 def vn_family(n: int, ctx: ThetaContext) -> TransferFamily:
-    alg = make_Vn(n, ctx)
-    guards = _kernel_guards(alg.var_names, ex.theta1_of)
-    return TransferFamily(alg, lambda u: build_T(u, n, ctx), f"T.z{n}", guards)
+    return TransferFamily(make_Vn(n, ctx), lambda u: build_T(u, n, ctx), f"T.z{n}")
 
 
 def transfer_commutator_residual(family: TransferFamily, u: complex, v: complex,
@@ -110,8 +102,7 @@ def transfer_commutator_residual(family: TransferFamily, u: complex, v: complex,
     """[T(u), T(v)] residual via the two products' coefficient cancellation."""
     Tu = family.build(u)
     Tv = family.build(v)
-    return op_equal(shift_mul(Tu, Tv), shift_mul(Tv, Tu),
-                    samples=samples, seed=seed, guards=family.guards)
+    return op_equal(shift_mul(Tu, Tv), shift_mul(Tv, Tu), samples=samples, seed=seed)
 
 
 def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
@@ -137,8 +128,7 @@ def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
     t_det = shift_mul(invert_multiplication(ms[n]), acc)
     t_exp = build_T(u, n, ctx)
 
-    guards = _kernel_guards(names, ex.theta1_of)
-    pts = sample_points(samples, names, guards, seed, ctx)
+    pts = sample_points(samples, names, seed, ctx)
     mi0 = next(iter(t_exp.terms))
     at = ex.Evaluator(pts[0], ctx)
     c_det = at(t_det.terms[mi0])
@@ -146,8 +136,7 @@ def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
     if abs(c_exp) < ctx.pole_guard:
         raise PoleError("reference coefficient too small to normalize")
     const = c_det / c_exp
-    return op_equal(t_det, t_exp.scaled(complex(const)),
-                    samples=samples, seed=seed + 1, guards=guards)
+    return op_equal(t_det, t_exp.scaled(complex(const)), samples=samples, seed=seed + 1)
 
 
 # Chain transfer function ---------------------------------------------------------
@@ -178,7 +167,7 @@ def build_T_tilde(u: complex, p_list: Sequence[int], ctx: ThetaContext) -> Shift
                     den.append(ex.theta1_of(ex.aff(f"z{als[g-1]}_{g}", (-1, f"z{b}_{g}"))))
         for g in range(1, n - 1):
             factors.append(ex.theta1_of(ex.aff(f"z{als[g-1]}_{g}", f"z{als[g]}_{g+1}", (-1, f"t{g}"))))
-        coeff = ex.prod_over(factors) if not den else ex.quot(ex.prod_over(factors), ex.prod_over(den))
+        coeff = ex.mul(*factors) if not den else ex.quot(ex.mul(*factors), ex.mul(*den))
         mi = [0] * alg.r
         for g in range(1, n):
             mi[gen_index[f"e{als[g-1]}_{g}"]] = 1
@@ -189,14 +178,8 @@ def build_T_tilde(u: complex, p_list: Sequence[int], ctx: ThetaContext) -> Shift
 
 
 def btilde_family(p_list: Sequence[int], ctx: ThetaContext) -> TransferFamily:
-    alg = make_Btilde(p_list, ctx)
-    guards = []
-    n = len(p_list) + 1
-    for g in range(1, n):
-        layer = [f"z{b}_{g}" for b in range(1, p_list[g - 1] + 1)]
-        guards.extend(pair_guards(layer))
-    return TransferFamily(alg, lambda u: build_T_tilde(u, p_list, ctx),
-                          f"T.chain{p_list}", guards)
+    return TransferFamily(make_Btilde(p_list, ctx), lambda u: build_T_tilde(u, p_list, ctx),
+                          f"T.chain{p_list}")
 
 
 # Face-model auxiliary transfer ----------------------------------------------------
@@ -209,7 +192,7 @@ def _sos_kernel(u, n, al, names):
     num += [ex.theta_odd_of(ex.aff(names[b], const=u)) for b in others]
     den = [ex.theta_odd_of(ex.aff(names[b], (-1, names[al]))) for b in others]
     den.append(ex.theta_odd_of(ex.Affine({v: 1 for v in names})))
-    return ex.quot(ex.prod_over(num), ex.prod_over(den))
+    return ex.quot(ex.mul(*num), ex.mul(*den))
 
 
 def build_sos_Taux(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
@@ -238,9 +221,7 @@ def build_sos_Taux(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
 
 
 def sos_family(n: int, ctx: ThetaContext) -> TransferFamily:
-    alg = make_sos(n, ctx)
-    guards = _kernel_guards(alg.var_names, ex.theta_odd_of)
-    return TransferFamily(alg, lambda u: build_sos_Taux(u, n, ctx), f"T.face{n}", guards)
+    return TransferFamily(make_sos(n, ctx), lambda u: build_sos_Taux(u, n, ctx), f"T.face{n}")
 
 
 def sos_vs_T_coefficient_ratio(u: complex, n: int, ctx: ThetaContext,
@@ -260,7 +241,7 @@ def sos_vs_T_coefficient_ratio(u: complex, n: int, ctx: ThetaContext,
     if n < 2:
         raise ValueError("need n >= 2")
     names = [f"z{i}" for i in range(1, n + 1)]
-    pts = sample_points(samples, names, _kernel_guards(names, ex.theta_odd_of), seed, ctx)
+    pts = sample_points(samples, names, seed, ctx)
     stacked = stack_assignments(pts)
     at = ex.Evaluator(stacked, ctx)
     at_reflected = ex.Evaluator({v: np.negative(stacked[v]) for v in names}, ctx)

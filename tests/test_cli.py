@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ellcert.checks import REGISTRY, REPORT_SCHEMA, CheckSpec, parse_value, run_check
 from ellcert.cli import load_config, main
-from ellcert.errors import InconclusiveRankError, ParameterError, SamplingExhaustedError
+from ellcert.errors import InconclusiveRankError, ParameterError, PoleError
 
 SMALL_SUITE = """
 [fay]
@@ -153,12 +153,12 @@ class TestSingleCheck:
         assert rec["pass"] is False and rec["residual_max"] == -1.0 and rec["seed"] == 42
 
     def test_library_error_exits_three(self, monkeypatch, capsys):
-        def exhausted(**_):
-            raise SamplingExhaustedError("guards rejected every candidate")
+        def poled(**_):
+            raise PoleError("sampled values pole at all 8 seeded batches")
 
-        monkeypatch.setitem(REGISTRY, "fay", dataclasses.replace(REGISTRY["fay"], fn=exhausted))
+        monkeypatch.setitem(REGISTRY, "fay", dataclasses.replace(REGISTRY["fay"], fn=poled))
         assert main(["check", "fay"]) == 3
-        assert capsys.readouterr().err == "fay: guards rejected every candidate\n"
+        assert capsys.readouterr().err == "fay: sampled values pole at all 8 seeded batches\n"
 
     def test_config_loader_labels(self, tmp_path):
         cfg = write(tmp_path, "[fay:one]\ncount = 5\n\n[fay:two]\ncount = 6\n")

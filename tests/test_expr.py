@@ -1,4 +1,4 @@
-"""Expression-tree tests: evaluation, differentiation, substitution, guards."""
+"""Expression-tree tests: evaluation, differentiation, substitution, sampling."""
 
 import math
 
@@ -9,7 +9,7 @@ from ellcert import ThetaContext
 from ellcert import expr as ex
 from ellcert import theta as theta_module
 from ellcert.errors import EvaluationOverflowError, PoleError, UnboundVariableError
-from ellcert.sampling import sample_points, stack_assignments
+from ellcert.sampling import sample_points, sampled_max, stack_assignments
 
 CTX = ThetaContext()
 ID_TOL = 1e-8
@@ -33,7 +33,7 @@ def test_unbound_variable_raises():
 
 def test_vectorized_evaluation_matches_scalar():
     e = ex.theta1_of(ex.aff("z", const=0.1)) * ex.var("w") + ex.const(2)
-    pts = sample_points(8, ["z", "w"], [], 5, CTX)
+    pts = sample_points(8, ["z", "w"], 5, CTX)
     batch = ex.evaluate(e, stack_assignments(pts), CTX)
     singles = [ex.evaluate(e, p, CTX) for p in pts]
     assert np.allclose(batch, singles, rtol=0, atol=1e-14)
@@ -42,7 +42,7 @@ def test_vectorized_evaluation_matches_scalar():
 def test_quasi_oddness_through_expressions():
     # theta(z1-z2)/theta(z2-z1) == -exp(2*pi*i*(z1-z2)) pointwise.
     e = ex.quot(ex.theta1_of(ex.aff("z1", (-1, "z2"))), ex.theta1_of(ex.aff("z2", (-1, "z1"))))
-    for p in sample_points(10, ["z1", "z2"], [ex.theta1_of(ex.aff("z1", (-1, "z2")))], 7, CTX):
+    for p in sample_points(10, ["z1", "z2"], 7, CTX):
         got = ex.evaluate(e, p, CTX)
         want = -np.exp(TWO_PI_I * (p["z1"] - p["z2"]))
         assert abs(got - want) <= ID_TOL * max(1, abs(want))
@@ -180,25 +180,37 @@ def _random_tree(rng, depth):
 
 class TestSampling:
     def test_single_point_in_box(self):
-        (p,) = sample_points(1, ["z"], [], 42, CTX)
+        (p,) = sample_points(1, ["z"], 42, CTX)
         assert 0 <= p["z"].real < 1 and 0 <= p["z"].imag < CTX.tau.imag
 
-    def test_guard_keeps_points_apart(self):
-        guard = ex.theta1_of(ex.aff("z1", (-1, "z2")))
-        from ellcert.theta import theta1
-        for p in sample_points(30, ["z1", "z2"], [guard], 42, CTX):
-            assert abs(theta1(p["z1"] - p["z2"], CTX)) >= CTX.pole_guard
-
     def test_deterministic(self):
-        a = sample_points(12, ["z1", "z2"], [], 9, CTX)
-        b = sample_points(12, ["z1", "z2"], [], 9, CTX)
+        a = sample_points(12, ["z1", "z2"], 9, CTX)
+        b = sample_points(12, ["z1", "z2"], 9, CTX)
         assert a == b
 
-    def test_exhaustion_error(self):
-        from ellcert.errors import SamplingExhaustedError
-        never = ex.const(0)
-        with pytest.raises(SamplingExhaustedError):
-            sample_points(2, ["z"], [never], 1, CTX)
+    @pytest.mark.parametrize("count", [1, 5, 20])
+    def test_points_are_the_first_rows_of_one_draw(self, count):
+        # the golden report depends on this layout: real parts, then imaginary parts
+        names = ["z1", "z2", "z3"]
+        rng = np.random.default_rng(17)
+        shape = (max(4 * count, 16), len(names))
+        re = rng.random(shape)
+        im = rng.random(shape)
+        rows = (re + 1j * (im * CTX.tau.imag))[:count]
+        assert sample_points(count, names, 17, CTX) == [dict(zip(names, map(complex, r))) for r in rows]
+
+    def test_identically_poled_measure_raises_after_every_batch(self):
+        # a degenerate input ends in an error, never in a residual
+        poled = ex.quot(1, ex.theta1_of(0))
+        batches = []
+
+        def measure(at):
+            batches.append(at)
+            return float(np.max(np.abs(at(poled))))
+
+        with pytest.raises(PoleError):
+            sampled_max(measure, ["z"], 5, 0, CTX)
+        assert len(batches) == 8
 
 
 @pytest.fixture

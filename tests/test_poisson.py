@@ -212,7 +212,6 @@ def theta_leaves(trees):
 
 class TestJacobiDelta:
     def test_batch_evaluates_each_distinct_theta_leaf_once(self, monkeypatch):
-        # the sampler's guards see one point per call, the batch all 8 at once
         batch_calls = []
         real = theta_module.theta_value
 

@@ -104,7 +104,7 @@ class TestBasics:
         # Normal-form soundness: pruning and merging change nothing.
         alg = make_Bpn(2, 4, CTX)
         rng = np.random.default_rng(7)
-        pts = sample_points(6, alg.var_names, [], 3, CTX)
+        pts = sample_points(6, alg.var_names, 3, CTX)
         for trial in range(20):
             a = (ShiftOp.monomial(alg, tuple(rng.integers(0, 3, size=2)),
                                   ex.theta1_of(ex.aff("u1", const=rng.random())))
@@ -179,8 +179,8 @@ class TestPoledBatchIsDiscarded:
     @staticmethod
     def _operators():
         alg = make_Vn(2, CTX)
-        p1 = sample_points(1, alg.var_names, [], 0, CTX)[0]["z1"]
-        p2 = sample_points(1, alg.var_names, [], 7919, CTX)[0]["z1"]
+        p1 = sample_points(1, alg.var_names, 0, CTX)[0]["z1"]
+        p2 = sample_points(1, alg.var_names, 7919, CTX)[0]["z1"]
         z1 = ex.var("z1")
         # f1: z1 - p2 is |p1 - p2| at batch 0 and exactly 0 at batch 1;
         # f2: poles at batch 0 and is exactly 0 at batch 1.

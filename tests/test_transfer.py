@@ -220,7 +220,7 @@ class TestSos:
         from ellcert.sampling import sample_points, stack_assignments
         import ellcert.expr as exx
         names = ["z1", "z2"]
-        pts = sample_points(6, names, [], 3, CTX)
+        pts = sample_points(6, names, 3, CTX)
         stacked = stack_assignments(pts)
         k1 = exx.theta_odd_of(exx.aff((-1, "z2"), const=u))
         k2 = exx.theta_odd_of(exx.aff((-1, "z2"), const=u + 0.01))
