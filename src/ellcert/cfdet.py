@@ -130,11 +130,12 @@ def verify_commuting_family(ms, backend) -> float:
     be = backend
     inv0 = be.invert(ms[0])
     hs = [be.mul(inv0, d) for d in ms[1:]]
+    norms = [be.norm(h) for h in hs]
     worst = 0.0
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
             comm = be.add(be.mul(hs[i], hs[j]), be.neg(be.mul(hs[j], hs[i])))
-            scale = max(1.0, be.norm(hs[i]) * be.norm(hs[j]))
+            scale = max(1.0, norms[i] * norms[j])
             worst = max(worst, be.norm(comm) / scale)
     return worst
 
@@ -143,12 +144,13 @@ def verify_triangle(ms, backend) -> float:
     """max over i < j of the residual of M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i."""
     be = backend
     inv0 = be.invert(ms[0])
+    norms, norm0 = [be.norm(m) for m in ms], be.norm(inv0)
     worst = 0.0
     for i in range(len(ms)):
         for j in range(i + 1, len(ms)):
             lhs = be.mul(ms[i], be.mul(inv0, ms[j]))
             rhs = be.mul(ms[j], be.mul(inv0, ms[i]))
-            scale = max(1.0, be.norm(ms[i]) * be.norm(inv0) * be.norm(ms[j]))
+            scale = max(1.0, norms[i] * norm0 * norms[j])
             worst = max(worst, be.norm(be.add(lhs, be.neg(rhs))) / scale)
     return worst
 

@@ -254,8 +254,8 @@ def psi2_pair_residual(ctx: ThetaContext, seed: int = 0, samples: int = 20,
 
 # Fay identity -------------------------------------------------------------------
 
-def fay_residual(a: complex, b: complex, c: complex, d: complex, ctx: ThetaContext) -> float:
-    """Three-term trisecant identity residual for the odd theta.
+def fay_residual(a, b, c, d, ctx: ThetaContext):
+    """Three-term trisecant identity residual for the odd theta (vectorized).
 
     |T1 - T2 + T3| / max|Ti| with
     T1 = t(a+c) t(a-c) t(b+d) t(b-d),
@@ -268,15 +268,12 @@ def fay_residual(a: complex, b: complex, c: complex, d: complex, ctx: ThetaConte
     t1 = t(a + c) * t(a - c) * t(b + d) * t(b - d)
     t2 = t(a + b) * t(a - b) * t(c + d) * t(c - d)
     t3 = t(a + d) * t(a - d) * t(c + b) * t(c - b)
-    scale = max(abs(t1), abs(t2), abs(t3), 1e-300)
+    scale = np.maximum(np.maximum(abs(t1), abs(t2)), np.maximum(abs(t3), 1e-300))
     return abs(t1 - t2 + t3) / scale
 
 
 def fay_sweep(count: int, seed: int, ctx: ThetaContext) -> float:
-    """Max residual over seeded random quadruples from the fundamental box."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        a, b, c, d = (complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(4))
-        worst = max(worst, fay_residual(a, b, c, d, ctx))
-    return worst
+    """Max residual over seeded random quadruples from the fundamental box, in one batch."""
+    u = np.random.default_rng(seed).random((count, 4, 2))
+    pts = u[..., 0] + 1j * (ctx.tau.imag * u[..., 1])
+    return float(np.max(fay_residual(*pts.T, ctx)))

@@ -271,11 +271,24 @@ class TestFay:
 
     def test_all_zero_arguments(self):
         # every product contains theta_odd(0) = 0
-        t1 = fay_residual(0, 0, 0, 0, CTX)
-        assert t1 == 0.0 or t1 < 1e-6  # 0/0 guarded by the tiny floor
+        assert fay_residual(0, 0, 0, 0, CTX) == 0.0  # 0/0 guarded by the tiny floor
 
     def test_random_quadruples(self):
         assert fay_sweep(30, 1, CTX) <= 1e-10
 
     def test_second_tau(self):
         assert fay_sweep(30, 2, ThetaContext(tau=0.3 + 1.1j)) <= 1e-10
+
+    @pytest.mark.parametrize("tau", [0.8j, 0.3 + 1.1j, 0.3j])
+    def test_batch_equals_scalar_loop(self, tau):
+        # the quadruples of the per-quadruple loop, drawn in its order; array and
+        # scalar complex products may round apart in the last bit, and a residual
+        # is relative to the largest product, so they agree to a few eps
+        ctx = ThetaContext(tau=tau)
+        for seed, count in ((1, 1), (2, 30), (42, 100)):
+            rng = np.random.default_rng(seed)
+            ref = 0.0
+            for _ in range(count):
+                a, b, c, d = (complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(4))
+                ref = max(ref, fay_residual(a, b, c, d, ctx))
+            assert abs(fay_sweep(count, seed, ctx) - ref) <= 8 * np.finfo(float).eps

@@ -13,13 +13,12 @@ import pytest
 
 from ellcert import ThetaContext, theta1, theta_basis, theta_odd, reduce_to_fundamental
 from ellcert.errors import EvaluationOverflowError
-from ellcert.theta import theta_value
+from ellcert.theta import _lattice_reduce, _window, theta_value
 
 TWO_PI_I = 2j * math.pi
 
 CTX = ThetaContext()
 CTX_B = ThetaContext(tau=0.3 + 1.1j)
-EVAL_TOL = 1e-12
 ID_TOL = 1e-8
 
 
@@ -49,7 +48,7 @@ def scale_of(*vals):
 
 class TestTheta1:
     def test_vanishes_at_origin(self):
-        assert abs(theta1(0, CTX)) < EVAL_TOL
+        assert theta1(0, CTX) == 0
 
     def test_vanishes_on_lattice(self):
         for a in (-1, 0, 1):
@@ -132,7 +131,7 @@ class TestThetaBasis:
 
 class TestThetaOdd:
     def test_zero_at_origin(self):
-        assert abs(theta_odd(0, CTX)) < EVAL_TOL
+        assert theta_odd(0, CTX) == 0
 
     def test_odd(self):
         z = 0.4 + 0.2j
@@ -143,6 +142,39 @@ class TestThetaOdd:
         for z in box_points(8, 13, CTX):
             ref = complex(mpmath.jtheta(1, mpmath.pi * mpmath.mpc(z), qhat))
             assert abs(theta_odd(z, CTX) - ref) <= 1e-11 * scale_of(ref)
+
+
+class TestExactLatticeZeros:
+    """theta1 and theta_odd are exactly 0 where the argument reduces exactly to w = 0."""
+
+    @pytest.mark.parametrize("tau", [0.8j, 0.3 + 1.1j, 0.3j, 7.9 + 0.3j])
+    def test_exactly_zero(self, tau):
+        ctx = ThetaContext(tau=tau)
+        points = [0, 1, ctx.tau, 1 + ctx.tau]
+        w, _, _ = _lattice_reduce(np.array(points), ctx.tau)
+        assert np.all(w == 0), "each point must reduce exactly to w = 0"
+        for fn in (theta1, theta_odd):
+            assert [fn(z, ctx) for z in points] == [0, 0, 0, 0]
+            assert np.all(fn(np.array(points), ctx) == 0)
+
+
+class TestModeWindow:
+    """The tail-bounded window against the independent naive series."""
+
+    SPECS = [("order1", 1, 0), ("odd", 1, 0)] + [
+        ("basis", n, i) for n in (1, 2, 5, 9) for i in sorted({0, n - 1})]
+
+    @pytest.mark.parametrize("tau", [0.3j, 0.3 + 0.3j, 0.8j, 0.3 + 1.1j, 2.5j])
+    def test_matches_naive_series(self, tau):
+        ctx = ThetaContext(tau=tau)
+        z = box_points(40, 29, ctx)
+        for kind, order, index in self.SPECS:
+            for deriv in range(4):
+                got = theta_value(kind, z, ctx, order=order, index=index, deriv=deriv)
+                ref = np.array([naive_theta(kind, p, ctx.tau, order, index, deriv) for p in z])
+                err = np.max(np.abs(got - ref) / np.maximum(1, np.abs(ref)))
+                assert err <= 1e-13, (kind, order, index, deriv, err)
+                assert _window(kind, order, index, ctx.tau, deriv).k.size <= 61
 
 
 class TestReduce:
