@@ -34,8 +34,9 @@ coefficient and have opposite signs, so each pair is summed as one
 difference: theta1 and theta_o are exactly 0 wherever the argument reduces
 exactly to w = 0, e.g. at 0, 1, tau and 1 + tau.
 
-Derivatives of order d are term-wise: mode k picks up (2*pi*i*k)^d, from
-the same exponentials as the value, and the reduction multiplier M(w) = K * e^(-2*pi*i*nu*b*w) contributes binomially:
+Derivatives of order d are term-wise: mode k picks up (2*pi*i*k)^d, applied
+to the exponentials computed once for the value, and the reduction multiplier
+M(w) = K * e^(-2*pi*i*nu*b*w) contributes binomially:
 
   theta^(d)(w + a + b*tau) = M(w) * sum_r C(d,r) (-2*pi*i*nu*b)^(d-r) theta^(r)(w).
 
@@ -147,19 +148,19 @@ def _reaches(k, c, height: float, deriv: int):
 def _window(kind: str, order: int, index: int, tau: complex, deriv: int) -> _Window:
     """Modes that can reach _TAIL times the largest term anywhere on the strip, for r <= deriv."""
     k, sign, c, partner = _candidates(kind, order, index)
-    folded = partner is not None
-    if folded:
-        keep = _reaches(np.concatenate([k, partner]), np.concatenate([c, c]), tau.imag, deriv)
-        keep = keep[:k.size] | keep[k.size:]
-        sign, c = sign[keep], c[keep]
-        k = np.concatenate([k[keep], partner[keep]])
-        signs, c = np.concatenate([sign, -sign]), np.concatenate([c, c])
-    else:
+    if partner is None:
         keep = _reaches(k, c, tau.imag, deriv)
         k, sign, c = k[keep], sign[keep], c[keep]
         signs = sign
+    else:
+        # a pair is kept whole if either of its modes can reach the result
+        both = _reaches(np.concatenate([k, partner]), np.tile(c, 2), tau.imag, deriv)
+        keep = both[:k.size] | both[k.size:]
+        sign = sign[keep]
+        k, c = np.concatenate([k[keep], partner[keep]]), np.tile(c[keep], 2)
+        signs = np.concatenate([sign, -sign])
     powers = tuple(signs * (_TWO_PI_I * k) ** r for r in range(1, deriv + 1))
-    win = _Window(k, tau * c, sign, powers, folded)
+    win = _Window(k, tau * c, sign, powers, partner is not None)
     for arr in (win.k, win.tau_c, win.sign, *win.powers):
         arr.setflags(write=False)
     return win
