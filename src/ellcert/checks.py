@@ -24,7 +24,7 @@ from .context import ThetaContext
 from .errors import (EvaluationOverflowError, InconclusiveRankError, ParameterError,
                      SingularOperatorError)
 from . import expr as ex
-from .sampling import rel_residual
+from .sampling import box, rel_residual, sampled_max
 from .shiftops import make_Vn
 from .theta import reduce_to_fundamental, theta1, theta_basis
 from . import cfdet
@@ -228,18 +228,17 @@ def check(name, tolerance, summary, **params):
 def check_theta_quasiperiodicity(seed, n_max, points, taus) -> float:
     worst = 0.0
     for ctx in taus:
-        tau = ctx.tau
-        rng = np.random.default_rng(seed)
-        z = rng.random(points) + 1j * tau.imag * rng.random(points)
-        for n in range(1, n_max + 1):
-            mult = (-1) ** n * np.exp(-2j * math.pi * n * z)
-            for i in range(n):
-                v = theta_basis(i, z, ctx, n=n)
-                per = theta_basis(i, z + 1, ctx, n=n)
-                qp = theta_basis(i, z + tau, ctx, n=n)
-                worst = max(worst, rel_residual(per - v, v))
-                expect = mult * v
-                worst = max(worst, rel_residual(qp - expect, qp, expect))
+        def draw(s):  # a stream of its own, not the box layout: the golden residuals depend on it
+            rng = np.random.default_rng(s)
+            return {"z": rng.random(points) + 1j * ctx.tau.imag * rng.random(points)}
+
+        def measure(at):
+            z = at.env["z"]
+            images = (z, z + 1, z + ctx.tau)
+            return max(starprod.periodicity_residual(z, n, *(theta_basis(i, w, ctx, n=n) for w in images))
+                       for n in range(1, n_max + 1) for i in range(n))
+
+        worst = max(worst, sampled_max(measure, draw, seed, ctx))
     return worst
 
 
@@ -292,7 +291,7 @@ def check_plucker(seed, orders, seeds) -> float:
 @check("poisson-hamiltonians", 1e-9, "pairwise brackets of the determinant hamiltonians",
        n=integers("2,3,4", 2, 4), seeds=count(5), points=count(20), tau=TAU)
 def check_poisson_hamiltonians(seed, n, seeds, points, ctx) -> float:
-    return max(poisson.classical_hamiltonians(order, ctx, seed=seed + s, points=points)[1]
+    return max(poisson.classical_hamiltonians(order, ctx, seed=seed + s, points=points)
                for order in n for s in range(seeds))
 
 
@@ -303,14 +302,14 @@ def check_poisson_jacobi(seed, points, ctx) -> float:
                for n, triple in ((3, (1, 2, 3)), (4, (1, 2, 4))))
 
 
-def _two_spectral_points(ctx, seed):
+def _spectral_points(ctx, seed, count):
     rng = np.random.default_rng(seed)
-    return tuple(complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(2))
+    return tuple(complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(count))
 
 
 def _commutator_max(fam, ctx, seeds, samples, seed) -> float:
     """Largest [T(u), T(v)] residual of `fam` over `seeds` seeded spectral-point pairs."""
-    return max(transfer.transfer_commutator_residual(fam, *_two_spectral_points(ctx, seed + 100 * s),
+    return max(transfer.transfer_commutator_residual(fam, *_spectral_points(ctx, seed + 100 * s, 2),
                                                      samples=samples, seed=seed + s)
                for s in range(seeds))
 
@@ -324,7 +323,7 @@ def check_transfer_commute(seed, n, seeds, samples, ctx) -> float:
 @check("transfer-det", 1e-8, "explicit coefficients against the determinant form",
        n=integers("2,3", 2, 4), samples=count(15), tau=TAU, eta=ETA)
 def check_transfer_det(seed, n, samples, ctx) -> float:
-    u, _ = _two_spectral_points(ctx, seed)
+    (u,) = _spectral_points(ctx, seed, 1)
     return max(transfer.transfer_det_consistency_residual(u, order, ctx, samples=samples, seed=seed)
                for order in n)
 
@@ -379,8 +378,7 @@ def check_fu_commute(seed, m, seeds, samples, ctx) -> float:
     worst = 0.0
     for degree in m:
         for s in range(seeds):
-            rng = np.random.default_rng(seed + s)
-            u, v, a, b = (complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(4))
+            u, v, a, b = _spectral_points(ctx, seed + s, 4)
             worst = max(worst, starprod.fu_commutator_residual(
                 u, v, degree, a, b, 0, ctx, samples=samples, seed=seed + s))
     return worst
@@ -389,16 +387,20 @@ def check_fu_commute(seed, m, seeds, samples, ctx) -> float:
 @check("casimir-diagonal", 1e-10, "central elements vanish on the shifted diagonal",
        m=integers("2,3", 2, 4), tau=TAU, eta=ETA)
 def check_casimir_diagonal(seed, m, ctx) -> float:
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for degree in m:
-        for alpha in (0, 1):
-            c = starprod.casimir(alpha, degree, ctx)
-            for _ in range(5):
-                zs = [complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(degree)]
-                generic = abs(c(*zs))
-                zs[1] = zs[0] + 2 * degree * ctx.eta
-                worst = max(worst, abs(c(*zs)) / max(1.0, generic))
+        points = box(10, [f"z{i}" for i in range(1, degree + 1)], ctx)
+        bodies = [starprod.casimir(alpha, degree, ctx).body for alpha in (0, 1)]
+
+        def draw(s):  # row 0 the points, row 1 the same points with z2 moved onto z1 + 2m*eta
+            pts = points(s)
+            diagonal = {**pts, "z2": pts["z1"] + 2 * degree * ctx.eta}
+            return {v: np.stack([x, diagonal[v]]) for v, x in pts.items()}
+
+        def measure(at):
+            return max(rel_residual(on, generic) for generic, on in map(at, bodies))
+
+        worst = max(worst, sampled_max(measure, draw, seed, ctx))
     return worst
 
 
@@ -417,7 +419,7 @@ def check_sos_commute(seed, n, seeds, samples, ctx) -> float:
 @check("sos-ratio", 1e-8, "face-model kernel matches the basic kernel after reflection",
        n=integers("2,3", 2, 4), tau=TAU)
 def check_sos_ratio(seed, n, ctx) -> float:
-    u, _ = _two_spectral_points(ctx, seed)
+    (u,) = _spectral_points(ctx, seed, 1)
     return max(transfer.sos_vs_T_coefficient_ratio(u, order, ctx, samples=10, seed=seed) for order in n)
 
 
@@ -435,15 +437,14 @@ def check_quotient_rule(seed, points, ctx) -> float:
     g = poisson.PoissonElement.generator(alg, "f2", ex.theta1_of("z2"))
     one = poisson.PoissonElement.function(alg, ex.const(1))
     rb = poisson.RatioBracket(one, h, g, one)
-    # every requested point is measured: a pole of h raises PoleError in rb, none is skipped
-    envs = poisson._phase_space_points(alg, points, seed)
-    worst = 0.0
-    for env in envs:
-        at = ex.Evaluator(env, ctx)
+    hg = poisson.pbracket(h, g)
+
+    def measure(at):  # a pole of h raises PoleError in rb: the batch is redrawn, no point skipped
         lhs = rb(at)
-        rhs = -poisson.pbracket(h, g).evaluate(at) / h.evaluate(at) ** 2
-        worst = max(worst, rel_residual(lhs - rhs, lhs, rhs))
-    return worst
+        rhs = -hg.evaluate(at) / h.evaluate(at) ** 2
+        return rel_residual(lhs - rhs, lhs, rhs)
+
+    return sampled_max(measure, lambda s: poisson._phase_space_points(alg, points, s), seed, ctx)
 
 
 @check("qnk-relation", 1e-10, "Feigin-Odesskii quadratic relations of Q_{n,1} hold under phi_p",

@@ -30,7 +30,7 @@ from .cfdet import minors
 from .context import ThetaContext
 from .errors import PoleError
 from . import expr as ex
-from .sampling import rel_residual, sample_points, stack_assignments
+from .sampling import box, rel_residual, sampled_max
 from .shiftops import TermMap, TermMapBackend, bosonize, make_Bpn, make_Vn, sum_to_zero_residual
 
 
@@ -98,9 +98,9 @@ class RatioBracket:
 
     {f/h, g/k} = ({f,g} - (f/h){h,g} - (g/k){f,k} + (f/h)(g/k){h,k}) / (h k),
     each inner bracket taken in the ambient algebra.  Calling the object with
-    the evaluator of a phase-space point returns the value; residual_at also
-    reports the largest constituent term as the cancellation scale.  All
-    eight elements evaluate through the one evaluator passed in.
+    the evaluator of a phase-space point, or of a batch of them, returns the
+    value; residual_batch measures it against its four terms.  All eight
+    elements evaluate through the one evaluator passed in.
     """
 
     def __init__(self, f, h, g, k):
@@ -115,8 +115,13 @@ class RatioBracket:
         self.b_fk = pbracket(f, k)
         self.b_hk = pbracket(h, k)
 
-    def residual_batch(self, at: ex.Evaluator):
-        """Vectorized over array-valued assignments; returns (values, scales)."""
+    def residual_batch(self, at: ex.Evaluator) -> float:
+        """Largest |{f/h, g/k}| over the batch, relative to its terms (rel_residual)."""
+        value, terms = self.residual_at(at)
+        return rel_residual(value, *terms)
+
+    def residual_at(self, at: ex.Evaluator):
+        """(value, its four terms), vectorized over array-valued assignments."""
         hv = np.asarray(self.h.evaluate(at))
         kv = np.asarray(self.k.evaluate(at))
         if np.any(np.minimum(np.abs(hv), np.abs(kv)) < ThetaContext.pole_guard):
@@ -130,15 +135,7 @@ class RatioBracket:
             -(gv / kv) * self.b_fk.evaluate(at) / hk,
             (fv / hv) * (gv / kv) * self.b_hk.evaluate(at) / hk,
         ]
-        value = sum(terms)
-        scale = np.asarray(1.0)
-        for t in terms:
-            scale = np.maximum(scale, np.abs(t))
-        return value, scale
-
-    def residual_at(self, at: ex.Evaluator):
-        value, scale = self.residual_batch(at)
-        return complex(value), float(scale)
+        return sum(terms), terms
 
     def __call__(self, at: ex.Evaluator):
         return self.residual_at(at)[0]
@@ -167,20 +164,18 @@ def classical_delta_elements(n: int, ctx: ThetaContext):
 
 
 def _phase_space_points(alg, count, seed):
-    """Seeded z-points from the sampling box plus nonzero generator values."""
-    pts = sample_points(count, alg.var_names, seed, alg.ctx)
+    """Seeded z-points from the sampling box plus nonzero generator values, stacked."""
+    env = box(count, alg.var_names, alg.ctx)(seed)
     rng = np.random.default_rng(seed + 0x9E3779B9)
-    out = []
-    for p in pts:
-        env = dict(p)
-        for g in alg.gen_names:
-            while True:
-                val = complex(rng.random() - 0.5, rng.random() - 0.5)
-                if abs(val) > 0.1:
-                    break
-            env[g] = val
-        out.append(env)
-    return out
+    values = np.empty((len(alg.gen_names), count), dtype=complex)
+    for p, gi in np.ndindex(count, len(alg.gen_names)):  # point by point, as the stream was always drawn
+        while True:
+            val = complex(rng.random() - 0.5, rng.random() - 0.5)
+            if abs(val) > 0.1:
+                break
+        values[gi, p] = val
+    env.update(zip(alg.gen_names, values))
+    return env
 
 
 @functools.lru_cache(maxsize=16)
@@ -189,21 +184,15 @@ def _hamiltonian_brackets(n: int, ctx: ThetaContext):
     alg, deltas = classical_delta_elements(n, ctx)
     brackets = [RatioBracket(deltas[i], deltas[0], deltas[j], deltas[0])
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return alg, deltas, tuple(brackets)
+    return alg, tuple(brackets)
 
 
-def classical_hamiltonians(n: int, ctx: ThetaContext, seed: int = 0, points: int = 20):
+def classical_hamiltonians(n: int, ctx: ThetaContext, seed: int = 0, points: int = 20) -> float:
     """Max pairwise |{H_i, H_j}| residual for H_i = Delta_i / Delta_0 over all
-    the points; a bracket that poles at one of them raises PoleError."""
-    alg, deltas, brackets = _hamiltonian_brackets(n, ctx)
-    pts = _phase_space_points(alg, points, seed)
-    at = ex.Evaluator(stack_assignments(pts), alg.ctx)
-    ratios = [(deltas[i], deltas[0]) for i in range(1, n + 1)]
-    worst = 0.0
-    for rb in brackets:
-        values, scales = rb.residual_batch(at)
-        worst = max(worst, float(np.max(np.abs(values) / scales)))
-    return ratios, worst
+    the points; a batch where a bracket poles is redrawn."""
+    alg, brackets = _hamiltonian_brackets(n, ctx)
+    return sampled_max(lambda at: max(rb.residual_batch(at) for rb in brackets),
+                       functools.partial(_phase_space_points, alg, points), seed, alg.ctx)
 
 
 @functools.lru_cache(maxsize=16)
@@ -217,10 +206,12 @@ def _jacobi_delta_terms(n: int, ctx: ThetaContext, ijk):
 def jacobi_delta_residual(n: int, ctx: ThetaContext, ijk, seed: int = 0, points: int = 20) -> float:
     """Residual of Delta_i {Delta_j, Delta_k} + its cyclic shifts in (i, j, k) = 0."""
     alg, elems = _jacobi_delta_terms(n, ctx, tuple(ijk))
-    pts = _phase_space_points(alg, points, seed)
-    at = ex.Evaluator(stack_assignments(pts), alg.ctx)
-    vals = [np.asarray(e.evaluate(at)) for e in elems]
-    return rel_residual(sum(vals), *vals)
+
+    def measure(at):
+        vals = [np.asarray(e.evaluate(at)) for e in elems]
+        return rel_residual(sum(vals), *vals)
+
+    return sampled_max(measure, functools.partial(_phase_space_points, alg, points), seed, alg.ctx)
 
 
 # Classical bosonization ---------------------------------------------------------
@@ -274,6 +265,9 @@ def fay_residual(a, b, c, d, ctx: ThetaContext):
 
 def fay_sweep(count: int, seed: int, ctx: ThetaContext) -> float:
     """Max residual over seeded random quadruples from the fundamental box, in one batch."""
-    u = np.random.default_rng(seed).random((count, 4, 2))
-    pts = u[..., 0] + 1j * (ctx.tau.imag * u[..., 1])
-    return float(np.max(fay_residual(*pts.T, ctx)))
+    def quadruples(s):
+        u = np.random.default_rng(s).random((count, 4, 2))
+        return dict(zip("abcd", (u[..., 0] + 1j * (ctx.tau.imag * u[..., 1])).T))
+
+    return sampled_max(lambda at: float(np.max(fay_residual(*(at.env[v] for v in "abcd"), ctx))),
+                       quadruples, seed, ctx)

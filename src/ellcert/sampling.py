@@ -1,10 +1,10 @@
-"""Deterministic sampling of complex points.
+"""Deterministic sampling of complex points, and the one loop that measures on them.
 
-Points are drawn from the box Re in [0,1), Im in [0, Im tau) with a seeded
-PCG64 stream, so a batch depends only on the seed.  No point is rejected: a
-pole is detected where the division happens (a Quotient or RatioBracket
-denominator below ctx.pole_guard raises PoleError), and sampled_max then
-redraws the whole batch.
+A draw maps a batch seed to an assignment of variables to equally shaped
+arrays; `box` draws seeded points of Re in [0,1), Im in [0, Im tau).  No point
+is rejected: a pole is detected where the division happens (a Quotient or
+RatioBracket denominator below ctx.pole_guard raises PoleError).  sampled_max
+is the only code that draws a batch, builds its Evaluator and redraws.
 """
 
 from __future__ import annotations
@@ -33,24 +33,28 @@ def sample_points(count: int, var_names: Sequence[str], seed: int, ctx: ThetaCon
     return [dict(zip(var_names, (complex(v) for v in row))) for row in (re + 1j * im)[:count]]
 
 
-def sampled_max(measure: Callable[[ex.Evaluator], float],
-                var_names: Sequence[str],
-                samples: int,
-                seed: int,
-                ctx: ThetaContext) -> float:
-    """measure(evaluator of the stacked points) on the first seeded batch
-    that does not pole.
+def box(count: int, var_names: Sequence[str], ctx: ThetaContext) -> Callable[[int], dict]:
+    """The draw of `count` seeded box points, stacked: batch seed -> {name: array}."""
+    return lambda seed: stack_assignments(sample_points(count, var_names, seed, ctx))
 
-    Batch k is drawn with seed + _RETRY_STRIDE*k and gets one Evaluator, so
-    everything measure compares on the batch evaluates each node once.  A
+
+def sampled_max(measure: Callable[[ex.Evaluator], object],
+                draw: Callable[[int], Mapping],
+                seed: int,
+                ctx: ThetaContext):
+    """measure(evaluator of draw(batch seed)) on the first batch that does not pole.
+
+    Batch k is draw(seed + _RETRY_STRIDE*k) and gets one Evaluator, so
+    everything measure compares on the batch evaluates each node once.
+    measure may return any value: a residual, a constant, a matrix.  A
     PoleError raised by measure discards the whole batch with its evaluator,
     so no partial value of a poled batch leaks into the result.  Raises
     PoleError when all 8 batches pole.
     """
     for attempt in range(_RETRY_BATCHES):
-        pts = sample_points(samples, var_names, seed + _RETRY_STRIDE * attempt, ctx)
+        at = ex.Evaluator(draw(seed + _RETRY_STRIDE * attempt), ctx)
         try:
-            return measure(ex.Evaluator(stack_assignments(pts), ctx))
+            return measure(at)
         except PoleError:
             continue
     raise PoleError(f"sampled values pole at all {_RETRY_BATCHES} seeded batches")

@@ -35,7 +35,7 @@ import numpy as np
 from .context import ThetaContext
 from .errors import SingularOperatorError
 from . import expr as ex
-from .sampling import rel_residual, sampled_max
+from .sampling import box, rel_residual, sampled_max
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def sum_to_zero_residual(parts: Sequence[TermMap], samples: int = 20, seed: int 
             worst = max(worst, rel_residual(sum(vals), *vals))
         return worst
 
-    return sampled_max(measure, alg.var_names, samples, seed, alg.ctx)
+    return sampled_max(measure, box(samples, alg.var_names, alg.ctx), seed, alg.ctx)
 
 
 def commutator_residual(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0) -> float:
@@ -351,4 +351,4 @@ class ShiftOpBackend(TermMapBackend):
         def measure(at):
             return max(float(np.max(np.abs(at(c)))) for c in x.terms.values())
 
-        return sampled_max(measure, alg.var_names, self._norm_samples, self._seed, alg.ctx)
+        return sampled_max(measure, box(self._norm_samples, alg.var_names, alg.ctx), self._seed, alg.ctx)

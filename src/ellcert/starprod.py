@@ -30,7 +30,7 @@ import numpy as np
 from .context import ThetaContext
 from .errors import InconclusiveRankError, PoleError
 from . import expr as ex
-from .sampling import rel_residual, sample_points, sampled_max, stack_assignments
+from .sampling import box, rel_residual, sampled_max
 from .shiftops import (
     ShiftOp,
     bosonize,
@@ -67,27 +67,33 @@ class SymThetaFun:
         return ex.evaluate(self.body, env, self.ctx)
 
     def invariant_residual(self, samples: int = 12, seed: int = 0) -> float:
-        """Sampled symmetry + quasi-periodicity residual (first variable)."""
+        """Sampled symmetry + quasi-periodicity residual (first variable).  A batch
+        stacks the points and their images (z1 + 1, z1 + tau, z1 and z2 swapped) as rows."""
         names = _zvars(self.degree)
-        pts = sample_points(samples, names, seed, self.ctx)
-        stacked = stack_assignments(pts)
-        v = np.asarray(ex.evaluate(self.body, stacked, self.ctx))
-        worst = 0.0
-        if self.degree >= 2:
-            swapped = dict(stacked)
-            swapped[names[0]], swapped[names[1]] = stacked[names[1]], stacked[names[0]]
-            vs = np.asarray(ex.evaluate(self.body, swapped, self.ctx))
-            worst = max(worst, rel_residual(v - vs, v))
-        per = dict(stacked)
-        per[names[0]] = stacked[names[0]] + 1
-        vp = np.asarray(ex.evaluate(self.body, per, self.ctx))
-        worst = max(worst, rel_residual(vp - v, v))
-        qp = dict(stacked)
-        qp[names[0]] = stacked[names[0]] + self.ctx.tau
-        vq = np.asarray(ex.evaluate(self.body, qp, self.ctx))
-        mult = (-1) ** self.order_n * np.exp(-2j * math.pi * self.order_n * stacked[names[0]])
-        expect = mult * v
-        return max(worst, rel_residual(vq - expect, vq, expect))
+        z1 = names[0]
+        points = box(samples, names, self.ctx)
+
+        def draw(s):
+            pts = points(s)
+            images = [{**pts, z1: pts[z1] + 1}, {**pts, z1: pts[z1] + self.ctx.tau}]
+            if self.degree >= 2:
+                images.append({**pts, z1: pts[names[1]], names[1]: pts[z1]})
+            return {v: np.stack([pts[v]] + [im[v] for im in images]) for v in names}
+
+        def measure(at):
+            v, per, qp, *swapped = np.broadcast_to(at(self.body), at.env[z1].shape)  # a constant body too
+            worst = periodicity_residual(at.env[z1][0], self.order_n, v, per, qp)
+            return max([worst] + [rel_residual(v - vs, v) for vs in swapped])
+
+        return sampled_max(measure, draw, seed, self.ctx)
+
+
+def periodicity_residual(z, n: int, v, per, qp) -> float:
+    """Residual of an order-n theta function's periodicity at z: v, per and qp
+    are its values at z, z + 1 and z + tau, and qp should be
+    (-1)^n exp(-2*pi*i*n*z) v."""
+    expect = (-1) ** n * np.exp(-2j * math.pi * n * z) * v
+    return max(rel_residual(per - v, v), rel_residual(qp - expect, qp, expect))
 
 
 def theta_gen(i: int, n: int, ctx: ThetaContext) -> SymThetaFun:
@@ -129,7 +135,7 @@ def star_assoc_residual(f: SymThetaFun, g: SymThetaFun, h: SymThetaFun,
         rv = np.asarray(at(right))
         return rel_residual(lv - rv, lv, rv)
 
-    return sampled_max(measure, names, samples, seed, f.ctx)
+    return sampled_max(measure, box(samples, names, f.ctx), seed, f.ctx)
 
 
 def eta_flatness_ratio(n: int, ctx: ThetaContext, scales=(1e-2, 1e-3),
@@ -139,16 +145,18 @@ def eta_flatness_ratio(n: int, ctx: ThetaContext, scales=(1e-2, 1e-3),
     The star commutator of degree-one elements is O(eta), so the ratio should
     match t1/t2 within a modest factor.
     """
-    mags = []
+    comms = []
     for t in scales:
-        cs = ctx.replace(eta=ctx.eta * t)
+        cs = ctx.replace(eta=ctx.eta * t)  # eta enters the trees, not their evaluation
         f = theta_gen(0, n, cs)
         g = theta_gen(1 % n, n, cs)
-        comm = star(f, g).body - star(g, f).body
-        pts = sample_points(samples, _zvars(2), seed, cs)
-        stacked = stack_assignments(pts)
-        mags.append(float(np.max(np.abs(np.asarray(ex.evaluate(comm, stacked, cs))))))
-    return mags[0] / mags[1]
+        comms.append(star(f, g).body - star(g, f).body)
+
+    def measure(at):
+        mags = [float(np.max(np.abs(np.asarray(at(comm))))) for comm in comms]
+        return mags[0] / mags[1]
+
+    return sampled_max(measure, box(samples, _zvars(2), ctx), seed, ctx)
 
 
 # Bosonization -------------------------------------------------------------------
@@ -176,15 +184,10 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
     npts = samples or 2 * n * n + 8
-    pts = sample_points(npts, ["z1", "z2"], seed, ctx)
-    at = ex.Evaluator(stack_assignments(pts), ctx)
-
     gens = [theta_gen(i, n, ctx) for i in range(n)]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            rows.append(np.asarray(at(star(gens[i], gens[j]).body)))
-    A = np.array(rows)
+    products = [star(gens[i], gens[j]).body for i in range(n) for j in range(n)]
+    A = sampled_max(lambda at: np.array([np.asarray(at(b)) for b in products]),
+                    box(npts, ["z1", "z2"], ctx), seed, ctx)
     row_scale = np.max(np.abs(A), axis=1)
     A = A / row_scale[:, None]
 

@@ -30,7 +30,7 @@ import numpy as np
 from .context import ThetaContext
 from .errors import PoleError
 from . import expr as ex
-from .sampling import sample_points, stack_assignments
+from .sampling import box, sampled_max
 from .shiftops import (
     ShiftAlgebra,
     ShiftOp,
@@ -113,7 +113,8 @@ def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
     theta_0(z_r) .. theta_{n-1}(z_r), f_r: D deletes the generator column,
     D_j the theta column j.  Rows commute because row r only touches
     (z_r, f_r).  One global u-independent constant relates the two forms; it
-    is measured at the first sample point and divided out.
+    is measured at the first point of a sampled batch, as scalars, and divided
+    out.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -128,14 +129,16 @@ def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
     t_det = shift_mul(invert_multiplication(ms[n]), acc)
     t_exp = build_T(u, n, ctx)
 
-    pts = sample_points(samples, names, seed, ctx)
     mi0 = next(iter(t_exp.terms))
-    at = ex.Evaluator(pts[0], ctx)
-    c_det = at(t_det.terms[mi0])
-    c_exp = at(t_exp.terms[mi0])
-    if abs(c_exp) < ctx.pole_guard:
-        raise PoleError("reference coefficient too small to normalize")
-    const = c_det / c_exp
+
+    def ratio(at):
+        c_det, c_exp = at(t_det.terms[mi0]), at(t_exp.terms[mi0])
+        if abs(c_exp) < ctx.pole_guard:
+            raise PoleError("reference coefficient too small to normalize")
+        return c_det / c_exp
+
+    const = sampled_max(ratio, lambda s: {v: complex(x[0]) for v, x in box(samples, names, ctx)(s).items()},
+                        seed, ctx)
     return op_equal(t_det, t_exp.scaled(complex(const)), samples=samples, seed=seed + 1)
 
 
@@ -241,18 +244,13 @@ def sos_vs_T_coefficient_ratio(u: complex, n: int, ctx: ThetaContext,
     if n < 2:
         raise ValueError("need n >= 2")
     names = [f"z{i}" for i in range(1, n + 1)]
-    pts = sample_points(samples, names, seed, ctx)
-    stacked = stack_assignments(pts)
-    at = ex.Evaluator(stacked, ctx)
-    at_reflected = ex.Evaluator({v: np.negative(stacked[v]) for v in names}, ctx)
-    ratios = []
-    for al in range(n):
-        basic = _transfer_coefficient(u, n, al, names, ex.theta_odd_of, sum_shift=0j)
-        cs = np.asarray(at_reflected(_sos_kernel(u, n, al, names)))
-        cb = np.asarray(at(basic))
-        ratios.append(cs / cb)
-    ref = ratios[0].flat[0]
-    spread = 0.0
-    for r in ratios:
-        spread = max(spread, float(np.max(np.abs(r / ref - 1))))
-    return spread
+    reflect = {v: ex.aff((-1, v)) for v in names}  # the same argument bits as evaluating at -z
+    basics = [_transfer_coefficient(u, n, al, names, ex.theta_odd_of, sum_shift=0j) for al in range(n)]
+    kernels = [ex.substitute(_sos_kernel(u, n, al, names), reflect) for al in range(n)]
+
+    def measure(at):
+        ratios = [np.asarray(at(cs)) / np.asarray(at(cb)) for cs, cb in zip(kernels, basics)]
+        ref = ratios[0].flat[0]
+        return max(float(np.max(np.abs(r / ref - 1))) for r in ratios)
+
+    return sampled_max(measure, box(samples, names, ctx), seed, ctx)

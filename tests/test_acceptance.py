@@ -74,8 +74,10 @@ def test_02_cartier_foata():
 
 
 def test_03_plucker():
-    r, t = timed(check_plucker, {"orders": "2,3,4", "seeds": 50}, SEED)
-    report(3, "plucker", r, 1e-10, t, 5)
+    # a CPU-time budget: wall time on a shared host also counts the other work on it
+    c0 = time.process_time()
+    r = check_plucker({"orders": "2,3,4", "seeds": 50}, SEED)
+    report(3, "plucker", r, 1e-10, time.process_time() - c0, 5)
 
 
 def test_04_poisson_families():

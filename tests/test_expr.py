@@ -9,7 +9,7 @@ from ellcert import ThetaContext
 from ellcert import expr as ex
 from ellcert import theta as theta_module
 from ellcert.errors import EvaluationOverflowError, PoleError, UnboundVariableError
-from ellcert.sampling import sample_points, sampled_max, stack_assignments
+from ellcert.sampling import box, sample_points, sampled_max, stack_assignments
 
 CTX = ThetaContext()
 ID_TOL = 1e-8
@@ -209,7 +209,7 @@ class TestSampling:
             return float(np.max(np.abs(at(poled))))
 
         with pytest.raises(PoleError):
-            sampled_max(measure, ["z"], 5, 0, CTX)
+            sampled_max(measure, box(5, ["z"], CTX), 0, CTX)
         assert len(batches) == 8
 
 

@@ -116,8 +116,7 @@ class TestRatioBracket:
         h = PoissonElement.function(alg, ex.theta1_of(ex.aff("z1", "z2")))
         g = PoissonElement.generator(alg, "f1", ex.var("z1"))
         rb = RatioBracket(h, h, g, PoissonElement.function(alg, ex.const(1)))
-        value, scale = rb.residual_at(phase_point(alg, np.random.default_rng(3)))
-        assert abs(value) / scale <= ID_TOL
+        assert rb.residual_batch(phase_point(alg, np.random.default_rng(3))) <= ID_TOL
 
     def test_quotient_rule(self):
         # {1/h, g} + {h, g} / h^2 = 0
@@ -144,8 +143,7 @@ class TestRatioBracket:
 class TestHamiltonians:
     @pytest.mark.parametrize("n", [2, 3])
     def test_pairwise_commutation(self, n):
-        _, worst = classical_hamiltonians(n, CTX, seed=0, points=8)
-        assert worst <= 1e-9
+        assert classical_hamiltonians(n, CTX, seed=0, points=8) <= 1e-9
 
     def test_poled_bracket_raises_instead_of_skipping_points(self, monkeypatch):
         # a residual measured at no point at all must not read as 0.0, a pass

@@ -11,6 +11,7 @@ from ellcert import ThetaContext, theta1
 from ellcert import expr as ex
 from ellcert.checks import REGISTRY
 from ellcert.errors import InconclusiveRankError
+from ellcert.sampling import rel_residual, sample_points, stack_assignments
 from ellcert.shiftops import shift_mul, sum_to_zero_residual
 from ellcert.starprod import (
     SymThetaFun,
@@ -121,6 +122,7 @@ class TestStar:
         out = star(zero, f)
         for z1, z2 in rnd_points(3, 2, 5):
             assert out(z1, z2) == 0
+        assert out.invariant_residual(samples=5) == 0.0  # a constant body is checked on the batch too
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_associativity(self, n):
@@ -219,18 +221,17 @@ DIAGONAL = REGISTRY["casimir-diagonal"]
 
 
 def moved_diagonal_residual(m, seed, moved):
-    """The casimir-diagonal check at one degree m, on the diagonal z_2 = z_1 + 2m*eta + moved."""
+    """The casimir-diagonal check at one degree m, on the diagonal z_2 = z_1 + 2m*eta + moved.
+
+    Its first batch: 10 box points in row 0, the same points with z_2 moved
+    onto the diagonal in row 1, each compared against its own row-0 value.
+    """
     ctx = DIAGONAL.resolve({"m": str(m), "seed": seed})["ctx"]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for alpha in (0, 1):
-        c = casimir(alpha, m, ctx)
-        for _ in range(5):
-            zs = [complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(m)]
-            generic = abs(c(*zs))
-            zs[1] = zs[0] + 2 * m * ctx.eta + moved
-            worst = max(worst, abs(c(*zs)) / max(1.0, generic))
-    return worst
+    pts = stack_assignments(sample_points(10, [f"z{i}" for i in range(1, m + 1)], seed, ctx))
+    diagonal = {**pts, "z2": pts["z1"] + 2 * m * ctx.eta + moved}
+    env = {v: np.stack([x, diagonal[v]]) for v, x in pts.items()}
+    values = (ex.evaluate(casimir(alpha, m, ctx).body, env, ctx) for alpha in (0, 1))
+    return max(rel_residual(on, generic) for generic, on in values)
 
 
 class TestCasimir:
