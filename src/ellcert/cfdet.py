@@ -13,6 +13,10 @@ k products from level k-1.  All n+1 minors of an n x (n+1) grid thus cost
 C(n+1, k) * k products at each level k = 2..n, 70 in all at n = 4 (n+1
 permutation sums take 360), and no size cap is needed.
 
+In the tensor model row r holds k x k blocks acting on site r, so each product
+is the Kronecker product of a partial determinant (sites 0..r-1) and a block
+(`KRON`); `TensorBackend` verifies the ratios densely.
+
 Also houses the multilinear Plucker identities used by the Poisson layer;
 these hold for decomposable alternating forms (partial determinants), which
 is how they arise, and fail for generic antisymmetric arrays.
@@ -30,23 +34,14 @@ from .errors import SingularOperatorError
 
 
 class TensorBackend:
-    """Elements are k^n x k^n matrices; row-i generators act on site i only.
+    """Elements are k^n x k^n matrices; site i is the i-th Kronecker factor.
 
     Distinct-site generators commute exactly, and inverses exist concretely,
     which makes this the reference model for the commuting-rows hypothesis.
     """
 
     def __init__(self, n: int, k: int):
-        self.n = int(n)
-        self.k = int(k)
-        self.dim = self.k ** self.n
-        self._eye = np.eye(self.k, dtype=complex)
-
-    def zero(self):
-        return np.zeros((self.dim, self.dim), dtype=complex)
-
-    def one(self):
-        return np.eye(self.dim, dtype=complex)
+        self.n, self.k = int(n), int(k)
 
     def add(self, x, y):
         return x + y
@@ -58,7 +53,7 @@ class TensorBackend:
         return -x
 
     def norm(self, x) -> float:
-        return float(np.linalg.norm(x, 2))
+        return float(np.linalg.svd(x, compute_uv=False)[0])
 
     def invert(self, x):
         s = np.linalg.svd(x, compute_uv=False)
@@ -66,23 +61,25 @@ class TensorBackend:
             raise SingularOperatorError("reciprocal condition number below 1e-10")
         return np.linalg.inv(x)
 
-    def site_element(self, site: int, block: np.ndarray):
-        """identity x ... x block(at `site`) x ... x identity."""
-        out = np.ones((1, 1), dtype=complex)
-        for s in range(self.n):
-            out = np.kron(out, block if s == site else self._eye)
-        return out
 
-    def random_site_element(self, site: int, rng) -> np.ndarray:
-        block = rng.normal(size=(self.k, self.k)) + 1j * rng.normal(size=(self.k, self.k))
-        return self.site_element(site, block)
+def _kron(x, y):  # np.kron of square matrices, without its shape dispatch
+    a, b = len(x), len(y)
+    return np.multiply.outer(x, y).swapaxes(1, 2).reshape(a * b, a * b)
+
+
+# k x k blocks as a determinant backend: row r of the grid becomes Kronecker factor r
+KRON = SimpleNamespace(add=np.add, mul=_kron, neg=np.negative)
+
+
+def _random_blocks(m: int, n: int, k: int, seed: int) -> list:
+    """m x n grid of complex normal k x k blocks (real, then imaginary part), drawn row by row."""
+    rng = np.random.default_rng(seed)
+    return [[rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) for _ in range(n)] for _ in range(m)]
 
 
 def random_cf_matrix(backend: TensorBackend, seed: int) -> list:
-    """n x (n+1) grid whose row i acts on site i only, so rows commute."""
-    rng = np.random.default_rng(seed)
-    n = backend.n
-    return [[backend.random_site_element(i, rng) for _ in range(n + 1)] for i in range(n)]
+    """n x (n+1) grid of k x k blocks; row i acts on site i only, so rows commute."""
+    return _random_blocks(backend.n, backend.n + 1, backend.k, seed)
 
 
 def _column_sets(grid, backend) -> dict:
@@ -145,11 +142,12 @@ def verify_triangle(ms, backend) -> float:
     be = backend
     inv0 = be.invert(ms[0])
     norms, norm0 = [be.norm(m) for m in ms], be.norm(inv0)
+    ratios = [be.mul(inv0, m) for m in ms]
     worst = 0.0
     for i in range(len(ms)):
         for j in range(i + 1, len(ms)):
-            lhs = be.mul(ms[i], be.mul(inv0, ms[j]))
-            rhs = be.mul(ms[j], be.mul(inv0, ms[i]))
+            lhs = be.mul(ms[i], ratios[j])
+            rhs = be.mul(ms[j], ratios[i])
             scale = max(1.0, norms[i] * norm0 * norms[j])
             worst = max(worst, be.norm(be.add(lhs, be.neg(rhs))) / scale)
     return worst
@@ -158,20 +156,18 @@ def verify_triangle(ms, backend) -> float:
 def delta_family(fgrid, backend) -> float:
     """Commutation residual for H_i = Delta_0^-1 Delta_i built from f_{i,j}.
 
-    fgrid[i][j-1] holds f_{i,j} for 0 <= i <= n, 1 <= j <= n, where elements
-    with different second index commute.  Delta_I = sum over bijections
-    sigma: I -> {1..n} of sign(sigma) * prod f_{i, sigma(i)}, and Delta_i
-    omits the first index i.
+    fgrid[i][j-1] holds the k x k block of f_{i,j} for 0 <= i <= n,
+    1 <= j <= n, acting on site j-1, so elements with different second index
+    commute.  Delta_I = sum over bijections sigma: I -> {1..n} of
+    sign(sigma) * prod f_{i, sigma(i)}, and Delta_i omits the first index i.
     """
-    # row r of the transpose collects second index r+1, so its rows commute
-    return verify_commuting_family(minors(list(zip(*fgrid)), backend), backend)
+    # row r of the transpose collects second index r+1, the blocks of site r
+    return verify_commuting_family(minors(list(zip(*fgrid)), KRON), backend)
 
 
 def random_delta_grid(backend: TensorBackend, seed: int) -> list:
-    """f_{i,j} nontrivial only at site j: the natural commuting realization."""
-    rng = np.random.default_rng(seed)
-    n = backend.n
-    return [[backend.random_site_element(j, rng) for j in range(n)] for _ in range(n + 1)]
+    """(n+1) x n grid of k x k blocks, f_{i,j} at site j-1: the natural commuting realization."""
+    return _random_blocks(backend.n + 1, backend.n, backend.k, seed)
 
 
 # Plucker identities -----------------------------------------------------------
@@ -200,7 +196,15 @@ def form_apply(lam: np.ndarray, *vectors) -> complex:
 
 def plucker_residual(order: int, lam: np.ndarray, vectors: Sequence[np.ndarray]) -> float:
     """|stated combination| / max term, for the 3-, 4- or 6-term identity."""
-    L = lambda *xs: form_apply(lam, *xs)
+    partial = {(): lam}  # lam contracted with each argument prefix, which the terms share
+
+    def contract(xs):
+        key = tuple(map(id, xs))
+        if key not in partial:
+            partial[key] = np.tensordot(contract(xs[:-1]), xs[-1], axes=([0], [0]))
+        return partial[key]
+
+    L = lambda *xs: complex(contract(xs))
     if order == 2:
         a, b, c, d = vectors
         terms = [L(a, b) * L(c, d), -L(a, c) * L(b, d), L(a, d) * L(b, c)]

@@ -242,36 +242,32 @@ def check_theta_quasiperiodicity(seed, n_max, points, taus) -> float:
     return worst
 
 
-def _well_conditioned_minors(be, seed):
-    # ill-conditioned M^0 draws are resampled, per the invertibility contract
+def _cf_verdict(verify, sizes, seeds, seed) -> float:
+    """max of verify(minors, backend) over every NxK size and each of `seeds` seed offsets."""
+    return max(_verify_well_conditioned(verify, cfdet.TensorBackend(n, k), seed + s)
+               for n, k in sizes for s in range(seeds))
+
+
+def _verify_well_conditioned(verify, be, seed):
+    # an M^0 the verifier cannot invert (its first step) is redrawn, per the invertibility contract
     for bump in range(8):
-        ms = cfdet.minors(cfdet.random_cf_matrix(be, seed + 100_000 * bump), be)
         try:
-            be.invert(ms[0])
+            return verify(cfdet.minors(cfdet.random_cf_matrix(be, seed + 100_000 * bump), cfdet.KRON), be)
         except SingularOperatorError:
             continue
-        return ms
     raise SingularOperatorError("no well-conditioned draw in 8 attempts")
-
-
-def _cf_minors(sizes, seeds, seed):
-    """(minors, backend) for every NxK size and each of `seeds` seed offsets, in that order."""
-    for n, k in sizes:
-        be = cfdet.TensorBackend(n, k)
-        for s in range(seeds):
-            yield _well_conditioned_minors(be, seed + s), be
 
 
 @check("cf-commute", 1e-9, "determinant-ratio commuting family over the tensor backend",
        sizes=SIZES, seeds=count(20))
 def check_cf_commute(seed, sizes, seeds) -> float:
-    return max(cfdet.verify_commuting_family(ms, be) for ms, be in _cf_minors(sizes, seeds, seed))
+    return _cf_verdict(cfdet.verify_commuting_family, sizes, seeds, seed)
 
 
 @check("cf-triangle", 1e-9, "triangle exchange relations for the minors",
        sizes=SIZES, seeds=count(20))
 def check_cf_triangle(seed, sizes, seeds) -> float:
-    return max(cfdet.verify_triangle(ms, be) for ms, be in _cf_minors(sizes, seeds, seed))
+    return _cf_verdict(cfdet.verify_triangle, sizes, seeds, seed)
 
 
 @check("delta-family", 1e-9, "column-commuting grid variant of the commuting family",

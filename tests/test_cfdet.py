@@ -1,7 +1,8 @@
 """Cartier-Foata layer: determinants, commuting families, Plucker identities.
 
-Oracles are test-local: brute-force permutation sums over raw kron matrices,
-and det-of-pairings for the decomposable forms.
+Oracles are test-local: brute-force permutation sums over dense site
+elements (a grid's k x k blocks expanded to I x ... x block x ... x I), and
+det-of-pairings for the decomposable forms.
 """
 
 import itertools
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from ellcert.cfdet import (
+    KRON,
     TensorBackend,
     cf_det,
     decomposable_form,
@@ -23,6 +25,7 @@ from ellcert.cfdet import (
     verify_commuting_family,
     verify_triangle,
 )
+from ellcert.checks import REGISTRY
 from ellcert.errors import SingularOperatorError
 
 
@@ -67,6 +70,29 @@ def perm_sign(perm):
     return sign
 
 
+def site_element(n, site, block):
+    """identity x ... x block (at `site`) x ... x identity, n sites."""
+    eye = np.eye(len(block), dtype=complex)
+    out = np.ones((1, 1), dtype=complex)
+    for s in range(n):
+        out = np.kron(out, block if s == site else eye)
+    return out
+
+
+def dense(grid):
+    """A grid of k x k blocks with row r at site r, as k^n x k^n site elements."""
+    return [[site_element(len(grid), r, b) for b in row] for r, row in enumerate(grid)]
+
+
+def random_block(k, rng):
+    return rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+
+
+def random_blocks(rows, cols, k, seed):
+    rng = np.random.default_rng(seed)
+    return [[random_block(k, rng) for _ in range(cols)] for _ in range(rows)]
+
+
 def brute_perm_det(grid):
     """Independent oracle: raw permutation sum over numpy matrices."""
     n = len(grid)
@@ -92,19 +118,24 @@ class TestCfDet:
         assert abs(got - np.linalg.det(A)) < 1e-10 * abs(np.linalg.det(A))
 
     def test_tensor_n2_against_brute_force(self):
-        be = TensorBackend(2, 2)
-        rng = np.random.default_rng(5)
-        grid = [[be.random_site_element(i, rng) for _ in range(2)] for i in range(2)]
+        (a, b), (c, d) = random_blocks(2, 2, 2, 5)
         # two-term expansion computed independently
-        want = grid[0][0] @ grid[1][1] - grid[0][1] @ grid[1][0]
-        got = cf_det(grid, be)
-        assert np.allclose(got, want, atol=1e-12)
+        want = np.kron(a, d) - np.kron(b, c)
+        assert np.allclose(cf_det([[a, b], [c, d]], KRON), want, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kron_square_grid_against_brute_force(self, n):
+        for k in (2, 3):
+            grid = random_blocks(n, n, k, 10 * n + k)
+            want = brute_perm_det(dense(grid))
+            got = cf_det(grid, KRON)
+            assert got.shape == (k ** n, k ** n)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_row_order_independence(self):
         # commuting rows: permuting them only multiplies the determinant by the sign
         be = TensorBackend(3, 2)
-        rng = np.random.default_rng(8)
-        grid = [[be.random_site_element(i, rng) for _ in range(3)] for i in range(3)]
+        grid = dense(random_blocks(3, 3, 2, 8))
         base = cf_det(grid, be)
         scale = max(1.0, be.norm(base))
         for order in ([1, 0, 2], [2, 1, 0], [1, 2, 0]):
@@ -145,19 +176,34 @@ class TestMinors:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_tensor_against_brute_force(self, n):
-        be = TensorBackend(n, 2)
-        grid = random_cf_matrix(be, 11)
-        got = minors(grid, be)
-        for i in range(n + 1):
-            want = brute_perm_det([[row[c] for c in range(n + 1) if c != i] for row in grid])
-            assert np.allclose(got[i], want, atol=1e-9)
+        for k in (2, 3):
+            grid = random_cf_matrix(TensorBackend(n, k), 11)
+            got = minors(grid, KRON)
+            sites = dense(grid)
+            for i in range(n + 1):
+                want = brute_perm_det([[row[c] for c in range(n + 1) if c != i] for row in sites])
+                assert got[i].shape == (k ** n, k ** n)
+                assert np.max(np.abs(got[i] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_kron_is_the_dense_recursion(self):
+        # the same recursion over dense site elements and TensorBackend.mul
+        be = TensorBackend(3, 2)
+        grid = random_cf_matrix(be, 4)
+        for got, want in zip(minors(grid, KRON), minors(dense(grid), be)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_random_grid_draws_blocks_row_by_row(self):
+        rng = np.random.default_rng(3)
+        want = [random_block(3, rng) for _ in range(2 * 3)]
+        grid = random_cf_matrix(TensorBackend(2, 3), 3)
+        assert all(np.array_equal(grid[i // 3][i % 3], w) for i, w in enumerate(want))
 
 
 class TestCommutingFamily:
     def test_rows_commute_witness(self):
         # sampled witness for the commuting-rows declaration
         be = TensorBackend(3, 2)
-        grid = random_cf_matrix(be, 2)
+        grid = dense(random_cf_matrix(be, 2))
         rng = np.random.default_rng(0)
         for _ in range(8):
             i, j = rng.choice(3, size=2, replace=False)
@@ -167,14 +213,14 @@ class TestCommutingFamily:
 
     def test_n1_trivial(self):
         be = TensorBackend(1, 2)
-        assert verify_commuting_family(minors(random_cf_matrix(be, 3), be), be) < 1e-12
+        assert verify_commuting_family(minors(random_cf_matrix(be, 3), KRON), be) < 1e-12
 
     @pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2)])
     def test_residual_small(self, n, k):
         be = TensorBackend(n, k)
         for seed in range(3):
             try:
-                r = verify_commuting_family(minors(random_cf_matrix(be, seed), be), be)
+                r = verify_commuting_family(minors(random_cf_matrix(be, seed), KRON), be)
             except SingularOperatorError:
                 continue
             assert r <= 1e-9
@@ -184,7 +230,7 @@ class TestTriangle:
     def test_equal_indices_zero(self):
         # a repeated minor exchanges with itself exactly; M^0 pairs only round
         be = TensorBackend(2, 2)
-        m0, m1, _ = minors(random_cf_matrix(be, 7), be)
+        m0, m1, _ = minors(random_cf_matrix(be, 7), KRON)
         assert verify_triangle([m0, m1, m1], be) <= 1e-13
 
     def test_scalar_case_zero(self):
@@ -194,7 +240,7 @@ class TestTriangle:
 
     def test_tensor_residual_small(self):
         be = TensorBackend(3, 2)
-        assert verify_triangle(minors(random_cf_matrix(be, 21), be), be) <= 1e-9
+        assert verify_triangle(minors(random_cf_matrix(be, 21), KRON), be) <= 1e-9
 
 
 class TestDeltaFamily:
@@ -203,10 +249,18 @@ class TestDeltaFamily:
         assert delta_family(random_delta_grid(be, 0), be) < 1e-12
 
     def test_scalar_zero(self):
-        rng = np.random.default_rng(2)
-        n = 3
-        grid = [[complex(rng.normal(), rng.normal()) for _ in range(n)] for _ in range(n + 1)]
-        assert delta_family(grid, ScalarBackend()) < 1e-10
+        # 1 x 1 blocks: the commutative case
+        grid = random_blocks(4, 3, 1, 2)
+        assert delta_family(grid, TensorBackend(3, 1)) < 1e-10
+
+    def test_blocks_sit_at_their_second_index(self):
+        # f_{i,j} acts on site j-1: the transpose's rows are the sites
+        be = TensorBackend(2, 2)
+        fgrid = random_delta_grid(be, 1)
+        rows = dense([list(col) for col in zip(*fgrid)])
+        for i, got in enumerate(minors([list(col) for col in zip(*fgrid)], KRON)):
+            want = brute_perm_det([[row[c] for c in range(3) if c != i] for row in rows])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_tensor_site_structure(self):
         be = TensorBackend(3, 2)
@@ -252,7 +306,7 @@ class TestBackendAxioms:
         be = TensorBackend(2, 2)
         rng = np.random.default_rng(12)
         for _ in range(5):
-            x, y, z = (be.random_site_element(rng.integers(0, 2), rng) for _ in range(3))
+            x, y, z = (site_element(2, rng.integers(0, 2), random_block(2, rng)) for _ in range(3))
             scale = max(1.0, be.norm(x) * be.norm(y) * be.norm(z))
             assoc = be.mul(be.mul(x, y), z) - be.mul(x, be.mul(y, z))
             assert be.norm(assoc) / scale <= 1e-12
@@ -262,5 +316,54 @@ class TestBackendAxioms:
 
     def test_norm_definite(self):
         be = TensorBackend(2, 2)
-        assert be.norm(be.zero()) == 0.0
-        assert be.norm(be.one()) > 0.0
+        assert be.norm(np.zeros((4, 4), dtype=complex)) == 0.0
+        assert be.norm(np.eye(4, dtype=complex)) > 0.0
+
+    def test_norm_is_the_spectral_norm(self):
+        be = TensorBackend(2, 3)
+        for x in dense(random_cf_matrix(be, 0))[1]:
+            assert be.norm(x) == np.linalg.norm(x, 2)
+
+
+class TestInvertibilityContract:
+    """cf-commute and cf-triangle redraw a grid whose M^0 the verifier cannot invert."""
+
+    ONE_GRID = {"sizes": "2x2", "seeds": 1}
+    SEED = 7
+
+    @staticmethod
+    def patch_invert(monkeypatch, fails):
+        calls = []
+        real = TensorBackend.invert
+
+        def invert(self, x):
+            calls.append(x.shape)
+            if len(calls) <= fails:
+                raise SingularOperatorError("planted")
+            return real(self, x)
+
+        monkeypatch.setattr(TensorBackend, "invert", invert)
+        return calls
+
+    @pytest.mark.parametrize("name,verify", [("cf-commute", verify_commuting_family),
+                                             ("cf-triangle", verify_triangle)])
+    def test_singular_first_draw_takes_the_bump_one_draw(self, monkeypatch, name, verify):
+        be = TensorBackend(2, 2)
+        want = verify(minors(random_cf_matrix(be, self.SEED + 100_000), KRON), be)
+        assert want != verify(minors(random_cf_matrix(be, self.SEED), KRON), be)
+        calls = self.patch_invert(monkeypatch, fails=1)
+        assert REGISTRY[name](self.ONE_GRID, self.SEED) == want
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", ["cf-commute", "cf-triangle"])
+    def test_eight_singular_draws_raise(self, monkeypatch, name):
+        calls = self.patch_invert(monkeypatch, fails=8)
+        with pytest.raises(SingularOperatorError, match="no well-conditioned draw in 8 attempts"):
+            REGISTRY[name](self.ONE_GRID, self.SEED)
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("name", ["cf-commute", "cf-triangle"])
+    def test_one_inverse_per_grid(self, monkeypatch, name):
+        calls = self.patch_invert(monkeypatch, fails=0)
+        REGISTRY[name]({"sizes": "2x2;3x2", "seeds": 2}, self.SEED)
+        assert calls == [(4, 4), (4, 4), (8, 8), (8, 8)]
