@@ -1,11 +1,12 @@
-"""Cartier-Foata determinants over partially commutative backends.
+"""Cartier-Foata determinants over partially commutative rings.
 
-A backend supplies the element arithmetic (add, mul, neg); entries of an
-n x (n+1) grid whose rows live in pairwise commuting subalgebras admit a well
-defined determinant per n x n minor: the permutation sum with products taken
-in row order (Cartier & Foata, LNM 85, 1969).  The ratios H_i = (M^0)^-1 M^i
-then commute, and the triangle relations M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i
-hold; both are certified here over an exact finite-dimensional tensor model.
+A determinant is given its ring's product mul(x, y); it sums with + and
+negates with unary -.  Entries of an n x (n+1) grid whose rows live in
+pairwise commuting subalgebras admit a well defined determinant per n x n
+minor: the permutation sum with products taken in row order (Cartier &
+Foata, LNM 85, 1969).  The ratios H_i = (M^0)^-1 M^i then commute, and the
+triangle relations M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i hold; both are
+certified here over an exact finite-dimensional tensor model.
 
 Every determinant comes from one row-ordered Laplace recursion over column
 sets: level k holds the C(width, k) determinants of the first k rows, each
@@ -15,7 +16,7 @@ permutation sums take 360), and no size cap is needed.
 
 In the tensor model row r holds k x k blocks acting on site r, so each product
 is the Kronecker product of a partial determinant (sites 0..r-1) and a block
-(`KRON`); `TensorBackend` verifies the ratios densely.
+(`kron`); `TensorBackend` verifies the ratios densely.
 
 Also houses the multilinear Plucker identities used by the Poisson layer;
 these hold for decomposable alternating forms (partial determinants), which
@@ -25,7 +26,6 @@ is how they arise, and fail for generic antisymmetric arrays.
 from __future__ import annotations
 
 import itertools
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -40,17 +40,8 @@ class TensorBackend:
     which makes this the reference model for the commuting-rows hypothesis.
     """
 
-    def __init__(self, n: int, k: int):
-        self.n, self.k = int(n), int(k)
-
-    def add(self, x, y):
-        return x + y
-
     def mul(self, x, y):
         return x @ y
-
-    def neg(self, x):
-        return -x
 
     def norm(self, x) -> float:
         return float(np.linalg.svd(x, compute_uv=False)[0])
@@ -62,13 +53,10 @@ class TensorBackend:
         return np.linalg.inv(x)
 
 
-def _kron(x, y):  # np.kron of square matrices, without its shape dispatch
+def kron(x, y):
+    """np.kron of square matrices without its shape dispatch; as a grid's product, row r is factor r."""
     a, b = len(x), len(y)
     return np.multiply.outer(x, y).swapaxes(1, 2).reshape(a * b, a * b)
-
-
-# k x k blocks as a determinant backend: row r of the grid becomes Kronecker factor r
-KRON = SimpleNamespace(add=np.add, mul=_kron, neg=np.negative)
 
 
 def _random_blocks(m: int, n: int, k: int, seed: int) -> list:
@@ -77,18 +65,19 @@ def _random_blocks(m: int, n: int, k: int, seed: int) -> list:
     return [[rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) for _ in range(n)] for _ in range(m)]
 
 
-def random_cf_matrix(backend: TensorBackend, seed: int) -> list:
+def random_cf_matrix(n: int, k: int, seed: int) -> list:
     """n x (n+1) grid of k x k blocks; row i acts on site i only, so rows commute."""
-    return _random_blocks(backend.n, backend.n + 1, backend.k, seed)
+    return _random_blocks(n, n + 1, k, seed)
 
 
-def _column_sets(grid, backend) -> dict:
+def _column_sets(grid, mul) -> dict:
     """D[S] for every set S of len(grid) columns, keyed by S in increasing order.
 
     D[S] is the determinant of the rows 0..|S|-1 on the columns S, expanded
     along its last row:  D[S] = sum_{c in S} (-1)^#{c' in S: c' > c}
-    D[S - c] * grid[|S|-1][c].  Every product keeps the row order, so the
-    value is the fixed-row-order permutation sum, exact over any ring.
+    D[S - c] * grid[|S|-1][c], the products by mul(x, y).  Every product
+    keeps the row order, so the value is the fixed-row-order permutation sum,
+    exact over any ring.
     """
     width = len(grid[0])
     level = {(c,): grid[0][c] for c in range(width)}
@@ -97,29 +86,29 @@ def _column_sets(grid, backend) -> dict:
         for cols in itertools.combinations(range(width), r + 1):
             total = None
             for pos, c in enumerate(cols):
-                term = backend.mul(level[cols[:pos] + cols[pos + 1:]], grid[r][c])
+                term = mul(level[cols[:pos] + cols[pos + 1:]], grid[r][c])
                 if (r - pos) % 2:
-                    term = backend.neg(term)
-                total = term if total is None else backend.add(total, term)
+                    term = -term
+                total = term if total is None else total + term
             nxt[cols] = total
         level = nxt
     return level
 
 
-def cf_det(grid, backend):
-    """Determinant of a square grid with products taken in row order."""
+def cf_det(grid, mul):
+    """Determinant of a square grid with products mul(x, y) taken in row order."""
     if any(len(row) != len(grid) for row in grid):
         raise ValueError("cf_det needs a square grid")
-    (det,) = _column_sets(grid, backend).values()
+    (det,) = _column_sets(grid, mul).values()
     return det
 
 
-def minors(grid, backend) -> list:
+def minors(grid, mul) -> list:
     """M^0 ... M^n of an n x (n+1) grid: the determinant with column i deleted."""
     if any(len(row) != len(grid) + 1 for row in grid):
         raise ValueError("minors needs an n x (n+1) grid")
     # the n-sets come in lexicographic order, the one without column i i-th from the end
-    return list(_column_sets(grid, backend).values())[::-1]
+    return list(_column_sets(grid, mul).values())[::-1]
 
 
 def verify_commuting_family(ms, backend) -> float:
@@ -131,7 +120,7 @@ def verify_commuting_family(ms, backend) -> float:
     worst = 0.0
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
-            comm = be.add(be.mul(hs[i], hs[j]), be.neg(be.mul(hs[j], hs[i])))
+            comm = be.mul(hs[i], hs[j]) - be.mul(hs[j], hs[i])
             scale = max(1.0, norms[i] * norms[j])
             worst = max(worst, be.norm(comm) / scale)
     return worst
@@ -149,7 +138,7 @@ def verify_triangle(ms, backend) -> float:
             lhs = be.mul(ms[i], ratios[j])
             rhs = be.mul(ms[j], ratios[i])
             scale = max(1.0, norms[i] * norm0 * norms[j])
-            worst = max(worst, be.norm(be.add(lhs, be.neg(rhs))) / scale)
+            worst = max(worst, be.norm(lhs - rhs) / scale)
     return worst
 
 
@@ -162,18 +151,15 @@ def delta_family(fgrid, backend) -> float:
     sign(sigma) * prod f_{i, sigma(i)}, and Delta_i omits the first index i.
     """
     # row r of the transpose collects second index r+1, the blocks of site r
-    return verify_commuting_family(minors(list(zip(*fgrid)), KRON), backend)
+    return verify_commuting_family(minors(list(zip(*fgrid)), kron), backend)
 
 
-def random_delta_grid(backend: TensorBackend, seed: int) -> list:
+def random_delta_grid(n: int, k: int, seed: int) -> list:
     """(n+1) x n grid of k x k blocks, f_{i,j} at site j-1: the natural commuting realization."""
-    return _random_blocks(backend.n + 1, backend.n, backend.k, seed)
+    return _random_blocks(n + 1, n, k, seed)
 
 
 # Plucker identities -----------------------------------------------------------
-
-# covectors as a determinant backend: row r of the grid becomes tensor axis r
-_OUTER = SimpleNamespace(add=np.add, mul=np.multiply.outer, neg=np.negative)
 
 
 def decomposable_form(order: int, d: int, seed: int) -> np.ndarray:
@@ -184,7 +170,7 @@ def decomposable_form(order: int, d: int, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     us = rng.normal(size=(order, d)) + 1j * rng.normal(size=(order, d))
-    return cf_det([us] * order, _OUTER)
+    return cf_det([us] * order, np.multiply.outer)  # covector row r becomes tensor axis r
 
 
 def form_apply(lam: np.ndarray, *vectors) -> complex:

@@ -4,9 +4,10 @@ Each check is declared once, by the `check` decorator on its body, with a
 `Param` (default, parser, documented range) per key.  `run_check` resolves the
 raw parameters against it, so a body sees only parsed, in-range values and an
 undeclared key is an error, never a silent default.  Records are deterministic:
-re-running a config byte-identically reproduces every residual_max.  A record
-without a residual has status "inconclusive" (no usable singular-value gap) or
-"error" (the check raised; see `error_record`), pass=false, residual_max=-1.0.
+re-running a config byte-identically reproduces every residual_max, for a fixed
+number of BLAS threads.  A record without a residual has status "inconclusive"
+(no usable singular-value gap) or "error" (the check raised; see
+`error_record`), pass=false, residual_max=-1.0.
 """
 
 from __future__ import annotations
@@ -242,40 +243,42 @@ def check_theta_quasiperiodicity(seed, n_max, points, taus) -> float:
     return worst
 
 
-def _cf_verdict(verify, sizes, seeds, seed) -> float:
-    """max of verify(minors, backend) over every NxK size and each of `seeds` seed offsets."""
-    return max(_verify_well_conditioned(verify, cfdet.TensorBackend(n, k), seed + s)
-               for n, k in sizes for s in range(seeds))
+def _cf_verdict(verify, draw, sizes, seeds, seed) -> float:
+    """max of verify(draw(n, k, seed + s), backend) over every (n, k) in sizes and s < seeds."""
+    return max(_well_conditioned(verify, draw, n, k, seed + s) for n, k in sizes for s in range(seeds))
 
 
-def _verify_well_conditioned(verify, be, seed):
-    # an M^0 the verifier cannot invert (its first step) is redrawn, per the invertibility contract
+def _well_conditioned(verify, draw, n, k, seed):
+    # a grid whose M^0 verify cannot invert (its first step) is redrawn, per the invertibility contract
     for bump in range(8):
         try:
-            return verify(cfdet.minors(cfdet.random_cf_matrix(be, seed + 100_000 * bump), cfdet.KRON), be)
+            return verify(draw(n, k, seed + 100_000 * bump), cfdet.TensorBackend())
         except SingularOperatorError:
             continue
     raise SingularOperatorError("no well-conditioned draw in 8 attempts")
 
 
+def _of_minors(verify):
+    """A verifier of a grid's minors as a verifier of the grid."""
+    return lambda grid, be: verify(cfdet.minors(grid, cfdet.kron), be)
+
+
 @check("cf-commute", 1e-9, "determinant-ratio commuting family over the tensor backend",
        sizes=SIZES, seeds=count(20))
 def check_cf_commute(seed, sizes, seeds) -> float:
-    return _cf_verdict(cfdet.verify_commuting_family, sizes, seeds, seed)
+    return _cf_verdict(_of_minors(cfdet.verify_commuting_family), cfdet.random_cf_matrix, sizes, seeds, seed)
 
 
 @check("cf-triangle", 1e-9, "triangle exchange relations for the minors",
        sizes=SIZES, seeds=count(20))
 def check_cf_triangle(seed, sizes, seeds) -> float:
-    return _cf_verdict(cfdet.verify_triangle, sizes, seeds, seed)
+    return _cf_verdict(_of_minors(cfdet.verify_triangle), cfdet.random_cf_matrix, sizes, seeds, seed)
 
 
 @check("delta-family", 1e-9, "column-commuting grid variant of the commuting family",
        n=integer(3, 1, 4), k=integer(2, 2, 3), seeds=count(5))
 def check_delta_family(seed, n, k, seeds) -> float:
-    be = cfdet.TensorBackend(n, k)
-    return max(cfdet.delta_family(cfdet.random_delta_grid(be, seed + s), be)
-               for s in range(seeds))
+    return _cf_verdict(cfdet.delta_family, cfdet.random_delta_grid, [(n, k)], seeds, seed)
 
 
 @check("plucker", 1e-10, "3/4/6-term multilinear identities for decomposable forms",

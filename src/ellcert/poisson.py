@@ -23,6 +23,7 @@ the three-term Fay identity for the odd theta.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .context import ThetaContext
 from .errors import PoleError
 from . import expr as ex
 from .sampling import box, rel_residual, sampled_max
-from .shiftops import TermMap, TermMapBackend, bosonize, make_Bpn, make_Vn, sum_to_zero_residual
+from .shiftops import TermMap, bosonize, make_Bpn, make_Vn, sum_to_zero_residual
 
 
 class PoissonElement(TermMap):
@@ -160,7 +161,7 @@ def classical_delta_elements(n: int, ctx: ThetaContext):
         return PoissonElement.function(alg, ex.theta_basis_of(col - 1, n, f"z{r + 1}"))
 
     grid = [[entry(r, col) for col in range(n + 1)] for r in range(n)]
-    return alg, minors(grid, TermMapBackend())
+    return alg, minors(grid, operator.mul)
 
 
 def _phase_space_points(alg, count, seed):

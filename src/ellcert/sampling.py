@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .context import ThetaContext
-from .errors import PoleError
+from .errors import EvaluationOverflowError, PoleError
 from . import expr as ex
 
 _RETRY_BATCHES = 8
@@ -49,14 +49,19 @@ def sampled_max(measure: Callable[[ex.Evaluator], object],
     measure may return any value: a residual, a constant, a matrix.  A
     PoleError raised by measure discards the whole batch with its evaluator,
     so no partial value of a poled batch leaks into the result.  Raises
-    PoleError when all 8 batches pole.
+    PoleError when all 8 batches pole, and EvaluationOverflowError at once
+    when the value is not finite, which is never a residual.
     """
     for attempt in range(_RETRY_BATCHES):
         at = ex.Evaluator(draw(seed + _RETRY_STRIDE * attempt), ctx)
         try:
-            return measure(at)
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = measure(at)
         except PoleError:
             continue
+        if not np.all(np.isfinite(value)):
+            raise EvaluationOverflowError("a sampled value is not finite")
+        return value
     raise PoleError(f"sampled values pole at all {_RETRY_BATCHES} seeded batches")
 
 

@@ -321,20 +321,7 @@ def make_sos(n: int, ctx: ThetaContext) -> ShiftAlgebra:
     return make_algebra(var_names, gen_names, steps, ctx)
 
 
-class TermMapBackend:
-    """Term maps through the part of the determinant backend protocol cfdet uses."""
-
-    def add(self, x, y):
-        return x + y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
-
-
-class ShiftOpBackend(TermMapBackend):
+class ShiftOpBackend:
     """ShiftOp term maps with a sampled operator norm."""
 
     def __init__(self, algebra: ShiftAlgebra, norm_samples: int = 8, seed: int = 0):

@@ -34,8 +34,8 @@ from .sampling import box, rel_residual, sampled_max
 from .shiftops import (
     ShiftOp,
     bosonize,
+    commutator_residual,
     make_Bpn,
-    op_equal,
     shift_mul,
     sum_to_zero_residual,
 )
@@ -326,4 +326,4 @@ def fu_commutator_residual(u: complex, v: complex, m: int, a: complex, b: comple
     """[f(u), f(v)] residual in the bosonized algebra."""
     fu = build_fu_bosonized(u, m, a, b, psi_index, ctx)
     fv = build_fu_bosonized(v, m, a, b, psi_index, ctx)
-    return op_equal(shift_mul(fu, fv), shift_mul(fv, fu), samples=samples, seed=seed)
+    return commutator_residual(fu, fv, samples=samples, seed=seed)

@@ -22,6 +22,7 @@ identifies it with T(u) after reflecting the variables.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,7 +35,7 @@ from .sampling import box, sampled_max
 from .shiftops import (
     ShiftAlgebra,
     ShiftOp,
-    TermMapBackend,
+    commutator_residual,
     invert_multiplication,
     make_Btilde,
     make_sos,
@@ -63,15 +64,14 @@ class TransferFamily:
         return op
 
 
-def _transfer_coefficient(u, n, al, names, theta_of, sum_shift=None):
+def _transfer_coefficient(u, n, al, names, theta_of):
     """theta(u + sum_{b != al} z_b) prod theta(u - z_b) / prod theta(z_al - z_b),
-    with an optional 1/theta(sum z) normalization folded in."""
+    with the 1/theta(sum z) normalization folded in."""
     others = [b for b in range(n) if b != al]
     num = [theta_of(ex.Affine({names[b]: 1 for b in others}, const=u))]
     num += [theta_of(ex.aff((-1, names[b]), const=u)) for b in others]
     den = [theta_of(ex.aff(names[al], (-1, names[b]))) for b in others]
-    if sum_shift is not None:
-        den.append(theta_of(ex.Affine({v: 1 for v in names}, const=sum_shift)))
+    den.append(theta_of(ex.Affine({v: 1 for v in names})))
     return ex.quot(ex.mul(*num), ex.mul(*den))
 
 
@@ -87,7 +87,7 @@ def build_T(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
     names = [f"z{i}" for i in range(1, n + 1)]
     terms = {}
     for al in range(n):
-        coeff = _transfer_coefficient(u, n, al, names, ex.theta1_of, sum_shift=0j)
+        coeff = _transfer_coefficient(u, n, al, names, ex.theta1_of)
         mi = tuple(1 if i == al else 0 for i in range(n))
         terms[mi] = coeff
     return ShiftOp(alg, terms)
@@ -100,9 +100,7 @@ def vn_family(n: int, ctx: ThetaContext) -> TransferFamily:
 def transfer_commutator_residual(family: TransferFamily, u: complex, v: complex,
                                  samples: int = 20, seed: int = 0) -> float:
     """[T(u), T(v)] residual via the two products' coefficient cancellation."""
-    Tu = family.build(u)
-    Tv = family.build(v)
-    return op_equal(shift_mul(Tu, Tv), shift_mul(Tv, Tu), samples=samples, seed=seed)
+    return commutator_residual(family.build(u), family.build(v), samples=samples, seed=seed)
 
 
 def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
@@ -122,7 +120,7 @@ def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
     names = [f"z{i}" for i in range(1, n + 1)]
     grid = [[ShiftOp.function(alg, ex.theta_basis_of(j, n, names[r])) for j in range(n)]
             + [ShiftOp.generator(alg, f"f{r + 1}")] for r in range(n)]
-    ms = minors(grid, TermMapBackend())
+    ms = minors(grid, operator.mul)
     acc = ShiftOp.zero(alg)
     for j in range(n):
         acc = acc + ms[j].scaled((-1) ** j * theta_basis(j, u, ctx, n=n))
@@ -245,7 +243,7 @@ def sos_vs_T_coefficient_ratio(u: complex, n: int, ctx: ThetaContext,
         raise ValueError("need n >= 2")
     names = [f"z{i}" for i in range(1, n + 1)]
     reflect = {v: ex.aff((-1, v)) for v in names}  # the same argument bits as evaluating at -z
-    basics = [_transfer_coefficient(u, n, al, names, ex.theta_odd_of, sum_shift=0j) for al in range(n)]
+    basics = [_transfer_coefficient(u, n, al, names, ex.theta_odd_of) for al in range(n)]
     kernels = [ex.substitute(_sos_kernel(u, n, al, names), reflect) for al in range(n)]
 
     def measure(at):

@@ -6,17 +6,18 @@ det-of-pairings for the decomposable forms.
 """
 
 import itertools
+import operator
 
 import numpy as np
 import pytest
 
 from ellcert.cfdet import (
-    KRON,
     TensorBackend,
     cf_det,
     decomposable_form,
     delta_family,
     form_apply,
+    kron,
     minors,
     plucker_check,
     plucker_residual,
@@ -29,34 +30,13 @@ from ellcert.checks import REGISTRY
 from ellcert.errors import SingularOperatorError
 
 
-class ScalarBackend:
-    """Plain complex numbers; the commutative sanity case."""
-
-    def add(self, x, y):
-        return x + y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
-
-    def norm(self, x):
-        return abs(x)
-
-    def invert(self, x):
-        if abs(x) < 1e-12:
-            raise SingularOperatorError("zero scalar")
-        return 1 / x
-
-
-class CountingBackend(ScalarBackend):
-    """Scalar backend that counts its products."""
+class CountingMul:
+    """Scalar product that counts its calls."""
 
     def __init__(self):
         self.muls = 0
 
-    def mul(self, x, y):
+    def __call__(self, x, y):
         self.muls += 1
         return x * y
 
@@ -108,57 +88,55 @@ def brute_perm_det(grid):
 
 class TestCfDet:
     def test_n1_single_entry(self):
-        be = ScalarBackend()
-        assert cf_det([[3 + 1j]], be) == 3 + 1j
+        assert cf_det([[3 + 1j]], operator.mul) == 3 + 1j
 
     def test_scalar_entries_reduce_to_numpy_det(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        got = cf_det([[A[i, j] for j in range(4)] for i in range(4)], ScalarBackend())
+        got = cf_det([[A[i, j] for j in range(4)] for i in range(4)], operator.mul)
         assert abs(got - np.linalg.det(A)) < 1e-10 * abs(np.linalg.det(A))
 
     def test_tensor_n2_against_brute_force(self):
         (a, b), (c, d) = random_blocks(2, 2, 2, 5)
         # two-term expansion computed independently
         want = np.kron(a, d) - np.kron(b, c)
-        assert np.allclose(cf_det([[a, b], [c, d]], KRON), want, atol=1e-12)
+        assert np.allclose(cf_det([[a, b], [c, d]], kron), want, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kron_square_grid_against_brute_force(self, n):
         for k in (2, 3):
             grid = random_blocks(n, n, k, 10 * n + k)
             want = brute_perm_det(dense(grid))
-            got = cf_det(grid, KRON)
+            got = cf_det(grid, kron)
             assert got.shape == (k ** n, k ** n)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_row_order_independence(self):
         # commuting rows: permuting them only multiplies the determinant by the sign
-        be = TensorBackend(3, 2)
+        be = TensorBackend()
         grid = dense(random_blocks(3, 3, 2, 8))
-        base = cf_det(grid, be)
+        base = cf_det(grid, be.mul)
         scale = max(1.0, be.norm(base))
         for order in ([1, 0, 2], [2, 1, 0], [1, 2, 0]):
-            alt = cf_det([grid[r] for r in order], be)
+            alt = cf_det([grid[r] for r in order], be.mul)
             assert be.norm(alt - perm_sign(order) * base) / scale <= 1e-10
 
     def test_rejects_wrong_shapes(self):
-        be = ScalarBackend()
         with pytest.raises(ValueError):
-            cf_det([[1, 2, 3], [4, 5, 6]], be)
+            cf_det([[1, 2, 3], [4, 5, 6]], operator.mul)
         with pytest.raises(ValueError):
-            minors([[1, 2], [3, 4]], be)
+            minors([[1, 2], [3, 4]], operator.mul)
 
 
 class TestMinors:
     def test_n1_column_deletion_convention(self):
         # [a b] -> (M^0, M^1) = (b, a)
-        assert minors([[2 + 0j, 5 + 0j]], ScalarBackend()) == [5 + 0j, 2 + 0j]
+        assert minors([[2 + 0j, 5 + 0j]], operator.mul) == [5 + 0j, 2 + 0j]
 
     def test_scalar_classical_minors(self):
         rng = np.random.default_rng(1)
         A = rng.normal(size=(3, 4))
-        got = minors([[complex(A[i, j]) for j in range(4)] for i in range(3)], ScalarBackend())
+        got = minors([[complex(A[i, j]) for j in range(4)] for i in range(3)], operator.mul)
         for i in range(4):
             want = np.linalg.det(np.delete(A, i, axis=1))
             assert abs(got[i] - want) < 1e-12 * max(1, abs(want))
@@ -167,9 +145,9 @@ class TestMinors:
         # sum over levels k = 2..4 of C(5, k) * k products; n+1 permutation sums take 360
         rng = np.random.default_rng(6)
         A = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
-        be = CountingBackend()
-        got = minors([list(row) for row in A], be)
-        assert be.muls == 70
+        mul = CountingMul()
+        got = minors([list(row) for row in A], mul)
+        assert mul.muls == 70
         for i in range(5):
             want = np.linalg.det(np.delete(A, i, axis=1))
             assert abs(got[i] - want) < 1e-12 * max(1, abs(want))
@@ -177,8 +155,8 @@ class TestMinors:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_tensor_against_brute_force(self, n):
         for k in (2, 3):
-            grid = random_cf_matrix(TensorBackend(n, k), 11)
-            got = minors(grid, KRON)
+            grid = random_cf_matrix(n, k, 11)
+            got = minors(grid, kron)
             sites = dense(grid)
             for i in range(n + 1):
                 want = brute_perm_det([[row[c] for c in range(n + 1) if c != i] for row in sites])
@@ -187,23 +165,22 @@ class TestMinors:
 
     def test_kron_is_the_dense_recursion(self):
         # the same recursion over dense site elements and TensorBackend.mul
-        be = TensorBackend(3, 2)
-        grid = random_cf_matrix(be, 4)
-        for got, want in zip(minors(grid, KRON), minors(dense(grid), be)):
+        grid = random_cf_matrix(3, 2, 4)
+        for got, want in zip(minors(grid, kron), minors(dense(grid), TensorBackend().mul)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_random_grid_draws_blocks_row_by_row(self):
         rng = np.random.default_rng(3)
         want = [random_block(3, rng) for _ in range(2 * 3)]
-        grid = random_cf_matrix(TensorBackend(2, 3), 3)
+        grid = random_cf_matrix(2, 3, 3)
         assert all(np.array_equal(grid[i // 3][i % 3], w) for i, w in enumerate(want))
 
 
 class TestCommutingFamily:
     def test_rows_commute_witness(self):
         # sampled witness for the commuting-rows declaration
-        be = TensorBackend(3, 2)
-        grid = dense(random_cf_matrix(be, 2))
+        be = TensorBackend()
+        grid = dense(random_cf_matrix(3, 2, 2))
         rng = np.random.default_rng(0)
         for _ in range(8):
             i, j = rng.choice(3, size=2, replace=False)
@@ -212,15 +189,13 @@ class TestCommutingFamily:
             assert be.norm(x @ y - y @ x) / scale < 1e-12
 
     def test_n1_trivial(self):
-        be = TensorBackend(1, 2)
-        assert verify_commuting_family(minors(random_cf_matrix(be, 3), KRON), be) < 1e-12
+        assert verify_commuting_family(minors(random_cf_matrix(1, 2, 3), kron), TensorBackend()) < 1e-12
 
     @pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2)])
     def test_residual_small(self, n, k):
-        be = TensorBackend(n, k)
         for seed in range(3):
             try:
-                r = verify_commuting_family(minors(random_cf_matrix(be, seed), KRON), be)
+                r = verify_commuting_family(minors(random_cf_matrix(n, k, seed), kron), TensorBackend())
             except SingularOperatorError:
                 continue
             assert r <= 1e-9
@@ -229,43 +204,39 @@ class TestCommutingFamily:
 class TestTriangle:
     def test_equal_indices_zero(self):
         # a repeated minor exchanges with itself exactly; M^0 pairs only round
-        be = TensorBackend(2, 2)
-        m0, m1, _ = minors(random_cf_matrix(be, 7), KRON)
-        assert verify_triangle([m0, m1, m1], be) <= 1e-13
+        m0, m1, _ = minors(random_cf_matrix(2, 2, 7), kron)
+        assert verify_triangle([m0, m1, m1], TensorBackend()) <= 1e-13
 
     def test_scalar_case_zero(self):
+        # 1 x 1 blocks: the commutative case
         rng = np.random.default_rng(4)
-        grid = [[complex(x) for x in row] for row in rng.normal(size=(3, 4))]
-        assert verify_triangle(minors(grid, ScalarBackend()), ScalarBackend()) < 1e-12
+        grid = [[np.array([[complex(x)]]) for x in row] for row in rng.normal(size=(3, 4))]
+        assert verify_triangle(minors(grid, kron), TensorBackend()) < 1e-12
 
     def test_tensor_residual_small(self):
-        be = TensorBackend(3, 2)
-        assert verify_triangle(minors(random_cf_matrix(be, 21), KRON), be) <= 1e-9
+        assert verify_triangle(minors(random_cf_matrix(3, 2, 21), kron), TensorBackend()) <= 1e-9
 
 
 class TestDeltaFamily:
     def test_n1_trivial(self):
-        be = TensorBackend(1, 2)
-        assert delta_family(random_delta_grid(be, 0), be) < 1e-12
+        assert delta_family(random_delta_grid(1, 2, 0), TensorBackend()) < 1e-12
 
     def test_scalar_zero(self):
         # 1 x 1 blocks: the commutative case
         grid = random_blocks(4, 3, 1, 2)
-        assert delta_family(grid, TensorBackend(3, 1)) < 1e-10
+        assert delta_family(grid, TensorBackend()) < 1e-10
 
     def test_blocks_sit_at_their_second_index(self):
         # f_{i,j} acts on site j-1: the transpose's rows are the sites
-        be = TensorBackend(2, 2)
-        fgrid = random_delta_grid(be, 1)
+        fgrid = random_delta_grid(2, 2, 1)
         rows = dense([list(col) for col in zip(*fgrid)])
-        for i, got in enumerate(minors([list(col) for col in zip(*fgrid)], KRON)):
+        for i, got in enumerate(minors([list(col) for col in zip(*fgrid)], kron)):
             want = brute_perm_det([[row[c] for c in range(3) if c != i] for row in rows])
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_tensor_site_structure(self):
-        be = TensorBackend(3, 2)
         for seed in range(3):
-            assert delta_family(random_delta_grid(be, seed), be) <= 1e-9
+            assert delta_family(random_delta_grid(3, 2, seed), TensorBackend()) <= 1e-9
 
 
 class TestPlucker:
@@ -303,33 +274,46 @@ class TestPlucker:
 class TestBackendAxioms:
     def test_tensor_backend_ring_axioms_spot_check(self):
         # associativity, commutative addition, distributivity on random triples
-        be = TensorBackend(2, 2)
+        be = TensorBackend()
         rng = np.random.default_rng(12)
         for _ in range(5):
             x, y, z = (site_element(2, rng.integers(0, 2), random_block(2, rng)) for _ in range(3))
             scale = max(1.0, be.norm(x) * be.norm(y) * be.norm(z))
             assoc = be.mul(be.mul(x, y), z) - be.mul(x, be.mul(y, z))
             assert be.norm(assoc) / scale <= 1e-12
-            assert be.norm(be.add(x, y) - be.add(y, x)) == 0.0
-            dist = be.mul(x, be.add(y, z)) - be.add(be.mul(x, y), be.mul(x, z))
+            assert be.norm((x + y) - (y + x)) == 0.0
+            dist = be.mul(x, y + z) - (be.mul(x, y) + be.mul(x, z))
             assert be.norm(dist) / scale <= 1e-12
 
     def test_norm_definite(self):
-        be = TensorBackend(2, 2)
+        be = TensorBackend()
         assert be.norm(np.zeros((4, 4), dtype=complex)) == 0.0
         assert be.norm(np.eye(4, dtype=complex)) > 0.0
 
     def test_norm_is_the_spectral_norm(self):
-        be = TensorBackend(2, 3)
-        for x in dense(random_cf_matrix(be, 0))[1]:
+        be = TensorBackend()
+        for x in dense(random_cf_matrix(2, 3, 0))[1]:
             assert be.norm(x) == np.linalg.norm(x, 2)
 
 
-class TestInvertibilityContract:
-    """cf-commute and cf-triangle redraw a grid whose M^0 the verifier cannot invert."""
+def two_site_minors(seed):
+    """Minors of the grid of 2 x 2 blocks at 2 sites that cf-commute and cf-triangle draw at seed."""
+    return minors(random_cf_matrix(2, 2, seed), kron)
 
-    ONE_GRID = {"sizes": "2x2", "seeds": 1}
+
+class TestInvertibilityContract:
+    """cf-commute, cf-triangle and delta-family redraw a grid whose M^0 the verifier cannot invert."""
+
     SEED = 7
+    # check -> params of one grid at 2 sites of 2 x 2 blocks, and the residual of the grid drawn at a seed
+    ONE_GRID = {
+        "cf-commute": ({"sizes": "2x2", "seeds": 1},
+                       lambda s: verify_commuting_family(two_site_minors(s), TensorBackend())),
+        "cf-triangle": ({"sizes": "2x2", "seeds": 1},
+                        lambda s: verify_triangle(two_site_minors(s), TensorBackend())),
+        "delta-family": ({"n": 2, "k": 2, "seeds": 1},
+                         lambda s: delta_family(random_delta_grid(2, 2, s), TensorBackend())),
+    }
 
     @staticmethod
     def patch_invert(monkeypatch, fails):
@@ -345,25 +329,32 @@ class TestInvertibilityContract:
         monkeypatch.setattr(TensorBackend, "invert", invert)
         return calls
 
-    @pytest.mark.parametrize("name,verify", [("cf-commute", verify_commuting_family),
-                                             ("cf-triangle", verify_triangle)])
-    def test_singular_first_draw_takes_the_bump_one_draw(self, monkeypatch, name, verify):
-        be = TensorBackend(2, 2)
-        want = verify(minors(random_cf_matrix(be, self.SEED + 100_000), KRON), be)
-        assert want != verify(minors(random_cf_matrix(be, self.SEED), KRON), be)
+    @pytest.mark.parametrize("name", ONE_GRID)
+    def test_singular_first_draw_takes_the_bump_one_draw(self, monkeypatch, name):
+        params, residual = self.ONE_GRID[name]
+        want = residual(self.SEED + 100_000)
+        assert want != residual(self.SEED)
         calls = self.patch_invert(monkeypatch, fails=1)
-        assert REGISTRY[name](self.ONE_GRID, self.SEED) == want
+        assert REGISTRY[name](params, self.SEED) == want
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("name", ["cf-commute", "cf-triangle"])
+    @pytest.mark.parametrize("name", ONE_GRID)
     def test_eight_singular_draws_raise(self, monkeypatch, name):
         calls = self.patch_invert(monkeypatch, fails=8)
         with pytest.raises(SingularOperatorError, match="no well-conditioned draw in 8 attempts"):
-            REGISTRY[name](self.ONE_GRID, self.SEED)
+            REGISTRY[name](self.ONE_GRID[name][0], self.SEED)
         assert len(calls) == 8
 
-    @pytest.mark.parametrize("name", ["cf-commute", "cf-triangle"])
+    # check -> params of several grids, and the shape of each grid's inverted M^0 in order
+    GRIDS = {
+        "cf-commute": ({"sizes": "2x2;3x2", "seeds": 2}, [(4, 4), (4, 4), (8, 8), (8, 8)]),
+        "cf-triangle": ({"sizes": "2x2;3x2", "seeds": 2}, [(4, 4), (4, 4), (8, 8), (8, 8)]),
+        "delta-family": ({"n": 3, "k": 2, "seeds": 2}, [(8, 8), (8, 8)]),
+    }
+
+    @pytest.mark.parametrize("name", GRIDS)
     def test_one_inverse_per_grid(self, monkeypatch, name):
+        params, shapes = self.GRIDS[name]
         calls = self.patch_invert(monkeypatch, fails=0)
-        REGISTRY[name]({"sizes": "2x2;3x2", "seeds": 2}, self.SEED)
-        assert calls == [(4, 4), (4, 4), (8, 8), (8, 8)]
+        REGISTRY[name](params, self.SEED)
+        assert calls == shapes

@@ -152,6 +152,19 @@ class TestSingleCheck:
         assert rec["params"]["status"] == "error" and "count=0" in rec["params"]["message"]
         assert rec["pass"] is False and rec["residual_max"] == -1.0 and rec["seed"] == 42
 
+    @pytest.mark.parametrize("argv", [["fay", "--param", "taus=50j"],
+                                      ["theta-quasiperiodicity", "--param", "taus=40j", "--param", "points=5"]])
+    def test_non_finite_value_is_an_error_record(self, tmp_path, capsys, argv):
+        # theta values overflow at large Im tau: one error record, and a report without NaN
+        def reject(constant):
+            raise ValueError(f"{constant} in the report")
+
+        out = tmp_path / "one.json"
+        assert main(["check", *argv, "--json", str(out)]) == 3
+        (rec,) = json.loads(out.read_text(), parse_constant=reject)
+        assert rec["params"]["status"] == "error" and rec["residual_max"] == -1.0
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_library_error_exits_three(self, monkeypatch, capsys):
         def poled(**_):
             raise PoleError("sampled values pole at all 8 seeded batches")

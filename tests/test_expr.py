@@ -212,6 +212,19 @@ class TestSampling:
             sampled_max(measure, box(5, ["z"], CTX), 0, CTX)
         assert len(batches) == 8
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, np.array([1.0, np.nan])])
+    def test_non_finite_value_raises_after_one_batch(self, value):
+        # an overflow is an error, never a residual, and not a pole to redraw
+        batches = []
+
+        def measure(at):
+            batches.append(at)
+            return value
+
+        with pytest.raises(EvaluationOverflowError):
+            sampled_max(measure, box(5, ["z"], CTX), 0, CTX)
+        assert len(batches) == 1
+
 
 @pytest.fixture
 def theta_calls(monkeypatch):
