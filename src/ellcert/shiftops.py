@@ -218,14 +218,18 @@ def op_equal(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0) -> float:
     return sum_to_zero_residual([a, -b], samples=samples, seed=seed)
 
 
-def sum_to_zero_residual(parts: Sequence[TermMap], samples: int = 20, seed: int = 0) -> float:
-    """Residual of sum(parts) == 0, scaled by the largest single part.
+def sum_to_zero_residual(parts: Sequence[TermMap], samples: int = 20, seed: int = 0,
+                         relations=None) -> float:
+    """Largest residual of the relations sum_k w_k * parts[k] == 0, all on one batch.
 
-    The right notion when a relation sums several operators to zero: each
-    multi-index coefficient of the total is compared against the biggest
-    contribution that went into it.
+    relations holds one row of weights w per relation (default one row of
+    ones: sum(parts) == 0).  Each multi-index coefficient of a relation is
+    compared against the biggest term w_k * parts[k] that went into it.  A
+    zero weight drops its term: a part weighted 0 in every row is never evaluated.
     """
-    keys = set().union(*(p.terms for p in parts))
+    rows = np.ones((1, len(parts))) if relations is None else np.asarray(relations)
+    used = [k for k in range(len(parts)) if np.any(rows[:, k])]
+    keys = set().union(*(parts[k].terms for k in used))
     if not keys:
         return 0.0
     alg = parts[0].algebra
@@ -233,8 +237,10 @@ def sum_to_zero_residual(parts: Sequence[TermMap], samples: int = 20, seed: int 
     def measure(at):
         worst = 0.0
         for mi in keys:
-            vals = [np.asarray(at(p.terms.get(mi, ex._ZERO))) for p in parts]
-            worst = max(worst, rel_residual(sum(vals), *vals))
+            vals = {k: np.asarray(at(parts[k].terms.get(mi, ex._ZERO))) for k in used}
+            for row in rows:
+                terms = [w * vals[k] for k, w in enumerate(row) if w]
+                worst = max(worst, rel_residual(sum(terms), *terms))
         return worst
 
     return sampled_max(measure, box(samples, alg.var_names, alg.ctx), seed, alg.ctx)

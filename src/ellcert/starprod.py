@@ -179,7 +179,7 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
     (b) Every kernel vector c of the sample matrix satisfies
         sum c_ij theta_i * theta_j = 0; the operator
         sum c_ij phi_p(theta_i) phi_p(theta_j) must then vanish.  The largest
-        sum_to_zero_residual over the kernel vectors is returned.
+        sum_to_zero_residual over the kernel vectors, all on one batch, is returned.
     """
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
@@ -201,15 +201,14 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
         raise InconclusiveRankError(
             f"singular-value gap {gap:.2e} below {gap_threshold:.0e}; resample", gap=gap)
 
+    return sum_to_zero_residual(_phi_products(gens, p, ctx), samples=10, seed=seed + 1,
+                                relations=np.conj(U[:, r:]).T / row_scale)
+
+
+def _phi_products(gens, p: int, ctx: ThetaContext) -> list:
+    """The n^2 operators phi_p(x_a) phi_p(x_b) of gens x_0..x_{n-1}, at index a*n + b."""
     phis = [phi_p(g, p, ctx) for g in gens]
-    ops = {(i, j): shift_mul(phis[i], phis[j]) for i in range(n) for j in range(n)}
-    kernel = U[:, r:]
-    worst = 0.0
-    for kv in range(kernel.shape[1]):
-        c = np.conj(kernel[:, kv]) / row_scale
-        parts = [ops[(i, j)].scaled(complex(c[i * n + j])) for i in range(n) for j in range(n)]
-        worst = max(worst, sum_to_zero_residual(parts, samples=10, seed=seed + 1))
-    return worst
+    return [shift_mul(x, y) for x in phis for y in phis]
 
 
 def _odesskii_gen(a: int, n: int, ctx: ThetaContext) -> SymThetaFun:
@@ -236,23 +235,19 @@ def qnk_relation_residual(n: int, p: int, ctx: ThetaContext,
 
     (Feigin & Odesskii, Funct. Anal. Appl. 23, 1989; Odesskii, "Elliptic
     algebras", arXiv:math/0303021), with eta negated against Odesskii's text
-    to match this library's orientation of B_{p,n}.  Each relation is
-    measured by sum_to_zero_residual; the largest is returned.
+    to match this library's orientation of B_{p,n}.  The largest
+    sum_to_zero_residual over the n(n-1) relations, all on one batch, is returned.
     """
     gens = [_odesskii_gen(a, n, ctx) for a in range(n)]
-    phis = [phi_p(g, p, ctx) for g in gens]
-    products = {(a, b): shift_mul(phis[a], phis[b]) for a in range(n) for b in range(n)}
-    worst = 0.0
-    for i, j in itertools.permutations(range(n), 2):
+    relations = np.zeros((n * (n - 1), n * n), dtype=complex)
+    for row, (i, j) in zip(relations, itertools.permutations(range(n), 2)):
         num = gens[(j - i) % n](0.0)
-        parts = []
         for r in range(n):
             den = gens[(j - i - r) % n](ctx.eta) * gens[r](-ctx.eta)
             if abs(den) < ctx.pole_guard:
                 raise PoleError("structure-constant denominator vanishes at this eta")
-            parts.append(products[(j - r) % n, (i + r) % n].scaled(complex(num / den)))
-        worst = max(worst, sum_to_zero_residual(parts, samples=samples, seed=seed))
-    return worst
+            row[(j - r) % n * n + (i + r) % n] = num / den
+    return sum_to_zero_residual(_phi_products(gens, p, ctx), samples, seed, relations)
 
 
 # Central elements and the commuting family ---------------------------------------

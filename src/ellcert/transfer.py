@@ -33,7 +33,6 @@ from .errors import PoleError
 from . import expr as ex
 from .sampling import box, sampled_max
 from .shiftops import (
-    ShiftAlgebra,
     ShiftOp,
     commutator_residual,
     invert_multiplication,
@@ -53,7 +52,6 @@ from .theta import theta_basis
 class TransferFamily:
     """One-parameter operator family; builder(u) must be degree-homogeneous."""
 
-    algebra: ShiftAlgebra
     builder: Callable[[complex], ShiftOp]
     label: str
 
@@ -94,7 +92,7 @@ def build_T(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
 
 
 def vn_family(n: int, ctx: ThetaContext) -> TransferFamily:
-    return TransferFamily(make_Vn(n, ctx), lambda u: build_T(u, n, ctx), f"T.z{n}")
+    return TransferFamily(lambda u: build_T(u, n, ctx), f"T.z{n}")
 
 
 def transfer_commutator_residual(family: TransferFamily, u: complex, v: complex,
@@ -179,8 +177,7 @@ def build_T_tilde(u: complex, p_list: Sequence[int], ctx: ThetaContext) -> Shift
 
 
 def btilde_family(p_list: Sequence[int], ctx: ThetaContext) -> TransferFamily:
-    return TransferFamily(make_Btilde(p_list, ctx), lambda u: build_T_tilde(u, p_list, ctx),
-                          f"T.chain{p_list}")
+    return TransferFamily(lambda u: build_T_tilde(u, p_list, ctx), f"T.chain{p_list}")
 
 
 # Face-model auxiliary transfer ----------------------------------------------------
@@ -222,7 +219,7 @@ def build_sos_Taux(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
 
 
 def sos_family(n: int, ctx: ThetaContext) -> TransferFamily:
-    return TransferFamily(make_sos(n, ctx), lambda u: build_sos_Taux(u, n, ctx), f"T.face{n}")
+    return TransferFamily(lambda u: build_sos_Taux(u, n, ctx), f"T.face{n}")
 
 
 def sos_vs_T_coefficient_ratio(u: complex, n: int, ctx: ThetaContext,

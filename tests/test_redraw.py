@@ -31,7 +31,17 @@ VERDICTS = {
     "quotient-rule": {"points": 6},
     "casimir-diagonal": {"m": "2"},
     "theta-quasiperiodicity": {"n_max": 3, "points": 20, "taus": "0.8j"},
+    "qnk-relation": {"n": 3, "p": 1},  # one sum_to_zero_residual over every relation
+    "transfer-commute": {"n": "2", "seeds": 1, "samples": 6},  # commutator_residual
+    "sos-commute": {"n": "2", "seeds": 1, "samples": 6},
+    "ttilde-commute": {"p": "1,1", "seeds": 1, "samples": 6},
+    "fu-commute": {"m": "2", "seeds": 1, "samples": 6},
+    "star-assoc": {"n": "2", "samples": 6},
+    "psi2": {"samples": 6},  # poisson.pbracket_residual
 }
+
+# the tensor checks draw random grids, not sampled points, and never call sampled_max
+UNSAMPLED = {"cf-commute", "cf-triangle", "delta-family", "plucker"}
 
 MODULES = [importlib.import_module(f"ellcert.{name}")
            for name in ("checks", "poisson", "shiftops", "starprod", "transfer")]
@@ -67,6 +77,11 @@ def plant(monkeypatch, poled):
 
     route(monkeypatch, sampled_max)
     return planted
+
+
+def test_every_sampled_check_is_covered():
+    assert set(VERDICTS) | UNSAMPLED == set(REGISTRY)
+    assert not set(VERDICTS) & UNSAMPLED
 
 
 @pytest.mark.parametrize("name", sorted(VERDICTS))

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from ellcert import ThetaContext, theta1
+from ellcert import ThetaContext, sampling, shiftops, starprod, theta1
 from ellcert import expr as ex
 from ellcert.checks import REGISTRY
-from ellcert.errors import InconclusiveRankError
+from ellcert.errors import InconclusiveRankError, PoleError
 from ellcert.sampling import rel_residual, sample_points, stack_assignments
-from ellcert.shiftops import shift_mul, sum_to_zero_residual
+from ellcert.shiftops import ShiftOp, make_Vn, shift_mul, sum_to_zero_residual
 from ellcert.starprod import (
     SymThetaFun,
     build_fu_bosonized,
@@ -215,6 +215,54 @@ class TestQnk:
     def test_restated_relations_match(self):
         # the mutation harness, unmutated, certifies what the library does
         assert relation_residual(4, 2, CTX, odesskii_basis, CTX.eta) <= 1e-10
+
+
+def count_draws(monkeypatch):
+    """Record every sampled_max call made from shiftops and starprod."""
+    calls = []
+
+    def counted(measure, draw, seed, ctx):
+        calls.append(seed)
+        return sampling.sampled_max(measure, draw, seed, ctx)
+
+    for module in (shiftops, starprod):
+        monkeypatch.setattr(module, "sampled_max", counted)
+    return calls
+
+
+class TestOneBatch:
+    """A family of relations among the same operators is measured on one batch."""
+
+    def test_qnk_relations_take_one_draw(self, monkeypatch):
+        calls = count_draws(monkeypatch)
+        qnk_relation_residual(3, 1, CTX, seed=42)
+        assert len(calls) == 1
+
+    def test_kernel_relations_take_one_draw(self, monkeypatch):
+        calls = count_draws(monkeypatch)
+        hom_welldefined_residual(3, 1, CTX, seed=0)
+        assert len(calls) == 2  # the rank matrix, then every kernel vector's relation
+
+    def test_rows_match_scaled_parts(self):
+        phis = [phi_p(theta_gen(a, 3, CTX), 1, CTX) for a in range(3)]
+        parts = [shift_mul(x, y) for x in phis for y in phis]
+        rng = np.random.default_rng(0)
+        rows = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
+        rows[:, 2] = 0  # a part no relation uses
+        rows[1, ::2] = 0
+        want = max(sum_to_zero_residual([op.scaled(complex(w)) for op, w in zip(parts, row)],
+                                        samples=6, seed=3) for row in rows)
+        got = sum_to_zero_residual(parts, samples=6, seed=3, relations=rows)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_part_weighted_zero_is_not_evaluated(self):
+        alg = make_Vn(1, CTX)
+        op = ShiftOp.generator(alg, "f1", ex.var("z1"))
+        # |1e-30 * z1| is below pole_guard at every point: the part poles in every batch
+        poled = ShiftOp.generator(alg, "f1", ex.quot(ex.const(1), ex.mul(ex.const(1e-30), ex.var("z1"))))
+        with pytest.raises(PoleError):
+            sum_to_zero_residual([op, -op, poled], samples=4)
+        assert sum_to_zero_residual([op, op, poled], samples=4, relations=[[1, -1, 0], [2, -2, 0]]) == 0.0
 
 
 DIAGONAL = REGISTRY["casimir-diagonal"]
