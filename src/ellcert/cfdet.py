@@ -16,7 +16,8 @@ permutation sums take 360), and no size cap is needed.
 
 In the tensor model row r holds k x k blocks acting on site r, so each product
 is the Kronecker product of a partial determinant (sites 0..r-1) and a block
-(`kron`); `TensorBackend` verifies the ratios densely.
+(`kron`); `TensorBackend` verifies the ratios densely, with matrix products,
+one LU inverse per grid and Frobenius norms: no singular-value decomposition.
 
 Also houses the multilinear Plucker identities used by the Poisson layer;
 these hold for decomposable alternating forms (partial determinants), which
@@ -38,19 +39,27 @@ class TensorBackend:
 
     Distinct-site generators commute exactly, and inverses exist concretely,
     which makes this the reference model for the commuting-rows hypothesis.
+    `norm` is the Frobenius norm.  It is submultiplicative, so a residual
+    |[x, y]| / max(1, |x| |y|) stays a relative residual, bounded by 2.
+    `invert` rejects x when kappa_F = |x| |x^-1| exceeds 1e10; since
+    kappa_F >= kappa_2, it rejects every x whose spectral condition number
+    exceeds 1e10, and possibly some more.
     """
 
     def mul(self, x, y):
         return x @ y
 
     def norm(self, x) -> float:
-        return float(np.linalg.svd(x, compute_uv=False)[0])
+        return float(np.linalg.norm(x))
 
     def invert(self, x):
-        s = np.linalg.svd(x, compute_uv=False)
-        if s[-1] < 1e-10 * s[0]:
+        try:
+            inv = np.linalg.inv(x)
+        except np.linalg.LinAlgError:
+            raise SingularOperatorError("singular matrix") from None
+        if not np.linalg.norm(x) * np.linalg.norm(inv) <= 1e10:  # a nan is rejected too
             raise SingularOperatorError("reciprocal condition number below 1e-10")
-        return np.linalg.inv(x)
+        return inv
 
 
 def kron(x, y):
@@ -127,16 +136,20 @@ def verify_commuting_family(ms, backend) -> float:
 
 
 def verify_triangle(ms, backend) -> float:
-    """max over i < j of the residual of M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i."""
+    """max over 1 <= i < j of the residual of M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i.
+
+    The pairs with i = 0 are left out: M^0 (M^0)^-1 M^j = M^j (M^0)^-1 M^0
+    holds for any invertible M^0, so they would test only the inverse.
+    """
     be = backend
-    inv0 = be.invert(ms[0])
-    norms, norm0 = [be.norm(m) for m in ms], be.norm(inv0)
-    ratios = [be.mul(inv0, m) for m in ms]
+    inv0, rest = be.invert(ms[0]), ms[1:]
+    norms, norm0 = [be.norm(m) for m in rest], be.norm(inv0)
+    ratios = [be.mul(inv0, m) for m in rest]
     worst = 0.0
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            lhs = be.mul(ms[i], ratios[j])
-            rhs = be.mul(ms[j], ratios[i])
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            lhs = be.mul(rest[i], ratios[j])
+            rhs = be.mul(rest[j], ratios[i])
             scale = max(1.0, norms[i] * norm0 * norms[j])
             worst = max(worst, be.norm(lhs - rhs) / scale)
     return worst
@@ -187,24 +200,32 @@ def plucker_residual(order: int, lam: np.ndarray, vectors: Sequence[np.ndarray])
     def contract(xs):
         key = tuple(map(id, xs))
         if key not in partial:
-            partial[key] = np.tensordot(contract(xs[:-1]), xs[-1], axes=([0], [0]))
+            # np.tensordot(v, x, axes=([0], [0])) as one matmul, without tensordot's dispatch
+            v, x = contract(xs[:-1]), xs[-1]
+            partial[key] = (x @ v.reshape(len(x), -1)).reshape(v.shape[1:])
         return partial[key]
 
-    L = lambda *xs: complex(contract(xs))
+    terms = _plucker_terms(order, lambda *xs: complex(contract(xs)), vectors)
+    scale = max(abs(t) for t in terms)
+    return abs(sum(terms)) / max(scale, 1e-300)
+
+
+def _plucker_terms(order: int, L, vectors) -> list:
+    """The terms of the identity of this order; L(*xs) applies the form to xs."""
     if order == 2:
         a, b, c, d = vectors
-        terms = [L(a, b) * L(c, d), -L(a, c) * L(b, d), L(a, d) * L(b, c)]
-    elif order == 3:
+        return [L(a, b) * L(c, d), -L(a, c) * L(b, d), L(a, d) * L(b, c)]
+    if order == 3:
         a, b, c, bp, cp = vectors
-        terms = [
+        return [
             L(b, c, cp) * L(a, c, bp) * L(b, bp, cp),
             L(b, c, bp) * L(c, bp, cp) * L(a, b, cp),
             -L(b, c, bp) * L(a, c, cp) * L(b, bp, cp),
             -L(b, c, cp) * L(c, bp, cp) * L(a, b, bp),
         ]
-    elif order == 4:
+    if order == 4:
         a, b, c, ap, bp, cp = vectors
-        terms = [
+        return [
             L(b, c, bp, cp) * L(a, c, ap, cp) * L(a, b, ap, bp),
             L(b, c, ap, cp) * L(a, c, ap, bp) * L(a, b, bp, cp),
             L(b, c, ap, bp) * L(a, c, bp, cp) * L(a, b, ap, cp),
@@ -212,10 +233,7 @@ def plucker_residual(order: int, lam: np.ndarray, vectors: Sequence[np.ndarray])
             -L(b, c, ap, bp) * L(a, c, ap, cp) * L(a, b, bp, cp),
             -L(b, c, ap, cp) * L(a, c, bp, cp) * L(a, b, ap, bp),
         ]
-    else:
-        raise ValueError("plucker identities implemented for orders 2, 3, 4")
-    scale = max(abs(t) for t in terms)
-    return abs(sum(terms)) / max(scale, 1e-300)
+    raise ValueError("plucker identities implemented for orders 2, 3, 4")
 
 
 _PLUCKER_VECTOR_COUNT = {2: 4, 3: 5, 4: 6}

@@ -10,9 +10,11 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ellcert.cfdet import (
     TensorBackend,
+    _plucker_terms,
     cf_det,
     decomposable_form,
     delta_family,
@@ -201,11 +203,23 @@ class TestCommutingFamily:
             assert r <= 1e-9
 
 
+class TestNonCommutingRows:
+    """Negative control: with generic dense entries the rows do not commute, and both verifiers FAIL."""
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 3)])
+    def test_generic_entries_fail_far_above_tolerance(self, n, k):
+        be = TensorBackend()
+        for seed in range(5):
+            ms = minors(random_blocks(n, n + 1, k ** n, seed), be.mul)
+            assert verify_commuting_family(ms, be) > 1e3 * REGISTRY["cf-commute"].tolerance
+            assert verify_triangle(ms, be) > 1e3 * REGISTRY["cf-triangle"].tolerance
+
+
 class TestTriangle:
     def test_equal_indices_zero(self):
-        # a repeated minor exchanges with itself exactly; M^0 pairs only round
+        # a repeated minor exchanges with itself exactly, and no pair involves M^0
         m0, m1, _ = minors(random_cf_matrix(2, 2, 7), kron)
-        assert verify_triangle([m0, m1, m1], TensorBackend()) <= 1e-13
+        assert verify_triangle([m0, m1, m1], TensorBackend()) == 0.0
 
     def test_scalar_case_zero(self):
         # 1 x 1 blocks: the commutative case
@@ -262,6 +276,17 @@ class TestPlucker:
         for seed in range(8):
             assert plucker_check(order, d, seed) <= 1e-10
 
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_contraction_is_form_apply(self, order):
+        # the prefix-memoized matmul contraction gives form_apply's tensordot terms bit for bit
+        for seed in range(20):
+            lam = decomposable_form(order, 2 * order, seed)
+            rng = np.random.default_rng(seed + 10_000)
+            vs = [rng.normal(size=2 * order) + 1j * rng.normal(size=2 * order) for _ in range(order + 2)]
+            terms = _plucker_terms(order, lambda *xs: form_apply(lam, *xs), vs)
+            want = abs(sum(terms)) / max(max(abs(t) for t in terms), 1e-300)
+            assert plucker_residual(order, lam, vs) == want
+
     def test_generic_antisymmetric_array_fails(self):
         # Confirms decomposability is what makes the identity true.
         rng = np.random.default_rng(0)
@@ -290,10 +315,42 @@ class TestBackendAxioms:
         assert be.norm(np.zeros((4, 4), dtype=complex)) == 0.0
         assert be.norm(np.eye(4, dtype=complex)) > 0.0
 
-    def test_norm_is_the_spectral_norm(self):
+    def test_norm_is_the_frobenius_norm(self):
         be = TensorBackend()
         for x in dense(random_cf_matrix(2, 3, 0))[1]:
-            assert be.norm(x) == np.linalg.norm(x, 2)
+            assert be.norm(x) == np.linalg.norm(x)
+
+
+def with_singular_values(s, seed):
+    """U diag(s) V^H with Haar-random complex unitaries U and V."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(random_block(len(s), rng))[0] for _ in range(2))
+    return (u * s) @ v.conj().T
+
+
+class TestInvert:
+    def test_exactly_singular_raises(self):
+        with pytest.raises(SingularOperatorError):
+            TensorBackend().invert(np.ones((3, 3), dtype=complex))
+
+    def test_condition_above_1e10_raises(self):
+        with pytest.raises(SingularOperatorError, match="reciprocal condition number below 1e-10"):
+            TensorBackend().invert(np.diag([1.0, 1e-11]).astype(complex))
+
+    def test_well_conditioned_is_the_lu_inverse(self):
+        x = with_singular_values(np.array([2.0, 1.0, 0.5, 1e-3]), 3)
+        assert np.array_equal(TensorBackend().invert(x), np.linalg.inv(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_s=st.lists(st.floats(-12, 0), min_size=1, max_size=8),
+           log_min=st.floats(-12, -8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rejects_every_matrix_the_svd_rule_rejects(self, log_s, log_min, seed):
+        # kappa_F >= kappa_2: a planted small singular value near the 1e-10 threshold
+        x = with_singular_values(10.0 ** np.array([0.0, log_min, *log_s]), seed)
+        s = np.linalg.svd(x, compute_uv=False)
+        if s[-1] < 1e-10 * s[0]:
+            with pytest.raises(SingularOperatorError):
+                TensorBackend().invert(x)
 
 
 def two_site_minors(seed):

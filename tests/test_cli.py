@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -11,6 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ellcert
 from ellcert.checks import REGISTRY, REPORT_SCHEMA, CheckSpec, parse_value, run_check
 from ellcert.cli import load_config, main
 from ellcert.errors import InconclusiveRankError, ParameterError, PoleError
@@ -180,8 +182,11 @@ class TestSingleCheck:
         assert specs[0].params["count"] == 5 and specs[1].params["count"] == 6
 
     def test_console_script_installed(self):
+        # the child does not read pytest's `pythonpath`: hand it the imported package's source root
+        src = str(pathlib.Path(ellcert.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "ellcert.cli", "list"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0 and "fay" in proc.stdout
 
 
