@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularOperatorError
+from .errors import PoleError
 
 
 class TensorBackend:
@@ -41,9 +41,9 @@ class TensorBackend:
     which makes this the reference model for the commuting-rows hypothesis.
     `norm` is the Frobenius norm.  It is submultiplicative, so a residual
     |[x, y]| / max(1, |x| |y|) stays a relative residual, bounded by 2.
-    `invert` rejects x when kappa_F = |x| |x^-1| exceeds 1e10; since
-    kappa_F >= kappa_2, it rejects every x whose spectral condition number
-    exceeds 1e10, and possibly some more.
+    A singular M^0 is a pole of the ratios: `invert` raises PoleError when
+    kappa_F = |x| |x^-1| exceeds 1e10 (since kappa_F >= kappa_2, for every x
+    whose spectral condition number exceeds 1e10, and possibly some more).
     """
 
     def mul(self, x, y):
@@ -56,9 +56,9 @@ class TensorBackend:
         try:
             inv = np.linalg.inv(x)
         except np.linalg.LinAlgError:
-            raise SingularOperatorError("singular matrix") from None
+            raise PoleError("singular matrix") from None
         if not np.linalg.norm(x) * np.linalg.norm(inv) <= 1e10:  # a nan is rejected too
-            raise SingularOperatorError("reciprocal condition number below 1e-10")
+            raise PoleError("reciprocal condition number below 1e-10")
         return inv
 
 
@@ -120,9 +120,9 @@ def minors(grid, mul) -> list:
     return list(_column_sets(grid, mul).values())[::-1]
 
 
-def verify_commuting_family(ms, backend) -> float:
+def verify_commuting_family(ms) -> float:
     """max over pairs of |[H_i, H_j]| / max(1, |H_i| |H_j|), H_i = ms[0]^-1 ms[i]."""
-    be = backend
+    be = TensorBackend()
     inv0 = be.invert(ms[0])
     hs = [be.mul(inv0, d) for d in ms[1:]]
     norms = [be.norm(h) for h in hs]
@@ -135,13 +135,13 @@ def verify_commuting_family(ms, backend) -> float:
     return worst
 
 
-def verify_triangle(ms, backend) -> float:
+def verify_triangle(ms) -> float:
     """max over 1 <= i < j of the residual of M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i.
 
     The pairs with i = 0 are left out: M^0 (M^0)^-1 M^j = M^j (M^0)^-1 M^0
     holds for any invertible M^0, so they would test only the inverse.
     """
-    be = backend
+    be = TensorBackend()
     inv0, rest = be.invert(ms[0]), ms[1:]
     norms, norm0 = [be.norm(m) for m in rest], be.norm(inv0)
     ratios = [be.mul(inv0, m) for m in rest]
@@ -155,7 +155,7 @@ def verify_triangle(ms, backend) -> float:
     return worst
 
 
-def delta_family(fgrid, backend) -> float:
+def delta_family(fgrid) -> float:
     """Commutation residual for H_i = Delta_0^-1 Delta_i built from f_{i,j}.
 
     fgrid[i][j-1] holds the k x k block of f_{i,j} for 0 <= i <= n,
@@ -164,7 +164,7 @@ def delta_family(fgrid, backend) -> float:
     sign(sigma) * prod f_{i, sigma(i)}, and Delta_i omits the first index i.
     """
     # row r of the transpose collects second index r+1, the blocks of site r
-    return verify_commuting_family(minors(list(zip(*fgrid)), kron), backend)
+    return verify_commuting_family(minors(list(zip(*fgrid)), kron))
 
 
 def random_delta_grid(n: int, k: int, seed: int) -> list:

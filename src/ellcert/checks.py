@@ -22,8 +22,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .context import ThetaContext
-from .errors import (EvaluationOverflowError, InconclusiveRankError, ParameterError,
-                     SingularOperatorError)
+from .errors import EvaluationOverflowError, InconclusiveRankError, ParameterError
 from . import expr as ex
 from .sampling import box, rel_residual, sampled_max
 from .shiftops import make_Vn
@@ -244,23 +243,16 @@ def check_theta_quasiperiodicity(seed, n_max, points, taus) -> float:
 
 
 def _cf_verdict(verify, draw, sizes, seeds, seed) -> float:
-    """max of verify(draw(n, k, seed + s), backend) over every (n, k) in sizes and s < seeds."""
-    return max(_well_conditioned(verify, draw, n, k, seed + s) for n, k in sizes for s in range(seeds))
-
-
-def _well_conditioned(verify, draw, n, k, seed):
-    # a grid whose M^0 verify cannot invert (its first step) is redrawn, per the invertibility contract
-    for bump in range(8):
-        try:
-            return verify(draw(n, k, seed + 100_000 * bump), cfdet.TensorBackend())
-        except SingularOperatorError:
-            continue
-    raise SingularOperatorError("no well-conditioned draw in 8 attempts")
+    """max of verify(draw(n, k, seed + s)) over every (n, k) in sizes and s < seeds,
+    each grid a batch of sampled_max: one whose M^0 verify cannot invert poles and is redrawn."""
+    return max(sampled_max(lambda at: verify(at.env["grid"]), lambda b: {"grid": draw(n, k, b)},
+                           seed + s, ThetaContext())
+               for n, k in sizes for s in range(seeds))
 
 
 def _of_minors(verify):
     """A verifier of a grid's minors as a verifier of the grid."""
-    return lambda grid, be: verify(cfdet.minors(grid, cfdet.kron), be)
+    return lambda grid: verify(cfdet.minors(grid, cfdet.kron))
 
 
 @check("cf-commute", 1e-9, "determinant-ratio commuting family over the tensor backend",
@@ -379,7 +371,7 @@ def check_fu_commute(seed, m, seeds, samples, ctx) -> float:
         for s in range(seeds):
             u, v, a, b = _spectral_points(ctx, seed + s, 4)
             worst = max(worst, starprod.fu_commutator_residual(
-                u, v, degree, a, b, 0, ctx, samples=samples, seed=seed + s))
+                u, v, degree, a, b, ctx, samples=samples, seed=seed + s))
     return worst
 
 

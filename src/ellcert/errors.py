@@ -6,7 +6,8 @@ class EllcertError(Exception):
 
 
 class PoleError(EllcertError):
-    """A quotient denominator fell below the pole guard; resample the point."""
+    """A division met a pole (expr.nonpole, or an M^0 that TensorBackend.invert rejects);
+    sampling.sampled_max redraws the batch, and raises it when all its batches pole."""
 
 
 class UnboundVariableError(EllcertError):
@@ -18,7 +19,7 @@ class EvaluationOverflowError(EllcertError):
 
 
 class SingularOperatorError(EllcertError):
-    """An operator that must be invertible is numerically singular."""
+    """invert_multiplication was given an operator without an inverse: API misuse, not a bad draw."""
 
 
 class InconclusiveRankError(EllcertError):

@@ -314,6 +314,18 @@ class Product(MeroExpr):
             f._collect_vars(acc)
 
 
+def nonpole(den, what: str):
+    """den, unless some |den| is below the pole guard: then PoleError(what).  The one pole test.
+
+    Local scale 1: sampling keeps every argument O(1)-normalized, while
+    numerators (high-order thetas) legitimately reach 1e15 and would poison
+    any numerator-relative threshold.
+    """
+    if np.any(np.abs(den) < ThetaContext.pole_guard):
+        raise PoleError(what)
+    return den
+
+
 class Quotient(MeroExpr):
     __slots__ = ("num", "den")
 
@@ -323,13 +335,7 @@ class Quotient(MeroExpr):
 
     def _eval(self, ev):
         nv = ev._value(self.num)
-        dv = ev._value(self.den)
-        # Local scale 1: sampling keeps every argument O(1)-normalized, while
-        # numerators (high-order thetas) legitimately reach 1e15 and would
-        # poison any numerator-relative threshold.
-        if np.any(np.abs(dv) < ev.ctx.pole_guard):
-            raise PoleError("denominator magnitude below pole guard")
-        return nv / dv
+        return nv / nonpole(ev._value(self.den), "denominator magnitude below pole guard")
 
     def _diff(self, var):
         dn = self.num._diff(var)
@@ -554,8 +560,8 @@ class Evaluator:
 
     def __call__(self, expr: MeroExpr):
         """Value of expr.  Quotient nodes whose denominator falls below
-        ctx.pole_guard raise PoleError, and a non-finite value (an overflow
-        in some node) raises EvaluationOverflowError."""
+        the pole guard raise PoleError (`nonpole`), and a non-finite value
+        (an overflow in some node) raises EvaluationOverflowError."""
         with np.errstate(over="ignore", invalid="ignore"):
             value = self._value(expr)
         if not np.all(np.isfinite(value)):

@@ -29,7 +29,6 @@ import numpy as np
 
 from .cfdet import minors
 from .context import ThetaContext
-from .errors import PoleError
 from . import expr as ex
 from .sampling import box, rel_residual, sampled_max
 from .shiftops import TermMap, bosonize, make_Bpn, make_Vn, sum_to_zero_residual
@@ -125,11 +124,10 @@ class RatioBracket:
         """(value, its four terms), vectorized over array-valued assignments."""
         hv = np.asarray(self.h.evaluate(at))
         kv = np.asarray(self.k.evaluate(at))
-        if np.any(np.minimum(np.abs(hv), np.abs(kv)) < ThetaContext.pole_guard):
-            raise PoleError("ratio denominator vanishes at a sample point")
+        pole = "ratio denominator vanishes at a sample point"
+        hk = ex.nonpole(hv, pole) * ex.nonpole(kv, pole)
         fv = self.f.evaluate(at)
         gv = self.g.evaluate(at)
-        hk = hv * kv
         terms = [
             self.b_fg.evaluate(at) / hk,
             -(fv / hv) * self.b_hg.evaluate(at) / hk,

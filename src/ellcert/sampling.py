@@ -2,9 +2,9 @@
 
 A draw maps a batch seed to an assignment of variables to equally shaped
 arrays; `box` draws seeded points of Re in [0,1), Im in [0, Im tau).  No point
-is rejected: a pole is detected where the division happens (a Quotient or
-RatioBracket denominator below ctx.pole_guard raises PoleError).  sampled_max
-is the only code that draws a batch, builds its Evaluator and redraws.
+is rejected: a division that meets a pole raises PoleError (expr.nonpole, or
+a singular M^0 in cfdet).  sampled_max is the only code that draws a batch,
+builds its Evaluator and redraws, for sampled points and tensor grids alike.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ def sampled_max(measure: Callable[[ex.Evaluator], object],
 
     Batch k is draw(seed + _RETRY_STRIDE*k) and gets one Evaluator, so
     everything measure compares on the batch evaluates each node once.
-    measure may return any value: a residual, a constant, a matrix.  A
+    measure may return any value: a residual, a constant, a matrix; it may
+    read any drawn value, a tensor grid too, through at.env.  A
     PoleError raised by measure discards the whole batch with its evaluator,
     so no partial value of a poled batch leaks into the result.  Raises
     PoleError when all 8 batches pole, and EvaluationOverflowError at once

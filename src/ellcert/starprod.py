@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import ThetaContext
-from .errors import InconclusiveRankError, PoleError
+from .errors import InconclusiveRankError
 from . import expr as ex
 from .sampling import box, rel_residual, sampled_max
 from .shiftops import (
@@ -168,14 +168,16 @@ def phi_p(f: SymThetaFun, p: int, ctx: ThetaContext) -> ShiftOp:
     return bosonize(f.body, "z1", make_Bpn(p, f.order_n, ctx), ShiftOp)
 
 
+_RANK_GAP = 1e3  # the least singular-value gap at the expected rank that resolves it
+
+
 def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
-                             samples: int | None = None,
-                             gap_threshold: float = 1e3) -> float:
+                             samples: int | None = None) -> float:
     """Convention-free certification that phi_p descends from the relations.
 
     (a) Sample the n^2 products theta_i * theta_j at seeded point pairs;
         the numerical rank must be n(n+1)/2 with a singular-value gap
-        of at least gap_threshold, else the check is inconclusive.
+        of at least _RANK_GAP, else the check is inconclusive.
     (b) Every kernel vector c of the sample matrix satisfies
         sum c_ij theta_i * theta_j = 0; the operator
         sum c_ij phi_p(theta_i) phi_p(theta_j) must then vanish.  The largest
@@ -197,9 +199,9 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
         raise InconclusiveRankError(
             f"only {len(S)} singular values from {npts} samples; rank {r} unresolvable", gap=0.0)
     gap = float(S[r - 1] / max(S[r], 1e-300))
-    if gap < gap_threshold:
+    if gap < _RANK_GAP:
         raise InconclusiveRankError(
-            f"singular-value gap {gap:.2e} below {gap_threshold:.0e}; resample", gap=gap)
+            f"singular-value gap {gap:.2e} below {_RANK_GAP:.0e}; resample", gap=gap)
 
     return sum_to_zero_residual(_phi_products(gens, p, ctx), samples=10, seed=seed + 1,
                                 relations=np.conj(U[:, r:]).T / row_scale)
@@ -244,9 +246,8 @@ def qnk_relation_residual(n: int, p: int, ctx: ThetaContext,
         num = gens[(j - i) % n](0.0)
         for r in range(n):
             den = gens[(j - i - r) % n](ctx.eta) * gens[r](-ctx.eta)
-            if abs(den) < ctx.pole_guard:
-                raise PoleError("structure-constant denominator vanishes at this eta")
-            row[(j - r) % n * n + (i + r) % n] = num / den
+            row[(j - r) % n * n + (i + r) % n] = num / ex.nonpole(
+                den, "structure-constant denominator vanishes at this eta")
     return sum_to_zero_residual(_phi_products(gens, p, ctx), samples, seed, relations)
 
 
@@ -275,8 +276,7 @@ def casimir(alpha: int, m: int, ctx: ThetaContext) -> SymThetaFun:
     return SymThetaFun(m, 2 * m, ex.mul(*factors), ctx)
 
 
-def build_fu_bosonized(u: complex, m: int, a: complex, b: complex,
-                       psi_index: int, ctx: ThetaContext) -> ShiftOp:
+def build_fu_bosonized(u: complex, m: int, a: complex, b: complex, ctx: ThetaContext) -> ShiftOp:
     """Image of the degree-m commuting family element in B_{m-1, 2m}.
 
     sum_al [theta(u + sum_{be != al} z_be) prod theta(u - z_be)
@@ -284,7 +284,7 @@ def build_fu_bosonized(u: complex, m: int, a: complex, b: complex,
     f_al = Psi(z_al + 4m^2 eta - (a + (m-2)b + 2m(m-2) eta)/(m+5))
            * theta(sum z + a) * prod_{be != al} theta(z_al + z_be + b)
            * exp(2 pi i (2(m-2) z_al + sum_{be != al} z_be)) * e_al e_1..e_{m-1},
-    with Psi the psi_index-th basis element of order m+5.
+    with Psi = theta_0, the first basis element of order m+5.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -301,7 +301,7 @@ def build_fu_bosonized(u: complex, m: int, a: complex, b: complex,
         kernel_num += [ex.theta1_of(ex.aff((-1, names[be - 1]), const=u)) for be in others]
         kernel_den = [ex.theta1_of(ex.aff(names[be - 1], (-1, names[al - 1]))) for be in others]
         fal = [
-            ex.Theta("basis", ex.aff(names[al - 1], const=psi_shift), order=m + 5, index=psi_index),
+            ex.Theta("basis", ex.aff(names[al - 1], const=psi_shift), order=m + 5, index=0),
             ex.theta1_of(ex.Affine({v: 1 for v in names}, const=a)),
         ]
         fal += [ex.theta1_of(ex.aff(names[al - 1], names[be - 1], const=b)) for be in others]
@@ -316,9 +316,8 @@ def build_fu_bosonized(u: complex, m: int, a: complex, b: complex,
 
 
 def fu_commutator_residual(u: complex, v: complex, m: int, a: complex, b: complex,
-                           psi_index: int, ctx: ThetaContext,
-                           samples: int = 15, seed: int = 0) -> float:
+                           ctx: ThetaContext, samples: int = 15, seed: int = 0) -> float:
     """[f(u), f(v)] residual in the bosonized algebra."""
-    fu = build_fu_bosonized(u, m, a, b, psi_index, ctx)
-    fv = build_fu_bosonized(v, m, a, b, psi_index, ctx)
+    fu = build_fu_bosonized(u, m, a, b, ctx)
+    fv = build_fu_bosonized(v, m, a, b, ctx)
     return commutator_residual(fu, fv, samples=samples, seed=seed)

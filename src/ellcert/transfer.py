@@ -21,15 +21,14 @@ identifies it with T(u) after reflecting the variables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .context import ThetaContext
-from .errors import PoleError
 from . import expr as ex
 from .sampling import box, sampled_max
 from .shiftops import (
@@ -47,20 +46,6 @@ from .theta import theta_basis
 
 
 # The basic transfer family -------------------------------------------------------
-
-@dataclass
-class TransferFamily:
-    """One-parameter operator family; builder(u) must be degree-homogeneous."""
-
-    builder: Callable[[complex], ShiftOp]
-    label: str
-
-    def build(self, u: complex) -> ShiftOp:
-        op = self.builder(u)
-        if len(op.degrees()) > 1:
-            raise ValueError(f"{self.label}: builder produced mixed degrees {op.degrees()}")
-        return op
-
 
 def _transfer_coefficient(u, n, al, names, theta_of):
     """theta(u + sum_{b != al} z_b) prod theta(u - z_b) / prod theta(z_al - z_b),
@@ -91,14 +76,15 @@ def build_T(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
     return ShiftOp(alg, terms)
 
 
-def vn_family(n: int, ctx: ThetaContext) -> TransferFamily:
-    return TransferFamily(lambda u: build_T(u, n, ctx), f"T.z{n}")
+def vn_family(n: int, ctx: ThetaContext) -> Callable[[complex], ShiftOp]:
+    """The basic family as its builder: u -> build_T(u, n, ctx)."""
+    return functools.partial(build_T, n=n, ctx=ctx)
 
 
-def transfer_commutator_residual(family: TransferFamily, u: complex, v: complex,
+def transfer_commutator_residual(family: Callable[[complex], ShiftOp], u: complex, v: complex,
                                  samples: int = 20, seed: int = 0) -> float:
-    """[T(u), T(v)] residual via the two products' coefficient cancellation."""
-    return commutator_residual(family.build(u), family.build(v), samples=samples, seed=seed)
+    """[T(u), T(v)] residual of the family T via the two products' coefficient cancellation."""
+    return commutator_residual(family(u), family(v), samples=samples, seed=seed)
 
 
 def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
@@ -129,9 +115,7 @@ def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
 
     def ratio(at):
         c_det, c_exp = at(t_det.terms[mi0]), at(t_exp.terms[mi0])
-        if abs(c_exp) < ctx.pole_guard:
-            raise PoleError("reference coefficient too small to normalize")
-        return c_det / c_exp
+        return c_det / ex.nonpole(c_exp, "reference coefficient too small to normalize")
 
     const = sampled_max(ratio, lambda s: {v: complex(x[0]) for v, x in box(samples, names, ctx)(s).items()},
                         seed, ctx)
@@ -176,8 +160,9 @@ def build_T_tilde(u: complex, p_list: Sequence[int], ctx: ThetaContext) -> Shift
     return ShiftOp(alg, terms)
 
 
-def btilde_family(p_list: Sequence[int], ctx: ThetaContext) -> TransferFamily:
-    return TransferFamily(lambda u: build_T_tilde(u, p_list, ctx), f"T.chain{p_list}")
+def btilde_family(p_list: Sequence[int], ctx: ThetaContext) -> Callable[[complex], ShiftOp]:
+    """The chain family as its builder: u -> build_T_tilde(u, p_list, ctx)."""
+    return functools.partial(build_T_tilde, p_list=p_list, ctx=ctx)
 
 
 # Face-model auxiliary transfer ----------------------------------------------------
@@ -218,8 +203,9 @@ def build_sos_Taux(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
     return ShiftOp(alg, terms)
 
 
-def sos_family(n: int, ctx: ThetaContext) -> TransferFamily:
-    return TransferFamily(lambda u: build_sos_Taux(u, n, ctx), f"T.face{n}")
+def sos_family(n: int, ctx: ThetaContext) -> Callable[[complex], ShiftOp]:
+    """The face-model family as its builder: u -> build_sos_Taux(u, n, ctx)."""
+    return functools.partial(build_sos_Taux, n=n, ctx=ctx)
 
 
 def sos_vs_T_coefficient_ratio(u: complex, n: int, ctx: ThetaContext,

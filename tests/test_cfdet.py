@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ellcert import sampling
 from ellcert.cfdet import (
     TensorBackend,
     _plucker_terms,
@@ -29,7 +30,7 @@ from ellcert.cfdet import (
     verify_triangle,
 )
 from ellcert.checks import REGISTRY
-from ellcert.errors import SingularOperatorError
+from ellcert.errors import PoleError
 
 
 class CountingMul:
@@ -191,14 +192,14 @@ class TestCommutingFamily:
             assert be.norm(x @ y - y @ x) / scale < 1e-12
 
     def test_n1_trivial(self):
-        assert verify_commuting_family(minors(random_cf_matrix(1, 2, 3), kron), TensorBackend()) < 1e-12
+        assert verify_commuting_family(minors(random_cf_matrix(1, 2, 3), kron)) < 1e-12
 
     @pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2)])
     def test_residual_small(self, n, k):
         for seed in range(3):
             try:
-                r = verify_commuting_family(minors(random_cf_matrix(n, k, seed), kron), TensorBackend())
-            except SingularOperatorError:
+                r = verify_commuting_family(minors(random_cf_matrix(n, k, seed), kron))
+            except PoleError:
                 continue
             assert r <= 1e-9
 
@@ -211,34 +212,34 @@ class TestNonCommutingRows:
         be = TensorBackend()
         for seed in range(5):
             ms = minors(random_blocks(n, n + 1, k ** n, seed), be.mul)
-            assert verify_commuting_family(ms, be) > 1e3 * REGISTRY["cf-commute"].tolerance
-            assert verify_triangle(ms, be) > 1e3 * REGISTRY["cf-triangle"].tolerance
+            assert verify_commuting_family(ms) > 1e3 * REGISTRY["cf-commute"].tolerance
+            assert verify_triangle(ms) > 1e3 * REGISTRY["cf-triangle"].tolerance
 
 
 class TestTriangle:
     def test_equal_indices_zero(self):
         # a repeated minor exchanges with itself exactly, and no pair involves M^0
         m0, m1, _ = minors(random_cf_matrix(2, 2, 7), kron)
-        assert verify_triangle([m0, m1, m1], TensorBackend()) == 0.0
+        assert verify_triangle([m0, m1, m1]) == 0.0
 
     def test_scalar_case_zero(self):
         # 1 x 1 blocks: the commutative case
         rng = np.random.default_rng(4)
         grid = [[np.array([[complex(x)]]) for x in row] for row in rng.normal(size=(3, 4))]
-        assert verify_triangle(minors(grid, kron), TensorBackend()) < 1e-12
+        assert verify_triangle(minors(grid, kron)) < 1e-12
 
     def test_tensor_residual_small(self):
-        assert verify_triangle(minors(random_cf_matrix(3, 2, 21), kron), TensorBackend()) <= 1e-9
+        assert verify_triangle(minors(random_cf_matrix(3, 2, 21), kron)) <= 1e-9
 
 
 class TestDeltaFamily:
     def test_n1_trivial(self):
-        assert delta_family(random_delta_grid(1, 2, 0), TensorBackend()) < 1e-12
+        assert delta_family(random_delta_grid(1, 2, 0)) < 1e-12
 
     def test_scalar_zero(self):
         # 1 x 1 blocks: the commutative case
         grid = random_blocks(4, 3, 1, 2)
-        assert delta_family(grid, TensorBackend()) < 1e-10
+        assert delta_family(grid) < 1e-10
 
     def test_blocks_sit_at_their_second_index(self):
         # f_{i,j} acts on site j-1: the transpose's rows are the sites
@@ -250,7 +251,7 @@ class TestDeltaFamily:
 
     def test_tensor_site_structure(self):
         for seed in range(3):
-            assert delta_family(random_delta_grid(3, 2, seed), TensorBackend()) <= 1e-9
+            assert delta_family(random_delta_grid(3, 2, seed)) <= 1e-9
 
 
 class TestPlucker:
@@ -330,11 +331,11 @@ def with_singular_values(s, seed):
 
 class TestInvert:
     def test_exactly_singular_raises(self):
-        with pytest.raises(SingularOperatorError):
+        with pytest.raises(PoleError, match="singular matrix"):
             TensorBackend().invert(np.ones((3, 3), dtype=complex))
 
     def test_condition_above_1e10_raises(self):
-        with pytest.raises(SingularOperatorError, match="reciprocal condition number below 1e-10"):
+        with pytest.raises(PoleError, match="reciprocal condition number below 1e-10"):
             TensorBackend().invert(np.diag([1.0, 1e-11]).astype(complex))
 
     def test_well_conditioned_is_the_lu_inverse(self):
@@ -349,7 +350,7 @@ class TestInvert:
         x = with_singular_values(10.0 ** np.array([0.0, log_min, *log_s]), seed)
         s = np.linalg.svd(x, compute_uv=False)
         if s[-1] < 1e-10 * s[0]:
-            with pytest.raises(SingularOperatorError):
+            with pytest.raises(PoleError):
                 TensorBackend().invert(x)
 
 
@@ -359,17 +360,21 @@ def two_site_minors(seed):
 
 
 class TestInvertibilityContract:
-    """cf-commute, cf-triangle and delta-family redraw a grid whose M^0 the verifier cannot invert."""
+    """cf-commute, cf-triangle and delta-family redraw a grid whose M^0 the verifier cannot invert.
+
+    A singular M^0 is a pole: invert raises PoleError, and sampled_max redraws
+    the grid at seed + _RETRY_STRIDE like any poled batch.
+    """
 
     SEED = 7
     # check -> params of one grid at 2 sites of 2 x 2 blocks, and the residual of the grid drawn at a seed
     ONE_GRID = {
         "cf-commute": ({"sizes": "2x2", "seeds": 1},
-                       lambda s: verify_commuting_family(two_site_minors(s), TensorBackend())),
+                       lambda s: verify_commuting_family(two_site_minors(s))),
         "cf-triangle": ({"sizes": "2x2", "seeds": 1},
-                        lambda s: verify_triangle(two_site_minors(s), TensorBackend())),
+                        lambda s: verify_triangle(two_site_minors(s))),
         "delta-family": ({"n": 2, "k": 2, "seeds": 1},
-                         lambda s: delta_family(random_delta_grid(2, 2, s), TensorBackend())),
+                         lambda s: delta_family(random_delta_grid(2, 2, s))),
     }
 
     @staticmethod
@@ -380,7 +385,7 @@ class TestInvertibilityContract:
         def invert(self, x):
             calls.append(x.shape)
             if len(calls) <= fails:
-                raise SingularOperatorError("planted")
+                raise PoleError("planted")
             return real(self, x)
 
         monkeypatch.setattr(TensorBackend, "invert", invert)
@@ -389,7 +394,7 @@ class TestInvertibilityContract:
     @pytest.mark.parametrize("name", ONE_GRID)
     def test_singular_first_draw_takes_the_bump_one_draw(self, monkeypatch, name):
         params, residual = self.ONE_GRID[name]
-        want = residual(self.SEED + 100_000)
+        want = residual(self.SEED + sampling._RETRY_STRIDE)
         assert want != residual(self.SEED)
         calls = self.patch_invert(monkeypatch, fails=1)
         assert REGISTRY[name](params, self.SEED) == want
@@ -398,7 +403,7 @@ class TestInvertibilityContract:
     @pytest.mark.parametrize("name", ONE_GRID)
     def test_eight_singular_draws_raise(self, monkeypatch, name):
         calls = self.patch_invert(monkeypatch, fails=8)
-        with pytest.raises(SingularOperatorError, match="no well-conditioned draw in 8 attempts"):
+        with pytest.raises(PoleError, match="pole at all 8 seeded batches"):
             REGISTRY[name](self.ONE_GRID[name][0], self.SEED)
         assert len(calls) == 8
 

@@ -1,10 +1,14 @@
-"""Every sampled verdict redraws a poled batch, through sampling.sampled_max.
+"""One division contract: every failed division is a PoleError that sampling.sampled_max redraws.
 
 No seed poles naturally at default parameters, so the pole is planted: each
 sampled_max call made by the verdict gets a measure that measures a batch in
 full and then raises PoleError.  Planted in the first batch of every call,
 the verdict must return what it measures when every call starts at batch
-seed + 7919; planted in all eight batches, it must raise PoleError.
+seed + 7919; planted in all eight batches, it must raise PoleError.  The
+tensor-model checks are verdicts like the others: their batch is a grid.
+
+Every division that can meet a pole tests its denominator through the one
+function expr.nonpole; patched to pole, it makes each of them raise.
 """
 
 import importlib
@@ -12,9 +16,14 @@ import itertools
 
 import pytest
 
-from ellcert import sampling
+from ellcert import ThetaContext, sampling
+from ellcert import expr as ex
 from ellcert.checks import REGISTRY
 from ellcert.errors import PoleError
+from ellcert.poisson import PoissonElement, RatioBracket, _phase_space_points
+from ellcert.shiftops import make_Vn
+from ellcert.starprod import qnk_relation_residual
+from ellcert.transfer import transfer_det_consistency_residual
 
 SEED = 5
 
@@ -38,10 +47,13 @@ VERDICTS = {
     "fu-commute": {"m": "2", "seeds": 1, "samples": 6},
     "star-assoc": {"n": "2", "samples": 6},
     "psi2": {"samples": 6},  # poisson.pbracket_residual
+    "cf-commute": {"sizes": "2x2", "seeds": 1},  # a grid whose M^0 cannot be inverted poles
+    "cf-triangle": {"sizes": "2x2", "seeds": 1},
+    "delta-family": {"n": 2, "k": 2, "seeds": 1},
 }
 
-# the tensor checks draw random grids, not sampled points, and never call sampled_max
-UNSAMPLED = {"cf-commute", "cf-triangle", "delta-family", "plucker"}
+# plucker divides by nothing that can vanish on a draw, so it never calls sampled_max
+UNSAMPLED = {"plucker"}
 
 MODULES = [importlib.import_module(f"ellcert.{name}")
            for name in ("checks", "poisson", "shiftops", "starprod", "transfer")]
@@ -99,3 +111,45 @@ def test_eight_poled_batches_raise(name, monkeypatch):
     plant(monkeypatch, 8)
     with pytest.raises(PoleError):
         REGISTRY[name](VERDICTS[name], SEED)
+
+
+CTX = ThetaContext()
+
+
+def ratio_bracket_at_points():
+    alg = make_Vn(2, CTX)
+    h = PoissonElement.function(alg, ex.theta1_of(ex.aff("z1", (0.5, "z2"))))
+    g = PoissonElement.generator(alg, "f2", ex.theta1_of("z2"))
+    one = PoissonElement.function(alg, ex.const(1))
+    return RatioBracket(one, h, g, one).residual_batch(ex.Evaluator(_phase_space_points(alg, 4, 0), CTX))
+
+
+# each division that can meet a pole, and the message it poles with
+POLE_SITES = {
+    "Quotient": (lambda: ex.evaluate(ex.quot(ex.const(1), ex.theta1_of("z1")), {"z1": 0.3 + 0.2j}, CTX),
+                 "denominator magnitude below pole guard"),
+    "RatioBracket": (ratio_bracket_at_points, "ratio denominator vanishes at a sample point"),
+    "qnk_relation_residual": (lambda: qnk_relation_residual(3, 1, CTX),
+                              "structure-constant denominator vanishes at this eta"),
+    "transfer_det_consistency_residual": (
+        lambda: transfer_det_consistency_residual(0.41 + 0.13j, 2, CTX, samples=4),
+        "reference coefficient too small to normalize"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(POLE_SITES))
+def test_every_division_poles_through_nonpole(site, monkeypatch):
+    # nonpole patched to pole on every call from this site, and to pass every other denominator
+    run, what = POLE_SITES[site]
+    real, asked = ex.nonpole, []
+
+    def nonpole(den, message):
+        asked.append(message)
+        if message == what:
+            raise PoleError(message)
+        return real(den, message)
+
+    monkeypatch.setattr(ex, "nonpole", nonpole)
+    with pytest.raises(PoleError):
+        run()
+    assert what in asked

@@ -321,12 +321,12 @@ class TestCasimir:
 
 class TestFuFamily:
     def test_m2_structure(self):
-        op = build_fu_bosonized(0.3 + 0.1j, 2, 0.2 + 0.1j, 0.4 + 0.2j, 0, CTX)
+        op = build_fu_bosonized(0.3 + 0.1j, 2, 0.2 + 0.1j, 0.4 + 0.2j, CTX)
         assert list(op.terms) == [(2,)]
 
     def test_monomial_degrees(self):
         for m in (2, 3):
-            op = build_fu_bosonized(0.3 + 0.1j, m, 0.2, 0.4, 0, CTX)
+            op = build_fu_bosonized(0.3 + 0.1j, m, 0.2, 0.4, CTX)
             assert all(sum(mi) == m for mi in op.terms)
             for al, mi in enumerate(sorted(op.terms, reverse=True)):
                 assert sorted(mi, reverse=True)[0] == 2
@@ -334,14 +334,14 @@ class TestFuFamily:
     def test_m2_commutes(self):
         rng = np.random.default_rng(1)
         u, v, a, b = (complex(rng.random(), 0.5 * rng.random()) for _ in range(4))
-        assert fu_commutator_residual(u, v, 2, a, b, 0, CTX, samples=8, seed=0) <= 1e-7
+        assert fu_commutator_residual(u, v, 2, a, b, CTX, samples=8, seed=0) <= 1e-7
 
     def test_m3_commutes(self):
         rng = np.random.default_rng(2)
         u, v, a, b = (complex(rng.random(), 0.5 * rng.random()) for _ in range(4))
-        assert fu_commutator_residual(u, v, 3, a, b, 0, CTX, samples=8, seed=0) <= 1e-7
+        assert fu_commutator_residual(u, v, 3, a, b, CTX, samples=8, seed=0) <= 1e-7
 
     def test_same_parameter_commutator_structurally_zero(self):
         from ellcert.shiftops import shift_commutator
-        op = build_fu_bosonized(0.5 + 0.2j, 3, 0.1, 0.3, 0, CTX)
+        op = build_fu_bosonized(0.5 + 0.2j, 3, 0.1, 0.3, CTX)
         assert shift_commutator(op, op).is_zero()
