@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PoleError
+from .sampling import rel_residual
 
 
 class TensorBackend:
@@ -40,7 +41,7 @@ class TensorBackend:
     Distinct-site generators commute exactly, and inverses exist concretely,
     which makes this the reference model for the commuting-rows hypothesis.
     `norm` is the Frobenius norm.  It is submultiplicative, so a residual
-    |[x, y]| / max(1, |x| |y|) stays a relative residual, bounded by 2.
+    rel_residual(|[x, y]|, |x| |y|) stays a relative residual, bounded by 2.
     A singular M^0 is a pole of the ratios: `invert` raises PoleError when
     kappa_F = |x| |x^-1| exceeds 1e10 (since kappa_F >= kappa_2, for every x
     whose spectral condition number exceeds 1e10, and possibly some more).
@@ -121,7 +122,7 @@ def minors(grid, mul) -> list:
 
 
 def verify_commuting_family(ms) -> float:
-    """max over pairs of |[H_i, H_j]| / max(1, |H_i| |H_j|), H_i = ms[0]^-1 ms[i]."""
+    """max over pairs of rel_residual(|[H_i, H_j]|, |H_i| |H_j|), H_i = ms[0]^-1 ms[i]."""
     be = TensorBackend()
     inv0 = be.invert(ms[0])
     hs = [be.mul(inv0, d) for d in ms[1:]]
@@ -130,13 +131,13 @@ def verify_commuting_family(ms) -> float:
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
             comm = be.mul(hs[i], hs[j]) - be.mul(hs[j], hs[i])
-            scale = max(1.0, norms[i] * norms[j])
-            worst = max(worst, be.norm(comm) / scale)
+            worst = max(worst, rel_residual(be.norm(comm), norms[i] * norms[j]))
     return worst
 
 
 def verify_triangle(ms) -> float:
-    """max over 1 <= i < j of the residual of M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i.
+    """max over 1 <= i < j of the residual of M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i,
+    rel_residual of the difference's norm against |M^i| |(M^0)^-1| |M^j|.
 
     The pairs with i = 0 are left out: M^0 (M^0)^-1 M^j = M^j (M^0)^-1 M^0
     holds for any invertible M^0, so they would test only the inverse.
@@ -150,8 +151,7 @@ def verify_triangle(ms) -> float:
         for j in range(i + 1, len(rest)):
             lhs = be.mul(rest[i], ratios[j])
             rhs = be.mul(rest[j], ratios[i])
-            scale = max(1.0, norms[i] * norm0 * norms[j])
-            worst = max(worst, be.norm(lhs - rhs) / scale)
+            worst = max(worst, rel_residual(be.norm(lhs - rhs), norms[i] * norm0 * norms[j]))
     return worst
 
 
@@ -175,13 +175,15 @@ def random_delta_grid(n: int, k: int, seed: int) -> list:
 # Plucker identities -----------------------------------------------------------
 
 
-def decomposable_form(order: int, d: int, seed: int) -> np.ndarray:
-    """Antisymmetrization of the outer product of `order` random covectors.
+def decomposable_form(order: int, seed: int) -> np.ndarray:
+    """Antisymmetrization of the outer product of `order` random covectors in
+    dimension d = 2*order, the least that leaves room for generic vectors.
 
     Evaluates as det[u_i(x_j)], i.e. a partial determinant; the Plucker
     identities are identities for exactly this class of forms.
     """
     rng = np.random.default_rng(seed)
+    d = 2 * order
     us = rng.normal(size=(order, d)) + 1j * rng.normal(size=(order, d))
     return cf_det([us] * order, np.multiply.outer)  # covector row r becomes tensor axis r
 
@@ -239,12 +241,10 @@ def _plucker_terms(order: int, L, vectors) -> list:
 _PLUCKER_VECTOR_COUNT = {2: 4, 3: 5, 4: 6}
 
 
-def plucker_check(order: int, d: int, seed: int) -> float:
+def plucker_check(order: int, seed: int) -> float:
     """Seeded random decomposable form and generic vectors; returns residual."""
-    if d < 2 * order:
-        raise ValueError("need d >= 2*order for generic data")
-    lam = decomposable_form(order, d, seed)
+    lam = decomposable_form(order, seed)
     rng = np.random.default_rng(seed + 10_000)
-    nv = _PLUCKER_VECTOR_COUNT[order]
-    vectors = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(nv)]
+    d = len(lam)
+    vectors = [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(_PLUCKER_VECTOR_COUNT[order])]
     return plucker_residual(order, lam, vectors)

@@ -276,7 +276,7 @@ def check_delta_family(seed, n, k, seeds) -> float:
 @check("plucker", 1e-10, "3/4/6-term multilinear identities for decomposable forms",
        orders=integers("2,3,4", 2, 4), seeds=count(50))
 def check_plucker(seed, orders, seeds) -> float:
-    return max(cfdet.plucker_check(order, 2 * order, seed + s) for order in orders for s in range(seeds))
+    return max(cfdet.plucker_check(order, seed + s) for order in orders for s in range(seeds))
 
 
 @check("poisson-hamiltonians", 1e-9, "pairwise brackets of the determinant hamiltonians",
@@ -346,7 +346,7 @@ def check_star_closure(seed, n, ctx) -> float:
 @check("eta-flatness", 1.0, "star commutator scales linearly in the deformation",
        n=integer(3, 2, 6), tau=TAU, eta=ETA)
 def check_eta_flatness(seed, n, ctx) -> float:
-    ratio = starprod.eta_flatness_ratio(n, ctx, scales=(1e-2, 1e-3), samples=10, seed=seed)
+    ratio = starprod.eta_flatness_ratio(n, ctx, seed=seed)
     # linear scaling means ratio ~ 10; residual is the log2 distance from it
     return abs(math.log2(ratio / 10.0))
 
@@ -411,7 +411,7 @@ def check_sos_commute(seed, n, seeds, samples, ctx) -> float:
        n=integers("2,3", 2, 4), tau=TAU)
 def check_sos_ratio(seed, n, ctx) -> float:
     (u,) = _spectral_points(ctx, seed, 1)
-    return max(transfer.sos_vs_T_coefficient_ratio(u, order, ctx, samples=10, seed=seed) for order in n)
+    return max(transfer.sos_vs_T_coefficient_ratio(u, order, ctx, seed=seed) for order in n)
 
 
 @check("fay", 1e-10, "three-term trisecant identity for the odd theta",

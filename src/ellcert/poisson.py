@@ -23,15 +23,13 @@ the three-term Fay identity for the odd theta.
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
 
-from .cfdet import minors
 from .context import ThetaContext
 from . import expr as ex
 from .sampling import box, rel_residual, sampled_max
-from .shiftops import TermMap, bosonize, make_Bpn, make_Vn, sum_to_zero_residual
+from .shiftops import TermMap, bosonize, make_Bpn, sum_to_zero_residual, theta_column_minors
 
 
 class PoissonElement(TermMap):
@@ -104,9 +102,9 @@ class RatioBracket:
     """
 
     def __init__(self, f, h, g, k):
-        if not (h.is_zero() or set(h.terms) <= {h.algebra.zero_index()}):
+        if not h.is_multiplication():
             raise ValueError("h must be a multiplication operator")
-        if not (k.is_zero() or set(k.terms) <= {k.algebra.zero_index()}):
+        if not k.is_multiplication():
             raise ValueError("k must be a multiplication operator")
         self.algebra = f.algebra
         self.f, self.h, self.g, self.k = f, h, g, k
@@ -144,22 +142,15 @@ class RatioBracket:
 
 @functools.lru_cache(maxsize=16)
 def classical_delta_elements(n: int, ctx: ThetaContext):
-    """Delta_0 .. Delta_n over the cone algebra (the Poisson limit of V_n).
+    """(cone algebra, [Delta_0 .. Delta_n]): shiftops.theta_column_minors over
+    the Poisson limit of V_n.
 
-    Column 0 is the generator column (entry f_r in row r), columns 1..n hold
-    theta_{j-1}(z_r); Delta_i deletes column i.  Rows touch disjoint
-    (z_r, f_r) pairs, so entries of different rows Poisson-commute and the
-    ordinary determinant is well defined.
+    Row r of the grid is f_r, theta_0(z_r) .. theta_{n-1}(z_r), and Delta_i
+    deletes column i, the same grid whose quantum minors give the transfer
+    operator.  Rows touch disjoint (z_r, f_r) pairs, so entries of different
+    rows Poisson-commute and the ordinary determinant is well defined.
     """
-    alg = make_Vn(n, ctx)
-
-    def entry(r, col):
-        if col == 0:
-            return PoissonElement.generator(alg, f"f{r + 1}")
-        return PoissonElement.function(alg, ex.theta_basis_of(col - 1, n, f"z{r + 1}"))
-
-    grid = [[entry(r, col) for col in range(n + 1)] for r in range(n)]
-    return alg, minors(grid, operator.mul)
+    return theta_column_minors(n, ctx, PoissonElement)
 
 
 def _phase_space_points(alg, count, seed):
@@ -194,7 +185,6 @@ def classical_hamiltonians(n: int, ctx: ThetaContext, seed: int = 0, points: int
                        functools.partial(_phase_space_points, alg, points), seed, alg.ctx)
 
 
-@functools.lru_cache(maxsize=16)
 def _jacobi_delta_terms(n: int, ctx: ThetaContext, ijk):
     i, j, k = ijk
     alg, deltas = classical_delta_elements(n, ctx)
@@ -227,18 +217,9 @@ def psi_p(f: ex.MeroExpr, p: int, n: int, ctx: ThetaContext) -> PoissonElement:
     return bosonize(f, w, make_Bpn(p, n, ctx), PoissonElement)
 
 
-def psi2_pair_residual(ctx: ThetaContext, seed: int = 0, samples: int = 20,
-                       coeffs=None) -> float:
-    """{psi_2(theta_0), psi_2(theta_1)} residual in the n = 2 algebra.
-
-    With coeffs = ((a0, a1), (b0, b1)) the two arguments are the
-    corresponding linear combinations of the order-2 basis.
-    """
-    c = coeffs or ((1, 0), (0, 1))
-    f = ex.add(*(ex.mul(ex.const(c[0][i]), ex.theta_basis_of(i, 2, "w")) for i in range(2)))
-    g = ex.add(*(ex.mul(ex.const(c[1][i]), ex.theta_basis_of(i, 2, "w")) for i in range(2)))
-    a = psi_p(f, 2, 2, ctx)
-    b = psi_p(g, 2, 2, ctx)
+def psi2_pair_residual(ctx: ThetaContext, seed: int = 0, samples: int = 20) -> float:
+    """{psi_2(theta_0), psi_2(theta_1)} residual in the n = 2 algebra."""
+    a, b = (psi_p(ex.theta_basis_of(i, 2, "w"), 2, 2, ctx) for i in range(2))
     return pbracket_residual(a, b, samples=samples, seed=seed)
 
 

@@ -10,8 +10,9 @@ coefficient's arguments by the left monomial's accumulated shift.  Operators
 are finite maps from generator exponent tuples to MeroExpr coefficients.  The
 same algebra carries the classical limit (poisson.PoissonElement): there the
 generators commute and S[a][b] is the bracket constant of {g_a, v_b}.  The
-term map, its product loop, its sampled residual and the bosonization formula
-are shared by both.
+term map, its product loop, its sampled residual, the bosonization formula
+and the theta-column determinants Delta_0..Delta_n are shared by both.  This
+module alone spells a monomial: by generator name (ShiftAlgebra.exponents).
 
 Instances built here: the Weyl-like algebra V_n with one generator per
 variable shifting only its own variable by -n*eta; the bosonization target
@@ -27,11 +28,13 @@ relative to the magnitude of the terms being cancelled; a poled batch is redrawn
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .cfdet import minors
 from .context import ThetaContext
 from .errors import SingularOperatorError
 from . import expr as ex
@@ -63,11 +66,12 @@ class ShiftAlgebra:
     def p(self) -> int:
         return len(self.var_names)
 
-    def gen_index(self, name: str) -> int:
-        return self.gen_names.index(name)
-
-    def zero_index(self) -> tuple:
-        return (0,) * self.r
+    def exponents(self, *gen_names: str) -> tuple:
+        """Exponent tuple of the monomial that multiplies the named generators; a name may repeat."""
+        unknown = set(gen_names) - set(self.gen_names)
+        if unknown:
+            raise ValueError(f"no generators {sorted(unknown)} in {self.gen_names}")
+        return tuple(gen_names.count(g) for g in self.gen_names)
 
     def translation_of(self, exponents: Sequence[int]) -> dict:
         """Accumulated shift of each variable under the monomial g^exponents."""
@@ -107,16 +111,19 @@ class TermMap:
     @classmethod
     def function(cls, algebra, coeff):
         """Multiplication operator: coefficient times the empty monomial."""
-        return cls(algebra, {algebra.zero_index(): ex._as_expr(coeff)})
+        return cls(algebra, {algebra.exponents(): ex._as_expr(coeff)})
 
     @classmethod
     def generator(cls, algebra, name: str, coeff=1):
-        mi = [0] * algebra.r
-        mi[algebra.gen_index(name)] = 1
-        return cls(algebra, {tuple(mi): ex._as_expr(coeff)})
+        return cls(algebra, {algebra.exponents(name): ex._as_expr(coeff)})
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def is_multiplication(self) -> bool:
+        """Only the empty monomial occurs: a function, or zero."""
+        zero = self.algebra.exponents()
+        return all(mi == zero for mi in self.terms)
 
     def __add__(self, other):
         self._check_same(other)
@@ -130,9 +137,6 @@ class TermMap:
 
     def __neg__(self):
         return type(self)(self.algebra, {mi: ex.neg(c) for mi, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        return self.scaled(other)
 
     def scaled(self, c):
         if isinstance(c, ex.MeroExpr) or c != 1:
@@ -161,16 +165,8 @@ class ShiftOp(TermMap):
     __slots__ = ()
 
     @classmethod
-    def one(cls, algebra) -> "ShiftOp":
-        return cls(algebra, {algebra.zero_index(): ex.const(1)})
-
-    @classmethod
     def monomial(cls, algebra, exponents: Sequence[int], coeff=1) -> "ShiftOp":
         return cls(algebra, {tuple(exponents): ex._as_expr(coeff)})
-
-    def is_multiplication(self) -> bool:
-        zi = self.algebra.zero_index()
-        return all(mi == zi for mi in self.terms)
 
     def degrees(self) -> set:
         return {sum(mi) for mi in self.terms}
@@ -193,10 +189,6 @@ def shift_mul(a: ShiftOp, b: ShiftOp) -> ShiftOp:
     """(F g^m)(G g^k) = F * (G translated by the shift of g^m) * g^(m+k)."""
     shifts = {m: a.algebra.translation_of(m) for m in a.terms}
     return ShiftOp(a.algebra, a._convolve(b, lambda m, F, k, G: ex.mul(F, ex.translate(G, shifts[m]))))
-
-
-def shift_commutator(a: ShiftOp, b: ShiftOp) -> ShiftOp:
-    return shift_mul(a, b) - shift_mul(b, a)
 
 
 def invert_multiplication(op: ShiftOp) -> ShiftOp:
@@ -285,6 +277,22 @@ def bosonize(f: ex.MeroExpr, var: str, algebra: ShiftAlgebra, element: type) -> 
         den = ex.mul(*(ex.theta1_of(ex.aff(f"u{a}", (-1, f"u{i}"))) for i in range(1, p + 1) if i != a))
         total = total + element.generator(algebra, f"e{a}", ex.quot(fa, den))
     return total
+
+
+def theta_column_minors(n: int, ctx: ThetaContext, element: type):
+    """(V_n, [Delta_0 .. Delta_n]) for the grid whose row r is f_r, theta_0(z_r) .. theta_{n-1}(z_r).
+
+    Delta_i deletes column i: Delta_0 the generator column, Delta_{j+1} the
+    column of theta_j.  Row r touches only (z_r, f_r), so the rows commute and
+    the row-ordered Cartier-Foata determinant is well defined.  The one grid
+    behind both commuting families: element is ShiftOp (the transfer operator)
+    or PoissonElement (the hamiltonians Delta_i / Delta_0).
+    """
+    alg = make_Vn(n, ctx)
+    grid = [[element.generator(alg, f"f{r}")]
+            + [element.function(alg, ex.theta_basis_of(j, n, f"z{r}")) for j in range(n)]
+            for r in range(1, n + 1)]
+    return alg, minors(grid, operator.mul)
 
 
 def make_Btilde(p_list: Sequence[int], ctx: ThetaContext) -> ShiftAlgebra:

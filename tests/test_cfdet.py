@@ -256,7 +256,7 @@ class TestDeltaFamily:
 
 class TestPlucker:
     def test_repeated_argument_degeneracy(self):
-        lam = decomposable_form(2, 4, 3)
+        lam = decomposable_form(2, 3)
         rng = np.random.default_rng(3)
         a, b, d = (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(3))
         assert plucker_residual(2, lam, [a, b, b, d]) < 1e-12
@@ -266,7 +266,7 @@ class TestPlucker:
         rng = np.random.default_rng(9)
         gen = np.random.default_rng(5)
         us = gen.normal(size=(3, 6)) + 1j * gen.normal(size=(3, 6))
-        lam = decomposable_form(3, 6, 5)
+        lam = decomposable_form(3, 5)
         xs = [rng.normal(size=6) for _ in range(3)]
         want = np.linalg.det(np.array([[u @ x for x in xs] for u in us]))
         got = form_apply(lam, *xs)
@@ -274,14 +274,15 @@ class TestPlucker:
 
     @pytest.mark.parametrize("order,d", [(2, 4), (3, 6), (4, 8)])
     def test_identities(self, order, d):
+        assert decomposable_form(order, 0).shape == (d,) * order
         for seed in range(8):
-            assert plucker_check(order, d, seed) <= 1e-10
+            assert plucker_check(order, seed) <= 1e-10
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_contraction_is_form_apply(self, order):
         # the prefix-memoized matmul contraction gives form_apply's tensordot terms bit for bit
         for seed in range(20):
-            lam = decomposable_form(order, 2 * order, seed)
+            lam = decomposable_form(order, seed)
             rng = np.random.default_rng(seed + 10_000)
             vs = [rng.normal(size=2 * order) + 1j * rng.normal(size=2 * order) for _ in range(order + 2)]
             terms = _plucker_terms(order, lambda *xs: form_apply(lam, *xs), vs)

@@ -257,9 +257,12 @@ class TestPsiP:
 
     def test_random_linear_combinations(self):
         rng = np.random.default_rng(3)
+        basis = [ex.theta_basis_of(i, 2, "w") for i in range(2)]
         for trial in range(3):
-            coeffs = (tuple(rng.normal(size=2)), tuple(rng.normal(size=2)))
-            assert psi2_pair_residual(CTX, seed=trial, samples=10, coeffs=coeffs) <= 1e-9
+            f, g = (ex.add(*(ex.mul(ex.const(c), b) for c, b in zip(rng.normal(size=2), basis)))
+                    for _ in range(2))
+            a, b = psi_p(f, 2, 2, CTX), psi_p(g, 2, 2, CTX)
+            assert pbracket_residual(a, b, samples=10, seed=trial) <= 1e-9
 
 
 class TestFay:

@@ -23,9 +23,9 @@ from ellcert.shiftops import (
     make_sos,
     make_Vn,
     op_equal,
-    shift_commutator,
     shift_mul,
     sum_to_zero_residual,
+    theta_column_minors,
 )
 
 CTX = ThetaContext()
@@ -61,7 +61,7 @@ def oracle_value(O, mi, env):
 class TestBasics:
     def test_unit_is_two_sided(self):
         alg = make_Vn(2, CTX)
-        one = ShiftOp.one(alg)
+        one = ShiftOp.function(alg, 1)
         a = ShiftOp.generator(alg, "f1", ex.theta1_of("z1")) + ShiftOp.function(alg, ex.var("z2"))
         for prod in (shift_mul(one, a), shift_mul(a, one)):
             assert op_equal(prod, a, samples=8, seed=1) <= ID_TOL
@@ -128,19 +128,19 @@ class TestCommutators:
     def test_self_commutator_is_structurally_zero(self):
         alg = make_Vn(2, CTX)
         a = ShiftOp.generator(alg, "f1", ex.theta1_of("z1")) + ShiftOp.monomial(alg, (0, 2), ex.var("z2"))
-        assert shift_commutator(a, a).is_zero()
+        assert (a * a - a * a).is_zero()
 
     def test_coordinate_functions_commute(self):
         alg = make_Vn(3, CTX)
         zi = ShiftOp.function(alg, ex.var("z1"))
         zj = ShiftOp.function(alg, ex.var("z2"))
-        assert shift_commutator(zi, zj).is_zero()
+        assert (zi * zj - zj * zi).is_zero()
 
     def test_fi_zj_commute_for_distinct_indices(self):
         alg = make_Vn(3, CTX)
         f1 = ShiftOp.generator(alg, "f1")
         z2 = ShiftOp.function(alg, ex.var("z2"))
-        assert shift_commutator(f1, z2).is_zero()
+        assert (f1 * z2 - z2 * f1).is_zero()
 
     def test_commutator_residual_detects_violation(self):
         # f1 and z1 genuinely do not commute.
@@ -219,11 +219,11 @@ class TestInstances:
         assert len([g for g in alg.gen_names if g.startswith("e")]) == 4
         assert len([g for g in alg.gen_names if g.startswith("f")]) == 1
         # e_{1,1} shifts z_{2,1} by -3*eta and nothing else
-        row = alg.steps[alg.gen_index("e1_1")]
+        row = alg.steps[alg.gen_names.index("e1_1")]
         nz = {alg.var_names[i]: s for i, s in enumerate(row) if s != 0}
         assert nz == {"z2_1": -3}
         # f_1 shifts t_1 by -3*eta
-        row = alg.steps[alg.gen_index("f1")]
+        row = alg.steps[alg.gen_names.index("f1")]
         nz = {alg.var_names[i]: s for i, s in enumerate(row) if s != 0}
         assert nz == {"t1": -3}
 
@@ -231,7 +231,7 @@ class TestInstances:
         alg = make_Btilde((2, 2), CTX)
         e11 = ShiftOp.generator(alg, "e1_1")
         z11 = ShiftOp.function(alg, ex.var("z1_1"))
-        assert shift_commutator(e11, z11).is_zero()
+        assert (e11 * z11 - z11 * e11).is_zero()
 
     def test_sos_generators(self):
         alg = make_sos(2, CTX)
@@ -244,12 +244,42 @@ class TestInstances:
             make_algebra(["z1"], ["f1"], [[0.5]], CTX)
 
 
+class TestExponents:
+    def test_repeated_name_counts(self):
+        alg = make_Bpn(3, 6, CTX)
+        assert alg.exponents() == (0, 0, 0)
+        assert alg.exponents("e2") == (0, 1, 0)
+        assert alg.exponents("e2", "e1", "e2", "e3", "e2") == (1, 3, 1)
+
+    def test_unknown_name_raises(self):
+        alg = make_Vn(2, CTX)
+        with pytest.raises(ValueError):
+            alg.exponents("f1", "f3")
+        with pytest.raises(ValueError):
+            ShiftOp.generator(alg, "e1")
+
+
+class TestThetaColumnMinors:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_quantum_and_classical_grids_agree_on_monomials(self, n):
+        # the one grid gives Delta_0 .. Delta_n over both term maps: the same
+        # generator monomials, with only the product of the coefficients differing
+        from ellcert.poisson import PoissonElement
+        alg, quantum = theta_column_minors(n, CTX, ShiftOp)
+        _, classical = theta_column_minors(n, CTX, PoissonElement)
+        assert len(quantum) == len(classical) == n + 1
+        assert [set(d.terms) for d in quantum] == [set(d.terms) for d in classical]
+        # Delta_0 deletes the generator column; every other Delta_i is linear in the f's
+        assert quantum[0].is_multiplication()
+        assert all(d.degrees() == {1} for d in quantum[1:])
+
+
 class TestInversion:
     def test_multiplication_inverse(self):
         alg = make_Vn(2, CTX)
         d = ShiftOp.function(alg, ex.theta1_of(ex.aff("z1", "z2")))
         prod = shift_mul(invert_multiplication(d), d)
-        assert op_equal(prod, ShiftOp.one(alg), samples=10, seed=3) <= ID_TOL
+        assert op_equal(prod, ShiftOp.function(alg, 1), samples=10, seed=3) <= ID_TOL
 
     def test_generator_not_invertible(self):
         alg = make_Vn(2, CTX)
