@@ -11,6 +11,11 @@ Evaluation accepts scalar complex values or equally-shaped numpy arrays per
 variable, so a batch of sample points costs one tree walk.  An `Evaluator`
 holds one such assignment and computes each distinct node once, however
 many trees evaluated through it share the node.
+
+A node caches its derivative by each variable, as it caches its key and
+hash, so a subtree is differentiated once however many derivatives contain
+it.  The cache is per node, not a global table, so what the process built
+before cannot change a tree or a residual.
 """
 
 from __future__ import annotations
@@ -103,9 +108,16 @@ def aff(*terms, const: complex = 0j) -> Affine:
 class MeroExpr:
     """Base node.  Nodes are immutable values: two are equal, and hash alike,
     when their types and fields (`_key`) are, so equality is structural.  The
-    key and the hash are cached on the node."""
+    key, the hash and the derivative by each variable are cached on the node.
 
-    __slots__ = ("_hash", "_fields")
+    The derivative cache lives on the node and dies with it; there is no
+    process-wide table of nodes.  A node's derivative is a function of that
+    node's own ordered structure, so a cached one is the tree a fresh
+    differentiation would build, and a residual cannot depend on what the
+    process differentiated before.
+    """
+
+    __slots__ = ("_hash", "_fields", "_derivs")
 
     def _key(self):  # the operand tuple of a sum or product is a multiset: a + b == b + a
         if not hasattr(self, "_fields"):
@@ -121,6 +133,17 @@ class MeroExpr:
         if not hasattr(self, "_hash"):
             self._hash = hash((type(self), self._key()))
         return self._hash
+
+    def _derivative(self, var):
+        """d self / d var, built by `_diff` on the first request and kept.  Every
+        `_diff` differentiates its operands through here, never through the
+        public `diff`, so a shared subtree is differentiated once per variable."""
+        if not hasattr(self, "_derivs"):
+            self._derivs = {}
+        d = self._derivs.get(var)
+        if d is None:
+            d = self._derivs[var] = self._diff(var)
+        return d
 
     def _eval(self, ev):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -280,7 +303,7 @@ class Sum(MeroExpr):
         return v
 
     def _diff(self, var):
-        return add(*(t._diff(var) for t in self.terms))
+        return add(*(t._derivative(var) for t in self.terms))
 
     def _subst(self, mapping):
         return add(*(t._subst(mapping) for t in self.terms))
@@ -303,7 +326,7 @@ class Product(MeroExpr):
         return v
 
     def _diff(self, var):  # a factor with derivative zero makes its term zero, which add drops
-        return add(*(mul(*self.factors[:i], f._diff(var), *self.factors[i + 1:])
+        return add(*(mul(*self.factors[:i], f._derivative(var), *self.factors[i + 1:])
                      for i, f in enumerate(self.factors)))
 
     def _subst(self, mapping):
@@ -338,8 +361,8 @@ class Quotient(MeroExpr):
         return nv / nonpole(ev._value(self.den), "denominator magnitude below pole guard")
 
     def _diff(self, var):
-        dn = self.num._diff(var)
-        dd = self.den._diff(var)
+        dn = self.num._derivative(var)
+        dd = self.den._derivative(var)
         return quot(add(mul(dn, self.den), neg(mul(self.num, dd))), ipow(self.den, 2))
 
     def _subst(self, mapping):
@@ -360,7 +383,7 @@ class Neg(MeroExpr):
         return -ev._value(self.child)
 
     def _diff(self, var):
-        return neg(self.child._diff(var))
+        return neg(self.child._derivative(var))
 
     def _subst(self, mapping):
         return neg(self.child._subst(mapping))
@@ -382,7 +405,7 @@ class IntPow(MeroExpr):
         return ev._value(self.base) ** self.power
 
     def _diff(self, var):
-        db = self.base._diff(var)
+        db = self.base._derivative(var)
         if self.power == 0:
             return _ZERO
         return mul(Const(self.power), ipow(self.base, self.power - 1), db)
@@ -581,8 +604,13 @@ def evaluate(expr: MeroExpr, assignment: Mapping, ctx: ThetaContext):
 
 
 def diff(expr: MeroExpr, variable: str) -> MeroExpr:
-    """Exact symbolic derivative; theta leaves bump their derivative order."""
-    return expr._diff(variable)
+    """Exact symbolic derivative; theta leaves bump their derivative order.
+
+    The node keeps its derivative (`MeroExpr._derivative`), so asking again,
+    directly or for a tree that contains the node, reuses the same object,
+    and an `Evaluator` finds equal derivatives by identity.
+    """
+    return expr._derivative(variable)
 
 
 def substitute(expr: MeroExpr, mapping: Mapping[str, Affine]) -> MeroExpr:

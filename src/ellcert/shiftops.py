@@ -164,13 +164,6 @@ class ShiftOp(TermMap):
 
     __slots__ = ()
 
-    @classmethod
-    def monomial(cls, algebra, exponents: Sequence[int], coeff=1) -> "ShiftOp":
-        return cls(algebra, {tuple(exponents): ex._as_expr(coeff)})
-
-    def degrees(self) -> set:
-        return {sum(mi) for mi in self.terms}
-
     def __add__(self, other: "ShiftOp") -> "ShiftOp":
         # Defined on ShiftOp itself so that bench/tracer.py can time operator sums.
         return super().__add__(other)

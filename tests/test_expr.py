@@ -1,5 +1,6 @@
 """Expression-tree tests: evaluation, differentiation, substitution, sampling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -125,16 +126,12 @@ class TestDiff:
 
     def test_random_trees_against_central_differences(self):
         # 50 random trees of depth <= 5; O(h^2) agreement.
-        rng = np.random.default_rng(23)
         h = 1e-4
         checked = 0
-        attempts = 0
-        while checked < 50 and attempts < 400:
-            attempts += 1
-            tree = _random_tree(rng, depth=rng.integers(1, 6))
-            z0 = complex(0.2 + 0.6 * rng.random(), 0.1 + 0.5 * rng.random())
-            w0 = complex(0.2 + 0.6 * rng.random(), 0.1 + 0.5 * rng.random())
-            env0 = {"z": z0, "w": w0}
+        for tree, env0 in _random_cases():
+            if checked == 50:
+                break
+            z0, w0 = env0["z"], env0["w"]
             d = ex.diff(tree, "z")
             try:
                 sym = ex.evaluate(d, env0, CTX)
@@ -152,6 +149,77 @@ class TestDiff:
             assert abs(sym - num) <= 10 * h * h * scale
             checked += 1
         assert checked == 50
+
+    def test_derivative_is_kept_on_the_node(self, monkeypatch):
+        calls = []
+        public = ex.diff
+        monkeypatch.setattr(ex, "diff", lambda *args: calls.append(args) or public(*args))
+        x = ex.quot(ex.theta1_of("u") * ex.var("u"), ex.ipow(ex.exp2pii("u") + ex.var("w"), 2))
+        assert ex.diff(x, "u") is ex.diff(x, "u")
+        assert ex.diff(x, "u") is not ex.diff(x, "w")
+        # the recursion differentiates operands privately: one public call per request
+        assert len(calls) == 4
+
+    def test_kept_derivatives_match_fresh_ones(self, monkeypatch):
+        # the derivative a node keeps is the tree a fresh, unkept differentiation
+        # builds, operand order included, and it evaluates to the same bits
+        checked = 0
+        for tree, env in itertools.islice(_random_cases(), 100):
+            kept = [ex.diff(tree, "z")]
+            kept.append(ex.diff(kept[0], "z"))
+            with monkeypatch.context() as m:
+                m.setattr(ex.MeroExpr, "_derivative", lambda node, var: node._diff(var))
+                fresh = [tree._diff("z")]
+                fresh.append(fresh[0]._diff("z"))
+            for k, f in zip(kept, fresh):
+                assert _ordered(k) == _ordered(f)
+                try:
+                    kv = ex.evaluate(k, env, CTX)
+                except (PoleError, EvaluationOverflowError) as err:
+                    with pytest.raises(type(err)):
+                        ex.evaluate(f, env, CTX)
+                    continue
+                fv = ex.evaluate(f, env, CTX)
+                assert (kv.real.hex(), kv.imag.hex()) == (fv.real.hex(), fv.imag.hex())
+                checked += 1
+        assert checked >= 100
+
+    def test_hamiltonian_brackets_differentiate_each_node_once(self, monkeypatch):
+        # The n = 4 brackets ask for the same derivatives many times over
+        # (13,152 _diff calls for 732 distinct (node, variable) pairs without
+        # the per-node cache); each must be built once.
+        from ellcert import poisson
+        calls = {}
+        for cls in ex.MeroExpr.__subclasses__():
+            def counted(node, var, _diff=cls._diff):
+                key = (id(node), var)
+                n, _ = calls.get(key, (0, node))  # the node stays referenced, so its id is not reused
+                calls[key] = (n + 1, node)
+                return _diff(node, var)
+            monkeypatch.setattr(cls, "_diff", counted)
+        # fresh delta elements, so no derivative is kept from an earlier build
+        monkeypatch.setattr(poisson, "classical_delta_elements", poisson.classical_delta_elements.__wrapped__)
+        poisson._hamiltonian_brackets.__wrapped__(4, ThetaContext())
+        assert len(calls) > 700
+        assert max(n for n, _ in calls.values()) == 1
+
+
+def _ordered(node):
+    """Nested tuple of node's type and fields, operands in their stored order."""
+    fields = (getattr(node, name) for name in node.__slots__)
+    return (type(node).__name__,) + tuple(
+        tuple(map(_ordered, v)) if type(v) is tuple else _ordered(v) if isinstance(v, ex.MeroExpr) else v
+        for v in fields)
+
+
+def _random_cases():
+    """Up to 400 (random tree of depth <= 5, point of z and w) pairs, seeded."""
+    rng = np.random.default_rng(23)
+    for _ in range(400):
+        tree = _random_tree(rng, depth=rng.integers(1, 6))
+        z0 = complex(0.2 + 0.6 * rng.random(), 0.1 + 0.5 * rng.random())
+        w0 = complex(0.2 + 0.6 * rng.random(), 0.1 + 0.5 * rng.random())
+        yield tree, {"z": z0, "w": w0}
 
 
 def _random_tree(rng, depth):

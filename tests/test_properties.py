@@ -62,7 +62,7 @@ def test_substitution_composes(c1, c2, z, w):
        m2=st.tuples(st.integers(0, 3), st.integers(0, 3)))
 def test_product_grading_is_additive(m1, m2):
     alg = make_Bpn(2, 3, CTX)
-    a = ShiftOp.monomial(alg, m1, ex.var("u1"))
-    b = ShiftOp.monomial(alg, m2, ex.exp2pii("u2"))
+    a = ShiftOp(alg, {tuple(m1): ex.var("u1")})
+    b = ShiftOp(alg, {tuple(m2): ex.exp2pii("u2")})
     prod = shift_mul(a, b)
     assert set(prod.terms) == {tuple(x + y for x, y in zip(m1, m2))}
