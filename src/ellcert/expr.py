@@ -9,8 +9,11 @@ translate coefficient arguments.
 
 Evaluation accepts scalar complex values or equally-shaped numpy arrays per
 variable, so a batch of sample points costs one tree walk.  An `Evaluator`
-holds one such assignment and computes each distinct node once, however
-many trees evaluated through it share the node.
+holds one such assignment.  It shares a theta leaf's value by key (its kind,
+order, index, derivative and argument) with every equal leaf of the trees it
+evaluates, and an interior node's value by identity.  Before it evaluates a
+batch of trees, it evaluates their new theta leaves with one theta call per
+family (kind, order, index, derivative), the arguments stacked.
 
 A node caches its derivative by each variable, as it caches its key and
 hash, so a subtree is differentiated once however many derivatives contain
@@ -109,6 +112,8 @@ class MeroExpr:
     """Base node.  Nodes are immutable values: two are equal, and hash alike,
     when their types and fields (`_key`) are, so equality is structural.  The
     key, the hash and the derivative by each variable are cached on the node.
+    Equality serves construction (`_cancel_pairs`, `quot`, term maps); an
+    `Evaluator` keys values by node identity and by `Theta._leaf_key`.
 
     The derivative cache lives on the node and dies with it; there is no
     process-wide table of nodes.  A node's derivative is a function of that
@@ -145,6 +150,9 @@ class MeroExpr:
             d = self._derivs[var] = self._diff(var)
         return d
 
+    def _children(self):
+        return ()
+
     def _eval(self, ev):  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -154,8 +162,9 @@ class MeroExpr:
     def _subst(self, mapping):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _collect_vars(self, acc):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _collect_vars(self, acc):
+        for child in self._children():
+            child._collect_vars(acc)
 
     def __add__(self, other):
         return add(self, _as_expr(other))
@@ -225,9 +234,6 @@ class Const(MeroExpr):
     def _subst(self, mapping):
         return self
 
-    def _collect_vars(self, acc):
-        pass
-
 
 class Theta(MeroExpr):
     """deriv-th derivative of a theta factor applied to an affine argument.
@@ -247,10 +253,16 @@ class Theta(MeroExpr):
         self.index = int(index)
         self.deriv = int(deriv)
 
-    def _eval(self, ev):
-        z = self.arg.value(ev.env)
-        return _theta.theta_value(self.kind, z, ev.ctx, order=self.order,
-                                  index=self.index, deriv=self.deriv)
+    def _leaf_key(self):
+        return self.kind, self.order, self.index, self.deriv, self.arg.const, tuple(self.arg.coeffs.items())
+
+    def _eval(self, ev):  # the value of an equal leaf, stacked (Evaluator._stack_leaves) or not
+        key = self._leaf_key()
+        value = ev._leaves.get(key)
+        if value is None:
+            value = ev._leaves[key] = _theta.theta_value(self.kind, self.arg.value(ev.env), ev.ctx,
+                                                         order=self.order, index=self.index, deriv=self.deriv)
+        return value
 
     def _diff(self, var):
         c = self.arg.coeff(var)
@@ -296,6 +308,9 @@ class Sum(MeroExpr):
     def __init__(self, terms: tuple):
         self.terms = terms
 
+    def _children(self):
+        return self.terms
+
     def _eval(self, ev):
         v = ev._value(self.terms[0])
         for t in self.terms[1:]:
@@ -308,16 +323,15 @@ class Sum(MeroExpr):
     def _subst(self, mapping):
         return add(*(t._subst(mapping) for t in self.terms))
 
-    def _collect_vars(self, acc):
-        for t in self.terms:
-            t._collect_vars(acc)
-
 
 class Product(MeroExpr):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple):
         self.factors = factors
+
+    def _children(self):
+        return self.factors
 
     def _eval(self, ev):
         v = ev._value(self.factors[0])
@@ -331,10 +345,6 @@ class Product(MeroExpr):
 
     def _subst(self, mapping):
         return mul(*(f._subst(mapping) for f in self.factors))
-
-    def _collect_vars(self, acc):
-        for f in self.factors:
-            f._collect_vars(acc)
 
 
 def nonpole(den, what: str):
@@ -356,6 +366,9 @@ class Quotient(MeroExpr):
         self.num = num
         self.den = den
 
+    def _children(self):
+        return self.num, self.den
+
     def _eval(self, ev):
         nv = ev._value(self.num)
         return nv / nonpole(ev._value(self.den), "denominator magnitude below pole guard")
@@ -368,16 +381,15 @@ class Quotient(MeroExpr):
     def _subst(self, mapping):
         return quot(self.num._subst(mapping), self.den._subst(mapping))
 
-    def _collect_vars(self, acc):
-        self.num._collect_vars(acc)
-        self.den._collect_vars(acc)
-
 
 class Neg(MeroExpr):
     __slots__ = ("child",)
 
     def __init__(self, child: MeroExpr):
         self.child = child
+
+    def _children(self):
+        return (self.child,)
 
     def _eval(self, ev):
         return -ev._value(self.child)
@@ -388,9 +400,6 @@ class Neg(MeroExpr):
     def _subst(self, mapping):
         return neg(self.child._subst(mapping))
 
-    def _collect_vars(self, acc):
-        self.child._collect_vars(acc)
-
 
 class IntPow(MeroExpr):
     __slots__ = ("base", "power")
@@ -400,6 +409,9 @@ class IntPow(MeroExpr):
             raise ValueError("negative powers are spelled as quotients")
         self.base = base
         self.power = int(power)
+
+    def _children(self):
+        return (self.base,)
 
     def _eval(self, ev):
         return ev._value(self.base) ** self.power
@@ -412,9 +424,6 @@ class IntPow(MeroExpr):
 
     def _subst(self, mapping):
         return ipow(self.base._subst(mapping), self.power)
-
-    def _collect_vars(self, acc):
-        self.base._collect_vars(acc)
 
 
 _ZERO = Const(0)
@@ -564,38 +573,92 @@ class Evaluator:
     """Bottom-up evaluation at one assignment of variables to complex values.
 
     Values may be scalars or numpy arrays of a common shape, so one
-    evaluator serves a whole sampled batch.  Every node evaluated through it
-    is computed once: values are memoized by node, and nodes are equal by
-    structure, so a subtree shared by several trees, or rebuilt equal by
-    differentiation or substitution, costs one evaluation.  Operand
-    permutations of a sum or product are equal nodes, so they share the
-    value of whichever was evaluated first.  Evaluate everything compared on
-    one batch through one evaluator; a batch that raises PoleError is
-    dropped with its evaluator.
+    evaluator serves a whole sampled batch.  Each value it computes is kept
+    for the batch.  A theta leaf is kept by key (kind, order, index,
+    derivative and argument), so equal leaves of different trees share one
+    evaluation.  Any other node is kept by identity, together with the node
+    so that its id is not reused: a subtree shared as an object, such as a
+    cached derivative, costs one evaluation, and every other node evaluates
+    as it is written.  `values` evaluates the new theta leaves of its trees
+    with one theta call per family (kind, order, index, derivative), their
+    array-valued arguments stacked.  Evaluate everything compared on one
+    batch through one evaluator; a batch that raises PoleError is dropped
+    with its evaluator.
     """
 
-    __slots__ = ("env", "ctx", "_memo")
+    __slots__ = ("env", "ctx", "_memo", "_leaves")
 
     def __init__(self, env: Mapping, ctx: ThetaContext):
         self.env = env
         self.ctx = ctx
-        self._memo: dict = {}
+        self._memo: dict = {}  # id(node) -> (node, value)
+        self._leaves: dict = {}  # Theta._leaf_key() -> value
 
     def __call__(self, expr: MeroExpr):
         """Value of expr.  Quotient nodes whose denominator falls below
         the pole guard raise PoleError (`nonpole`), and a non-finite value
         (an overflow in some node) raises EvaluationOverflowError."""
+        return self.values((expr,))[0]
+
+    def values(self, roots) -> list:
+        """[self(root) for root in roots], each root evaluated and checked in
+        turn, after one stacked theta call per family of their new leaves."""
+        roots = list(roots)
+        out = []
         with np.errstate(over="ignore", invalid="ignore"):
-            value = self._value(expr)
-        if not np.all(np.isfinite(value)):
-            raise EvaluationOverflowError("expression evaluation produced a non-finite value")
-        return value
+            self._stack_leaves(roots)
+            for root in roots:
+                value = self._value(root)
+                if not np.all(np.isfinite(value)):
+                    raise EvaluationOverflowError("expression evaluation produced a non-finite value")
+                out.append(value)
+        return out
+
+    def _stack_leaves(self, roots):
+        """Evaluate the theta leaves under roots that have no value yet, one
+        theta_value call per family with their array-valued arguments stacked.
+
+        A scalar argument, and every leaf of a family whose stacked call
+        overflows, is left to `Theta._eval`, which evaluates the one leaf
+        when, and only if, its tree reaches it: a tree that poles first
+        still redraws its batch.
+        """
+        families: dict = {}
+        seen, stack = set(), list(roots)
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or id(node) in self._memo:
+                continue
+            seen.add(id(node))
+            if type(node) is not Theta:
+                stack.extend(node._children())
+                continue
+            key = node._leaf_key()
+            if key in self._leaves or key in seen:  # seen holds the leaf keys met, too
+                continue
+            seen.add(key)
+            try:
+                z = node.arg.value(self.env)
+            except UnboundVariableError:
+                continue  # raised if the tree reaches the leaf
+            if np.ndim(z):
+                families.setdefault(key[:4], {})[key] = z
+        for (kind, order, index, deriv), args in families.items():
+            try:
+                stacked = _theta.theta_value(kind, np.concatenate([z.ravel() for z in args.values()]),
+                                             self.ctx, order=order, index=index, deriv=deriv)
+            except EvaluationOverflowError:
+                continue
+            start = 0
+            for key, z in args.items():
+                self._leaves[key] = stacked[start:start + z.size].reshape(z.shape)
+                start += z.size
 
     def _value(self, node: MeroExpr):
-        value = self._memo.get(node)
-        if value is None:
-            value = self._memo[node] = node._eval(self)
-        return value
+        entry = self._memo.get(id(node))
+        if entry is None:
+            entry = self._memo[id(node)] = (node, node._eval(self))
+        return entry[1]
 
 
 def evaluate(expr: MeroExpr, assignment: Mapping, ctx: ThetaContext):

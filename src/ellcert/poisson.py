@@ -98,20 +98,22 @@ class RatioBracket:
     each inner bracket taken in the ambient algebra.  Calling the object with
     the evaluator of a phase-space point, or of a batch of them, returns the
     value; residual_batch measures it against its four terms.  All eight
-    elements evaluate through the one evaluator passed in.
+    elements evaluate through the one evaluator passed in.  bracket(x, y)
+    builds {x, y}; ratio brackets that pass one cached function share each
+    inner bracket as one object, which an evaluator computes once.
     """
 
-    def __init__(self, f, h, g, k):
+    def __init__(self, f, h, g, k, bracket=pbracket):
         if not h.is_multiplication():
             raise ValueError("h must be a multiplication operator")
         if not k.is_multiplication():
             raise ValueError("k must be a multiplication operator")
         self.algebra = f.algebra
         self.f, self.h, self.g, self.k = f, h, g, k
-        self.b_fg = pbracket(f, g)
-        self.b_hg = pbracket(h, g)
-        self.b_fk = pbracket(f, k)
-        self.b_hk = pbracket(h, k)
+        self.b_fg = bracket(f, g)
+        self.b_hg = bracket(h, g)
+        self.b_fk = bracket(f, k)
+        self.b_hk = bracket(h, k)
 
     def residual_batch(self, at: ex.Evaluator) -> float:
         """Largest |{f/h, g/k}| over the batch, relative to its terms (rel_residual)."""
@@ -170,9 +172,11 @@ def _phase_space_points(alg, count, seed):
 
 @functools.lru_cache(maxsize=16)
 def _hamiltonian_brackets(n: int, ctx: ThetaContext):
-    """Cached symbolic ratio-brackets for all hamiltonian pairs."""
+    """Cached symbolic ratio-brackets for all hamiltonian pairs; each ordered
+    pair of the Delta_i is bracketed once (13 brackets at n = 4, not 24)."""
     alg, deltas = classical_delta_elements(n, ctx)
-    brackets = [RatioBracket(deltas[i], deltas[0], deltas[j], deltas[0])
+    bracket = functools.cache(pbracket)  # elements hash by identity
+    brackets = [RatioBracket(deltas[i], deltas[0], deltas[j], deltas[0], bracket)
                 for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return alg, tuple(brackets)
 
@@ -197,6 +201,7 @@ def jacobi_delta_residual(n: int, ctx: ThetaContext, ijk, seed: int = 0, points:
     alg, elems = _jacobi_delta_terms(n, ctx, tuple(ijk))
 
     def measure(at):
+        at.values(c for e in elems for c in e.terms.values())  # one theta call per leaf family
         vals = [np.asarray(e.evaluate(at)) for e in elems]
         return rel_residual(sum(vals), *vals)
 

@@ -45,7 +45,8 @@ def sampled_max(measure: Callable[[ex.Evaluator], object],
     """measure(evaluator of draw(batch seed)) on the first batch that does not pole.
 
     Batch k is draw(seed + _RETRY_STRIDE*k) and gets one Evaluator, so
-    everything measure compares on the batch evaluates each node once.
+    everything measure compares on the batch evaluates each node object and
+    each distinct theta leaf once.
     measure may return any value: a residual, a constant, a matrix; it may
     read any drawn value, a tensor grid too, through at.env.  A
     PoleError raised by measure discards the whole batch with its evaluator,

@@ -220,9 +220,10 @@ def sum_to_zero_residual(parts: Sequence[TermMap], samples: int = 20, seed: int 
     alg = parts[0].algebra
 
     def measure(at):
+        flat = at.values(parts[k].terms.get(mi, ex._ZERO) for mi in keys for k in used)
         worst = 0.0
-        for mi in keys:
-            vals = {k: np.asarray(at(parts[k].terms.get(mi, ex._ZERO))) for k in used}
+        for start in range(0, len(flat), len(used)):
+            vals = dict(zip(used, map(np.asarray, flat[start:start + len(used)])))
             for row in rows:
                 terms = [w * vals[k] for k, w in enumerate(row) if w]
                 worst = max(worst, rel_residual(sum(terms), *terms))

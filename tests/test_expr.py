@@ -349,3 +349,32 @@ class TestEvaluator:
         for root in (pole, pole + ex.const(1)):
             with pytest.raises(PoleError):
                 at(root)
+
+    def test_scalar_assignment_evaluates_leaf_by_leaf(self, theta_calls):
+        # one point gives each leaf one scalar argument: there is nothing to stack
+        at = ex.Evaluator({"z": 0.3 + 0.2j}, CTX)
+        at.values([ex.theta1_of(ex.aff("z", const=c)) for c in (0, 0.1, 0.2)])
+        assert theta_calls == ["order1"] * 3
+
+    def test_overflowing_family_is_left_to_its_leaves(self):
+        far = 70 * CTX.tau  # more than 64 lattice steps: theta_value refuses to reduce it
+
+        def draw(seed):
+            first = seed == 0
+            return {"z": np.array([0.3 + 0.2j, far if first else 0.4 + 0.1j]),
+                    "p": np.array([1.0, 0.0 if first else 1.0])}
+
+        leaf = ex.theta1_of("z")
+        behind_pole = ex.quot(1, ex.var("p")) + leaf + ex.theta1_of(ex.aff("z", const=0.1))
+        batches = []
+
+        def measure(at):
+            batches.append(at)
+            return at(behind_pole)
+
+        # the quotient poles before the sum reaches the leaf, so the first batch redraws
+        assert np.all(np.isfinite(sampled_max(measure, draw, 0, CTX))) and len(batches) == 2
+        # reached directly, the leaf's overflow is an error, not a pole to redraw
+        with pytest.raises(EvaluationOverflowError):
+            sampled_max(lambda at: batches.append(at) or at(leaf + ex.quot(1, ex.var("p"))), draw, 0, CTX)
+        assert len(batches) == 3

@@ -5,6 +5,7 @@ import pytest
 
 from ellcert import ThetaContext
 from ellcert import expr as ex
+from ellcert import poisson
 from ellcert import theta as theta_module
 from ellcert.errors import PoleError
 from ellcert.poisson import (
@@ -191,6 +192,15 @@ class TestHamiltonians:
                 rs = (s_vals[i] / s_vals[j])
                 assert abs(r - rs) <= ID_TOL * max(1, abs(r))
 
+    def test_hamiltonian_pairs_are_bracketed_once(self, monkeypatch):
+        built = []
+        real = poisson.pbracket
+        monkeypatch.setattr(poisson, "pbracket", lambda a, b: built.append((a, b)) or real(a, b))
+        _, brackets = poisson._hamiltonian_brackets.__wrapped__(4, CTX)
+        # 6 pairs {Delta_i, Delta_j}, 3 {Delta_0, Delta_j}, 3 {Delta_i, Delta_0} and {Delta_0, Delta_0}
+        assert len(built) == len({(id(a), id(b)) for a, b in built}) == 13
+        assert len({id(rb.b_hk) for rb in brackets}) == 1 and len(brackets) == 6
+
 
 def theta_leaves(trees):
     """The distinct theta nodes reachable from the trees."""
@@ -210,19 +220,21 @@ def theta_leaves(trees):
 
 class TestJacobiDelta:
     def test_batch_evaluates_each_distinct_theta_leaf_once(self, monkeypatch):
-        batch_calls = []
+        batch_points = []
         real = theta_module.theta_value
 
         def counted(kind, z, ctx, **kw):
             if np.ndim(z):
-                batch_calls.append(kind)
+                batch_points.append(np.size(z))
             return real(kind, z, ctx, **kw)
 
         monkeypatch.setattr(theta_module, "theta_value", counted)
         jacobi_delta_residual(3, CTX, (1, 2, 3), seed=0, points=8)
         _, elems = _jacobi_delta_terms(3, CTX, (1, 2, 3))
         leaves = theta_leaves(c for e in elems for c in e.terms.values())  # 18 of 972 leaf occurrences
-        assert len(batch_calls) == len(leaves) > 0
+        families = {(t.kind, t.order, t.index, t.deriv) for t in leaves}  # 6, each one stacked call
+        assert sum(batch_points) == len(leaves) * 8 > 0
+        assert 0 < len(batch_points) <= len(families)
 
     def test_repeated_index_collapses(self):
         assert jacobi_delta_residual(3, CTX, (1, 1, 2), seed=0, points=4) <= 1e-12

@@ -1,10 +1,13 @@
 """Property tests for the structural invariants."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ellcert import ThetaContext, theta1, theta_odd
 from ellcert import expr as ex
+from ellcert import theta as theta_module
 from ellcert.shiftops import ShiftOp, make_Bpn, shift_mul
 
 CTX = ThetaContext()
@@ -66,3 +69,36 @@ def test_product_grading_is_additive(m1, m2):
     b = ShiftOp(alg, {tuple(m2): ex.exp2pii("u2")})
     prod = shift_mul(a, b)
     assert set(prod.terms) == {tuple(x + y for x, y in zip(m1, m2))}
+
+
+theta_family = st.one_of(
+    st.just(("order1", 1, 0)),
+    st.just(("odd", 1, 0)),
+    st.integers(1, 6).flatmap(lambda n: st.tuples(st.just("basis"), st.just(n), st.integers(0, n - 1))),
+)
+wide_z = st.builds(complex,  # three periods either way of the fundamental strip
+                   st.floats(min_value=-3.0, max_value=3.0),
+                   st.floats(min_value=-3.0, max_value=3.0).map(lambda t: t * CTX.tau.imag))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=theta_family, deriv=st.integers(0, 2),
+       points=st.lists(wide_z, min_size=1, max_size=40),
+       shifts=st.lists(wide_z, min_size=1, max_size=4, unique=True), column=st.booleans())
+def test_stacked_family_matches_lone_calls_bit_for_bit(family, deriv, points, shifts, column):
+    kind, order, index = family
+    leaves = [ex.Theta(kind, ex.aff("z", const=s), order, index, deriv) for s in shifts]
+    env = {"z": np.array(points).reshape((-1, 1) if column else -1)}  # grids bind 2-d arrays
+    real = theta_module.theta_value
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return real(*args, **kw)
+
+    with mock.patch.object(theta_module, "theta_value", counted):
+        stacked = ex.Evaluator(env, CTX).values(leaves)
+    assert len(calls) == 1
+    for leaf, value in zip(leaves, stacked):
+        lone = real(kind, leaf.arg.value(env), CTX, order=order, index=index, deriv=deriv)
+        assert value.shape == lone.shape and value.tobytes() == lone.tobytes()
