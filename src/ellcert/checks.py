@@ -4,10 +4,12 @@ Each check is declared once, by the `check` decorator on its body, with a
 `Param` (default, parser, documented range) per key.  `run_check` resolves the
 raw parameters against it, so a body sees only parsed, in-range values and an
 undeclared key is an error, never a silent default.  Records are deterministic:
-re-running a config byte-identically reproduces every residual_max, for a fixed
-number of BLAS threads.  A record without a residual has status "inconclusive"
-(no usable singular-value gap) or "error" (the check raised; see
-`error_record`), pass=false, residual_max=-1.0.
+re-running a config byte-identically reproduces every residual_max.  The
+Cartier-Foata residuals go through BLAS, whose last bits can follow its thread
+count, so `import ellcert` pins OpenBLAS to one thread unless
+OPENBLAS_NUM_THREADS is exported (then the bits hold for that count).  A record
+without a residual has status "inconclusive" (no usable singular-value gap) or
+"error" (the check raised; see `error_record`), pass=false, residual_max=-1.0.
 """
 
 from __future__ import annotations

@@ -184,15 +184,24 @@ def _series(kind: str, w, tau: complex, order: int, index: int, deriv: int) -> l
 
 
 def _multiplier(kind: str, tau: complex, order: int, w, a, b):
-    """Exact quasi-periodicity factor M with theta(z) = M * theta(w)."""
+    """Exact quasi-periodicity factor M with theta(z) = M * theta(w).
+
+    A batch that needs no lattice step (b = 0 at every point, as on the
+    strip) has exponent 0, so M is exactly the sign and exp is skipped.
+    """
     if kind == "order1":
         sign = (-1.0) ** b
-        expo = -tau * b * (b - 1) / 2.0 - b * w
     elif kind == "basis":
         sign = (-1.0) ** (order * b)
-        expo = -tau * order * b * (b - 1) / 2.0 - order * b * w
     else:  # odd
         sign = (-1.0) ** (a + b)
+    if not b.any():
+        return sign + 0j
+    if kind == "order1":
+        expo = -tau * b * (b - 1) / 2.0 - b * w
+    elif kind == "basis":
+        expo = -tau * order * b * (b - 1) / 2.0 - order * b * w
+    else:  # odd
         expo = -tau * b * b / 2.0 - b * w
     mult = sign * np.exp(_TWO_PI_I * expo)
     if not np.all(np.isfinite(mult)):

@@ -1,11 +1,9 @@
 """Settings of the test process.
 
-One BLAS thread: numpy's threaded OpenBLAS oversubscribes a small shared
-host, which made the acceptance budgets fail when other work ran beside the
-suite.  It is set before any test module imports numpy; a value already in
-the environment is kept.
+`ellcert` is imported before any test module imports numpy, so the suite runs
+under the library's own BLAS thread count: one, unless OPENBLAS_NUM_THREADS is
+exported (see `ellcert/__init__.py`).  Subprocesses that the tests start
+inherit the setting.
 """
 
-import os
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import ellcert  # noqa: F401

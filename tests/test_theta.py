@@ -13,7 +13,7 @@ import pytest
 
 from ellcert import ThetaContext, theta1, theta_basis, theta_odd, reduce_to_fundamental
 from ellcert.errors import EvaluationOverflowError
-from ellcert.theta import _lattice_reduce, _window, theta_value
+from ellcert.theta import _lattice_reduce, _multiplier, _window, theta_value
 
 TWO_PI_I = 2j * math.pi
 
@@ -205,6 +205,24 @@ class TestReduce:
     def test_overflow_guard(self):
         with pytest.raises(EvaluationOverflowError):
             theta1(1000j, CTX)
+
+    @pytest.mark.parametrize("kind,order", [("order1", 1), ("basis", 3), ("odd", 1)])
+    def test_in_strip_multiplier_is_exactly_the_sign(self, kind, order):
+        # b = 0 on the strip: exp(0) = 1, so M is +-1 exactly (odd: (-1)^a)
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-3, 3, 200) + 1j * CTX_B.tau.imag * rng.random(200)
+        w, a, b = _lattice_reduce(z, CTX_B.tau)
+        assert not b.any()
+        sign = (-1.0) ** a if kind == "odd" else np.ones_like(a)
+        mult = _multiplier(kind, CTX_B.tau, order, w, a, b)
+        assert np.array_equal(mult, sign) and not np.signbit(mult.imag).any()
+        # a mixed batch gives every point the multiplier of its own scalar call
+        z = np.concatenate([z, z + 2 * CTX_B.tau, z - 3 * CTX_B.tau])
+        w, a, b = _lattice_reduce(z, CTX_B.tau)
+        mult = _multiplier(kind, CTX_B.tau, order, w, a, b)
+        for i in range(0, z.size, 7):
+            one = _multiplier(kind, CTX_B.tau, order, *_lattice_reduce(z[i], CTX_B.tau))
+            assert np.asarray(one).tobytes() == mult[i].tobytes()
 
 
 class TestRealPartOfTau:
