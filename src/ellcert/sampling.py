@@ -45,10 +45,12 @@ def sampled_max(measure: Callable[[ex.Evaluator], object],
     """measure(evaluator of draw(batch seed)) on the first batch that does not pole.
 
     Batch k is draw(seed + _RETRY_STRIDE*k) and gets one Evaluator, so
-    everything measure compares on the batch evaluates each node object and
-    each distinct theta leaf once.
+    everything measure compares at the drawn points evaluates each node
+    object and each distinct theta leaf once.
     measure may return any value: a residual, a constant, a matrix; it may
-    read any drawn value, a tensor grid too, through at.env.  A
+    read any drawn value, a tensor grid too, through at.env, and evaluate
+    at points derived from them on evaluators of its own (shiftops'
+    sampled products do, at the batch shifted by a factor's monomials).  A
     PoleError raised by measure discards the whole batch with its evaluator,
     so no partial value of a poled batch leaks into the result.  Raises
     PoleError when all 8 batches pole, and EvaluationOverflowError at once

@@ -24,6 +24,9 @@ own layer by -n*eta plus t/f generator pairs; and the 2n-generator algebra of
 Operator arithmetic is exact and samples nothing (expr.add cancels x against
 neg(x)); operator equality is decided by seeded sampling of every coefficient,
 relative to the magnitude of the terms being cancelled; a poled batch is redrawn.
+A product that is only compared, such as the two sides of a commutator, is
+sampled, not built: sum_to_zero_residual takes it as a factor pair (a, b) and
+evaluates each coefficient of b once at the batch shifted by every monomial of a.
 """
 
 from __future__ import annotations
@@ -203,10 +206,12 @@ def op_equal(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0) -> float:
     return sum_to_zero_residual([a, -b], samples=samples, seed=seed)
 
 
-def sum_to_zero_residual(parts: Sequence[TermMap], samples: int = 20, seed: int = 0,
+def sum_to_zero_residual(parts: Sequence, samples: int = 20, seed: int = 0,
                          relations=None) -> float:
     """Largest residual of the relations sum_k w_k * parts[k] == 0, all on one batch.
 
+    A part is a TermMap, or a factor pair (a, b) of ShiftOps that stands for
+    the product a*b and is sampled without being built (`sampled_coefficients`).
     relations holds one row of weights w per relation (default one row of
     ones: sum(parts) == 0).  Each multi-index coefficient of a relation is
     compared against the biggest term w_k * parts[k] that went into it.  A
@@ -214,27 +219,82 @@ def sum_to_zero_residual(parts: Sequence[TermMap], samples: int = 20, seed: int 
     """
     rows = np.ones((1, len(parts))) if relations is None else np.asarray(relations)
     used = [k for k in range(len(parts)) if np.any(rows[:, k])]
-    keys = set().union(*(parts[k].terms for k in used))
+    keys = set().union(*(_multi_indices(parts[k]) for k in used))
     if not keys:
         return 0.0
-    alg = parts[0].algebra
+    alg = _left(parts[0]).algebra
 
     def measure(at):
-        flat = at.values(parts[k].terms.get(mi, ex._ZERO) for mi in keys for k in used)
+        vals = dict(zip(used, sampled_coefficients([parts[k] for k in used], at)))
         worst = 0.0
-        for start in range(0, len(flat), len(used)):
-            vals = dict(zip(used, map(np.asarray, flat[start:start + len(used)])))
+        for mi in keys:
             for row in rows:
-                terms = [w * vals[k] for k, w in enumerate(row) if w]
+                terms = [w * vals[k].get(mi, 0j) for k, w in enumerate(row) if w]
                 worst = max(worst, rel_residual(sum(terms), *terms))
         return worst
 
     return sampled_max(measure, box(samples, alg.var_names, alg.ctx), seed, alg.ctx)
 
 
+def _left(part) -> TermMap:
+    """The term map whose coefficients a part reads at the drawn points: a
+    term map itself, or a factor pair's left factor."""
+    return part[0] if isinstance(part, tuple) else part
+
+
+def _multi_indices(part) -> set:
+    """The exponent tuples at which a part has a coefficient."""
+    if not isinstance(part, tuple):
+        return set(part.terms)
+    a, b = part
+    return {tuple(x + y for x, y in zip(m, k)) for m in a.terms for k in b.terms}
+
+
+def sampled_coefficients(parts: Sequence, at: ex.Evaluator) -> list:
+    """Each part's coefficients on at's batch, as {exponent tuple: value}.
+
+    A term map's coefficients, and the left factor a's of a factor pair
+    (a, b), are evaluated by at itself, all in one `values` call.  A pair is
+    the product a*b, sampled: (a*b)_{m+k}(x) = sum F_m(x) * G_k(x + s_m),
+    with s_m the shift of a's monomial m (`ShiftAlgebra.translation_of`),
+    the contributions summed in the order of a's terms, then b's.  Each G_k
+    is evaluated once, by a second evaluator whose batch stacks at's batch
+    shifted by every s_m as rows; pairs whose left factors have the same
+    monomials share it.  A pole in any row raises PoleError, so the whole
+    batch is redrawn.
+    """
+    own = iter(at.values(c for part in parts for c in _left(part).terms.values()))
+    firsts = [dict(zip(_left(part).terms, own)) for part in parts]
+    shifted: dict = {}  # a's monomials -> the evaluator of at's batch shifted by each, one row per monomial
+    out = []
+    for part, first in zip(parts, firsts):
+        if not isinstance(part, tuple):
+            out.append(first)
+            continue
+        a, b = part
+        a._check_same(b)
+        ev = shifted.get(tuple(a.terms))
+        if ev is None:
+            shifts = [a.algebra.translation_of(m) for m in a.terms]
+            env = {v: np.stack([x + s[v] if v in s else x for s in shifts]) for v, x in at.env.items()}
+            ev = shifted[tuple(a.terms)] = ex.Evaluator(env, at.ctx)
+        rights = ev.values(b.terms.values())
+        product: dict = {}
+        for row, (m, f) in enumerate(first.items()):
+            for k, g in zip(b.terms, rights):
+                mi = tuple(x + y for x, y in zip(m, k))
+                contrib = f * (g[row] if np.ndim(g) else g)
+                product[mi] = product[mi] + contrib if mi in product else contrib
+        out.append(product)
+    return out
+
+
 def commutator_residual(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0) -> float:
-    """op_equal(a*b, b*a): the scale comes from the two products."""
-    return op_equal(shift_mul(a, b), shift_mul(b, a), samples=samples, seed=seed)
+    """Residual of a*b == b*a, each coefficient against the two products' values.
+
+    Both products are factor pairs of `sum_to_zero_residual`: sampled, not built.
+    """
+    return sum_to_zero_residual([(a, b), (b, a)], samples=samples, seed=seed, relations=[[1, -1]])
 
 
 # Algebra constructors ---------------------------------------------------------

@@ -36,7 +36,6 @@ from .shiftops import (
     bosonize,
     commutator_residual,
     make_Bpn,
-    shift_mul,
     sum_to_zero_residual,
 )
 
@@ -208,9 +207,10 @@ def hom_welldefined_residual(n: int, p: int, ctx: ThetaContext, seed: int = 0,
 
 
 def _phi_products(gens, p: int, ctx: ThetaContext) -> list:
-    """The n^2 operators phi_p(x_a) phi_p(x_b) of gens x_0..x_{n-1}, at index a*n + b."""
+    """The n^2 products phi_p(x_a) phi_p(x_b) of gens x_0..x_{n-1}, at index a*n + b,
+    as factor pairs, which sum_to_zero_residual samples without building them."""
     phis = [phi_p(g, p, ctx) for g in gens]
-    return [shift_mul(x, y) for x in phis for y in phis]
+    return [(x, y) for x in phis for y in phis]
 
 
 def _odesskii_gen(a: int, n: int, ctx: ThetaContext) -> SymThetaFun:

@@ -8,10 +8,10 @@ argument translation.
 import numpy as np
 import pytest
 
-from ellcert import ThetaContext
+from ellcert import ThetaContext, shiftops
 from ellcert import expr as ex
 from ellcert.errors import SingularOperatorError
-from ellcert.sampling import sample_points
+from ellcert.sampling import box, rel_residual, sample_points, sampled_max
 from ellcert.shiftops import (
     ShiftOp,
     ShiftOpBackend,
@@ -23,6 +23,7 @@ from ellcert.shiftops import (
     make_sos,
     make_Vn,
     op_equal,
+    sampled_coefficients,
     shift_mul,
     sum_to_zero_residual,
     theta_column_minors,
@@ -285,3 +286,91 @@ class TestInversion:
         alg = make_Vn(2, CTX)
         with pytest.raises(SingularOperatorError):
             invert_multiplication(ShiftOp.generator(alg, "f1"))
+
+
+def sampled_product_gap(pairs, samples=12, seed=0):
+    """Largest |sampled (a*b)_mi - built (a*b)_mi| / max(1, |built|) over the
+    pairs (a, b), their multi-indices and a batch of box points; the built
+    coefficient is shift_mul(a, b).terms[mi] through a fresh Evaluator."""
+    built = [shift_mul(a, b) for a, b in pairs]
+    alg = pairs[0][0].algebra
+
+    def measure(at):
+        worst = 0.0
+        for got, prod in zip(sampled_coefficients(pairs, at), built):
+            assert got.keys() == prod.terms.keys()
+            fresh = ex.Evaluator(at.env, CTX)
+            for mi, coeff in prod.terms.items():
+                want = fresh(coeff)
+                worst = max(worst, rel_residual(got[mi] - want, want))
+        return worst
+
+    return sampled_max(measure, box(samples, alg.var_names, CTX), seed, CTX)
+
+
+class TestSampledProduct:
+    """A factor pair (a, b) is a*b sampled without building it: it must match
+    the built product's coefficients to rounding, multi-index by multi-index."""
+
+    U, V = 0.31 + 0.11j, 0.73 + 0.29j
+    TOL = 1e-11
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_transfer(self, n):
+        from ellcert.transfer import build_T
+        a, b = build_T(self.U, n, CTX), build_T(self.V, n, CTX)
+        assert sampled_product_gap([(a, b), (b, a)]) <= self.TOL
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_face_model(self, n):
+        from ellcert.transfer import build_sos_Taux
+        a, b = build_sos_Taux(self.U, n, CTX), build_sos_Taux(self.V, n, CTX)
+        assert sampled_product_gap([(a, b), (b, a)]) <= self.TOL
+
+    @pytest.mark.parametrize("p_list", [(2, 2), (2, 1, 2)])
+    def test_chain(self, p_list):
+        from ellcert.transfer import build_T_tilde
+        a, b = build_T_tilde(self.U, p_list, CTX), build_T_tilde(self.V, p_list, CTX)
+        assert sampled_product_gap([(a, b), (b, a)]) <= self.TOL
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_degree_m_family(self, m):
+        from ellcert.starprod import build_fu_bosonized
+        a, b = (build_fu_bosonized(u, m, 0.23 + 0.07j, 0.41 + 0.13j, CTX) for u in (self.U, self.V))
+        assert sampled_product_gap([(a, b), (b, a)]) <= self.TOL
+
+    def test_bosonized_generators(self):
+        # every phi_2(x_a) phi_2(x_b) at n = 4, the right factors sharing one shifted batch
+        from ellcert.starprod import phi_p, theta_gen
+        phis = [phi_p(theta_gen(a, 4, CTX), 2, CTX) for a in range(4)]
+        assert sampled_product_gap([(x, y) for x in phis for y in phis]) <= self.TOL
+
+    def test_left_factors_with_different_monomials(self):
+        # f1 * (z1 f2) and (z1 f2) * f1: the two pairs need two shifted batches
+        alg = make_Vn(2, CTX)
+        f1 = ShiftOp.generator(alg, "f1", ex.theta1_of("z2"))
+        z1f2 = ShiftOp.generator(alg, "f2", ex.var("z1")) + ShiftOp.function(alg, ex.theta1_of("z1"))
+        assert sampled_product_gap([(f1, z1f2), (z1f2, f1), (z1f2, z1f2)]) <= self.TOL
+
+    def test_constant_right_factor(self):
+        alg = make_Vn(2, CTX)
+        a = ShiftOp.generator(alg, "f1", ex.theta1_of("z1")) + ShiftOp.generator(alg, "f2", ex.var("z2"))
+        b = ShiftOp.generator(alg, "f2", 3) + ShiftOp.function(alg, 2)
+        assert sampled_product_gap([(a, b)]) <= self.TOL
+
+    def test_pair_part_poles_and_redraws(self, monkeypatch):
+        # b's coefficient poles at batch 0 only in a's shifted row, not at the
+        # drawn point itself, so only the sampled right factor can send the batch back
+        alg = make_Vn(1, CTX)
+        p1 = sample_points(1, alg.var_names, 0, CTX)[0]["z1"]
+        shifted = p1 + alg.translation_of(alg.exponents("f1"))["z1"]
+        a = ShiftOp.generator(alg, "f1")
+        b = ShiftOp.function(alg, ex.quot(ex.const(1), ex.var("z1") - ex.const(shifted)))
+        draws = []
+
+        def recorded(measure, draw, seed, ctx):
+            return sampled_max(measure, lambda s: draws.append(s) or draw(s), seed, ctx)
+
+        monkeypatch.setattr(shiftops, "sampled_max", recorded)
+        assert sum_to_zero_residual([(a, b), (a, b)], samples=1, seed=0, relations=[[1, -1]]) == 0.0
+        assert draws == [0, 7919]

@@ -265,6 +265,52 @@ class TestOneBatch:
         assert sum_to_zero_residual([op, op, poled], samples=4, relations=[[1, -1, 0], [2, -2, 0]]) == 0.0
 
 
+
+def count_builds(monkeypatch):
+    """Count shift_mul calls, wherever a module holds the name, and expr.translate calls."""
+    from ellcert import transfer
+    calls = {"shift_mul": 0, "translate": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    shift_mul_counted = counting("shift_mul", shiftops.shift_mul)
+    for module in (shiftops, starprod, transfer):
+        if hasattr(module, "shift_mul"):
+            monkeypatch.setattr(module, "shift_mul", shift_mul_counted)
+    monkeypatch.setattr(ex, "translate", counting("translate", ex.translate))
+    return calls
+
+
+class TestProductsAreSampled:
+    """Products that are only compared are sampled as factor pairs, never built."""
+
+    def test_counters_see_a_built_product(self, monkeypatch):
+        calls = count_builds(monkeypatch)
+        f1 = ShiftOp.generator(make_Vn(2, CTX), "f1")
+        shiftops.shift_mul(f1, ShiftOp.function(f1.algebra, ex.var("z1")))
+        assert calls == {"shift_mul": 1, "translate": 1}
+
+    def test_commutator(self, monkeypatch):
+        from ellcert.transfer import build_T
+        calls = count_builds(monkeypatch)
+        a, b = build_T(0.31 + 0.11j, 3, CTX), build_T(0.73 + 0.29j, 3, CTX)
+        assert shiftops.commutator_residual(a, b, samples=8, seed=0) <= 1e-10
+        assert calls == {"shift_mul": 0, "translate": 0}
+
+    def test_bosonization_kernel_relations(self, monkeypatch):
+        calls = count_builds(monkeypatch)
+        assert hom_welldefined_residual(3, 1, CTX, seed=0) <= 1e-10
+        assert calls == {"shift_mul": 0, "translate": 0}
+
+    def test_qnk_relations(self, monkeypatch):
+        calls = count_builds(monkeypatch)
+        assert qnk_relation_residual(3, 1, CTX, seed=42) <= 1e-10
+        assert calls == {"shift_mul": 0, "translate": 0}
+
 DIAGONAL = REGISTRY["casimir-diagonal"]
 
 
