@@ -245,16 +245,27 @@ def check_theta_quasiperiodicity(seed, n_max, points, taus) -> float:
 
 
 def _cf_verdict(verify, draw, sizes, seeds, seed) -> float:
-    """max of verify(draw(n, k, seed + s)) over every (n, k) in sizes and s < seeds,
-    each grid a batch of sampled_max: one whose M^0 verify cannot invert poles and is redrawn."""
-    return max(sampled_max(lambda at: verify(at.env["grid"]), lambda b: {"grid": draw(n, k, b)},
-                           seed + s, ThetaContext())
-               for n, k in sizes for s in range(seeds))
+    """max of verify over the grids draw(n, k, seed + s), for every (n, k) in sizes and s < seeds.
+
+    The seeds of a size come in cfdet.seed_groups, bounded by the n+1 minors
+    of k^n x k^n a grid has, and each group is one batch of sampled_max: its
+    draw at batch seed b stacks the grids drawn at b + s.  A grid whose M^0
+    verify cannot invert poles, and the whole group is redrawn.
+    """
+    worst = 0.0
+    for n, k in sizes:
+        for group in cfdet.seed_groups(seeds, (n + 1) * k ** (2 * n)):
+            def stack(b, n=n, k=k, size=len(group)):
+                return {"grid": np.stack([draw(n, k, b + s) for s in range(size)])}
+
+            worst = max(worst, sampled_max(lambda at: verify(at.env["grid"]), stack, seed + group.start,
+                                           ThetaContext()))
+    return worst
 
 
 def _of_minors(verify):
-    """A verifier of a grid's minors as a verifier of the grid."""
-    return lambda grid: verify(cfdet.minors(grid, cfdet.kron))
+    """A verifier of a stack of grids' minors as a verifier of the stack."""
+    return lambda grids: verify(cfdet.tensor_minors(grids))
 
 
 @check("cf-commute", 1e-9, "determinant-ratio commuting family over the tensor backend",
@@ -278,7 +289,9 @@ def check_delta_family(seed, n, k, seeds) -> float:
 @check("plucker", 1e-10, "3/4/6-term multilinear identities for decomposable forms",
        orders=integers("2,3,4", 2, 4), seeds=count(50))
 def check_plucker(seed, orders, seeds) -> float:
-    return max(cfdet.plucker_check(order, seed + s) for order in orders for s in range(seeds))
+    # each group of seeds is one stack of forms of (2 order)^order entries
+    return max(cfdet.plucker_check(order, *(seed + s for s in group))
+               for order in orders for group in cfdet.seed_groups(seeds, (2 * order) ** order))
 
 
 @check("poisson-hamiltonians", 1e-9, "pairwise brackets of the determinant hamiltonians",

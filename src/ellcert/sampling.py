@@ -48,7 +48,7 @@ def sampled_max(measure: Callable[[ex.Evaluator], object],
     everything measure compares at the drawn points evaluates each node
     object and each distinct theta leaf once.
     measure may return any value: a residual, a constant, a matrix; it may
-    read any drawn value, a tensor grid too, through at.env, and evaluate
+    read any drawn value, a stack of tensor grids too, through at.env, and evaluate
     at points derived from them on evaluators of its own (shiftops'
     sampled products do, at the batch shifted by a factor's monomials).  A
     PoleError raised by measure discards the whole batch with its evaluator,

@@ -1,10 +1,12 @@
 """Cartier-Foata layer: determinants, commuting families, Plucker identities.
 
 Oracles are test-local: brute-force permutation sums over dense site
-elements (a grid's k x k blocks expanded to I x ... x block x ... x I), and
-det-of-pairings for the decomposable forms.
+elements (a grid's k x k blocks expanded to I x ... x block x ... x I), the
+generic recursion with Kronecker products (`kron`), and det-of-pairings for
+the decomposable forms.
 """
 
+import gc
 import itertools
 import operator
 
@@ -14,18 +16,25 @@ from hypothesis import given, settings, strategies as st
 
 from ellcert import sampling
 from ellcert.cfdet import (
+    STACK_ENTRIES,
     TensorBackend,
+    _commuting_residuals,
+    _covectors,
+    _forms,
+    _plucker_residuals,
     _plucker_terms,
+    _triangle_residuals,
     cf_det,
     decomposable_form,
     delta_family,
     form_apply,
-    kron,
     minors,
     plucker_check,
     plucker_residual,
     random_cf_matrix,
     random_delta_grid,
+    seed_groups,
+    tensor_minors,
     verify_commuting_family,
     verify_triangle,
 )
@@ -51,6 +60,12 @@ def perm_sign(perm):
             if perm[i] > perm[j]:
                 sign = -sign
     return sign
+
+
+def kron(x, y):
+    """np.kron of square matrices: as a grid's product, row r is factor r."""
+    a, b = len(x), len(y)
+    return np.multiply.outer(x, y).swapaxes(1, 2).reshape(a * b, a * b)
 
 
 def site_element(n, site, block):
@@ -323,6 +338,121 @@ class TestBackendAxioms:
             assert be.norm(x) == np.linalg.norm(x)
 
 
+def seeds_of(stack_size, seed=42):
+    return range(seed, seed + stack_size)
+
+
+def old_plucker_draws(order, seed):
+    """plucker_check's draws one call per covector matrix and per vector part, as they were made."""
+    rng = np.random.default_rng(seed)
+    d = 2 * order
+    us = rng.normal(size=(order, d)) + 1j * rng.normal(size=(order, d))
+    rng = np.random.default_rng(seed + 10_000)
+    count = {2: 4, 3: 5, 4: 6}[order]
+    return us, [rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(count)]
+
+
+class TestStackedKernels:
+    """The one-matmul-per-level recursion against the generic one, and the one-call draws against per-block draws."""
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3, 4) for k in (2, 3)] + [(4, 4)])
+    def test_tensor_minors_are_the_kron_recursion(self, n, k):
+        seeds = seeds_of(2, seed=n + 10 * k)
+        got = tensor_minors(np.stack([random_cf_matrix(n, k, s) for s in seeds]))
+        assert got.shape == (n + 1, len(seeds), k ** n, k ** n)
+        for slot, s in enumerate(seeds):
+            for i, want in enumerate(minors(random_cf_matrix(n, k, s), kron)):
+                assert np.max(np.abs(got[i, slot] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_unstacked_grid_gives_unstacked_minors(self):
+        grid = random_cf_matrix(2, 3, 5)
+        assert np.array_equal(tensor_minors(grid), tensor_minors(grid[None])[:, 0])
+
+    def test_tensor_minors_reject_wrong_shapes(self):
+        with pytest.raises(ValueError):
+            tensor_minors(np.ones((2, 2, 2, 2)))
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_stacked_forms_are_the_outer_product_recursion(self, order):
+        us = np.stack([_covectors(order, s) for s in seeds_of(3)])
+        got = _forms(us)
+        assert got.shape == (3,) + (2 * order,) * order
+        for slot, u in enumerate(us):
+            want = cf_det([u] * order, np.multiply.outer)
+            assert np.max(np.abs(got[slot] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n,k", [(1, 2), (2, 3), (3, 2), (4, 3)])
+    def test_one_call_draws_are_the_per_block_draws(self, n, k):
+        for s in seeds_of(3):
+            assert np.array_equal(random_cf_matrix(n, k, s), np.array(random_blocks(n, n + 1, k, s)))
+            assert np.array_equal(random_delta_grid(n, k, s), np.array(random_blocks(n + 1, n, k, s)))
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_stacked_plucker_check_is_the_per_seed_one(self, order):
+        # the draws bit for bit, and each form and residual independent of the stack
+        seeds = seeds_of(5)
+        wants = []
+        for s in seeds:
+            us, vectors = old_plucker_draws(order, s)
+            assert np.array_equal(_covectors(order, s), us)
+            wants.append(plucker_residual(order, decomposable_form(order, s), vectors))
+        assert plucker_check(order, *seeds) == max(wants)
+
+
+class TestSeedGroups:
+    """A stack of seeds gives every seed's residual bit for bit as a stack of one."""
+
+    # the benchmark's dense sizes, with as many seeds as it stacks (4x3 holds one seed; two here)
+    CF = [("2x2", 20), ("2x3", 20), ("3x2", 20), ("3x3", 20), ("4x2", 20), ("4x3", 2)]
+
+    @pytest.mark.parametrize("size,count", CF)
+    def test_cf_residuals_do_not_depend_on_the_stack(self, size, count):
+        n, k = map(int, size.split("x"))
+        grids = np.stack([random_cf_matrix(n, k, s) for s in seeds_of(count)])
+        for residuals in (_commuting_residuals, _triangle_residuals):
+            stacked = residuals(tensor_minors(grids))
+            alone = [residuals(tensor_minors(grids[slot:slot + 1]))[0] for slot in range(count)]
+            assert stacked.shape == (count,)
+            assert stacked.tolist() == alone
+
+    @pytest.mark.parametrize("n,k,count", [(3, 2, 20), (4, 3, 2)])
+    def test_delta_family_does_not_depend_on_the_stack(self, n, k, count):
+        fgrids = np.stack([random_delta_grid(n, k, s) for s in seeds_of(count)])
+        stacked = _commuting_residuals(tensor_minors(fgrids.swapaxes(-4, -3)))
+        for slot in range(count):
+            assert delta_family(fgrids[slot:slot + 1]) == stacked[slot]
+
+    @pytest.mark.parametrize("order,count", [(2, 200), (3, 200), (4, 16)])
+    def test_plucker_residuals_do_not_depend_on_the_stack(self, order, count):
+        seeds = seeds_of(count)
+        lam = _forms(np.stack([_covectors(order, s) for s in seeds]))
+        vectors = [np.stack(vs) for vs in zip(*(old_plucker_draws(order, s)[1] for s in seeds))]
+        stacked = _plucker_residuals(order, lam, vectors)
+        alone = [_plucker_residuals(order, lam[slot:slot + 1], [x[slot:slot + 1] for x in vectors])[0]
+                 for slot in range(count)]
+        assert stacked == alone
+
+    def test_group_sizes(self):
+        # the largest stacked array per seed: n+1 minors of k^n x k^n, or a form of (2 order)^order entries
+        assert STACK_ENTRIES == 2 ** 16
+        for n, k in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
+            assert seed_groups(20, (n + 1) * k ** (2 * n)) == [range(0, 20)]
+        assert seed_groups(20, 5 * 3 ** 8) == [range(s, s + 1) for s in range(20)]
+        assert seed_groups(200, 6 ** 3) == [range(0, 200)]
+        assert seed_groups(200, 8 ** 4) == [range(s, min(s + 16, 200)) for s in range(0, 200, 16)]
+        assert seed_groups(0, 1) == []
+
+    def test_plucker_leaves_no_reference_cycle(self):
+        REGISTRY["plucker"]({"orders": "2,3,4", "seeds": 2}, 1)
+        gc.collect()
+        gc.disable()
+        try:
+            REGISTRY["plucker"]({"orders": "2,3,4", "seeds": 20}, 42)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 def with_singular_values(s, seed):
     """U diag(s) V^H with Haar-random complex unitaries U and V."""
     rng = np.random.default_rng(seed)
@@ -357,7 +487,17 @@ class TestInvert:
 
 def two_site_minors(seed):
     """Minors of the grid of 2 x 2 blocks at 2 sites that cf-commute and cf-triangle draw at seed."""
-    return minors(random_cf_matrix(2, 2, seed), kron)
+    return tensor_minors(random_cf_matrix(2, 2, seed))
+
+
+def cf_m0(n, k, seed):
+    """M^0 of the n x (n+1) grid that cf-commute and cf-triangle draw at seed."""
+    return tensor_minors(random_cf_matrix(n, k, seed))[0]
+
+
+def delta_m0(n, k, seed):
+    """Delta_0 of the grid that delta-family draws at seed."""
+    return tensor_minors(np.swapaxes(random_delta_grid(n, k, seed), -4, -3))[0]
 
 
 class TestInvertibilityContract:
@@ -408,11 +548,12 @@ class TestInvertibilityContract:
             REGISTRY[name](self.ONE_GRID[name][0], self.SEED)
         assert len(calls) == 8
 
-    # check -> params of several grids, and the shape of each grid's inverted M^0 in order
+    # check -> params of several grids, and the shape of each inverted stack of M^0 in order:
+    # one stack per group of seeds, one slice per grid
     GRIDS = {
-        "cf-commute": ({"sizes": "2x2;3x2", "seeds": 2}, [(4, 4), (4, 4), (8, 8), (8, 8)]),
-        "cf-triangle": ({"sizes": "2x2;3x2", "seeds": 2}, [(4, 4), (4, 4), (8, 8), (8, 8)]),
-        "delta-family": ({"n": 3, "k": 2, "seeds": 2}, [(8, 8), (8, 8)]),
+        "cf-commute": ({"sizes": "2x2;3x2", "seeds": 2}, [(2, 4, 4), (2, 8, 8)]),
+        "cf-triangle": ({"sizes": "2x2;3x2", "seeds": 2}, [(2, 4, 4), (2, 8, 8)]),
+        "delta-family": ({"n": 3, "k": 2, "seeds": 2}, [(2, 8, 8)]),
     }
 
     @pytest.mark.parametrize("name", GRIDS)
@@ -421,3 +562,54 @@ class TestInvertibilityContract:
         calls = self.patch_invert(monkeypatch, fails=0)
         REGISTRY[name](params, self.SEED)
         assert calls == shapes
+
+    @staticmethod
+    def record_invert(monkeypatch, fails):
+        """Like patch_invert, but records each inverted stack itself."""
+        stacks = []
+        real = TensorBackend.invert
+
+        def invert(self, x):
+            stacks.append(x)
+            if len(stacks) <= fails:
+                raise PoleError("planted")
+            return real(self, x)
+
+        monkeypatch.setattr(TensorBackend, "invert", invert)
+        return stacks
+
+    # check -> (params, n, k) of one group of two seeds, of two groups of one seed (4 sites of
+    # 3 x 3 blocks), M^0 of the grid drawn at (n, k, seed), and the residual of that grid
+    TWO_SEEDS = {
+        "cf-commute": ({"sizes": "2x2", "seeds": 2}, {"sizes": "4x3", "seeds": 2}, cf_m0,
+                       lambda n, k, s: verify_commuting_family(tensor_minors(random_cf_matrix(n, k, s)))),
+        "cf-triangle": ({"sizes": "2x2", "seeds": 2}, {"sizes": "4x3", "seeds": 2}, cf_m0,
+                        lambda n, k, s: verify_triangle(tensor_minors(random_cf_matrix(n, k, s)))),
+        "delta-family": ({"n": 2, "k": 2, "seeds": 2}, {"n": 4, "k": 3, "seeds": 2}, delta_m0,
+                         lambda n, k, s: delta_family(random_delta_grid(n, k, s))),
+    }
+
+    @pytest.mark.parametrize("name", TWO_SEEDS)
+    def test_pole_in_a_group_of_two_redraws_both(self, monkeypatch, name):
+        params, _, m0, residual = self.TWO_SEEDS[name]
+        bumped = self.SEED + sampling._RETRY_STRIDE
+        want = max(residual(2, 2, bumped), residual(2, 2, bumped + 1))
+        stacks = self.record_invert(monkeypatch, fails=1)
+        assert REGISTRY[name](params, self.SEED) == want
+        drawn = [[self.SEED, self.SEED + 1], [bumped, bumped + 1]]
+        assert len(stacks) == len(drawn)
+        for stack, seeds in zip(stacks, drawn):
+            assert np.array_equal(stack, np.stack([m0(2, 2, s) for s in seeds]))
+
+    @pytest.mark.parametrize("name", TWO_SEEDS)
+    def test_pole_in_a_group_of_one_redraws_that_seed(self, monkeypatch, name):
+        # as with one seed: the poled grid is redrawn, the next seed is drawn as it is
+        _, params, m0, residual = self.TWO_SEEDS[name]
+        bumped = self.SEED + sampling._RETRY_STRIDE
+        want = max(residual(4, 3, bumped), residual(4, 3, self.SEED + 1))
+        stacks = self.record_invert(monkeypatch, fails=1)
+        assert REGISTRY[name](params, self.SEED) == want
+        drawn = [self.SEED, bumped, self.SEED + 1]
+        assert len(stacks) == len(drawn)
+        for stack, s in zip(stacks, drawn):
+            assert np.array_equal(stack, m0(4, 3, s)[None])
