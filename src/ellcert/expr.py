@@ -15,6 +15,15 @@ evaluates, and an interior node's value by identity.  Before it evaluates a
 batch of trees, it evaluates their new theta leaves with one theta call per
 family (kind, order, index, derivative), the arguments stacked.
 
+A set of trees evaluated on many batches is compiled once into a `Plan`,
+which evaluates a batch with one numpy op per group of like nodes instead
+of one per node, every value bit for bit the walk's.  Only cached trees get
+one (poisson's hamiltonian ratio-brackets, reused by every seed).  Trees
+evaluated once keep the recursive walk: compiling the n = 4 hamiltonian set
+costs about one walk of it (2.9 against 2.6 ms), and compiling every
+`values` call made an in-process run of the `shift` workload take 1.4 to 2
+times as long.
+
 A node caches its derivative by each variable, as it caches its key and
 hash, so a subtree is differentiated once however many derivatives contain
 it.  The cache is per node, not a global table, so what the process built
@@ -359,6 +368,9 @@ def nonpole(den, what: str):
     return den
 
 
+_DENOMINATOR_POLE = "denominator magnitude below pole guard"
+
+
 class Quotient(MeroExpr):
     __slots__ = ("num", "den")
 
@@ -371,7 +383,7 @@ class Quotient(MeroExpr):
 
     def _eval(self, ev):
         nv = ev._value(self.num)
-        return nv / nonpole(ev._value(self.den), "denominator magnitude below pole guard")
+        return nv / nonpole(ev._value(self.den), _DENOMINATOR_POLE)
 
     def _diff(self, var):
         dn = self.num._derivative(var)
@@ -584,6 +596,11 @@ class Evaluator:
     array-valued arguments stacked.  Evaluate everything compared on one
     batch through one evaluator; a batch that raises PoleError is dropped
     with its evaluator.
+
+    `values(plan)` evaluates a compiled `Plan` instead of walking the
+    trees: the caller chooses it for trees it keeps across batches, since
+    a compile costs about one walk of the same trees and pays off from the
+    second batch on.  Trees built for one batch are walked.
     """
 
     __slots__ = ("env", "ctx", "_memo", "_leaves")
@@ -602,7 +619,10 @@ class Evaluator:
 
     def values(self, roots) -> list:
         """[self(root) for root in roots], each root evaluated and checked in
-        turn, after one stacked theta call per family of their new leaves."""
+        turn, after one stacked theta call per family of their new leaves.
+        Given a `Plan`, the plan evaluates its roots (`Plan.values`)."""
+        if isinstance(roots, Plan):
+            return roots.values(self)
         roots = list(roots)
         out = []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -659,6 +679,187 @@ class Evaluator:
         if entry is None:
             entry = self._memo[id(node)] = (node, node._eval(self))
         return entry[1]
+
+    def kept(self, obj, value_of):
+        """value_of(self), computed once per evaluator and kept by obj's
+        identity as an interior node's value is: for a value built from
+        nodes, such as a ring element's."""
+        entry = self._memo.get(id(obj))
+        if entry is None:
+            entry = self._memo[id(obj)] = (obj, value_of(self))
+        return entry[1]
+
+
+class Plan:
+    """A fixed set of trees compiled once, to be evaluated on many batches.
+
+    `Evaluator.values(plan)` returns the values of `plan.roots` on the
+    evaluator's batch, and the evaluator keeps each by identity.  The plan
+    walks the trees once, in post-order, and gives each distinct node (a
+    theta leaf by key, any other node by identity, as an evaluator keeps
+    them) a row of one array per batch:
+
+    - the theta leaves of a family (kind, order, index, derivative) whose
+      arguments vary fill their rows from one stacked theta call;
+    - a constant's row is filled from the plan, and the row of any other
+      leaf, or of a subtree free of variables, from the evaluator;
+    - the other nodes are grouped by (height, node type, arity, power), and
+      a group is one numpy op per operand over rows gathered for all of its
+      nodes: 27 groups for the 1,083 nodes of the n = 4 hamiltonians.
+
+    A group applies its node type's binary ops in the order `_eval` does,
+    element by element, so every value keeps its bits.  A sum or product
+    whose first two operands are both free of variables is left to the
+    evaluator, which folds them in scalar arithmetic.
+
+    Errors, in this order: a quotient group with a denominator below the
+    pole guard raises PoleError (`nonpole`) at once, so a pole anywhere in
+    the set comes before any overflow and the batch is redrawn; then a theta
+    leaf that overflowed, and a non-finite root, raise
+    EvaluationOverflowError.  When a family's stacked theta call overflows,
+    its leaves are evaluated one by one, and a leaf that overflows alone
+    reads NaN until the pole tests have run.  Rows read from the evaluator
+    raise as the walk does, before any group runs.
+
+    The plan evaluates assignments of arrays of one shape to its variables;
+    any other assignment takes the evaluator's recursive walk.
+    """
+
+    __slots__ = ("roots", "_names", "_scalar_roots", "_families", "_consts", "_evaluated",
+                 "_groups", "_root_rows", "_size")
+
+    def __init__(self, roots):
+        self.roots = tuple(roots)
+        level: dict = {}  # id(node) -> -1 if free of variables, else its height over the leaves
+        thetas: dict = {}  # id(varying theta leaf) -> its leaf key
+        families: dict = {}  # (kind, order, index, deriv) -> {leaf key: argument}
+        inputs: dict = {}  # id(node) -> a leaf, or a subtree free of variables, read as it is
+        groups: dict = {}  # (height, node type, arity, power) -> [(id(node), operands)]
+        names: set = set()  # the variables of the varying leaves
+
+        def visit(node):
+            i = id(node)
+            if i in level:
+                return level[i]
+            kind = type(node)
+            if kind is Const:
+                height = -1
+            elif kind is Var:
+                height = 0
+                names.add(node.name)
+                inputs[i] = node
+            elif kind is Theta or kind is ExpLin:
+                height = 0 if node.arg.coeffs else -1
+                if height == 0:
+                    names.update(node.arg.coeffs)
+                    if kind is ExpLin:
+                        inputs[i] = node
+                    else:
+                        key = thetas[i] = node._leaf_key()
+                        families.setdefault(key[:4], {})[key] = node.arg
+            else:
+                ops = node._children()
+                heights = [visit(op) for op in ops]
+                height = max(heights) + 1 if max(heights) >= 0 else -1
+                if height > 0 and kind in (Sum, Product) and len(ops) > 1 and max(heights[:2]) < 0:
+                    height = 0  # _eval folds two leading scalars in scalar arithmetic: walk it
+                    inputs[i] = node
+                elif height > 0:
+                    inputs.update((id(op), op) for op, h in zip(ops, heights) if h < 0)
+                    power = node.power if kind is IntPow else None
+                    groups.setdefault((height, kind, len(ops), power), []).append((i, ops))
+            level[i] = height
+            return height
+
+        for root in self.roots:
+            if visit(root) < 0:
+                inputs[id(root)] = root
+        self._names = tuple(sorted(names))
+        self._scalar_roots = [k for k, root in enumerate(self.roots) if level[id(root)] < 0]
+
+        rows: dict = {}  # leaf key of a varying theta, or id(node) -> row
+        size = 0
+        self._families = []
+        for family, args in families.items():
+            self._families.append((family, size, tuple(args.values())))
+            rows.update({key: size + k for k, key in enumerate(args)})
+            size += len(args)
+        rows.update((i, rows[key]) for i, key in thetas.items())
+        consts: dict = {}  # constants equal to the bit share a row
+        for i, node in inputs.items():
+            if type(node) is Const:
+                bits = (node.value.real.hex(), node.value.imag.hex())
+                rows[i] = consts.setdefault(bits, (size + len(consts), node.value))[0]
+        self._consts = (size, np.array([value for _, value in consts.values()], dtype=complex))
+        size += len(consts)
+        evaluated = [node for node in inputs.values() if type(node) is not Const]
+        self._evaluated = [(size + k, node) for k, node in enumerate(evaluated)]
+        rows.update((id(node), row) for row, node in self._evaluated)
+        size += len(evaluated)
+
+        self._groups = []
+        for (_, kind, arity, power), members in sorted(groups.items(), key=lambda item: item[0][0]):
+            rows.update({i: size + k for k, (i, _) in enumerate(members)})
+            gather = np.array([[rows[id(op)] for op in ops] for _, ops in members], dtype=np.intp)
+            self._groups.append((kind, tuple(gather.T.copy()), size, size + len(members), power))
+            size += len(members)
+        self._root_rows = np.array([rows[id(root)] for root in self.roots], dtype=np.intp)
+        self._size = size
+
+    def values(self, ev: "Evaluator") -> list:
+        """The roots' values at ev's assignment, kept in ev by identity."""
+        try:
+            shapes = {np.shape(ev.env[name]) for name in self._names}
+        except KeyError as err:
+            raise UnboundVariableError(f"no value bound for variable {err.args[0]!r}") from None
+        if len(shapes) != 1 or () in shapes:
+            return ev.values(list(self.roots))
+        (shape,) = shapes
+        rows = np.empty((self._size,) + shape, dtype=complex)
+        overflow = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (kind, order, index, deriv), start, args in self._families:
+                zs = [arg.value(ev.env) for arg in args]
+                try:
+                    stacked = _theta.theta_value(kind, np.stack(zs).ravel(), ev.ctx,
+                                                 order=order, index=index, deriv=deriv)
+                    rows[start:start + len(zs)] = stacked.reshape((len(zs),) + shape)
+                except EvaluationOverflowError:
+                    for i, z in enumerate(zs):
+                        try:
+                            rows[start + i] = _theta.theta_value(kind, z, ev.ctx, order=order,
+                                                                 index=index, deriv=deriv)
+                        except EvaluationOverflowError as err:
+                            rows[start + i] = np.nan
+                            overflow = overflow or err
+            for row, node in self._evaluated:
+                rows[row] = ev._value(node)
+            start, consts = self._consts
+            rows[start:start + len(consts)] = consts.reshape((-1,) + (1,) * len(shape))
+            for kind, gather, start, stop, power in self._groups:
+                args = [rows[g] for g in gather]
+                if kind is Quotient:
+                    value = args[0] / nonpole(args[1], _DENOMINATOR_POLE)
+                elif kind is Neg:
+                    value = -args[0]
+                elif kind is IntPow:
+                    value = args[0] ** power
+                else:  # the left fold of Sum._eval and Product._eval
+                    value = args[0]
+                    for arg in args[1:]:
+                        value = value + arg if kind is Sum else value * arg
+                rows[start:stop] = value
+            if overflow is not None:
+                raise overflow
+            out = rows[self._root_rows]
+            if not np.all(np.isfinite(out)):
+                raise EvaluationOverflowError("expression evaluation produced a non-finite value")
+        out = list(out)
+        for i in self._scalar_roots:  # a scalar, as the recursive walk returns it
+            out[i] = ev._value(self.roots[i])
+        for root, value in zip(self.roots, out):
+            ev._memo[id(root)] = (root, value)
+        return out
 
 
 def evaluate(expr: MeroExpr, assignment: Mapping, ctx: ThetaContext):

@@ -44,10 +44,13 @@ class PoissonElement(TermMap):
 
     def evaluate(self, at: ex.Evaluator):
         """Value at a point of the phase space, or a batch of them: the
-        evaluator's assignment binds variables and generators."""
+        evaluator's assignment binds variables and generators.  The
+        evaluator keeps the value by the element's identity (`Evaluator.kept`)."""
+        return at.kept(self, self._evaluate)
+
+    def _evaluate(self, at: ex.Evaluator):
         total = 0
-        for mi, coeff in self.terms.items():
-            v = at(coeff)
+        for mi, v in zip(self.terms, at.values(self.terms.values())):
             for gi, e in enumerate(mi):
                 if e:
                     v = v * at.env[self.algebra.gen_names[gi]] ** e
@@ -120,19 +123,23 @@ class RatioBracket:
         value, terms = self.residual_at(at)
         return rel_residual(value, *terms)
 
+    def elements(self):
+        """The eight elements it evaluates: f, h, g, k and the four inner brackets."""
+        return self.f, self.h, self.g, self.k, self.b_fg, self.b_hg, self.b_fk, self.b_hk
+
     def residual_at(self, at: ex.Evaluator):
         """(value, its four terms), vectorized over array-valued assignments."""
         hv = np.asarray(self.h.evaluate(at))
         kv = np.asarray(self.k.evaluate(at))
         pole = "ratio denominator vanishes at a sample point"
         hk = ex.nonpole(hv, pole) * ex.nonpole(kv, pole)
-        fv = self.f.evaluate(at)
-        gv = self.g.evaluate(at)
+        fh = self.f.evaluate(at) / hv
+        gk = self.g.evaluate(at) / kv
         terms = [
             self.b_fg.evaluate(at) / hk,
-            -(fv / hv) * self.b_hg.evaluate(at) / hk,
-            -(gv / kv) * self.b_fk.evaluate(at) / hk,
-            (fv / hv) * (gv / kv) * self.b_hk.evaluate(at) / hk,
+            -fh * self.b_hg.evaluate(at) / hk,
+            -gk * self.b_fk.evaluate(at) / hk,
+            fh * gk * self.b_hk.evaluate(at) / hk,
         ]
         return sum(terms), terms
 
@@ -156,17 +163,20 @@ def classical_delta_elements(n: int, ctx: ThetaContext):
 
 
 def _phase_space_points(alg, count, seed):
-    """Seeded z-points from the sampling box plus nonzero generator values, stacked."""
+    """Seeded z-points from the sampling box plus nonzero generator values, stacked.
+
+    A generator value is a pair (re, im) of rng.random() - 0.5, redrawn
+    until |value| > 0.1, point by point and generator by generator within a
+    point: the stream is drawn in bulk and the accepted pairs taken in order.
+    """
     env = box(count, alg.var_names, alg.ctx)(seed)
     rng = np.random.default_rng(seed + 0x9E3779B9)
-    values = np.empty((len(alg.gen_names), count), dtype=complex)
-    for p, gi in np.ndindex(count, len(alg.gen_names)):  # point by point, as the stream was always drawn
-        while True:
-            val = complex(rng.random() - 0.5, rng.random() - 0.5)
-            if abs(val) > 0.1:
-                break
-        values[gi, p] = val
-    env.update(zip(alg.gen_names, values))
+    need = count * len(alg.gen_names)
+    accepted = np.empty(0, dtype=complex)
+    while accepted.size < need:  # about 3% of pairs are rejected
+        pairs = (rng.random((need - accepted.size + 8, 2)) - 0.5).view(complex).ravel()
+        accepted = np.concatenate([accepted, pairs[np.abs(pairs) > 0.1]])
+    env.update(zip(alg.gen_names, np.ascontiguousarray(accepted[:need].reshape(count, -1).T)))
     return env
 
 
@@ -181,12 +191,27 @@ def _hamiltonian_brackets(n: int, ctx: ThetaContext):
     return alg, tuple(brackets)
 
 
+@functools.lru_cache(maxsize=16)
+def _hamiltonian_plan(n: int, ctx: ThetaContext) -> ex.Plan:
+    """The compiled plan (expr.Plan) of every coefficient tree the cached
+    ratio-brackets evaluate: each distinct element's terms, once."""
+    _, brackets = _hamiltonian_brackets(n, ctx)
+    elements = {id(e): e for rb in brackets for e in rb.elements()}
+    return ex.Plan(c for e in elements.values() for c in e.terms.values())
+
+
 def classical_hamiltonians(n: int, ctx: ThetaContext, seed: int = 0, points: int = 20) -> float:
     """Max pairwise |{H_i, H_j}| residual for H_i = Delta_i / Delta_0 over all
-    the points; a batch where a bracket poles is redrawn."""
+    the points; a batch where a bracket poles is redrawn.  The cached trees
+    are evaluated through their plan, which every seed of n reuses."""
     alg, brackets = _hamiltonian_brackets(n, ctx)
-    return sampled_max(lambda at: max(rb.residual_batch(at) for rb in brackets),
-                       functools.partial(_phase_space_points, alg, points), seed, alg.ctx)
+    plan = _hamiltonian_plan(n, ctx)
+
+    def measure(at):
+        at.values(plan)
+        return max(rb.residual_batch(at) for rb in brackets)
+
+    return sampled_max(measure, functools.partial(_phase_space_points, alg, points), seed, alg.ctx)
 
 
 def _jacobi_delta_terms(n: int, ctx: ThetaContext, ijk):

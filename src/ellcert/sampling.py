@@ -21,8 +21,8 @@ _RETRY_BATCHES = 8
 _RETRY_STRIDE = 7919
 
 
-def sample_points(count: int, var_names: Sequence[str], seed: int, ctx: ThetaContext) -> list[dict]:
-    """Return `count` assignments of var_names to seeded box points."""
+def box_rows(count: int, var_names: Sequence[str], seed: int, ctx: ThetaContext) -> np.ndarray:
+    """`count` seeded box points as the rows of a (count, len(var_names)) array."""
     if count < 1 or len(var_names) < 1:
         raise ValueError("count and dimension must be >= 1")
     rng = np.random.default_rng(seed)
@@ -30,12 +30,18 @@ def sample_points(count: int, var_names: Sequence[str], seed: int, ctx: ThetaCon
     shape = (max(4 * count, 16), len(var_names))
     re = rng.random(shape)
     im = rng.random(shape) * ctx.tau.imag
-    return [dict(zip(var_names, (complex(v) for v in row))) for row in (re + 1j * im)[:count]]
+    return (re + 1j * im)[:count]
+
+
+def sample_points(count: int, var_names: Sequence[str], seed: int, ctx: ThetaContext) -> list[dict]:
+    """Return `count` assignments of var_names to seeded box points."""
+    return [dict(zip(var_names, (complex(v) for v in row))) for row in box_rows(count, var_names, seed, ctx)]
 
 
 def box(count: int, var_names: Sequence[str], ctx: ThetaContext) -> Callable[[int], dict]:
-    """The draw of `count` seeded box points, stacked: batch seed -> {name: array}."""
-    return lambda seed: stack_assignments(sample_points(count, var_names, seed, ctx))
+    """The draw of `count` seeded box points, stacked: batch seed -> {name: array},
+    each array a column of `box_rows`."""
+    return lambda seed: dict(zip(var_names, np.ascontiguousarray(box_rows(count, var_names, seed, ctx).T)))
 
 
 def sampled_max(measure: Callable[[ex.Evaluator], object],

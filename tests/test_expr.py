@@ -267,6 +267,15 @@ class TestSampling:
         rows = (re + 1j * (im * CTX.tau.imag))[:count]
         assert sample_points(count, names, 17, CTX) == [dict(zip(names, map(complex, r))) for r in rows]
 
+    @pytest.mark.parametrize("count", [1, 5, 20])
+    def test_box_stacks_the_sampled_points(self, count):
+        names = ["z1", "z2", "z3"]
+        for seed in range(10):
+            drawn = box(count, names, CTX)(seed)
+            stacked = stack_assignments(sample_points(count, names, seed, CTX))
+            assert list(drawn) == names and all(drawn[n].flags.c_contiguous for n in names)
+            assert _bits(drawn.values()) == _bits(stacked.values())
+
     def test_identically_poled_measure_raises_after_every_batch(self):
         # a degenerate input ends in an error, never in a residual
         poled = ex.quot(1, ex.theta1_of(0))
@@ -378,3 +387,105 @@ class TestEvaluator:
         with pytest.raises(EvaluationOverflowError):
             sampled_max(lambda at: batches.append(at) or at(leaf + ex.quot(1, ex.var("p"))), draw, 0, CTX)
         assert len(batches) == 3
+
+
+def _bits(values):
+    return [(type(v), np.shape(v), np.asarray(v).tobytes()) for v in values]
+
+
+class TestPlan:
+    NAMES = ["z", "w"]
+
+    def batch(self, seed=3, count=12):
+        return box(count, self.NAMES, CTX)(seed)
+
+    def test_random_trees_keep_their_bits(self):
+        rng = np.random.default_rng(29)
+        trees = [_random_tree(rng, depth=rng.integers(1, 6)) for _ in range(60)]
+        shared = trees[0] * trees[1]
+        c = ex.theta1_of(0.3 + 0.1j)  # free of variables: evaluated as a scalar
+        trees += [shared, shared + trees[2], ex.const(2) * c * ex.var("z"),  # two leading scalars
+                  ex.add(c, ex.const(1), ex.var("w")), c, ex.const(3), ex.mul(ex.var("z"))]
+        plan = ex.Plan(trees)
+        for seed in (3, 4, 5):
+            env = self.batch(seed)
+            assert _bits(ex.Evaluator(env, CTX).values(plan)) == _bits(ex.Evaluator(env, CTX).values(trees))
+
+    def test_one_op_group_per_height_type_and_arity(self):
+        z, w = ex.theta1_of("z"), ex.theta1_of("w")
+        plan = ex.Plan([z * w, w * z, z * w * z, ex.quot(z, w) + z])
+        assert [(kind.__name__, len(gather), stop - start) for kind, gather, start, stop, _ in plan._groups] \
+            == [("Product", 2, 2), ("Product", 3, 1), ("Quotient", 2, 1), ("Sum", 2, 1)]
+
+    def test_roots_are_kept_by_the_evaluator(self):
+        roots = [ex.theta1_of("z") * ex.var("w"), ex.const(2)]
+        at = ex.Evaluator(self.batch(), CTX)
+        values = at.values(ex.Plan(roots))
+        assert at(roots[0]) is values[0] and values[1] == 2
+
+    def test_scalar_assignment_takes_the_recursive_walk(self):
+        roots = [ex.theta1_of("z") * ex.var("w"), ex.quot(1, ex.theta_odd_of("w"))]
+        env = {"z": 0.3 + 0.2j, "w": 0.6 + 0.1j}
+        walked = ex.Evaluator(env, CTX).values(roots)
+        assert _bits(ex.Evaluator(env, CTX).values(ex.Plan(roots))) == _bits(walked)
+
+    def test_unbound_variable_raises(self):
+        with pytest.raises(UnboundVariableError):
+            ex.Evaluator({"z": np.ones(3)}, CTX).values(ex.Plan([ex.var("z") * ex.theta1_of("w")]))
+
+    def test_planted_pole_redraws_the_batch(self):
+        plan = ex.Plan([ex.theta_odd_of("w"), ex.quot(1, ex.theta1_of("z")) * ex.var("w")])
+        seeds = []
+
+        def draw(seed):
+            seeds.append(seed)
+            env = self.batch(seed)
+            if seed == 0:
+                env["z"][5] = 1.0  # theta1 vanishes exactly at 1
+            return env
+
+        with pytest.raises(PoleError):
+            ex.Evaluator(draw(0), CTX).values(plan)
+        seeds.clear()
+        value = sampled_max(lambda at: at.values(plan)[1], draw, 0, CTX)
+        assert seeds == [0, 7919]
+        assert value.tobytes() == ex.Evaluator(draw(7919), CTX).values(list(plan.roots))[1].tobytes()
+
+    def test_non_finite_root_raises_unless_a_pole_comes_first(self):
+        huge = ex.exp2pii(ex.aff((-200j, "z"))) * ex.theta1_of("z")  # exp(400*pi*Re z) overflows
+        pole = ex.quot(1, ex.var("w"))
+        env = self.batch()
+        with pytest.raises(EvaluationOverflowError):
+            ex.Evaluator(env, CTX).values(ex.Plan([huge, pole]))
+        env["w"][0] = 0
+        with pytest.raises(PoleError):  # the plan tests every pole before any root
+            ex.Evaluator(env, CTX).values(ex.Plan([huge, pole]))
+        with pytest.raises(EvaluationOverflowError):  # the walk checks huge before it reaches the pole
+            ex.Evaluator(env, CTX).values([huge, pole])
+
+    def test_overflowing_family_is_evaluated_leaf_by_leaf(self, monkeypatch):
+        real = theta_module.theta_value
+        sizes = []
+
+        def refuse_stacks(kind, z, ctx, **kw):
+            sizes.append(np.size(z))
+            if np.size(z) > 12:
+                raise EvaluationOverflowError("a stacked call")
+            return real(kind, z, ctx, **kw)
+
+        roots = [ex.theta1_of("z") + ex.theta1_of("w"), ex.theta1_of(ex.aff("z", const=0.1)) * ex.var("w")]
+        env = self.batch()
+        expected = ex.Evaluator(env, CTX).values(roots)
+        monkeypatch.setattr(theta_module, "theta_value", refuse_stacks)
+        assert _bits(ex.Evaluator(env, CTX).values(ex.Plan(roots))) == _bits(expected)
+        assert sizes == [36, 12, 12, 12]
+
+    def test_leaf_that_overflows_alone_raises_after_the_pole_tests(self):
+        far = ex.theta1_of(ex.aff("z", const=70 * CTX.tau))  # more than 64 lattice steps
+        roots = [ex.theta1_of("z") * far, ex.quot(1, ex.var("w"))]
+        env = self.batch()
+        with pytest.raises(EvaluationOverflowError):
+            ex.Evaluator(env, CTX).values(ex.Plan(roots))
+        env["w"][0] = 0
+        with pytest.raises(PoleError):
+            ex.Evaluator(env, CTX).values(ex.Plan(roots))

@@ -201,6 +201,51 @@ class TestHamiltonians:
         assert len(built) == len({(id(a), id(b)) for a, b in built}) == 13
         assert len({id(rb.b_hk) for rb in brackets}) == 1 and len(brackets) == 6
 
+    @pytest.mark.parametrize("seed", [42, 7, 2026])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_plan_keeps_the_recursive_bits(self, n, seed):
+        alg, _ = poisson._hamiltonian_brackets(n, CTX)
+        plan = poisson._hamiltonian_plan(n, CTX)
+        env = poisson._phase_space_points(alg, 20, seed)
+        planned = ex.Evaluator(env, CTX).values(plan)
+        walked = ex.Evaluator(env, CTX).values(list(plan.roots))
+        assert [v.tobytes() for v in planned] == [np.asarray(v).tobytes() for v in walked]
+
+    def test_batch_evaluates_each_distinct_element_once(self, monkeypatch):
+        alg, brackets = poisson._hamiltonian_brackets(4, CTX)
+        plan = poisson._hamiltonian_plan(4, CTX)
+        elements = {id(e): e for rb in brackets for e in rb.elements()}
+        # 6 ratio brackets of 8 elements: 48 evaluations, 144 coefficients, of 18 elements with 77
+        assert len(brackets) * 8 == 48 and len(elements) == 18
+        coefficients = []
+        real = ex.Evaluator.values
+        monkeypatch.setattr(ex.Evaluator, "values", lambda at, roots: coefficients.extend(
+            [] if isinstance(roots, ex.Plan) else list(roots)) or real(at, roots))
+        at = ex.Evaluator(poisson._phase_space_points(alg, 20, 42), CTX)
+        at.values(plan)
+        for rb in brackets:
+            rb.residual_batch(at)
+        assert len(coefficients) == sum(len(e.terms) for e in elements.values()) == len(plan.roots) == 77
+
+    def test_phase_space_draw_is_the_scalar_loop_stream(self):
+        def scalar_loop(alg, count, seed):  # the generator draw before it was made in bulk
+            rng = np.random.default_rng(seed + 0x9E3779B9)
+            values = np.empty((len(alg.gen_names), count), dtype=complex)
+            for p, gi in np.ndindex(count, len(alg.gen_names)):
+                while True:
+                    val = complex(rng.random() - 0.5, rng.random() - 0.5)
+                    if abs(val) > 0.1:
+                        break
+                values[gi, p] = val
+            return values
+
+        for n in (2, 3, 4):
+            alg, _ = classical_delta_elements(n, CTX)
+            for seed in range(50):
+                env = poisson._phase_space_points(alg, 20, seed)
+                drawn = np.array([env[g] for g in alg.gen_names])
+                assert drawn.tobytes() == scalar_loop(alg, 20, seed).tobytes()
+
 
 def theta_leaves(trees):
     """The distinct theta nodes reachable from the trees."""
