@@ -103,27 +103,24 @@ def random_cf_matrix(n: int, k: int, seed: int) -> np.ndarray:
     return _random_blocks(n, n + 1, k, seed)
 
 
-def _column_sets(grid, mul) -> dict:
-    """D[S] for every set S of len(grid) columns, keyed by S in increasing order.
+def _column_sets(grid, mul) -> list:
+    """D[S] for every set S of len(grid) columns, the sets in lexicographic order.
 
     D[S] is the determinant of the rows 0..|S|-1 on the columns S, expanded
     along its last row:  D[S] = sum_{c in S} (-1)^#{c' in S: c' > c}
-    D[S - c] * grid[|S|-1][c], the products by mul(x, y).  Every product
-    keeps the row order, so the value is the fixed-row-order permutation sum,
-    exact over any ring.
+    D[S - c] * grid[|S|-1][c], the products by mul(x, y), the terms and
+    signs those of `_level_pattern`.  Every product keeps the row order, so
+    the value is the fixed-row-order permutation sum, exact over any ring.
     """
     width = len(grid[0])
-    level = {(c,): grid[0][c] for c in range(width)}
+    level = list(grid[0])
     for r in range(1, len(grid)):
-        nxt = {}
-        for cols in itertools.combinations(range(width), r + 1):
-            total = None
-            for pos, c in enumerate(cols):
-                term = mul(level[cols[:pos] + cols[pos + 1:]], grid[r][c])
-                if (r - pos) % 2:
-                    term = -term
-                total = term if total is None else total + term
-            nxt[cols] = total
+        nxt = [None] * math.comb(width, r + 1)
+        for t, u, c, sign in zip(*(a.ravel().tolist() for a in _level_pattern(width, r))):
+            term = mul(level[t], grid[r][c])
+            if sign < 0:
+                term = -term
+            nxt[u] = term if nxt[u] is None else nxt[u] + term
         level = nxt
     return level
 
@@ -132,7 +129,7 @@ def cf_det(grid, mul):
     """Determinant of a square grid with products mul(x, y) taken in row order."""
     if any(len(row) != len(grid) for row in grid):
         raise ValueError("cf_det needs a square grid")
-    (det,) = _column_sets(grid, mul).values()
+    (det,) = _column_sets(grid, mul)
     return det
 
 
@@ -145,7 +142,7 @@ def minors(grid, mul) -> list:
     if any(len(row) != len(grid) + 1 for row in grid):
         raise ValueError("minors needs an n x (n+1) grid")
     # the n-sets come in lexicographic order, the one without column i i-th from the end
-    return list(_column_sets(grid, mul).values())[::-1]
+    return _column_sets(grid, mul)[::-1]
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,11 +18,12 @@ family (kind, order, index, derivative), the arguments stacked.
 A set of trees evaluated on many batches is compiled once into a `Plan`,
 which evaluates a batch with one numpy op per group of like nodes instead
 of one per node, every value bit for bit the walk's.  Only cached trees get
-one (poisson's hamiltonian ratio-brackets, reused by every seed).  Trees
-evaluated once keep the recursive walk: compiling the n = 4 hamiltonian set
-costs about one walk of it (2.9 against 2.6 ms), and compiling every
-`values` call made an in-process run of the `shift` workload take 1.4 to 2
-times as long.
+one (the elements of poisson's hamiltonian ratio-brackets, reused by every
+seed).  Trees evaluated once keep the recursive walk: compiling the n = 4
+hamiltonian elements costs a little more than one walk of them (3.4
+against 2.5 ms), and compiling every `values` call made an in-process run
+of the `shift` workload take 1.4 to 2 times as long.  Walk and plan share
+the theta-family routine and `Evaluator.values`' error order.
 
 A node caches its derivative by each variable, as it caches its key and
 hash, so a subtree is differentiated once however many derivatives contain
@@ -269,8 +270,7 @@ class Theta(MeroExpr):
         key = self._leaf_key()
         value = ev._leaves.get(key)
         if value is None:
-            value = ev._leaves[key] = _theta.theta_value(self.kind, self.arg.value(ev.env), ev.ctx,
-                                                         order=self.order, index=self.index, deriv=self.deriv)
+            value = ev._leaves[key] = ev._theta(key[:4], self.arg.value(ev.env))
         return value
 
     def _diff(self, var):
@@ -590,59 +590,66 @@ class Evaluator:
     derivative and argument), so equal leaves of different trees share one
     evaluation.  Any other node is kept by identity, together with the node
     so that its id is not reused: a subtree shared as an object, such as a
-    cached derivative, costs one evaluation, and every other node evaluates
-    as it is written.  `values` evaluates the new theta leaves of its trees
-    with one theta call per family (kind, order, index, derivative), their
-    array-valued arguments stacked.  Evaluate everything compared on one
-    batch through one evaluator; a batch that raises PoleError is dropped
-    with its evaluator.
+    cached derivative or a ring element's tree, costs one evaluation, and
+    every other node evaluates as it is written.  The theta leaves of one
+    family (kind, order, index, derivative) with array-valued arguments are
+    evaluated together (`_theta_family`).  Evaluate everything compared on
+    one batch through one evaluator; a batch that raises PoleError is
+    dropped with its evaluator.
 
-    `values(plan)` evaluates a compiled `Plan` instead of walking the
-    trees: the caller chooses it for trees it keeps across batches, since
-    a compile costs about one walk of the same trees and pays off from the
-    second batch on.  Trees built for one batch are walked.
+    `values` takes trees, which it walks, or a compiled `Plan`, which
+    evaluates them a group of like nodes at a time: the caller chooses a
+    plan for trees it keeps across batches, since a compile costs about one
+    walk of the same trees and pays off from the second batch on.  Both
+    give the same bits and raise the same errors.
     """
 
-    __slots__ = ("env", "ctx", "_memo", "_leaves")
+    __slots__ = ("env", "ctx", "_memo", "_leaves", "_overflow")
 
     def __init__(self, env: Mapping, ctx: ThetaContext):
         self.env = env
         self.ctx = ctx
         self._memo: dict = {}  # id(node) -> (node, value)
         self._leaves: dict = {}  # Theta._leaf_key() -> value
+        self._overflow = None  # the first theta overflow of the running `values` call
 
     def __call__(self, expr: MeroExpr):
-        """Value of expr.  Quotient nodes whose denominator falls below
-        the pole guard raise PoleError (`nonpole`), and a non-finite value
-        (an overflow in some node) raises EvaluationOverflowError."""
+        """Value of expr, raising as `values` does."""
         return self.values((expr,))[0]
 
     def values(self, roots) -> list:
-        """[self(root) for root in roots], each root evaluated and checked in
-        turn, after one stacked theta call per family of their new leaves.
-        Given a `Plan`, the plan evaluates its roots (`Plan.values`)."""
-        if isinstance(roots, Plan):
-            return roots.values(self)
-        roots = list(roots)
-        out = []
+        """[value of root for root in roots], roots a sequence of trees or a `Plan`.
+
+        Errors, in this order, whichever way the roots are evaluated: a
+        quotient whose denominator falls below the pole guard raises
+        PoleError (`nonpole`) at once, so a pole anywhere under the roots
+        comes before any overflow and the batch is redrawn.  A theta leaf
+        that overflows reads NaN until every root is evaluated, and then
+        raises its EvaluationOverflowError; last, a root with a non-finite
+        value (an overflow in some node) raises EvaluationOverflowError.
+
+        A plan evaluates assignments of arrays of one shape to its
+        variables; for any other assignment its roots are walked.
+        """
+        self._overflow = None
         with np.errstate(over="ignore", invalid="ignore"):
-            self._stack_leaves(roots)
-            for root in roots:
-                value = self._value(root)
-                if not np.all(np.isfinite(value)):
-                    raise EvaluationOverflowError("expression evaluation produced a non-finite value")
-                out.append(value)
+            shape = roots._shape(self.env) if isinstance(roots, Plan) else None
+            if shape is not None:
+                out = roots.values(self, shape)
+            else:
+                roots = list(roots.roots if isinstance(roots, Plan) else roots)
+                self._stack_leaves(roots)
+                out = [self._value(root) for root in roots]
+            if self._overflow is not None:
+                raise self._overflow
+            if not all(np.all(np.isfinite(value)) for value in out):
+                raise EvaluationOverflowError("expression evaluation produced a non-finite value")
         return out
 
     def _stack_leaves(self, roots):
         """Evaluate the theta leaves under roots that have no value yet, one
-        theta_value call per family with their array-valued arguments stacked.
-
-        A scalar argument, and every leaf of a family whose stacked call
-        overflows, is left to `Theta._eval`, which evaluates the one leaf
-        when, and only if, its tree reaches it: a tree that poles first
-        still redraws its batch.
-        """
+        `_theta_family` per family of leaves with array-valued arguments.
+        A leaf with a scalar argument is left to `Theta._eval`."""
         families: dict = {}
         seen, stack = set(), list(roots)
         while stack:
@@ -663,30 +670,38 @@ class Evaluator:
                 continue  # raised if the tree reaches the leaf
             if np.ndim(z):
                 families.setdefault(key[:4], {})[key] = z
-        for (kind, order, index, deriv), args in families.items():
-            try:
-                stacked = _theta.theta_value(kind, np.concatenate([z.ravel() for z in args.values()]),
-                                             self.ctx, order=order, index=index, deriv=deriv)
-            except EvaluationOverflowError:
-                continue
+        for family, args in families.items():
+            stacked = self._theta_family(family, list(args.values()))
             start = 0
             for key, z in args.items():
                 self._leaves[key] = stacked[start:start + z.size].reshape(z.shape)
                 start += z.size
 
+    def _theta_family(self, family, zs) -> np.ndarray:
+        """The values of one family (kind, order, index, deriv) at the arrays zs,
+        raveled and concatenated: one theta call on the arguments stacked.
+        If that call overflows, each argument is evaluated alone (`_theta`)."""
+        kind, order, index, deriv = family
+        try:
+            return _theta.theta_value(kind, np.concatenate([z.ravel() for z in zs]), self.ctx,
+                                      order=order, index=index, deriv=deriv)
+        except EvaluationOverflowError:
+            return np.concatenate([self._theta(family, z).ravel() for z in zs])
+
+    def _theta(self, family, z):
+        """The value of one leaf of family at z.  An overflow reads NaN and is
+        kept for `values` to raise once every pole test has run."""
+        kind, order, index, deriv = family
+        try:
+            return _theta.theta_value(kind, z, self.ctx, order=order, index=index, deriv=deriv)
+        except EvaluationOverflowError as err:
+            self._overflow = self._overflow or err
+            return np.full(np.shape(z), np.nan, dtype=complex)
+
     def _value(self, node: MeroExpr):
         entry = self._memo.get(id(node))
         if entry is None:
             entry = self._memo[id(node)] = (node, node._eval(self))
-        return entry[1]
-
-    def kept(self, obj, value_of):
-        """value_of(self), computed once per evaluator and kept by obj's
-        identity as an interior node's value is: for a value built from
-        nodes, such as a ring element's."""
-        entry = self._memo.get(id(obj))
-        if entry is None:
-            entry = self._memo[id(obj)] = (obj, value_of(self))
         return entry[1]
 
 
@@ -700,29 +715,20 @@ class Plan:
     them) a row of one array per batch:
 
     - the theta leaves of a family (kind, order, index, derivative) whose
-      arguments vary fill their rows from one stacked theta call;
+      arguments vary fill their rows from one `Evaluator._theta_family`;
     - a constant's row is filled from the plan, and the row of any other
       leaf, or of a subtree free of variables, from the evaluator;
     - the other nodes are grouped by (height, node type, arity, power), and
       a group is one numpy op per operand over rows gathered for all of its
-      nodes: 27 groups for the 1,083 nodes of the n = 4 hamiltonians.
+      nodes: 36 groups for the 1,184 nodes of the 18 n = 4 hamiltonian
+      elements.
 
     A group applies its node type's binary ops in the order `_eval` does,
     element by element, so every value keeps its bits.  A sum or product
     whose first two operands are both free of variables is left to the
-    evaluator, which folds them in scalar arithmetic.
-
-    Errors, in this order: a quotient group with a denominator below the
-    pole guard raises PoleError (`nonpole`) at once, so a pole anywhere in
-    the set comes before any overflow and the batch is redrawn; then a theta
-    leaf that overflowed, and a non-finite root, raise
-    EvaluationOverflowError.  When a family's stacked theta call overflows,
-    its leaves are evaluated one by one, and a leaf that overflows alone
-    reads NaN until the pole tests have run.  Rows read from the evaluator
-    raise as the walk does, before any group runs.
-
-    The plan evaluates assignments of arrays of one shape to its variables;
-    any other assignment takes the evaluator's recursive walk.
+    evaluator, which folds them in scalar arithmetic.  A quotient group
+    tests its denominators with `nonpole`; every other error is raised by
+    `Evaluator.values`, in the walk's order.
     """
 
     __slots__ = ("roots", "_names", "_scalar_roots", "_families", "_consts", "_evaluated",
@@ -806,55 +812,39 @@ class Plan:
         self._root_rows = np.array([rows[id(root)] for root in self.roots], dtype=np.intp)
         self._size = size
 
-    def values(self, ev: "Evaluator") -> list:
-        """The roots' values at ev's assignment, kept in ev by identity."""
+    def _shape(self, env):
+        """The common shape of env's arrays for the plan's variables, or None if
+        they are scalars or differ in shape."""
         try:
-            shapes = {np.shape(ev.env[name]) for name in self._names}
+            shapes = {np.shape(env[name]) for name in self._names}
         except KeyError as err:
             raise UnboundVariableError(f"no value bound for variable {err.args[0]!r}") from None
-        if len(shapes) != 1 or () in shapes:
-            return ev.values(list(self.roots))
-        (shape,) = shapes
+        return shapes.pop() if len(shapes) == 1 and () not in shapes else None
+
+    def values(self, ev: "Evaluator", shape) -> list:
+        """The roots' values at ev's assignment of arrays of shape, kept in ev by identity."""
         rows = np.empty((self._size,) + shape, dtype=complex)
-        overflow = None
-        with np.errstate(over="ignore", invalid="ignore"):
-            for (kind, order, index, deriv), start, args in self._families:
-                zs = [arg.value(ev.env) for arg in args]
-                try:
-                    stacked = _theta.theta_value(kind, np.stack(zs).ravel(), ev.ctx,
-                                                 order=order, index=index, deriv=deriv)
-                    rows[start:start + len(zs)] = stacked.reshape((len(zs),) + shape)
-                except EvaluationOverflowError:
-                    for i, z in enumerate(zs):
-                        try:
-                            rows[start + i] = _theta.theta_value(kind, z, ev.ctx, order=order,
-                                                                 index=index, deriv=deriv)
-                        except EvaluationOverflowError as err:
-                            rows[start + i] = np.nan
-                            overflow = overflow or err
-            for row, node in self._evaluated:
-                rows[row] = ev._value(node)
-            start, consts = self._consts
-            rows[start:start + len(consts)] = consts.reshape((-1,) + (1,) * len(shape))
-            for kind, gather, start, stop, power in self._groups:
-                args = [rows[g] for g in gather]
-                if kind is Quotient:
-                    value = args[0] / nonpole(args[1], _DENOMINATOR_POLE)
-                elif kind is Neg:
-                    value = -args[0]
-                elif kind is IntPow:
-                    value = args[0] ** power
-                else:  # the left fold of Sum._eval and Product._eval
-                    value = args[0]
-                    for arg in args[1:]:
-                        value = value + arg if kind is Sum else value * arg
-                rows[start:stop] = value
-            if overflow is not None:
-                raise overflow
-            out = rows[self._root_rows]
-            if not np.all(np.isfinite(out)):
-                raise EvaluationOverflowError("expression evaluation produced a non-finite value")
-        out = list(out)
+        for family, start, args in self._families:
+            stacked = ev._theta_family(family, [arg.value(ev.env) for arg in args])
+            rows[start:start + len(args)] = stacked.reshape((len(args),) + shape)
+        for row, node in self._evaluated:
+            rows[row] = ev._value(node)
+        start, consts = self._consts
+        rows[start:start + len(consts)] = consts.reshape((-1,) + (1,) * len(shape))
+        for kind, gather, start, stop, power in self._groups:
+            args = [rows[g] for g in gather]
+            if kind is Quotient:
+                value = args[0] / nonpole(args[1], _DENOMINATOR_POLE)
+            elif kind is Neg:
+                value = -args[0]
+            elif kind is IntPow:
+                value = args[0] ** power
+            else:  # the left fold of Sum._eval and Product._eval
+                value = args[0]
+                for arg in args[1:]:
+                    value = value + arg if kind is Sum else value * arg
+            rows[start:stop] = value
+        out = list(rows[self._root_rows])
         for i in self._scalar_roots:  # a scalar, as the recursive walk returns it
             out[i] = ev._value(self.roots[i])
         for root, value in zip(self.roots, out):

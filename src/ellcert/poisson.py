@@ -35,30 +35,39 @@ from .shiftops import TermMap, bosonize, make_Bpn, sum_to_zero_residual, theta_c
 class PoissonElement(TermMap):
     """Term map whose generators commute: the product just adds exponents."""
 
-    __slots__ = ()
+    __slots__ = ("_tree",)
 
     def __mul__(self, other):
         if not isinstance(other, PoissonElement):
             return self.scaled(other)
         return PoissonElement(self.algebra, self._convolve(other, lambda m, F, k, G: ex.mul(F, G)))
 
+    @property
+    def tree(self) -> ex.MeroExpr:
+        """The element as one expression, built once: the sum of its terms, each its
+        coefficient times IntPow(Var(g), e) per generator of its monomial, in order.
+        Built with the node constructors, so nothing is folded or reordered."""
+        if not hasattr(self, "_tree"):
+            terms = []
+            for mi, coeff in self.terms.items():
+                powers = [_generator_power(g, e) for g, e in zip(self.algebra.gen_names, mi) if e]
+                terms.append(ex.Product((coeff, *powers)) if powers else coeff)
+            self._tree = ex.Sum(tuple(terms)) if len(terms) > 1 else terms[0] if terms else ex._ZERO
+        return self._tree
+
     def evaluate(self, at: ex.Evaluator):
         """Value at a point of the phase space, or a batch of them: the
-        evaluator's assignment binds variables and generators.  The
-        evaluator keeps the value by the element's identity (`Evaluator.kept`)."""
-        return at.kept(self, self._evaluate)
-
-    def _evaluate(self, at: ex.Evaluator):
-        total = 0
-        for mi, v in zip(self.terms, at.values(self.terms.values())):
-            for gi, e in enumerate(mi):
-                if e:
-                    v = v * at.env[self.algebra.gen_names[gi]] ** e
-            total = total + v
-        return total
+        evaluator's assignment binds variables and generators, and it keeps
+        the value by the identity of the element's `tree`."""
+        return at(self.tree)
 
     def __repr__(self):
         return f"PoissonElement<{len(self.terms)} terms>"
+
+
+@functools.cache  # one node per (generator, power) in every tree, so a batch computes it once
+def _generator_power(name: str, power: int) -> ex.MeroExpr:
+    return ex.IntPow(ex.Var(name), power)
 
 
 def _directional_derivative(algebra, exponents, G: ex.MeroExpr) -> ex.MeroExpr:
@@ -101,9 +110,10 @@ class RatioBracket:
     each inner bracket taken in the ambient algebra.  Calling the object with
     the evaluator of a phase-space point, or of a batch of them, returns the
     value; residual_batch measures it against its four terms.  All eight
-    elements evaluate through the one evaluator passed in.  bracket(x, y)
-    builds {x, y}; ratio brackets that pass one cached function share each
-    inner bracket as one object, which an evaluator computes once.
+    elements evaluate as their trees (`PoissonElement.tree`) through the one
+    evaluator passed in, which keeps each by identity.  bracket(x, y) builds
+    {x, y}; ratio brackets that pass one cached function share each inner
+    bracket as one object, and so one tree, which an evaluator computes once.
     """
 
     def __init__(self, f, h, g, k, bracket=pbracket):
@@ -193,11 +203,11 @@ def _hamiltonian_brackets(n: int, ctx: ThetaContext):
 
 @functools.lru_cache(maxsize=16)
 def _hamiltonian_plan(n: int, ctx: ThetaContext) -> ex.Plan:
-    """The compiled plan (expr.Plan) of every coefficient tree the cached
-    ratio-brackets evaluate: each distinct element's terms, once."""
+    """The compiled plan (expr.Plan) of the trees of every element the cached
+    ratio-brackets evaluate, each distinct element once (18 at n = 4)."""
     _, brackets = _hamiltonian_brackets(n, ctx)
     elements = {id(e): e for rb in brackets for e in rb.elements()}
-    return ex.Plan(c for e in elements.values() for c in e.terms.values())
+    return ex.Plan(e.tree for e in elements.values())
 
 
 def classical_hamiltonians(n: int, ctx: ThetaContext, seed: int = 0, points: int = 20) -> float:
@@ -226,8 +236,7 @@ def jacobi_delta_residual(n: int, ctx: ThetaContext, ijk, seed: int = 0, points:
     alg, elems = _jacobi_delta_terms(n, ctx, tuple(ijk))
 
     def measure(at):
-        at.values(c for e in elems for c in e.terms.values())  # one theta call per leaf family
-        vals = [np.asarray(e.evaluate(at)) for e in elems]
+        vals = [np.asarray(v) for v in at.values(e.tree for e in elems)]
         return rel_residual(sum(vals), *vals)
 
     return sampled_max(measure, functools.partial(_phase_space_points, alg, points), seed, alg.ctx)

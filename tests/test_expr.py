@@ -381,12 +381,8 @@ class TestEvaluator:
             batches.append(at)
             return at(behind_pole)
 
-        # the quotient poles before the sum reaches the leaf, so the first batch redraws
+        # the quotient poles, and a pole comes before any overflow, so the first batch redraws
         assert np.all(np.isfinite(sampled_max(measure, draw, 0, CTX))) and len(batches) == 2
-        # reached directly, the leaf's overflow is an error, not a pole to redraw
-        with pytest.raises(EvaluationOverflowError):
-            sampled_max(lambda at: batches.append(at) or at(leaf + ex.quot(1, ex.var("p"))), draw, 0, CTX)
-        assert len(batches) == 3
 
 
 def _bits(values):
@@ -458,10 +454,8 @@ class TestPlan:
         with pytest.raises(EvaluationOverflowError):
             ex.Evaluator(env, CTX).values(ex.Plan([huge, pole]))
         env["w"][0] = 0
-        with pytest.raises(PoleError):  # the plan tests every pole before any root
+        with pytest.raises(PoleError):  # every pole is tested before any root
             ex.Evaluator(env, CTX).values(ex.Plan([huge, pole]))
-        with pytest.raises(EvaluationOverflowError):  # the walk checks huge before it reaches the pole
-            ex.Evaluator(env, CTX).values([huge, pole])
 
     def test_overflowing_family_is_evaluated_leaf_by_leaf(self, monkeypatch):
         real = theta_module.theta_value
@@ -489,3 +483,22 @@ class TestPlan:
         env["w"][0] = 0
         with pytest.raises(PoleError):
             ex.Evaluator(env, CTX).values(ex.Plan(roots))
+
+
+_HUGE = ex.exp2pii(ex.aff((-200j, "z"))) * ex.theta1_of("z")  # exp(400*pi*Re z) overflows
+_FAR = ex.theta1_of("z") * ex.theta1_of(ex.aff("z", const=70 * CTX.tau))  # a leaf that overflows alone
+_POLE = ex.quot(1, ex.var("w"))
+
+
+@pytest.mark.parametrize("path", ["walk", "plan"])
+@pytest.mark.parametrize("roots, pole, error", [
+    ([_HUGE, _POLE], True, PoleError),  # a non-finite root, then a pole
+    ([_FAR, _POLE], True, PoleError),  # a leaf that overflows alone, then a pole
+    ([_HUGE, _FAR, _POLE], False, EvaluationOverflowError),  # overflows and no pole
+], ids=["non-finite-root", "overflowing-leaf", "no-pole"])
+def test_walk_and_plan_raise_alike(path, roots, pole, error):
+    env = box(12, ["z", "w"], CTX)(3)
+    if pole:
+        env["w"][0] = 0
+    with pytest.raises(error):
+        ex.Evaluator(env, CTX).values(ex.Plan(roots) if path == "plan" else roots)

@@ -209,23 +209,44 @@ class TestHamiltonians:
         env = poisson._phase_space_points(alg, 20, seed)
         planned = ex.Evaluator(env, CTX).values(plan)
         walked = ex.Evaluator(env, CTX).values(list(plan.roots))
-        assert [v.tobytes() for v in planned] == [np.asarray(v).tobytes() for v in walked]
+        # {Delta_0, Delta_0} is the constant zero, a scalar on both paths
+        assert [np.asarray(v).tobytes() for v in planned] == [np.asarray(v).tobytes() for v in walked]
 
     def test_batch_evaluates_each_distinct_element_once(self, monkeypatch):
         alg, brackets = poisson._hamiltonian_brackets(4, CTX)
         plan = poisson._hamiltonian_plan(4, CTX)
         elements = {id(e): e for rb in brackets for e in rb.elements()}
-        # 6 ratio brackets of 8 elements: 48 evaluations, 144 coefficients, of 18 elements with 77
+        # 6 ratio brackets of 8 elements: 48 evaluations of 18 elements, each one root of the plan
         assert len(brackets) * 8 == 48 and len(elements) == 18
-        coefficients = []
-        real = ex.Evaluator.values
-        monkeypatch.setattr(ex.Evaluator, "values", lambda at, roots: coefficients.extend(
-            [] if isinstance(roots, ex.Plan) else list(roots)) or real(at, roots))
+        assert len(plan.roots) == 18 and all(root is e.tree for root, e in zip(plan.roots, elements.values()))
         at = ex.Evaluator(poisson._phase_space_points(alg, 20, 42), CTX)
         at.values(plan)
+        calls = []
+        real = theta_module.theta_value
+        monkeypatch.setattr(theta_module, "theta_value", lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
         for rb in brackets:
             rb.residual_batch(at)
-        assert len(coefficients) == sum(len(e.terms) for e in elements.values()) == len(plan.roots) == 77
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [42, 7, 2026])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_element_value_is_the_coefficient_times_generator_loop(self, n, seed):
+        def loop(element, at):  # the element's value before it was a tree
+            total = 0
+            for mi, v in zip(element.terms, at.values(element.terms.values())):
+                for gi, e in enumerate(mi):
+                    if e:
+                        v = v * at.env[element.algebra.gen_names[gi]] ** e
+                total = total + v
+            return total
+
+        alg, brackets = poisson._hamiltonian_brackets(n, CTX)
+        elements = {id(e): e for rb in brackets for e in rb.elements()}.values()
+        assert any(e.is_zero() for e in elements)  # {Delta_0, Delta_0}
+        env = poisson._phase_space_points(alg, 20, seed)
+        for e in elements:
+            got, want = e.evaluate(ex.Evaluator(env, CTX)), loop(e, ex.Evaluator(env, CTX))
+            assert np.asarray(got, dtype=complex).tobytes() == np.asarray(want, dtype=complex).tobytes()
 
     def test_phase_space_draw_is_the_scalar_loop_stream(self):
         def scalar_loop(alg, count, seed):  # the generator draw before it was made in bulk
