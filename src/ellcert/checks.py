@@ -443,11 +443,11 @@ def check_quotient_rule(seed, points, ctx) -> float:
     g = poisson.PoissonElement.generator(alg, "f2", ex.theta1_of("z2"))
     one = poisson.PoissonElement.function(alg, ex.const(1))
     rb = poisson.RatioBracket(one, h, g, one)
-    hg = poisson.pbracket(h, g)
 
     def measure(at):  # a pole of h raises PoleError in rb: the batch is redrawn, no point skipped
         lhs = rb(at)
-        rhs = -hg.evaluate(at) / h.evaluate(at) ** 2
+        hj, gj = poisson.jets([h, g], at)
+        rhs = -poisson.jet_bracket(hj, gj) / hj.value ** 2
         return rel_residual(lhs - rhs, lhs, rhs)
 
     return sampled_max(measure, lambda s: poisson._phase_space_points(alg, points, s), seed, ctx)

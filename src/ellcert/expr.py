@@ -15,16 +15,6 @@ evaluates, and an interior node's value by identity.  Before it evaluates a
 batch of trees, it evaluates their new theta leaves with one theta call per
 family (kind, order, index, derivative), the arguments stacked.
 
-A set of trees evaluated on many batches is compiled once into a `Plan`,
-which evaluates a batch with one numpy op per group of like nodes instead
-of one per node, every value bit for bit the walk's.  Only cached trees get
-one (the elements of poisson's hamiltonian ratio-brackets, reused by every
-seed).  Trees evaluated once keep the recursive walk: compiling the n = 4
-hamiltonian elements costs a little more than one walk of them (3.4
-against 2.5 ms), and compiling every `values` call made an in-process run
-of the `shift` workload take 1.4 to 2 times as long.  Walk and plan share
-the theta-family routine and `Evaluator.values`' error order.
-
 A node caches its derivative by each variable, as it caches its key and
 hash, so a subtree is differentiated once however many derivatives contain
 it.  The cache is per node, not a global table, so what the process built
@@ -368,9 +358,6 @@ def nonpole(den, what: str):
     return den
 
 
-_DENOMINATOR_POLE = "denominator magnitude below pole guard"
-
-
 class Quotient(MeroExpr):
     __slots__ = ("num", "den")
 
@@ -383,7 +370,7 @@ class Quotient(MeroExpr):
 
     def _eval(self, ev):
         nv = ev._value(self.num)
-        return nv / nonpole(ev._value(self.den), _DENOMINATOR_POLE)
+        return nv / nonpole(ev._value(self.den), "denominator magnitude below pole guard")
 
     def _diff(self, var):
         dn = self.num._derivative(var)
@@ -593,15 +580,9 @@ class Evaluator:
     cached derivative or a ring element's tree, costs one evaluation, and
     every other node evaluates as it is written.  The theta leaves of one
     family (kind, order, index, derivative) with array-valued arguments are
-    evaluated together (`_theta_family`).  Evaluate everything compared on
+    evaluated together (`_stack_leaves`).  Evaluate everything compared on
     one batch through one evaluator; a batch that raises PoleError is
     dropped with its evaluator.
-
-    `values` takes trees, which it walks, or a compiled `Plan`, which
-    evaluates them a group of like nodes at a time: the caller chooses a
-    plan for trees it keeps across batches, since a compile costs about one
-    walk of the same trees and pays off from the second batch on.  Both
-    give the same bits and raise the same errors.
     """
 
     __slots__ = ("env", "ctx", "_memo", "_leaves", "_overflow")
@@ -618,28 +599,21 @@ class Evaluator:
         return self.values((expr,))[0]
 
     def values(self, roots) -> list:
-        """[value of root for root in roots], roots a sequence of trees or a `Plan`.
+        """[value of root for root in roots], the roots walked in turn.
 
-        Errors, in this order, whichever way the roots are evaluated: a
-        quotient whose denominator falls below the pole guard raises
-        PoleError (`nonpole`) at once, so a pole anywhere under the roots
-        comes before any overflow and the batch is redrawn.  A theta leaf
-        that overflows reads NaN until every root is evaluated, and then
-        raises its EvaluationOverflowError; last, a root with a non-finite
-        value (an overflow in some node) raises EvaluationOverflowError.
-
-        A plan evaluates assignments of arrays of one shape to its
-        variables; for any other assignment its roots are walked.
+        Errors, in this order: a quotient whose denominator falls below the
+        pole guard raises PoleError (`nonpole`) at once, so a pole anywhere
+        under the roots comes before any overflow and the batch is redrawn.
+        A theta leaf that overflows reads NaN until every root is evaluated,
+        and then raises its EvaluationOverflowError; last, a root with a
+        non-finite value (an overflow in some node) raises
+        EvaluationOverflowError.
         """
         self._overflow = None
         with np.errstate(over="ignore", invalid="ignore"):
-            shape = roots._shape(self.env) if isinstance(roots, Plan) else None
-            if shape is not None:
-                out = roots.values(self, shape)
-            else:
-                roots = list(roots.roots if isinstance(roots, Plan) else roots)
-                self._stack_leaves(roots)
-                out = [self._value(root) for root in roots]
+            roots = list(roots)
+            self._stack_leaves(roots)
+            out = [self._value(root) for root in roots]
             if self._overflow is not None:
                 raise self._overflow
             if not all(np.all(np.isfinite(value)) for value in out):
@@ -648,8 +622,10 @@ class Evaluator:
 
     def _stack_leaves(self, roots):
         """Evaluate the theta leaves under roots that have no value yet, one
-        `_theta_family` per family of leaves with array-valued arguments.
-        A leaf with a scalar argument is left to `Theta._eval`."""
+        theta call per family of leaves with array-valued arguments, on the
+        arguments raveled and stacked.  If that call overflows, each leaf of
+        the family is evaluated alone (`_theta`).  A leaf with a scalar
+        argument is left to `Theta._eval`."""
         families: dict = {}
         seen, stack = set(), list(roots)
         while stack:
@@ -670,23 +646,16 @@ class Evaluator:
                 continue  # raised if the tree reaches the leaf
             if np.ndim(z):
                 families.setdefault(key[:4], {})[key] = z
-        for family, args in families.items():
-            stacked = self._theta_family(family, list(args.values()))
+        for (kind, order, index, deriv), args in families.items():
+            try:
+                stacked = _theta.theta_value(kind, np.concatenate([z.ravel() for z in args.values()]), self.ctx,
+                                             order=order, index=index, deriv=deriv)
+            except EvaluationOverflowError:
+                stacked = np.concatenate([self._theta(key[:4], z).ravel() for key, z in args.items()])
             start = 0
             for key, z in args.items():
                 self._leaves[key] = stacked[start:start + z.size].reshape(z.shape)
                 start += z.size
-
-    def _theta_family(self, family, zs) -> np.ndarray:
-        """The values of one family (kind, order, index, deriv) at the arrays zs,
-        raveled and concatenated: one theta call on the arguments stacked.
-        If that call overflows, each argument is evaluated alone (`_theta`)."""
-        kind, order, index, deriv = family
-        try:
-            return _theta.theta_value(kind, np.concatenate([z.ravel() for z in zs]), self.ctx,
-                                      order=order, index=index, deriv=deriv)
-        except EvaluationOverflowError:
-            return np.concatenate([self._theta(family, z).ravel() for z in zs])
 
     def _theta(self, family, z):
         """The value of one leaf of family at z.  An overflow reads NaN and is
@@ -703,153 +672,6 @@ class Evaluator:
         if entry is None:
             entry = self._memo[id(node)] = (node, node._eval(self))
         return entry[1]
-
-
-class Plan:
-    """A fixed set of trees compiled once, to be evaluated on many batches.
-
-    `Evaluator.values(plan)` returns the values of `plan.roots` on the
-    evaluator's batch, and the evaluator keeps each by identity.  The plan
-    walks the trees once, in post-order, and gives each distinct node (a
-    theta leaf by key, any other node by identity, as an evaluator keeps
-    them) a row of one array per batch:
-
-    - the theta leaves of a family (kind, order, index, derivative) whose
-      arguments vary fill their rows from one `Evaluator._theta_family`;
-    - a constant's row is filled from the plan, and the row of any other
-      leaf, or of a subtree free of variables, from the evaluator;
-    - the other nodes are grouped by (height, node type, arity, power), and
-      a group is one numpy op per operand over rows gathered for all of its
-      nodes: 36 groups for the 1,184 nodes of the 18 n = 4 hamiltonian
-      elements.
-
-    A group applies its node type's binary ops in the order `_eval` does,
-    element by element, so every value keeps its bits.  A sum or product
-    whose first two operands are both free of variables is left to the
-    evaluator, which folds them in scalar arithmetic.  A quotient group
-    tests its denominators with `nonpole`; every other error is raised by
-    `Evaluator.values`, in the walk's order.
-    """
-
-    __slots__ = ("roots", "_names", "_scalar_roots", "_families", "_consts", "_evaluated",
-                 "_groups", "_root_rows", "_size")
-
-    def __init__(self, roots):
-        self.roots = tuple(roots)
-        level: dict = {}  # id(node) -> -1 if free of variables, else its height over the leaves
-        thetas: dict = {}  # id(varying theta leaf) -> its leaf key
-        families: dict = {}  # (kind, order, index, deriv) -> {leaf key: argument}
-        inputs: dict = {}  # id(node) -> a leaf, or a subtree free of variables, read as it is
-        groups: dict = {}  # (height, node type, arity, power) -> [(id(node), operands)]
-        names: set = set()  # the variables of the varying leaves
-
-        def visit(node):
-            i = id(node)
-            if i in level:
-                return level[i]
-            kind = type(node)
-            if kind is Const:
-                height = -1
-            elif kind is Var:
-                height = 0
-                names.add(node.name)
-                inputs[i] = node
-            elif kind is Theta or kind is ExpLin:
-                height = 0 if node.arg.coeffs else -1
-                if height == 0:
-                    names.update(node.arg.coeffs)
-                    if kind is ExpLin:
-                        inputs[i] = node
-                    else:
-                        key = thetas[i] = node._leaf_key()
-                        families.setdefault(key[:4], {})[key] = node.arg
-            else:
-                ops = node._children()
-                heights = [visit(op) for op in ops]
-                height = max(heights) + 1 if max(heights) >= 0 else -1
-                if height > 0 and kind in (Sum, Product) and len(ops) > 1 and max(heights[:2]) < 0:
-                    height = 0  # _eval folds two leading scalars in scalar arithmetic: walk it
-                    inputs[i] = node
-                elif height > 0:
-                    inputs.update((id(op), op) for op, h in zip(ops, heights) if h < 0)
-                    power = node.power if kind is IntPow else None
-                    groups.setdefault((height, kind, len(ops), power), []).append((i, ops))
-            level[i] = height
-            return height
-
-        for root in self.roots:
-            if visit(root) < 0:
-                inputs[id(root)] = root
-        self._names = tuple(sorted(names))
-        self._scalar_roots = [k for k, root in enumerate(self.roots) if level[id(root)] < 0]
-
-        rows: dict = {}  # leaf key of a varying theta, or id(node) -> row
-        size = 0
-        self._families = []
-        for family, args in families.items():
-            self._families.append((family, size, tuple(args.values())))
-            rows.update({key: size + k for k, key in enumerate(args)})
-            size += len(args)
-        rows.update((i, rows[key]) for i, key in thetas.items())
-        consts: dict = {}  # constants equal to the bit share a row
-        for i, node in inputs.items():
-            if type(node) is Const:
-                bits = (node.value.real.hex(), node.value.imag.hex())
-                rows[i] = consts.setdefault(bits, (size + len(consts), node.value))[0]
-        self._consts = (size, np.array([value for _, value in consts.values()], dtype=complex))
-        size += len(consts)
-        evaluated = [node for node in inputs.values() if type(node) is not Const]
-        self._evaluated = [(size + k, node) for k, node in enumerate(evaluated)]
-        rows.update((id(node), row) for row, node in self._evaluated)
-        size += len(evaluated)
-
-        self._groups = []
-        for (_, kind, arity, power), members in sorted(groups.items(), key=lambda item: item[0][0]):
-            rows.update({i: size + k for k, (i, _) in enumerate(members)})
-            gather = np.array([[rows[id(op)] for op in ops] for _, ops in members], dtype=np.intp)
-            self._groups.append((kind, tuple(gather.T.copy()), size, size + len(members), power))
-            size += len(members)
-        self._root_rows = np.array([rows[id(root)] for root in self.roots], dtype=np.intp)
-        self._size = size
-
-    def _shape(self, env):
-        """The common shape of env's arrays for the plan's variables, or None if
-        they are scalars or differ in shape."""
-        try:
-            shapes = {np.shape(env[name]) for name in self._names}
-        except KeyError as err:
-            raise UnboundVariableError(f"no value bound for variable {err.args[0]!r}") from None
-        return shapes.pop() if len(shapes) == 1 and () not in shapes else None
-
-    def values(self, ev: "Evaluator", shape) -> list:
-        """The roots' values at ev's assignment of arrays of shape, kept in ev by identity."""
-        rows = np.empty((self._size,) + shape, dtype=complex)
-        for family, start, args in self._families:
-            stacked = ev._theta_family(family, [arg.value(ev.env) for arg in args])
-            rows[start:start + len(args)] = stacked.reshape((len(args),) + shape)
-        for row, node in self._evaluated:
-            rows[row] = ev._value(node)
-        start, consts = self._consts
-        rows[start:start + len(consts)] = consts.reshape((-1,) + (1,) * len(shape))
-        for kind, gather, start, stop, power in self._groups:
-            args = [rows[g] for g in gather]
-            if kind is Quotient:
-                value = args[0] / nonpole(args[1], _DENOMINATOR_POLE)
-            elif kind is Neg:
-                value = -args[0]
-            elif kind is IntPow:
-                value = args[0] ** power
-            else:  # the left fold of Sum._eval and Product._eval
-                value = args[0]
-                for arg in args[1:]:
-                    value = value + arg if kind is Sum else value * arg
-            rows[start:stop] = value
-        out = list(rows[self._root_rows])
-        for i in self._scalar_roots:  # a scalar, as the recursive walk returns it
-            out[i] = ev._value(self.roots[i])
-        for root, value in zip(self.roots, out):
-            ev._memo[id(root)] = (root, value)
-        return out
 
 
 def evaluate(expr: MeroExpr, assignment: Mapping, ctx: ThetaContext):

@@ -14,22 +14,40 @@ extended by Leibniz and bilinearity, so on elements F*g^m:
 Derivatives are symbolic (theta leaves carry derivative orders); finite
 differences could not reach the 1e-9 residual targets.
 
-Built on top: the cone bracket of V_n ({f_i, z_i} = -n f_i), determinant
-hamiltonians H_i = Delta_i / Delta_0 and their pairwise bracket residuals,
-the Jacobi determinant identity, the classical bosonization map psi_p, and
-the three-term Fay identity for the odd theta.
+A bracket that is only compared is sampled, not built, as shiftops samples
+the products it only compares.  On a batch, an element becomes a first-order
+jet (forward-mode differentiation; Griewank & Walther, Evaluating
+Derivatives, SIAM 2008): its value, its derivative by each variable and
+g_a d/dg_a by each generator, read from its coefficient trees and their
+derivatives (`Jet`, `jets`).  The same bracket is then a sum over the
+gradients (`jet_bracket`):
+
+    {A, B} = sum_{a,b} S[a][b] (g_a dA/dg_a dB/dv_b - g_a dB/dg_a dA/dv_b).
+
+The determinant hamiltonians H_i = Delta_i / Delta_0 build no Delta and no
+bracket: cfdet.minors runs on the jets of the entries of
+shiftops.theta_column_grid (`delta_jets`), and their pairwise ratio brackets
+and the Jacobi determinant identity are sampled from those jets.  The
+symbolic elements and brackets (classical_delta_elements, pbracket) are the
+tests' oracle, and psi2 keeps the Leibniz halves of pbracket, which scale
+its residual per monomial.
+
+Also here: the classical bosonization map psi_p and the three-term Fay
+identity for the odd theta.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
+from .cfdet import minors
 from .context import ThetaContext
 from . import expr as ex
 from .sampling import box, rel_residual, sampled_max
-from .shiftops import TermMap, bosonize, make_Bpn, sum_to_zero_residual, theta_column_minors
+from .shiftops import TermMap, bosonize, make_Bpn, sum_to_zero_residual, theta_column_grid, theta_column_minors
 
 
 class PoissonElement(TermMap):
@@ -60,6 +78,10 @@ class PoissonElement(TermMap):
         evaluator's assignment binds variables and generators, and it keeps
         the value by the identity of the element's `tree`."""
         return at(self.tree)
+
+    def jet(self, at: ex.Evaluator) -> "Jet":
+        """The element's first-order jet on at's batch (`jets`)."""
+        return jets([self], at)[0]
 
     def __repr__(self):
         return f"PoissonElement<{len(self.terms)} terms>"
@@ -103,53 +125,143 @@ def pbracket_residual(a: PoissonElement, b: PoissonElement, samples: int = 20, s
     return sum_to_zero_residual([P, -N], samples=samples, seed=seed)
 
 
-class RatioBracket:
-    """Evaluator of {f/h, g/k} for multiplication-operator denominators h, k.
+# First-order jets ---------------------------------------------------------------
 
-    {f/h, g/k} = ({f,g} - (f/h){h,g} - (g/k){f,k} + (f/h)(g/k){h,k}) / (h k),
-    each inner bracket taken in the ambient algebra.  Calling the object with
-    the evaluator of a phase-space point, or of a batch of them, returns the
-    value; residual_batch measures it against its four terms.  All eight
-    elements evaluate as their trees (`PoissonElement.tree`) through the one
-    evaluator passed in, which keeps each by identity.  bracket(x, y) builds
-    {x, y}; ratio brackets that pass one cached function share each inner
-    bracket as one object, and so one tree, which an evaluator computes once.
+class Jet:
+    """A phase-space function on a batch, to first order: its value and a
+    gradient with one row per variable v_b of the algebra, d/dv_b, then one
+    per generator g_a, g_a d/dg_a.
+
+    The generator rows are Euler derivatives: they follow the Leibniz rule as
+    the others do, and a bracket (`jet_bracket`) reads no generator value.
+    +, unary - and * are the ring operations cfdet.minors uses, so the minors
+    of a grid of jets are the jets of its minors.  A jet is its own jet
+    (`jet`), so a RatioBracket takes elements and jets alike.
     """
 
-    def __init__(self, f, h, g, k, bracket=pbracket):
+    __slots__ = ("algebra", "value", "grad", "_flow")
+
+    def __init__(self, algebra, value, grad):
+        self.algebra, self.value, self.grad = algebra, value, grad
+
+    def __add__(self, other: "Jet") -> "Jet":
+        return Jet(self.algebra, self.value + other.value, self.grad + other.grad)
+
+    def __neg__(self) -> "Jet":
+        return Jet(self.algebra, -self.value, -self.grad)
+
+    def __mul__(self, other: "Jet") -> "Jet":
+        return Jet(self.algebra, self.value * other.value, self.value * other.grad + other.value * self.grad)
+
+    def jet(self, at: ex.Evaluator) -> "Jet":
+        return self
+
+    def is_multiplication(self) -> bool:
+        """No generator row moves on this batch: a function of the variables alone."""
+        return not np.any(self.grad[self.algebra.p:])
+
+    def flow(self):
+        """D_b = sum_a S[a][b] g_a d/dg_a of the jet, one row per variable v_b, kept."""
+        if not hasattr(self, "_flow"):
+            self._flow = np.einsum("ab,a...->b...", self.algebra.steps, self.grad[self.algebra.p:])
+        return self._flow
+
+
+def jets(elements, at: ex.Evaluator) -> list:
+    """The Jet of each element (PoissonElements of one algebra) on at's batch.
+
+    The generators, every coefficient F and every derivative dF/dv_b that is
+    not the constant zero (ex.diff, kept on the node) go to one `values`
+    call, so each theta family is one stacked call.  A term F g^m adds
+    F g^m to the value, dF/dv_b g^m to the row of v_b and m_a F g^m to the
+    row of g_a; the terms of all the elements are combined as arrays.
+    """
+    elements = tuple(elements)
+    trees, owner, exponents, d_term, d_row = _jet_layout(elements)
+    values = at.values(trees)
+    shape = np.broadcast_shapes(*map(np.shape, values))
+    stacked = np.empty((len(values),) + shape, dtype=complex)
+    for i, v in enumerate(values):
+        stacked[i] = v
+    alg = elements[0].algebra
+    p, r = alg.p, alg.r
+    gens, F, dF = stacked[:r], stacked[r:r + len(owner)], stacked[r + len(owner):]
+    m = exponents.reshape(exponents.shape + (1,) * len(shape))
+    monomials = np.prod(gens ** m, axis=1)
+    terms = F * monomials
+    value = np.zeros((len(elements),) + shape, dtype=complex)
+    grad = np.zeros((len(elements), p + r) + shape, dtype=complex)
+    np.add.at(value, owner, terms)
+    np.add.at(grad[:, p:], owner, m * terms[:, None])
+    np.add.at(grad, (owner[d_term], d_row), dF * monomials[d_term])
+    return [Jet(alg, value[k], grad[k]) for k in range(len(elements))]
+
+
+@functools.lru_cache(maxsize=64)
+def _jet_layout(elements: tuple):
+    """What `jets` evaluates for elements, and where each value goes: the trees
+    (the generators, the coefficients, their derivatives that are not the
+    constant zero), then per coefficient its element and its exponents, and
+    per derivative its coefficient and its variable's row."""
+    alg = elements[0].algebra
+    owner, exponents, coeffs = [], [], []
+    for k, e in enumerate(elements):
+        for m, F in e.terms.items():
+            owner.append(k)
+            exponents.append(m)
+            coeffs.append(F)
+    derivs = [(i, b, d) for i, F in enumerate(coeffs)
+              for b, v in enumerate(alg.var_names) if (d := ex.diff(F, v)) != ex._ZERO]
+    trees = (*map(ex.Var, alg.gen_names), *coeffs, *(d for *_, d in derivs))
+    d_term, d_row = np.array([(i, b) for i, b, _ in derivs], dtype=np.intp).reshape(-1, 2).T
+    return trees, np.array(owner, dtype=np.intp), np.array(exponents).reshape(-1, alg.r), d_term, d_row
+
+
+def jet_bracket(a: Jet, b: Jet):
+    """{a, b} on the jets' batch:
+    sum_{a,b} S[a][b] (g_a dA/dg_a dB/dv_b - g_a dB/dg_a dA/dv_b) = D_A . grad_v B - D_B . grad_v A."""
+    p = a.algebra.p
+    return np.sum(a.flow() * b.grad[:p], axis=0) - np.sum(b.flow() * a.grad[:p], axis=0)
+
+
+class RatioBracket:
+    """Sampled {f/h, g/k} for multiplication-operator denominators h, k.
+
+    {f/h, g/k} = ({f,g} - (f/h){h,g} - (g/k){f,k} + (f/h)(g/k){h,k}) / (h k),
+
+    each inner bracket bracket(x, y) of their jets (default `jet_bracket`).
+    f, h, g and k are ring elements (PoissonElement), whose jets are taken
+    on each batch from their trees, or jets already taken on the batch
+    (Jet).  Calling the object with the evaluator of a phase-space point, or
+    of a batch of them, returns the value; residual_batch measures it
+    against its four terms.
+    """
+
+    def __init__(self, f, h, g, k, bracket=jet_bracket):
         if not h.is_multiplication():
             raise ValueError("h must be a multiplication operator")
         if not k.is_multiplication():
             raise ValueError("k must be a multiplication operator")
-        self.algebra = f.algebra
         self.f, self.h, self.g, self.k = f, h, g, k
-        self.b_fg = bracket(f, g)
-        self.b_hg = bracket(h, g)
-        self.b_fk = bracket(f, k)
-        self.b_hk = bracket(h, k)
+        self.bracket = bracket
 
     def residual_batch(self, at: ex.Evaluator) -> float:
         """Largest |{f/h, g/k}| over the batch, relative to its terms (rel_residual)."""
         value, terms = self.residual_at(at)
         return rel_residual(value, *terms)
 
-    def elements(self):
-        """The eight elements it evaluates: f, h, g, k and the four inner brackets."""
-        return self.f, self.h, self.g, self.k, self.b_fg, self.b_hg, self.b_fk, self.b_hk
-
     def residual_at(self, at: ex.Evaluator):
         """(value, its four terms), vectorized over array-valued assignments."""
-        hv = np.asarray(self.h.evaluate(at))
-        kv = np.asarray(self.k.evaluate(at))
+        f, h, g, k = (x.jet(at) for x in (self.f, self.h, self.g, self.k))
         pole = "ratio denominator vanishes at a sample point"
-        hk = ex.nonpole(hv, pole) * ex.nonpole(kv, pole)
-        fh = self.f.evaluate(at) / hv
-        gk = self.g.evaluate(at) / kv
+        hk = ex.nonpole(h.value, pole) * ex.nonpole(k.value, pole)
+        fh = f.value / h.value
+        gk = g.value / k.value
         terms = [
-            self.b_fg.evaluate(at) / hk,
-            -fh * self.b_hg.evaluate(at) / hk,
-            -gk * self.b_fk.evaluate(at) / hk,
-            fh * gk * self.b_hk.evaluate(at) / hk,
+            self.bracket(f, g) / hk,
+            -fh * self.bracket(h, g) / hk,
+            -gk * self.bracket(f, k) / hk,
+            fh * gk * self.bracket(h, k) / hk,
         ]
         return sum(terms), terms
 
@@ -161,15 +273,31 @@ class RatioBracket:
 
 @functools.lru_cache(maxsize=16)
 def classical_delta_elements(n: int, ctx: ThetaContext):
-    """(cone algebra, [Delta_0 .. Delta_n]): shiftops.theta_column_minors over
-    the Poisson limit of V_n.
+    """(cone algebra, [Delta_0 .. Delta_n]) as built elements: the minors of
+    shiftops.theta_column_grid over the Poisson limit of V_n.
 
     Row r of the grid is f_r, theta_0(z_r) .. theta_{n-1}(z_r), and Delta_i
     deletes column i, the same grid whose quantum minors give the transfer
     operator.  Rows touch disjoint (z_r, f_r) pairs, so entries of different
-    rows Poisson-commute and the ordinary determinant is well defined.
+    rows Poisson-commute and the ordinary determinant is well defined.  The
+    checks sample the same minors as jets (`delta_jets`); these trees are
+    the tests' oracle for them.
     """
     return theta_column_minors(n, ctx, PoissonElement)
+
+
+@functools.lru_cache(maxsize=16)
+def _delta_grid(n: int, ctx: ThetaContext):
+    """(V_n, its theta-column grid of PoissonElements), built once per n."""
+    return theta_column_grid(n, ctx, PoissonElement)
+
+
+def delta_jets(n: int, ctx: ThetaContext, at: ex.Evaluator) -> list:
+    """[Delta_0 .. Delta_n] as jets on at's batch: cfdet.minors over the jets
+    of the grid's entries, which one `jets` call takes."""
+    _, grid = _delta_grid(n, ctx)
+    entries = iter(jets([e for row in grid for e in row], at))
+    return minors([[next(entries) for _ in row] for row in grid], operator.mul)
 
 
 def _phase_space_points(alg, count, seed):
@@ -190,41 +318,29 @@ def _phase_space_points(alg, count, seed):
     return env
 
 
-@functools.lru_cache(maxsize=16)
-def _hamiltonian_brackets(n: int, ctx: ThetaContext):
-    """Cached symbolic ratio-brackets for all hamiltonian pairs; each ordered
-    pair of the Delta_i is bracketed once (13 brackets at n = 4, not 24)."""
-    alg, deltas = classical_delta_elements(n, ctx)
-    bracket = functools.cache(pbracket)  # elements hash by identity
-    brackets = [RatioBracket(deltas[i], deltas[0], deltas[j], deltas[0], bracket)
-                for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return alg, tuple(brackets)
-
-
-@functools.lru_cache(maxsize=16)
-def _hamiltonian_plan(n: int, ctx: ThetaContext) -> ex.Plan:
-    """The compiled plan (expr.Plan) of the trees of every element the cached
-    ratio-brackets evaluate, each distinct element once (18 at n = 4)."""
-    _, brackets = _hamiltonian_brackets(n, ctx)
-    elements = {id(e): e for rb in brackets for e in rb.elements()}
-    return ex.Plan(e.tree for e in elements.values())
+def _hamiltonian_brackets(deltas) -> list:
+    """The ratio brackets {H_i, H_j} of every pair i < j, H_i = Delta_i / Delta_0,
+    over the Delta jets of one batch.  They share one cached jet_bracket, so
+    each ordered pair of jets is bracketed once (13 brackets at n = 4, not 24)."""
+    bracket = functools.cache(jet_bracket)  # jets hash by identity
+    return [RatioBracket(deltas[i], deltas[0], deltas[j], deltas[0], bracket)
+            for i in range(1, len(deltas)) for j in range(i + 1, len(deltas))]
 
 
 def classical_hamiltonians(n: int, ctx: ThetaContext, seed: int = 0, points: int = 20) -> float:
     """Max pairwise |{H_i, H_j}| residual for H_i = Delta_i / Delta_0 over all
-    the points; a batch where a bracket poles is redrawn.  The cached trees
-    are evaluated through their plan, which every seed of n reuses."""
-    alg, brackets = _hamiltonian_brackets(n, ctx)
-    plan = _hamiltonian_plan(n, ctx)
+    the points, sampled from the Delta jets; a batch where a bracket poles is redrawn."""
+    alg, _ = _delta_grid(n, ctx)
 
     def measure(at):
-        at.values(plan)
-        return max(rb.residual_batch(at) for rb in brackets)
+        return max(rb.residual_batch(at) for rb in _hamiltonian_brackets(delta_jets(n, ctx, at)))
 
     return sampled_max(measure, functools.partial(_phase_space_points, alg, points), seed, alg.ctx)
 
 
 def _jacobi_delta_terms(n: int, ctx: ThetaContext, ijk):
+    """(algebra, the three built elements Delta_a {Delta_b, Delta_c}, (a, b, c)
+    the cyclic shifts of ijk): the tests' oracle for jacobi_delta_residual."""
     i, j, k = ijk
     alg, deltas = classical_delta_elements(n, ctx)
     cyclic = [(i, j, k), (j, k, i), (k, i, j)]
@@ -232,12 +348,15 @@ def _jacobi_delta_terms(n: int, ctx: ThetaContext, ijk):
 
 
 def jacobi_delta_residual(n: int, ctx: ThetaContext, ijk, seed: int = 0, points: int = 20) -> float:
-    """Residual of Delta_i {Delta_j, Delta_k} + its cyclic shifts in (i, j, k) = 0."""
-    alg, elems = _jacobi_delta_terms(n, ctx, tuple(ijk))
+    """Residual of Delta_i {Delta_j, Delta_k} + its cyclic shifts in (i, j, k) = 0,
+    sampled from the Delta jets and scaled by the three terms."""
+    i, j, k = ijk
+    alg, _ = _delta_grid(n, ctx)
 
     def measure(at):
-        vals = [np.asarray(v) for v in at.values(e.tree for e in elems)]
-        return rel_residual(sum(vals), *vals)
+        d = delta_jets(n, ctx, at)
+        terms = [d[a].value * jet_bracket(d[b], d[c]) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+        return rel_residual(sum(terms), *terms)
 
     return sampled_max(measure, functools.partial(_phase_space_points, alg, points), seed, alg.ctx)
 

@@ -333,19 +333,28 @@ def bosonize(f: ex.MeroExpr, var: str, algebra: ShiftAlgebra, element: type) -> 
     return total
 
 
-def theta_column_minors(n: int, ctx: ThetaContext, element: type):
-    """(V_n, [Delta_0 .. Delta_n]) for the grid whose row r is f_r, theta_0(z_r) .. theta_{n-1}(z_r).
+def theta_column_grid(n: int, ctx: ThetaContext, element: type):
+    """(V_n, grid) for the n x (n+1) grid whose row r is f_r, theta_0(z_r) .. theta_{n-1}(z_r).
 
-    Delta_i deletes column i: Delta_0 the generator column, Delta_{j+1} the
-    column of theta_j.  Row r touches only (z_r, f_r), so the rows commute and
-    the row-ordered Cartier-Foata determinant is well defined.  The one grid
-    behind both commuting families: element is ShiftOp (the transfer operator)
-    or PoissonElement (the hamiltonians Delta_i / Delta_0).
+    Row r touches only (z_r, f_r), so the rows commute and the row-ordered
+    Cartier-Foata determinant is well defined.  The one grid behind both
+    commuting families: element is ShiftOp (the transfer operator) or
+    PoissonElement (the hamiltonians Delta_i / Delta_0, whose jets poisson
+    takes entry by entry).
     """
     alg = make_Vn(n, ctx)
-    grid = [[element.generator(alg, f"f{r}")]
-            + [element.function(alg, ex.theta_basis_of(j, n, f"z{r}")) for j in range(n)]
-            for r in range(1, n + 1)]
+    return alg, [[element.generator(alg, f"f{r}")]
+                 + [element.function(alg, ex.theta_basis_of(j, n, f"z{r}")) for j in range(n)]
+                 for r in range(1, n + 1)]
+
+
+def theta_column_minors(n: int, ctx: ThetaContext, element: type):
+    """(V_n, [Delta_0 .. Delta_n]): the minors of theta_column_grid.
+
+    Delta_i deletes column i: Delta_0 the generator column, Delta_{j+1} the
+    column of theta_j.
+    """
+    alg, grid = theta_column_grid(n, ctx, element)
     return alg, minors(grid, operator.mul)
 
 

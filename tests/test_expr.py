@@ -184,24 +184,27 @@ class TestDiff:
                 checked += 1
         assert checked >= 100
 
-    def test_hamiltonian_brackets_differentiate_each_node_once(self, monkeypatch):
-        # The n = 4 brackets ask for the same derivatives many times over
-        # (13,152 _diff calls for 732 distinct (node, variable) pairs without
-        # the per-node cache); each must be built once.
+    def test_hamiltonian_batch_differentiates_only_grid_entries(self, monkeypatch):
+        # One n = 4 batch of the hamiltonian check builds no Delta and no
+        # bracket: ex.diff is asked only for the coefficients of the grid's
+        # entries, and the grid is evaluated with one stacked theta call per
+        # family, one per column for the values and one for their derivatives.
         from ellcert import poisson
-        calls = {}
-        for cls in ex.MeroExpr.__subclasses__():
-            def counted(node, var, _diff=cls._diff):
-                key = (id(node), var)
-                n, _ = calls.get(key, (0, node))  # the node stays referenced, so its id is not reused
-                calls[key] = (n + 1, node)
-                return _diff(node, var)
-            monkeypatch.setattr(cls, "_diff", counted)
-        # fresh delta elements, so no derivative is kept from an earlier build
-        monkeypatch.setattr(poisson, "classical_delta_elements", poisson.classical_delta_elements.__wrapped__)
-        poisson._hamiltonian_brackets.__wrapped__(4, ThetaContext())
-        assert len(calls) > 700
-        assert max(n for n, _ in calls.values()) == 1
+        from ellcert.shiftops import theta_column_grid
+        n, points = 4, 20
+        alg, grid = theta_column_grid(n, CTX, poisson.PoissonElement)  # fresh, so nothing is kept
+        monkeypatch.setattr(poisson, "_delta_grid", lambda *_: (alg, grid))
+        monkeypatch.setattr(poisson.PoissonElement, "__mul__", None)  # a built product would raise
+        asked, calls = [], []
+        public, real = ex.diff, theta_module.theta_value
+        monkeypatch.setattr(ex, "diff", lambda node, var: asked.append(node) or public(node, var))
+        monkeypatch.setattr(theta_module, "theta_value",
+                            lambda kind, z, ctx, **kw: calls.append((kw["index"], kw["deriv"], np.size(z)))
+                            or real(kind, z, ctx, **kw))
+        assert poisson.classical_hamiltonians(n, CTX, seed=42, points=points) <= 1e-9
+        entries = [c for row in grid for e in row for c in e.terms.values()]
+        assert len(asked) == len(entries) * n and {id(c) for c in asked} == {id(c) for c in entries}
+        assert sorted(calls) == [(j, d, n * points) for j in range(n) for d in (0, 1)]
 
 
 def _ordered(node):
@@ -389,116 +392,19 @@ def _bits(values):
     return [(type(v), np.shape(v), np.asarray(v).tobytes()) for v in values]
 
 
-class TestPlan:
-    NAMES = ["z", "w"]
-
-    def batch(self, seed=3, count=12):
-        return box(count, self.NAMES, CTX)(seed)
-
-    def test_random_trees_keep_their_bits(self):
-        rng = np.random.default_rng(29)
-        trees = [_random_tree(rng, depth=rng.integers(1, 6)) for _ in range(60)]
-        shared = trees[0] * trees[1]
-        c = ex.theta1_of(0.3 + 0.1j)  # free of variables: evaluated as a scalar
-        trees += [shared, shared + trees[2], ex.const(2) * c * ex.var("z"),  # two leading scalars
-                  ex.add(c, ex.const(1), ex.var("w")), c, ex.const(3), ex.mul(ex.var("z"))]
-        plan = ex.Plan(trees)
-        for seed in (3, 4, 5):
-            env = self.batch(seed)
-            assert _bits(ex.Evaluator(env, CTX).values(plan)) == _bits(ex.Evaluator(env, CTX).values(trees))
-
-    def test_one_op_group_per_height_type_and_arity(self):
-        z, w = ex.theta1_of("z"), ex.theta1_of("w")
-        plan = ex.Plan([z * w, w * z, z * w * z, ex.quot(z, w) + z])
-        assert [(kind.__name__, len(gather), stop - start) for kind, gather, start, stop, _ in plan._groups] \
-            == [("Product", 2, 2), ("Product", 3, 1), ("Quotient", 2, 1), ("Sum", 2, 1)]
-
-    def test_roots_are_kept_by_the_evaluator(self):
-        roots = [ex.theta1_of("z") * ex.var("w"), ex.const(2)]
-        at = ex.Evaluator(self.batch(), CTX)
-        values = at.values(ex.Plan(roots))
-        assert at(roots[0]) is values[0] and values[1] == 2
-
-    def test_scalar_assignment_takes_the_recursive_walk(self):
-        roots = [ex.theta1_of("z") * ex.var("w"), ex.quot(1, ex.theta_odd_of("w"))]
-        env = {"z": 0.3 + 0.2j, "w": 0.6 + 0.1j}
-        walked = ex.Evaluator(env, CTX).values(roots)
-        assert _bits(ex.Evaluator(env, CTX).values(ex.Plan(roots))) == _bits(walked)
-
-    def test_unbound_variable_raises(self):
-        with pytest.raises(UnboundVariableError):
-            ex.Evaluator({"z": np.ones(3)}, CTX).values(ex.Plan([ex.var("z") * ex.theta1_of("w")]))
-
-    def test_planted_pole_redraws_the_batch(self):
-        plan = ex.Plan([ex.theta_odd_of("w"), ex.quot(1, ex.theta1_of("z")) * ex.var("w")])
-        seeds = []
-
-        def draw(seed):
-            seeds.append(seed)
-            env = self.batch(seed)
-            if seed == 0:
-                env["z"][5] = 1.0  # theta1 vanishes exactly at 1
-            return env
-
-        with pytest.raises(PoleError):
-            ex.Evaluator(draw(0), CTX).values(plan)
-        seeds.clear()
-        value = sampled_max(lambda at: at.values(plan)[1], draw, 0, CTX)
-        assert seeds == [0, 7919]
-        assert value.tobytes() == ex.Evaluator(draw(7919), CTX).values(list(plan.roots))[1].tobytes()
-
-    def test_non_finite_root_raises_unless_a_pole_comes_first(self):
-        huge = ex.exp2pii(ex.aff((-200j, "z"))) * ex.theta1_of("z")  # exp(400*pi*Re z) overflows
-        pole = ex.quot(1, ex.var("w"))
-        env = self.batch()
-        with pytest.raises(EvaluationOverflowError):
-            ex.Evaluator(env, CTX).values(ex.Plan([huge, pole]))
-        env["w"][0] = 0
-        with pytest.raises(PoleError):  # every pole is tested before any root
-            ex.Evaluator(env, CTX).values(ex.Plan([huge, pole]))
-
-    def test_overflowing_family_is_evaluated_leaf_by_leaf(self, monkeypatch):
-        real = theta_module.theta_value
-        sizes = []
-
-        def refuse_stacks(kind, z, ctx, **kw):
-            sizes.append(np.size(z))
-            if np.size(z) > 12:
-                raise EvaluationOverflowError("a stacked call")
-            return real(kind, z, ctx, **kw)
-
-        roots = [ex.theta1_of("z") + ex.theta1_of("w"), ex.theta1_of(ex.aff("z", const=0.1)) * ex.var("w")]
-        env = self.batch()
-        expected = ex.Evaluator(env, CTX).values(roots)
-        monkeypatch.setattr(theta_module, "theta_value", refuse_stacks)
-        assert _bits(ex.Evaluator(env, CTX).values(ex.Plan(roots))) == _bits(expected)
-        assert sizes == [36, 12, 12, 12]
-
-    def test_leaf_that_overflows_alone_raises_after_the_pole_tests(self):
-        far = ex.theta1_of(ex.aff("z", const=70 * CTX.tau))  # more than 64 lattice steps
-        roots = [ex.theta1_of("z") * far, ex.quot(1, ex.var("w"))]
-        env = self.batch()
-        with pytest.raises(EvaluationOverflowError):
-            ex.Evaluator(env, CTX).values(ex.Plan(roots))
-        env["w"][0] = 0
-        with pytest.raises(PoleError):
-            ex.Evaluator(env, CTX).values(ex.Plan(roots))
-
-
 _HUGE = ex.exp2pii(ex.aff((-200j, "z"))) * ex.theta1_of("z")  # exp(400*pi*Re z) overflows
 _FAR = ex.theta1_of("z") * ex.theta1_of(ex.aff("z", const=70 * CTX.tau))  # a leaf that overflows alone
 _POLE = ex.quot(1, ex.var("w"))
 
 
-@pytest.mark.parametrize("path", ["walk", "plan"])
 @pytest.mark.parametrize("roots, pole, error", [
     ([_HUGE, _POLE], True, PoleError),  # a non-finite root, then a pole
     ([_FAR, _POLE], True, PoleError),  # a leaf that overflows alone, then a pole
     ([_HUGE, _FAR, _POLE], False, EvaluationOverflowError),  # overflows and no pole
 ], ids=["non-finite-root", "overflowing-leaf", "no-pole"])
-def test_walk_and_plan_raise_alike(path, roots, pole, error):
+def test_values_raise_every_pole_before_any_overflow(roots, pole, error):
     env = box(12, ["z", "w"], CTX)(3)
     if pole:
         env["w"][0] = 0
     with pytest.raises(error):
-        ex.Evaluator(env, CTX).values(ex.Plan(roots) if path == "plan" else roots)
+        ex.Evaluator(env, CTX).values(roots)

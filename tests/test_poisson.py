@@ -1,4 +1,7 @@
-"""Poisson layer: bracket axioms, determinant hamiltonians, psi_p, Fay."""
+"""Poisson layer: bracket axioms, jets, determinant hamiltonians, psi_p, Fay."""
+
+import functools
+import operator
 
 import numpy as np
 import pytest
@@ -17,12 +20,16 @@ from ellcert.poisson import (
     fay_sweep,
     _jacobi_delta_terms,
     jacobi_delta_residual,
+    jet_bracket,
+    jets,
     pbracket,
+    pbracket_halves,
     pbracket_residual,
     psi2_pair_residual,
     psi_p,
 )
-from ellcert.shiftops import make_Bpn, make_Vn
+from ellcert.cfdet import minors
+from ellcert.shiftops import make_Bpn, make_Vn, theta_column_grid
 CTX = ThetaContext()
 ID_TOL = 1e-8
 
@@ -141,6 +148,57 @@ class TestRatioBracket:
             RatioBracket(f, f, f, f)
 
 
+@functools.cache
+def symbolic_path(n):
+    """The oracle of the jets: the built Delta elements and the built bracket
+    {Delta_i, Delta_j} of every ordered pair."""
+    alg, deltas = classical_delta_elements(n, CTX)
+    return alg, deltas, {(i, j): pbracket(deltas[i], deltas[j]) for i in range(n + 1) for j in range(n + 1)}
+
+
+def assert_close(got, want, scale, rel=1e-13):
+    """max |got - want| over the batch within rel of the largest |scale|."""
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(scale))
+
+
+class TestJets:
+    @pytest.mark.parametrize("seed", [42, 7, 2026])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_jets_match_the_symbolic_path(self, n, seed):
+        alg, deltas, brackets = symbolic_path(n)
+        at = ex.Evaluator(poisson._phase_space_points(alg, 20, seed), CTX)
+        sampled = poisson.delta_jets(n, CTX, at)
+        for jet, delta in zip(sampled, deltas):
+            assert_close(jet.value, delta.evaluate(at), delta.evaluate(at))
+        for (i, j), bracket in brackets.items():  # {Delta_0, Delta_0} is 0 on both paths
+            assert_close(jet_bracket(sampled[i], sampled[j]), bracket.evaluate(at), bracket.evaluate(at))
+
+    @pytest.mark.parametrize("seed", [42, 7, 2026])
+    def test_quotient_rule_and_psi_brackets_match_the_symbolic_path(self, seed):
+        alg = make_Vn(2, CTX)
+        h = PoissonElement.function(alg, ex.theta1_of(ex.aff("z1", (0.5, "z2"))))
+        g = PoissonElement.generator(alg, "f2", ex.theta1_of("z2"))
+        a, b = (psi_p(ex.theta_basis_of(i, 2, "w"), 2, 2, CTX) for i in range(2))
+        for x, y in ((h, g), (a, b)):
+            at = ex.Evaluator(poisson._phase_space_points(x.algebra, 20, seed), CTX)
+            jx, jy = jets([x, y], at)
+            assert_close(jx.value, x.evaluate(at), x.evaluate(at))
+            assert_close(jy.value, y.evaluate(at), y.evaluate(at))
+            # {psi_2(theta_0), psi_2(theta_1)} vanishes: its Leibniz halves are the scale
+            scale = np.maximum(*(np.abs(half.evaluate(at)) for half in pbracket_halves(x, y)))
+            assert_close(jet_bracket(jx, jy), pbracket(x, y).evaluate(at), scale)
+
+    def test_jet_is_its_own_jet_and_knows_its_generators(self):
+        alg = make_Vn(2, CTX)
+        at = phase_point(alg, np.random.default_rng(0))
+        f1, theta = jets([PoissonElement.generator(alg, "f1", ex.var("z2")),
+                          PoissonElement.function(alg, ex.theta1_of("z1"))], at)
+        assert f1.jet(at) is f1 and theta.is_multiplication() and not f1.is_multiplication()
+        # z2 f1: value, d/dz1, d/dz2, f1 d/df1, f2 d/df2
+        want = [at.env["z2"] * at.env["f1"], 0, at.env["f1"], at.env["z2"] * at.env["f1"], 0]
+        assert np.allclose([f1.value, *f1.grad], want, rtol=1e-15, atol=0)
+
+
 class TestHamiltonians:
     @pytest.mark.parametrize("n", [2, 3])
     def test_pairwise_commutation(self, n):
@@ -193,40 +251,66 @@ class TestHamiltonians:
                 assert abs(r - rs) <= ID_TOL * max(1, abs(r))
 
     def test_hamiltonian_pairs_are_bracketed_once(self, monkeypatch):
-        built = []
-        real = poisson.pbracket
-        monkeypatch.setattr(poisson, "pbracket", lambda a, b: built.append((a, b)) or real(a, b))
-        _, brackets = poisson._hamiltonian_brackets.__wrapped__(4, CTX)
+        bracketed = []
+        real = poisson.jet_bracket
+        monkeypatch.setattr(poisson, "jet_bracket", lambda a, b: bracketed.append((a, b)) or real(a, b))
+        classical_hamiltonians(4, CTX, seed=42)
         # 6 pairs {Delta_i, Delta_j}, 3 {Delta_0, Delta_j}, 3 {Delta_i, Delta_0} and {Delta_0, Delta_0}
-        assert len(built) == len({(id(a), id(b)) for a, b in built}) == 13
-        assert len({id(rb.b_hk) for rb in brackets}) == 1 and len(brackets) == 6
-
-    @pytest.mark.parametrize("seed", [42, 7, 2026])
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_plan_keeps_the_recursive_bits(self, n, seed):
-        alg, _ = poisson._hamiltonian_brackets(n, CTX)
-        plan = poisson._hamiltonian_plan(n, CTX)
-        env = poisson._phase_space_points(alg, 20, seed)
-        planned = ex.Evaluator(env, CTX).values(plan)
-        walked = ex.Evaluator(env, CTX).values(list(plan.roots))
-        # {Delta_0, Delta_0} is the constant zero, a scalar on both paths
-        assert [np.asarray(v).tobytes() for v in planned] == [np.asarray(v).tobytes() for v in walked]
+        assert len(bracketed) == len({(id(a), id(b)) for a, b in bracketed}) == 13
 
     def test_batch_evaluates_each_distinct_element_once(self, monkeypatch):
-        alg, brackets = poisson._hamiltonian_brackets(4, CTX)
-        plan = poisson._hamiltonian_plan(4, CTX)
-        elements = {id(e): e for rb in brackets for e in rb.elements()}
-        # 6 ratio brackets of 8 elements: 48 evaluations of 18 elements, each one root of the plan
-        assert len(brackets) * 8 == 48 and len(elements) == 18
-        assert len(plan.roots) == 18 and all(root is e.tree for root, e in zip(plan.roots, elements.values()))
+        # the 20 entries of the n = 4 grid are the only elements a batch
+        # evaluates, in one `jets` call; the ratio brackets read their jets
+        alg, grid = poisson._delta_grid(4, CTX)
+        taken, calls = [], []
+        real_jets, real_theta = poisson.jets, theta_module.theta_value
+        monkeypatch.setattr(poisson, "jets", lambda elements, at: taken.append(elements) or real_jets(elements, at))
         at = ex.Evaluator(poisson._phase_space_points(alg, 20, 42), CTX)
-        at.values(plan)
-        calls = []
-        real = theta_module.theta_value
-        monkeypatch.setattr(theta_module, "theta_value", lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
-        for rb in brackets:
+        deltas = poisson.delta_jets(4, CTX, at)
+        assert [list(map(id, e)) for e in taken] == [[id(e) for row in grid for e in row]]
+        monkeypatch.setattr(theta_module, "theta_value", lambda *a, **kw: calls.append(a[0]) or real_theta(*a, **kw))
+        for rb in poisson._hamiltonian_brackets(deltas):
             rb.residual_batch(at)
-        assert calls == []
+        assert calls == [] and len(taken) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hamiltonians_are_independent_in_the_generators(self, n):
+        # the n x n matrix dH_i/df_r has full rank at every sampled point, so
+        # the n hamiltonians are not functions of fewer; a copy reads as rank-deficient
+        alg, _ = poisson._delta_grid(n, CTX)
+        at = ex.Evaluator(poisson._phase_space_points(alg, 20, 42), CTX)
+        deltas = poisson.delta_jets(n, CTX, at)
+        assert deltas[0].is_multiplication()  # so dH_i/df_r = (f_r dDelta_i/df_r) / (f_r Delta_0)
+        gens = np.array([at.env[g] for g in alg.gen_names])
+
+        def conditioning(deltas):
+            jac = np.array([d.grad[n:] / (gens * deltas[0].value) for d in deltas[1:]])
+            s = np.linalg.svd(np.moveaxis(jac, -1, 0), compute_uv=False)  # per point, descending
+            return s[:, -1] / s[:, 0]
+
+        assert conditioning(deltas).min() >= 1e-6
+        assert conditioning([deltas[0], deltas[1], deltas[1], *deltas[3:]]).max() <= 1e-12
+
+    def test_rows_that_do_not_commute_fail(self, monkeypatch):
+        # Row 1's theta entries read z1 + z2/2, and f2 shifts z2, so rows 1
+        # and 2 no longer Poisson-commute: the Cartier-Foata hypothesis fails.
+        # A defect, not a reparametrization: the oracle's built brackets of
+        # the planted H_i do not vanish either, and no change of variables
+        # makes commuting functions stop commuting.
+        n = 3
+        alg, grid = theta_column_grid(n, CTX, PoissonElement)
+        row = [grid[0][0]] + [PoissonElement.function(alg, ex.theta_basis_of(j, n, ex.aff("z1", (0.5, "z2"))))
+                              for j in range(n)]
+        planted = [row, *grid[1:]]
+        at = ex.Evaluator(poisson._phase_space_points(alg, 20, 42), CTX)
+        assert np.max(np.abs(pbracket(row[1], grid[1][0]).evaluate(at))) > 0.1
+        monkeypatch.setattr(poisson, "_delta_grid", lambda *_: (alg, planted))
+        assert classical_hamiltonians(n, CTX, seed=42) > 1e3 * 1e-9
+        deltas = minors(planted, operator.mul)
+        f, h, g = (deltas[i].evaluate(at) for i in (1, 0, 2))
+        built = (pbracket(deltas[1], deltas[2]).evaluate(at) - f / h * pbracket(deltas[0], deltas[2]).evaluate(at)
+                 - g / h * pbracket(deltas[1], deltas[0]).evaluate(at)) / h ** 2
+        assert np.max(np.abs(built)) > 1e3 * 1e-9
 
     @pytest.mark.parametrize("seed", [42, 7, 2026])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -240,8 +324,8 @@ class TestHamiltonians:
                 total = total + v
             return total
 
-        alg, brackets = poisson._hamiltonian_brackets(n, CTX)
-        elements = {id(e): e for rb in brackets for e in rb.elements()}.values()
+        alg, deltas, brackets = symbolic_path(n)
+        elements = [*deltas, *brackets.values()]
         assert any(e.is_zero() for e in elements)  # {Delta_0, Delta_0}
         env = poisson._phase_space_points(alg, 20, seed)
         for e in elements:
