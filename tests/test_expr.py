@@ -184,11 +184,13 @@ class TestDiff:
                 checked += 1
         assert checked >= 100
 
-    def test_hamiltonian_batch_differentiates_only_grid_entries(self, monkeypatch):
-        # One n = 4 batch of the hamiltonian check builds no Delta and no
-        # bracket: ex.diff is asked only for the coefficients of the grid's
-        # entries, and the grid is evaluated with one stacked theta call per
-        # family, one per column for the values and one for their derivatives.
+    def test_hamiltonian_brackets_differentiate_each_node_once(self, monkeypatch):
+        # The n = 4 hamiltonian check builds no Delta and no bracket: over two
+        # batches, ex.diff is asked only for the coefficients of the grid's
+        # entries, once per (coefficient, variable), each node under them is
+        # differentiated once, and each batch evaluates the grid with one
+        # stacked theta call per family, one per column for the values and
+        # one for their derivatives.
         from ellcert import poisson
         from ellcert.shiftops import theta_column_grid
         n, points = 4, 20
@@ -197,14 +199,25 @@ class TestDiff:
         monkeypatch.setattr(poisson.PoissonElement, "__mul__", None)  # a built product would raise
         asked, calls = [], []
         public, real = ex.diff, theta_module.theta_value
-        monkeypatch.setattr(ex, "diff", lambda node, var: asked.append(node) or public(node, var))
+        monkeypatch.setattr(ex, "diff", lambda node, var: asked.append((node, var)) or public(node, var))
+        built = {}
+        for cls in ex.MeroExpr.__subclasses__():
+            def counted(node, var, _diff=cls._diff):
+                key = (id(node), var)
+                k, _ = built.get(key, (0, node))  # the node stays referenced, so its id is not reused
+                built[key] = (k + 1, node)
+                return _diff(node, var)
+            monkeypatch.setattr(cls, "_diff", counted)
         monkeypatch.setattr(theta_module, "theta_value",
                             lambda kind, z, ctx, **kw: calls.append((kw["index"], kw["deriv"], np.size(z)))
                             or real(kind, z, ctx, **kw))
-        assert poisson.classical_hamiltonians(n, CTX, seed=42, points=points) <= 1e-9
+        for seed in (42, 7):
+            assert poisson.classical_hamiltonians(n, CTX, seed=seed, points=points) <= 1e-9
         entries = [c for row in grid for e in row for c in e.terms.values()]
-        assert len(asked) == len(entries) * n and {id(c) for c in asked} == {id(c) for c in entries}
-        assert sorted(calls) == [(j, d, n * points) for j in range(n) for d in (0, 1)]
+        assert len(asked) == len({(id(c), v) for c, v in asked}) == len(entries) * n
+        assert {id(c) for c, _ in asked} == {id(c) for c in entries}
+        assert built and max(k for k, _ in built.values()) == 1
+        assert sorted(calls) == [(j, d, n * points) for j in range(n) for d in (0, 1) for _ in range(2)]
 
 
 def _ordered(node):

@@ -258,6 +258,19 @@ class TestHamiltonians:
         # 6 pairs {Delta_i, Delta_j}, 3 {Delta_0, Delta_j}, 3 {Delta_i, Delta_0} and {Delta_0, Delta_0}
         assert len(bracketed) == len({(id(a), id(b)) for a, b in bracketed}) == 13
 
+    @pytest.mark.parametrize("seed", [42, 7, 2026])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_plan_keeps_the_recursive_bits(self, n, seed):
+        # the trees one `jets` call plans for the grid's entries (_jet_layout),
+        # read with one stacked values call, keep the bits of each tree walked alone
+        alg, grid = poisson._delta_grid(n, CTX)
+        trees = poisson._jet_layout(tuple(e for row in grid for e in row))[0]
+        env = poisson._phase_space_points(alg, 20, seed)
+        stacked = ex.Evaluator(env, CTX).values(trees)
+        walked = [ex.Evaluator(env, CTX)(tree) for tree in trees]
+        assert [(np.shape(v), np.asarray(v).tobytes()) for v in stacked] == \
+            [(np.shape(v), np.asarray(v).tobytes()) for v in walked]
+
     def test_batch_evaluates_each_distinct_element_once(self, monkeypatch):
         # the 20 entries of the n = 4 grid are the only elements a batch
         # evaluates, in one `jets` call; the ratio brackets read their jets
