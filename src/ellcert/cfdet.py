@@ -23,7 +23,7 @@ no Kronecker product is formed.  `TensorBackend` verifies the ratios densely,
 slice by slice of the stack, with matrix products, one LU inverse per grid and
 Frobenius norms: no singular-value decomposition.  Every product acts on one
 slice at a time, so a seed's residual does not depend on the stack it is in;
-`seed_groups` bounds a stack's size.
+`sampling.seed_groups` bounds a stack's size.
 
 Also houses the multilinear Plucker identities used by the Poisson layer;
 these hold for decomposable alternating forms (partial determinants), which
@@ -74,21 +74,6 @@ class TensorBackend:
         if not np.all(self.norm(x) * self.norm(inv) <= 1e10):  # a nan is rejected too
             raise PoleError("reciprocal condition number below 1e-10")
         return inv
-
-
-# A stack of seeds keeps its largest array at or under this many complex
-# entries (1 MiB).  It bounds memory, not time: stacking every seed of a
-# section at once raised the peak RSS of the benchmark's `dense` run (seed 42)
-# from 40.4 to 67.0 MiB, and its certify_s did not fall (0.302 s in one run,
-# against a median of 0.290 s over ten runs with this bound).
-STACK_ENTRIES = 2 ** 16
-
-
-def seed_groups(seeds: int, entries: int) -> list:
-    """range(seeds) cut into consecutive ranges, each of as many seeds (at
-    least one) as keep `entries` complex entries per seed within STACK_ENTRIES."""
-    size = max(1, STACK_ENTRIES // entries)
-    return [range(s, min(s + size, seeds)) for s in range(0, seeds, size)]
 
 
 def _random_blocks(m: int, n: int, k: int, seed: int) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 from .context import ThetaContext
 from .errors import EvaluationOverflowError, InconclusiveRankError, ParameterError
 from . import expr as ex
-from .sampling import box, rel_residual, sampled_max
+from .sampling import box, rel_residual, sampled_max, seed_groups
 from .shiftops import make_Vn
 from .theta import reduce_to_fundamental, theta1, theta_basis
 from . import cfdet
@@ -247,14 +247,14 @@ def check_theta_quasiperiodicity(seed, n_max, points, taus) -> float:
 def _cf_verdict(verify, draw, sizes, seeds, seed) -> float:
     """max of verify over the grids draw(n, k, seed + s), for every (n, k) in sizes and s < seeds.
 
-    The seeds of a size come in cfdet.seed_groups, bounded by the n+1 minors
+    The seeds of a size come in seed_groups, bounded by the n+1 minors
     of k^n x k^n a grid has, and each group is one batch of sampled_max: its
     draw at batch seed b stacks the grids drawn at b + s.  A grid whose M^0
     verify cannot invert poles, and the whole group is redrawn.
     """
     worst = 0.0
     for n, k in sizes:
-        for group in cfdet.seed_groups(seeds, (n + 1) * k ** (2 * n)):
+        for group in seed_groups(seeds, (n + 1) * k ** (2 * n)):
             def stack(b, n=n, k=k, size=len(group)):
                 return {"grid": np.stack([draw(n, k, b + s) for s in range(size)])}
 
@@ -291,7 +291,7 @@ def check_delta_family(seed, n, k, seeds) -> float:
 def check_plucker(seed, orders, seeds) -> float:
     # each group of seeds is one stack of forms of (2 order)^order entries
     return max(cfdet.plucker_check(order, *(seed + s for s in group))
-               for order in orders for group in cfdet.seed_groups(seeds, (2 * order) ** order))
+               for order in orders for group in seed_groups(seeds, (2 * order) ** order))
 
 
 @check("poisson-hamiltonians", 1e-9, "pairwise brackets of the determinant hamiltonians",
@@ -314,10 +314,15 @@ def _spectral_points(ctx, seed, count):
 
 
 def _commutator_max(fam, ctx, seeds, samples, seed) -> float:
-    """Largest [T(u), T(v)] residual of `fam` over `seeds` seeded spectral-point pairs."""
-    return max(transfer.transfer_commutator_residual(fam, *_spectral_points(ctx, seed + 100 * s, 2),
-                                                     samples=samples, seed=seed + s)
-               for s in range(seeds))
+    """Largest [T(u), T(v)] residual of `fam` over `seeds` seeded spectral-point pairs.
+
+    Seed s reads the pair drawn from stream seed + 100*s at `samples` box
+    points of batch seed seed + s.  The family is built once and the seeds are
+    certified as stacked batches (transfer.transfer_commutator_residual), so
+    a pole redraws a whole group of seeds.
+    """
+    return transfer.transfer_commutator_residual(
+        fam, [_spectral_points(ctx, seed + 100 * s, 2) for s in range(seeds)], samples=samples, seed=seed)
 
 
 @check("transfer-commute", 1e-8, "[T(u), T(v)] = 0 for the basic family",
@@ -381,13 +386,8 @@ def check_psi2(seed, samples, ctx) -> float:
 @check("fu-commute", 1e-7, "degree-m family commutes in its bosonized image",
        m=integers("2,3", 2, 3), seeds=count(3), samples=count(12), tau=TAU, eta=ETA)
 def check_fu_commute(seed, m, seeds, samples, ctx) -> float:
-    worst = 0.0
-    for degree in m:
-        for s in range(seeds):
-            u, v, a, b = _spectral_points(ctx, seed + s, 4)
-            worst = max(worst, starprod.fu_commutator_residual(
-                u, v, degree, a, b, ctx, samples=samples, seed=seed + s))
-    return worst
+    params = [_spectral_points(ctx, seed + s, 4) for s in range(seeds)]
+    return max(starprod.fu_commutator_residual(degree, params, ctx, samples=samples, seed=seed) for degree in m)
 
 
 @check("casimir-diagonal", 1e-10, "central elements vanish on the shifted diagonal",

@@ -64,8 +64,13 @@ class Affine:
                 raise UnboundVariableError(f"no value bound for variable {name!r}") from None
         return v
 
-    def shifted(self, const: complex) -> "Affine":
-        return Affine(self.coeffs, self.const + const)
+    def shifted(self, by) -> "Affine":
+        """self + by, for by a constant or the name of a variable (coefficient 1).
+        A name such as a spectral parameter's "_u" sorts before every algebra
+        variable, so it is added first: 0 + 1*u keeps the bits of the constant u."""
+        if isinstance(by, str):
+            return Affine({**self.coeffs, by: self.coeffs.get(by, 0j) + 1}, self.const)
+        return Affine(self.coeffs, self.const + by)
 
     def subst(self, mapping: Mapping[str, "Affine"]) -> "Affine":
         const = self.const
@@ -583,16 +588,24 @@ class Evaluator:
     evaluated together (`_stack_leaves`).  Evaluate everything compared on
     one batch through one evaluator; a batch that raises PoleError is
     dropped with its evaluator.
+
+    A shifted evaluator has a base (at, moved): its env stacks at's batch as
+    rows, row r moving the variables v whose bit r is set in moved[v] and
+    reading the others exactly as at.env does.  A theta leaf is then
+    evaluated only on the rows that move one of its variables; the other
+    rows take at's value for the same leaf key, bit for bit the value an
+    all-rows evaluation would give them (shiftops.sampled_coefficients).
     """
 
-    __slots__ = ("env", "ctx", "_memo", "_leaves", "_overflow")
+    __slots__ = ("env", "ctx", "_memo", "_leaves", "_overflow", "_base")
 
-    def __init__(self, env: Mapping, ctx: ThetaContext):
+    def __init__(self, env: Mapping, ctx: ThetaContext, base=None):
         self.env = env
         self.ctx = ctx
         self._memo: dict = {}  # id(node) -> (node, value)
         self._leaves: dict = {}  # Theta._leaf_key() -> value
         self._overflow = None  # the first theta overflow of the running `values` call
+        self._base = base  # None, or (the evaluator of the unshifted batch, {variable: moved-row bits})
 
     def __call__(self, expr: MeroExpr):
         """Value of expr, raising as `values` does."""
@@ -625,8 +638,10 @@ class Evaluator:
         theta call per family of leaves with array-valued arguments, on the
         arguments raveled and stacked.  If that call overflows, each leaf of
         the family is evaluated alone (`_theta`).  A leaf with a scalar
-        argument is left to `Theta._eval`."""
+        argument is left to `Theta._eval`.  With a base, only the rows that
+        move a leaf's variables are stacked (`_from_base`)."""
         families: dict = {}
+        partial: dict = {}  # leaf key -> (leaf, its argument's shape, indices of its moved rows); with a base only
         seen, stack = set(), list(roots)
         while stack:
             node = stack.pop()
@@ -644,8 +659,19 @@ class Evaluator:
                 z = node.arg.value(self.env)
             except UnboundVariableError:
                 continue  # raised if the tree reaches the leaf
-            if np.ndim(z):
-                families.setdefault(key[:4], {})[key] = z
+            if not np.ndim(z):
+                continue
+            if self._base is not None:
+                moved = 0
+                for name in node.arg.coeffs:
+                    moved |= self._base[1][name]
+                if moved != (1 << len(z)) - 1:
+                    rows = [r for r in range(len(z)) if moved >> r & 1]
+                    partial[key] = node, z.shape, rows
+                    if not rows:
+                        continue
+                    z = z[rows]
+            families.setdefault(key[:4], {})[key] = z
         for (kind, order, index, deriv), args in families.items():
             try:
                 stacked = _theta.theta_value(kind, np.concatenate([z.ravel() for z in args.values()]), self.ctx,
@@ -656,6 +682,24 @@ class Evaluator:
             for key, z in args.items():
                 self._leaves[key] = stacked[start:start + z.size].reshape(z.shape)
                 start += z.size
+        if partial:
+            self._from_base(partial)
+
+    def _from_base(self, partial):
+        """Complete each leaf of partial, evaluated on its moved rows only,
+        with the base evaluator's value of its key on every other row.  The
+        base evaluates the keys it lacks as `values` would, and an overflow
+        there is this call's to raise."""
+        at = self._base[0]
+        at._stack_leaves([node for node, _, _ in partial.values()])
+        for key, (node, shape, rows) in partial.items():
+            value = np.empty(shape, dtype=complex)
+            value[:] = node._eval(at)
+            if rows:
+                value[rows] = self._leaves[key]
+            self._leaves[key] = value
+        self._overflow = self._overflow or at._overflow
+        at._overflow = None
 
     def _theta(self, family, z):
         """The value of one leaf of family at z.  An overflow reads NaN and is
@@ -700,6 +744,19 @@ def translate(expr: MeroExpr, deltas: Mapping[str, complex]) -> MeroExpr:
     if not mapping:
         return expr
     return substitute(expr, mapping)
+
+
+def theta_leaf_count(roots) -> int:
+    """How many distinct theta leaves, by `Theta._leaf_key`, the trees under roots hold."""
+    keys, seen, stack = set(), set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if type(node) is Theta:
+                keys.add(node._leaf_key())
+            stack.extend(node._children())
+    return len(keys)
 
 
 def free_vars(expr: MeroExpr) -> frozenset:

@@ -26,7 +26,10 @@ neg(x)); operator equality is decided by seeded sampling of every coefficient,
 relative to the magnitude of the terms being cancelled; a poled batch is redrawn.
 A product that is only compared, such as the two sides of a commutator, is
 sampled, not built: sum_to_zero_residual takes it as a factor pair (a, b) and
-evaluates each coefficient of b once at the batch shifted by every monomial of a.
+evaluates each coefficient of b once at the batch shifted by every monomial of a,
+each theta leaf only on the shifted rows that move it.  A commuting family is
+built once at symbolic spectral variables, and its seeds are stacked into one
+batch (stacked_commutator_residual).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .cfdet import minors
 from .context import ThetaContext
 from .errors import SingularOperatorError
 from . import expr as ex
-from .sampling import box, rel_residual, sampled_max
+from .sampling import box, rel_residual, sampled_max, seed_groups, stacked
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,11 @@ def shift_mul(a: ShiftOp, b: ShiftOp) -> ShiftOp:
 
 
 def invert_multiplication(op: ShiftOp) -> ShiftOp:
-    """Invert a multiplication operator by inverting its coefficient."""
+    """Invert a multiplication operator by inverting its coefficient.
+
+    No check divides by an operator (transfer-det compares Delta_0 T(u) with
+    the determinant sum); bench/tracer.py's SPANS still names this function.
+    """
     if not op.is_multiplication() or op.is_zero():
         raise SingularOperatorError("only nonzero multiplication operators are invertible")
     (coeff,) = op.terms.values()
@@ -207,7 +214,7 @@ def op_equal(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0) -> float:
 
 
 def sum_to_zero_residual(parts: Sequence, samples: int = 20, seed: int = 0,
-                         relations=None) -> float:
+                         relations=None, draw=None) -> float:
     """Largest residual of the relations sum_k w_k * parts[k] == 0, all on one batch.
 
     A part is a TermMap, or a factor pair (a, b) of ShiftOps that stands for
@@ -216,6 +223,8 @@ def sum_to_zero_residual(parts: Sequence, samples: int = 20, seed: int = 0,
     ones: sum(parts) == 0).  Each multi-index coefficient of a relation is
     compared against the biggest term w_k * parts[k] that went into it.  A
     zero weight drops its term: a part weighted 0 in every row is never evaluated.
+    The batch is `samples` box points in the algebra's variables, or draw's
+    (`stacked_commutator_residual` passes the draw of a stack of seeds).
     """
     rows = np.ones((1, len(parts))) if relations is None else np.asarray(relations)
     used = [k for k in range(len(parts)) if np.any(rows[:, k])]
@@ -233,7 +242,7 @@ def sum_to_zero_residual(parts: Sequence, samples: int = 20, seed: int = 0,
                 worst = max(worst, rel_residual(sum(terms), *terms))
         return worst
 
-    return sampled_max(measure, box(samples, alg.var_names, alg.ctx), seed, alg.ctx)
+    return sampled_max(measure, draw or box(samples, alg.var_names, alg.ctx), seed, alg.ctx)
 
 
 def _left(part) -> TermMap:
@@ -260,7 +269,10 @@ def sampled_coefficients(parts: Sequence, at: ex.Evaluator) -> list:
     the contributions summed in the order of a's terms, then b's.  Each G_k
     is evaluated once, by a second evaluator whose batch stacks at's batch
     shifted by every s_m as rows; pairs whose left factors have the same
-    monomials share it.  A pole in any row raises PoleError, so the whole
+    monomials share it.  That evaluator has at as its base: a theta leaf is
+    evaluated only on the rows whose s_m moves one of its variables, and
+    takes at's value of the same leaf on the others (for V_n, theta(z_a - z_b)
+    on rows a and b only).  A pole in any row raises PoleError, so the whole
     batch is redrawn.
     """
     own = iter(at.values(c for part in parts for c in _left(part).terms.values()))
@@ -277,7 +289,8 @@ def sampled_coefficients(parts: Sequence, at: ex.Evaluator) -> list:
         if ev is None:
             shifts = [a.algebra.translation_of(m) for m in a.terms]
             env = {v: np.stack([x + s[v] if v in s else x for s in shifts]) for v, x in at.env.items()}
-            ev = shifted[tuple(a.terms)] = ex.Evaluator(env, at.ctx)
+            moved = {v: sum(1 << row for row, s in enumerate(shifts) if v in s) for v in at.env}
+            ev = shifted[tuple(a.terms)] = ex.Evaluator(env, at.ctx, base=(at, moved))
         rights = ev.values(b.terms.values())
         product: dict = {}
         for row, (m, f) in enumerate(first.items()):
@@ -289,12 +302,37 @@ def sampled_coefficients(parts: Sequence, at: ex.Evaluator) -> list:
     return out
 
 
-def commutator_residual(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0) -> float:
+def commutator_residual(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0, draw=None) -> float:
     """Residual of a*b == b*a, each coefficient against the two products' values.
 
     Both products are factor pairs of `sum_to_zero_residual`: sampled, not built.
     """
-    return sum_to_zero_residual([(a, b), (b, a)], samples=samples, seed=seed, relations=[[1, -1]])
+    return sum_to_zero_residual([(a, b), (b, a)], samples=samples, seed=seed, relations=[[1, -1]], draw=draw)
+
+
+def stacked_commutator_residual(a: ShiftOp, b: ShiftOp, constants: Sequence[Mapping],
+                                samples: int = 20, seed: int = 0) -> float:
+    """Largest a*b == b*a residual over the seeds s < len(constants): a and b
+    are built once, at symbolic variables that seed s sets to constants[s]
+    (such as the spectral parameters "_u" and "_v"), and seed s draws
+    `samples` box points at batch seed seed + s.
+
+    The seeds are certified in `sampling.seed_groups`, each group one batch
+    of `sampled_max` that stacks its seeds' points (`sampling.stacked`), so a
+    pole redraws the whole group at batch seed + 7919.  A seed adds at most
+    |a| * |distinct theta leaves of b| * samples points to a theta call of
+    the shifted batch (or the same for b * a), and a group keeps that count
+    within STACK_ENTRIES.  Every value is computed point by point, so a
+    seed's residual does not depend on its group: without a pole the result
+    is, bit for bit, the largest of the seeds' own `commutator_residual`s.
+    """
+    alg = a.algebra
+    points = box(samples, alg.var_names, alg.ctx)
+    per_seed = samples * max(len(a.terms) * ex.theta_leaf_count(b.terms.values()),
+                             len(b.terms) * ex.theta_leaf_count(a.terms.values()))
+    return max(commutator_residual(a, b, seed=seed + group.start,
+                                   draw=stacked(points, [constants[s] for s in group]))
+               for group in seed_groups(len(constants), per_seed))
 
 
 # Algebra constructors ---------------------------------------------------------

@@ -34,8 +34,8 @@ from .sampling import box, rel_residual, sampled_max
 from .shiftops import (
     ShiftOp,
     bosonize,
-    commutator_residual,
     make_Bpn,
+    stacked_commutator_residual,
     sum_to_zero_residual,
 )
 
@@ -276,7 +276,13 @@ def casimir(alpha: int, m: int, ctx: ThetaContext) -> SymThetaFun:
     return SymThetaFun(m, 2 * m, ex.mul(*factors), ctx)
 
 
-def build_fu_bosonized(u: complex, m: int, a: complex, b: complex, ctx: ThetaContext) -> ShiftOp:
+def fu_constants(m: int, a: complex, b: complex, ctx: ThetaContext) -> dict:
+    """The values of build_fu_bosonized's per-seed variables "_a", "_b" and "_psi" (the Psi shift)."""
+    psi = 4 * m * m * ctx.eta - (a + (m - 2) * b + 2 * m * (m - 2) * ctx.eta) / (m + 5)
+    return {"_a": a, "_b": b, "_psi": psi}
+
+
+def build_fu_bosonized(u, m: int, a, b, ctx: ThetaContext, psi=None) -> ShiftOp:
     """Image of the degree-m commuting family element in B_{m-1, 2m}.
 
     sum_al [theta(u + sum_{be != al} z_be) prod theta(u - z_be)
@@ -284,7 +290,10 @@ def build_fu_bosonized(u: complex, m: int, a: complex, b: complex, ctx: ThetaCon
     f_al = Psi(z_al + 4m^2 eta - (a + (m-2)b + 2m(m-2) eta)/(m+5))
            * theta(sum z + a) * prod_{be != al} theta(z_al + z_be + b)
            * exp(2 pi i (2(m-2) z_al + sum_{be != al} z_be)) * e_al e_1..e_{m-1},
-    with Psi = theta_0, the first basis element of order m+5.
+    with Psi = theta_0, the first basis element of order m+5.  u, a, b and
+    the Psi shift psi are constants, or names of variables that stand for
+    them (the family built once; `fu_commutator_residual`); psi=None takes
+    the shift of the constants a and b (`fu_constants`).
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -292,19 +301,19 @@ def build_fu_bosonized(u: complex, m: int, a: complex, b: complex, ctx: ThetaCon
     n = 2 * m
     alg = make_Bpn(p, n, ctx)
     names = [f"u{i}" for i in range(1, p + 1)]  # B_{p,n} variables
-    eta = ctx.eta
-    psi_shift = 4 * m * m * eta - (a + (m - 2) * b + 2 * m * (m - 2) * eta) / (m + 5)
+    if psi is None:
+        psi = fu_constants(m, a, b, ctx)["_psi"]
     terms = {}
     for al in range(1, p + 1):
         others = [be for be in range(1, p + 1) if be != al]
-        kernel_num = [ex.theta1_of(ex.Affine({names[be - 1]: 1 for be in others}, const=u))]
-        kernel_num += [ex.theta1_of(ex.aff((-1, names[be - 1]), const=u)) for be in others]
+        kernel_num = [ex.theta1_of(ex.Affine({names[be - 1]: 1 for be in others}).shifted(u))]
+        kernel_num += [ex.theta1_of(ex.aff((-1, names[be - 1])).shifted(u)) for be in others]
         kernel_den = [ex.theta1_of(ex.aff(names[be - 1], (-1, names[al - 1]))) for be in others]
         fal = [
-            ex.Theta("basis", ex.aff(names[al - 1], const=psi_shift), order=m + 5, index=0),
-            ex.theta1_of(ex.Affine({v: 1 for v in names}, const=a)),
+            ex.Theta("basis", ex.aff(names[al - 1]).shifted(psi), order=m + 5, index=0),
+            ex.theta1_of(ex.Affine({v: 1 for v in names}).shifted(a)),
         ]
-        fal += [ex.theta1_of(ex.aff(names[al - 1], names[be - 1], const=b)) for be in others]
+        fal += [ex.theta1_of(ex.aff(names[al - 1], names[be - 1]).shifted(b)) for be in others]
         exp_coeffs = {names[be - 1]: 1 for be in others}
         exp_coeffs[names[al - 1]] = 2 * (m - 2)
         fal.append(ex.ExpLin(ex.Affine(exp_coeffs)))
@@ -314,9 +323,13 @@ def build_fu_bosonized(u: complex, m: int, a: complex, b: complex, ctx: ThetaCon
     return ShiftOp(alg, terms)
 
 
-def fu_commutator_residual(u: complex, v: complex, m: int, a: complex, b: complex,
-                           ctx: ThetaContext, samples: int = 15, seed: int = 0) -> float:
-    """[f(u), f(v)] residual in the bosonized algebra."""
-    fu = build_fu_bosonized(u, m, a, b, ctx)
-    fv = build_fu_bosonized(v, m, a, b, ctx)
-    return commutator_residual(fu, fv, samples=samples, seed=seed)
+def fu_commutator_residual(m: int, params, ctx: ThetaContext, samples: int = 15, seed: int = 0) -> float:
+    """Largest [f(u), f(v)] residual in the bosonized algebra over the (u, v, a, b)
+    of params, entry s sampled at batch seed seed + s.
+
+    f is built once, at the variables "_u", "_v", "_a", "_b" and "_psi", and
+    the entries are stacked (shiftops.stacked_commutator_residual).
+    """
+    fu, fv = (build_fu_bosonized(x, m, "_a", "_b", ctx, psi="_psi") for x in ("_u", "_v"))
+    constants = [{"_u": u, "_v": v, **fu_constants(m, a, b, ctx)} for u, v, a, b in params]
+    return stacked_commutator_residual(fu, fv, constants, samples=samples, seed=seed)

@@ -8,10 +8,12 @@ ft_a = f_a / theta(z_1+...+z_n),
 
 which equals Delta_0^{-1} sum_j (-1)^j theta_j(u) Delta_{j+1} for the
 theta-column determinants of shiftops.theta_column_minors (the grid whose
-Poisson limit gives the classical hamiltonians Delta_i / Delta_0), up to one
-global constant.  Consistency of the two forms is certified by dividing out
-that constant and sampling; their commutation for different spectral
-parameters is the headline identity.
+Poisson limit gives the classical hamiltonians Delta_i / Delta_0), exactly:
+Delta_0 T(u) and the sum are sampled against each other, with no constant
+divided out.  The commutation of T(u) and T(v) for different spectral
+parameters is the headline identity; a family is built once, at the
+spectral variables "_u" and "_v", and the seeds' (u, v) are read from the
+stacked batch.
 
 The chain algebra carries the analogous multi-layer transfer function, and
 the face-model auxiliary transfer matrix is built from the *odd* theta: its
@@ -32,13 +34,11 @@ from . import expr as ex
 from .sampling import box, rel_residual, sampled_max
 from .shiftops import (
     ShiftOp,
-    commutator_residual,
-    invert_multiplication,
     make_Btilde,
     make_sos,
     make_Vn,
-    op_equal,
-    shift_mul,
+    stacked_commutator_residual,
+    sum_to_zero_residual,
     theta_column_minors,
 )
 from .theta import theta_basis
@@ -48,20 +48,22 @@ from .theta import theta_basis
 
 def _transfer_coefficient(u, n, al, names, theta_of):
     """theta(u + sum_{b != al} z_b) prod theta(u - z_b) / prod theta(z_al - z_b),
-    with the 1/theta(sum z) normalization folded in."""
+    with the 1/theta(sum z) normalization folded in.  u is a constant or the
+    name of a spectral variable (`ex.Affine.shifted`)."""
     others = [b for b in range(n) if b != al]
-    num = [theta_of(ex.Affine({names[b]: 1 for b in others}, const=u))]
-    num += [theta_of(ex.aff((-1, names[b]), const=u)) for b in others]
+    num = [theta_of(ex.Affine({names[b]: 1 for b in others}).shifted(u))]
+    num += [theta_of(ex.aff((-1, names[b])).shifted(u)) for b in others]
     den = [theta_of(ex.aff(names[al], (-1, names[b]))) for b in others]
     den.append(theta_of(ex.Affine({v: 1 for v in names})))
     return ex.quot(ex.mul(*num), ex.mul(*den))
 
 
-def build_T(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
+def build_T(u, n: int, ctx: ThetaContext) -> ShiftOp:
     """The explicit-coefficient transfer operator in the z/f algebra.
 
     The 1/theta(z_1+...+z_n) normalization multiplies each coefficient on
-    the left, before the generator monomial.
+    the left, before the generator monomial.  u is a constant, or the name
+    of a variable that stands for it, such as "_u" (the family built once).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -71,27 +73,34 @@ def build_T(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
                          for al in range(n)})
 
 
-def vn_family(n: int, ctx: ThetaContext) -> Callable[[complex], ShiftOp]:
+def vn_family(n: int, ctx: ThetaContext) -> Callable[[object], ShiftOp]:
     """The basic family as its builder: u -> build_T(u, n, ctx)."""
     return functools.partial(build_T, n=n, ctx=ctx)
 
 
-def transfer_commutator_residual(family: Callable[[complex], ShiftOp], u: complex, v: complex,
+def transfer_commutator_residual(family: Callable[[object], ShiftOp], spectral: Sequence[tuple],
                                  samples: int = 20, seed: int = 0) -> float:
-    """[T(u), T(v)] residual of the family T via the two products' coefficient cancellation."""
-    return commutator_residual(family(u), family(v), samples=samples, seed=seed)
+    """Largest [T(u), T(v)] residual of the family T over the pairs (u, v) of
+    spectral, pair s sampled at batch seed seed + s.
+
+    T is built once at the spectral variables "_u" and "_v", and the pairs
+    are stacked (shiftops.stacked_commutator_residual): bit for bit the
+    largest of the pairs' own commutator residuals unless a batch poles.
+    """
+    return stacked_commutator_residual(family("_u"), family("_v"), [{"_u": u, "_v": v} for u, v in spectral],
+                                       samples=samples, seed=seed)
 
 
 def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
                                       samples: int = 15, seed: int = 0) -> float:
-    """build_T(u) against Delta_0^{-1} sum_j (-1)^j theta_j(u) Delta_{j+1}.
+    """Residual of Delta_0 * build_T(u) == sum_j (-1)^j theta_j(u) Delta_{j+1}.
 
     Delta_0 .. Delta_n are the Cartier-Foata minors of the grid whose row r is
     f_r, theta_0(z_r) .. theta_{n-1}(z_r) (shiftops.theta_column_minors):
     Delta_0 deletes the generator column, Delta_{j+1} the column of theta_j.
-    One global u-independent constant relates the two forms, the sign
-    (-1)^(n-1) included; it is measured at the first point of a sampled
-    batch, as scalars, and divided out.
+    The identity is exact, with no constant to measure, so T(u) or Delta_0
+    scaled by any constant c != 1 fails.  The left side is a factor pair,
+    sampled without being built; both sides are compared on one batch.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -99,23 +108,13 @@ def transfer_det_consistency_residual(u: complex, n: int, ctx: ThetaContext,
     acc = ShiftOp.zero(alg)
     for j in range(n):
         acc = acc + deltas[j + 1].scaled((-1) ** j * theta_basis(j, u, ctx, n=n))
-    t_det = shift_mul(invert_multiplication(deltas[0]), acc)
-    t_exp = build_T(u, n, ctx)
-
-    mi0 = next(iter(t_exp.terms))
-
-    def ratio(at):
-        c_det, c_exp = at(t_det.terms[mi0]), at(t_exp.terms[mi0])
-        return c_det / ex.nonpole(c_exp, "reference coefficient too small to normalize")
-
-    points = box(samples, alg.var_names, ctx)
-    const = sampled_max(ratio, lambda s: {v: complex(x[0]) for v, x in points(s).items()}, seed, ctx)
-    return op_equal(t_det, t_exp.scaled(complex(const)), samples=samples, seed=seed + 1)
+    return sum_to_zero_residual([(deltas[0], build_T(u, n, ctx)), acc], samples=samples, seed=seed,
+                                relations=[[1, -1]])
 
 
 # Chain transfer function ---------------------------------------------------------
 
-def build_T_tilde(u: complex, p_list: Sequence[int], ctx: ThetaContext) -> ShiftOp:
+def build_T_tilde(u, p_list: Sequence[int], ctx: ThetaContext) -> ShiftOp:
     """Layered chain transfer function on n-1 layers of sizes p_1..p_{n-1}.
 
     Kernel chain theta(u - z_{a1,1}) theta(u + z_{a1,1} - z_{a2,2}) ...
@@ -129,10 +128,10 @@ def build_T_tilde(u: complex, p_list: Sequence[int], ctx: ThetaContext) -> Shift
     alg = make_Btilde(p_list, ctx)
     terms = {}
     for als in itertools.product(*[range(1, p + 1) for p in p_list]):
-        factors = [ex.theta1_of(ex.aff((-1, f"z{als[0]}_1"), const=u))]
+        factors = [ex.theta1_of(ex.aff((-1, f"z{als[0]}_1")).shifted(u))]
         for g in range(1, n - 1):
-            factors.append(ex.theta1_of(ex.aff(f"z{als[g-1]}_{g}", (-1, f"z{als[g]}_{g+1}"), const=u)))
-        factors.append(ex.theta1_of(ex.aff(f"z{als[n-2]}_{n-1}", const=u)))
+            factors.append(ex.theta1_of(ex.aff(f"z{als[g-1]}_{g}", (-1, f"z{als[g]}_{g+1}")).shifted(u)))
+        factors.append(ex.theta1_of(ex.aff(f"z{als[n-2]}_{n-1}").shifted(u)))
         den = []
         for g in range(1, n):
             for b in range(1, p_list[g - 1] + 1):
@@ -146,7 +145,7 @@ def build_T_tilde(u: complex, p_list: Sequence[int], ctx: ThetaContext) -> Shift
     return ShiftOp(alg, terms)
 
 
-def btilde_family(p_list: Sequence[int], ctx: ThetaContext) -> Callable[[complex], ShiftOp]:
+def btilde_family(p_list: Sequence[int], ctx: ThetaContext) -> Callable[[object], ShiftOp]:
     """The chain family as its builder: u -> build_T_tilde(u, p_list, ctx)."""
     return functools.partial(build_T_tilde, p_list=p_list, ctx=ctx)
 
@@ -154,17 +153,18 @@ def btilde_family(p_list: Sequence[int], ctx: ThetaContext) -> Callable[[complex
 # Face-model auxiliary transfer ----------------------------------------------------
 
 def _sos_kernel(u, n, al, names):
-    """Face-model kernel of z_al with lam = z_1+...+z_n inlined, odd theta."""
+    """Face-model kernel of z_al with lam = z_1+...+z_n inlined, odd theta;
+    u a constant or a spectral variable's name."""
     others = [b for b in range(n) if b != al]
     # u + z_al - lam = u - sum_{b != al} z_b
-    num = [ex.theta_odd_of(ex.Affine({names[b]: -1 for b in others}, const=u))]
-    num += [ex.theta_odd_of(ex.aff(names[b], const=u)) for b in others]
+    num = [ex.theta_odd_of(ex.Affine({names[b]: -1 for b in others}).shifted(u))]
+    num += [ex.theta_odd_of(ex.aff(names[b]).shifted(u)) for b in others]
     den = [ex.theta_odd_of(ex.aff(names[b], (-1, names[al]))) for b in others]
     den.append(ex.theta_odd_of(ex.Affine({v: 1 for v in names})))
     return ex.quot(ex.mul(*num), ex.mul(*den))
 
 
-def build_sos_Taux(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
+def build_sos_Taux(u, n: int, ctx: ThetaContext) -> ShiftOp:
     """Auxiliary face-model transfer operator with lam = z_1+...+z_n inlined.
 
     All theta factors are the odd theta: the formula's source normalization.
@@ -185,7 +185,7 @@ def build_sos_Taux(u: complex, n: int, ctx: ThetaContext) -> ShiftOp:
     return ShiftOp(alg, terms)
 
 
-def sos_family(n: int, ctx: ThetaContext) -> Callable[[complex], ShiftOp]:
+def sos_family(n: int, ctx: ThetaContext) -> Callable[[object], ShiftOp]:
     """The face-model family as its builder: u -> build_sos_Taux(u, n, ctx)."""
     return functools.partial(build_sos_Taux, n=n, ctx=ctx)
 

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellcert import sampling
+from ellcert.sampling import STACK_ENTRIES, seed_groups
 from ellcert.cfdet import (
-    STACK_ENTRIES,
     TensorBackend,
     _commuting_residuals,
     _covectors,
@@ -33,7 +33,6 @@ from ellcert.cfdet import (
     plucker_residual,
     random_cf_matrix,
     random_delta_grid,
-    seed_groups,
     tensor_minors,
     verify_commuting_family,
     verify_triangle,

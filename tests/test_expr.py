@@ -381,6 +381,16 @@ class TestEvaluator:
         at.values([ex.theta1_of(ex.aff("z", const=c)) for c in (0, 0.1, 0.2)])
         assert theta_calls == ["order1"] * 3
 
+    def test_shifted_evaluator_raises_its_base_overflow(self):
+        # theta(z) moves on no row, so the base evaluates it and meets the
+        # overflow; the shifted evaluator raises that theta's own error
+        z = np.array([0.3 + 0.2j, 0.4 + 70 * CTX.tau])
+        w = np.array([0.1 + 0.1j, 0.2 + 0.3j])
+        at = ex.Evaluator({"z": z, "w": w}, CTX)
+        shifted = ex.Evaluator({"z": np.stack([z, z]), "w": np.stack([w + 0.1, w])}, CTX, base=(at, {"z": 0, "w": 1}))
+        with pytest.raises(EvaluationOverflowError, match="lattice steps"):
+            shifted.values([ex.theta1_of("z") * ex.theta1_of("w")])
+
     def test_overflowing_family_is_left_to_its_leaves(self):
         far = 70 * CTX.tau  # more than 64 lattice steps: theta_value refuses to reduce it
 

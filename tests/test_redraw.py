@@ -23,7 +23,6 @@ from ellcert.errors import PoleError
 from ellcert.poisson import PoissonElement, RatioBracket, _phase_space_points
 from ellcert.shiftops import make_Vn
 from ellcert.starprod import qnk_relation_residual
-from ellcert.transfer import transfer_det_consistency_residual
 
 SEED = 5
 
@@ -106,6 +105,27 @@ def test_poled_first_batch_is_redrawn(name, monkeypatch):
     assert planted, "the verdict drew no batch through sampled_max"
 
 
+# the commutation checks certify their seeds as one stacked batch per group
+STACKED = {
+    "transfer-commute": {"n": "2", "seeds": 2, "samples": 6},
+    "sos-commute": {"n": "2", "seeds": 2, "samples": 6},
+    "ttilde-commute": {"p": "1,1", "seeds": 2, "samples": 6},
+    "fu-commute": {"m": "2", "seeds": 2, "samples": 6},
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKED))
+def test_poled_first_batch_redraws_the_whole_group(name, monkeypatch):
+    # both seeds are one batch: a pole in it redraws both, so the verdict is
+    # the one whose every seed starts at batch seed + 7919
+    check = REGISTRY[name]
+    route(monkeypatch, starting_at_second_batch)
+    second = check(STACKED[name], SEED)
+    planted = plant(monkeypatch, 1)
+    assert check(STACKED[name], SEED) == second
+    assert planted == [SEED]
+
+
 @pytest.mark.parametrize("name", sorted(VERDICTS))
 def test_eight_poled_batches_raise(name, monkeypatch):
     plant(monkeypatch, 8)
@@ -131,9 +151,6 @@ POLE_SITES = {
     "RatioBracket": (ratio_bracket_at_points, "ratio denominator vanishes at a sample point"),
     "qnk_relation_residual": (lambda: qnk_relation_residual(3, 1, CTX),
                               "structure-constant denominator vanishes at this eta"),
-    "transfer_det_consistency_residual": (
-        lambda: transfer_det_consistency_residual(0.41 + 0.13j, 2, CTX, samples=4),
-        "reference coefficient too small to normalize"),
 }
 
 

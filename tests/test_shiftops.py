@@ -374,3 +374,39 @@ class TestSampledProduct:
         monkeypatch.setattr(shiftops, "sampled_max", recorded)
         assert sum_to_zero_residual([(a, b), (a, b)], samples=1, seed=0, relations=[[1, -1]]) == 0.0
         assert draws == [0, 7919]
+
+
+class TestRowSkip:
+    """A right factor's theta leaf is evaluated only on the shifted rows that
+    move one of its variables; the other rows read the batch's own value."""
+
+    def test_transfer_batch_points_and_bits(self, monkeypatch):
+        # n = 4: a's monomials f_1..f_4 are four rows, row r shifting z_r only
+        from ellcert.sampling import stacked
+        from ellcert.transfer import build_T
+        a, b = build_T("_u", 4, CTX), build_T("_v", 4, CTX)
+        draw = stacked(box(20, a.algebra.var_names, CTX), [{"_u": 0.31 + 0.11j, "_v": 0.73 + 0.29j}])
+        points, made = [], []
+        real_theta, real_evaluator = ex._theta.theta_value, ex.Evaluator
+
+        class Recorded(real_evaluator):
+            __slots__ = ()
+
+            def __init__(self, env, ctx, base=None):
+                super().__init__(env, ctx, base)
+                made.append(self)
+
+        monkeypatch.setattr(ex._theta, "theta_value",
+                            lambda kind, z, ctx, **kw: points.append(np.size(z)) or real_theta(kind, z, ctx, **kw))
+        monkeypatch.setattr(ex, "Evaluator", Recorded)
+        sampled_coefficients([(a, b), (b, a)], Recorded(draw(42), CTX))
+        # 29 distinct leaves of a and b at the 20 drawn points; b's 21 leaves
+        # on the rows that move them (theta(v + sum_{c != a} z_c) 3 of 4,
+        # theta(v - z_c) 1, theta(z_a - z_c) 2, theta(z_1 + ... + z_4) 4: 44
+        # rows, not 84); a's 8 leaves that b lacks on 16 rows
+        assert points == [29 * 20, 44 * 20, 16 * 20]
+        (shifted,) = [ev for ev in made if ev._base is not None]
+        alone = real_evaluator(shifted.env, CTX)
+        for (kind, order, index, deriv, const, coeffs), value in shifted._leaves.items():
+            leaf = ex.Theta(kind, ex.Affine(dict(coeffs), const), order, index, deriv)
+            assert np.array_equal(value, alone(leaf))

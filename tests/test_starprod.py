@@ -380,12 +380,12 @@ class TestFuFamily:
     def test_m2_commutes(self):
         rng = np.random.default_rng(1)
         u, v, a, b = (complex(rng.random(), 0.5 * rng.random()) for _ in range(4))
-        assert fu_commutator_residual(u, v, 2, a, b, CTX, samples=8, seed=0) <= 1e-7
+        assert fu_commutator_residual(2, [(u, v, a, b)], CTX, samples=8, seed=0) <= 1e-7
 
     def test_m3_commutes(self):
         rng = np.random.default_rng(2)
         u, v, a, b = (complex(rng.random(), 0.5 * rng.random()) for _ in range(4))
-        assert fu_commutator_residual(u, v, 3, a, b, CTX, samples=8, seed=0) <= 1e-7
+        assert fu_commutator_residual(3, [(u, v, a, b)], CTX, samples=8, seed=0) <= 1e-7
 
     def test_same_parameter_commutator_structurally_zero(self):
         op = build_fu_bosonized(0.5 + 0.2j, 3, 0.1, 0.3, CTX)

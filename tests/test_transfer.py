@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from ellcert import ThetaContext, theta1, theta_basis
+from ellcert import ThetaContext, sampling, shiftops, theta1, theta_basis
 from ellcert import expr as ex
+from ellcert.checks import REGISTRY, _spectral_points
+from ellcert.shiftops import commutator_residual
+from ellcert.starprod import build_fu_bosonized, fu_constants
 from ellcert.transfer import (
     build_sos_Taux,
     build_T,
@@ -131,10 +134,31 @@ class TestBuildT:
     def test_det_consistency(self, n):
         assert transfer_det_consistency_residual(0.41 + 0.13j, n, CTX, samples=10, seed=0) <= 1e-8
 
+    @pytest.mark.parametrize("side", ["T", "Delta0"])
+    def test_det_consistency_fails_a_scaled_side(self, side, monkeypatch):
+        # Delta_0 T(u) = sum_j (-1)^j theta_j(u) Delta_{j+1} holds with no
+        # constant to measure, so either side scaled by 2 fails by far
+        from ellcert import transfer
+        if side == "T":
+            real_T = transfer.build_T
+            monkeypatch.setattr(transfer, "build_T", lambda *args: real_T(*args).scaled(2))
+        else:
+            real_minors = transfer.theta_column_minors
+
+            def scaled_minors(*args):
+                alg, deltas = real_minors(*args)
+                return alg, [deltas[0].scaled(2), *deltas[1:]]
+
+            monkeypatch.setattr(transfer, "theta_column_minors", scaled_minors)
+        assert REGISTRY["transfer-det"]({}, 42) > 1e3 * 1e-8
+
+    def test_det_consistency_at_large_im_tau(self):
+        assert REGISTRY["transfer-det"]({"n": "2,3,4", "tau": "3j"}, 42) <= 1e-8
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_commutation(self, n):
         fam = vn_family(n, CTX)
-        assert transfer_commutator_residual(fam, 0.31 + 0.11j, 0.73 + 0.29j,
+        assert transfer_commutator_residual(fam, [(0.31 + 0.11j, 0.73 + 0.29j)],
                                             samples=12, seed=0) <= 1e-8
 
     def test_operator_arithmetic_evaluates_nothing(self, monkeypatch):
@@ -177,7 +201,7 @@ class TestTTilde:
 
     def test_commutation(self):
         fam = btilde_family((2, 2), CTX)
-        assert transfer_commutator_residual(fam, 0.29 + 0.17j, 0.61 + 0.37j,
+        assert transfer_commutator_residual(fam, [(0.29 + 0.17j, 0.61 + 0.37j)],
                                             samples=10, seed=0) <= 1e-7
 
 
@@ -200,7 +224,7 @@ class TestSos:
     @pytest.mark.parametrize("n", [2, 3])
     def test_commutation(self, n):
         fam = sos_family(n, CTX)
-        assert transfer_commutator_residual(fam, 0.33 + 0.19j, 0.67 + 0.41j,
+        assert transfer_commutator_residual(fam, [(0.33 + 0.19j, 0.67 + 0.41j)],
                                             samples=10, seed=0) <= 1e-8
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -229,3 +253,69 @@ class TestSos:
                             lambda u, n, al, names: real(u + 0.01, n, al, names))
         for n in (2, 3):
             assert sos_vs_T_coefficient_ratio(u, n, CTX, seed=1) > 1e3 * 1e-8
+
+
+def _family_case(check, params, family, samples, seeds):
+    """A commutation check's case: its name and params, its samples, the family
+    built once at "_u" and "_v", and the per-seed draws at a check seed: each
+    seed's constants and the two operators the per-seed path built for it."""
+    def draws(seed):
+        out = []
+        for s in range(seeds):
+            u, v = _spectral_points(CTX, seed + 100 * s, 2)
+            out.append(({"_u": u, "_v": v}, family(u), family(v)))
+        return out
+
+    return check, params, samples, (family("_u"), family("_v")), draws
+
+
+def _fu_case(m):
+    def draws(seed):
+        out = []
+        for s in range(3):
+            u, v, a, b = _spectral_points(CTX, seed + s, 4)
+            out.append(({"_u": u, "_v": v, **fu_constants(m, a, b, CTX)},
+                        build_fu_bosonized(u, m, a, b, CTX), build_fu_bosonized(v, m, a, b, CTX)))
+        return out
+
+    symbolic = tuple(build_fu_bosonized(x, m, "_a", "_b", CTX, psi="_psi") for x in ("_u", "_v"))
+    return "fu-commute", {"m": str(m)}, 12, symbolic, draws
+
+
+STACKED = {
+    **{f"transfer-n{n}": (lambda n=n: _family_case("transfer-commute", {"n": str(n)}, vn_family(n, CTX), 20, 5))
+       for n in (2, 3, 4, 5)},
+    **{f"sos-n{n}": (lambda n=n: _family_case("sos-commute", {"n": str(n)}, sos_family(n, CTX), 10, 3))
+       for n in (2, 3)},
+    "chain-2x2": lambda: _family_case("ttilde-commute", {"p": "2,2"}, btilde_family((2, 2), CTX), 10, 3),
+    **{f"fu-m{m}": (lambda m=m: _fu_case(m)) for m in (2, 3)},
+}
+
+
+class TestStackedSeeds:
+    """A commutation check builds its family once, at symbolic spectral
+    variables, and certifies its seeds as stacked batches.  Without a pole
+    that must give, bit for bit, what certifying each seed alone on operators
+    built at its own constants gives, however the seeds are grouped."""
+
+    @pytest.mark.parametrize("seed", [42, 7, 2026])
+    @pytest.mark.parametrize("case", sorted(STACKED))
+    def test_stacked_seeds_match_the_per_seed_path(self, case, seed, monkeypatch):
+        check, params, samples, (a, b), draws = STACKED[case]()
+        seeds = draws(seed)
+        want = max(commutator_residual(x, y, samples=samples, seed=seed + s)
+                   for s, (_, x, y) in enumerate(seeds))
+        for constants, x, y in seeds:  # the family at a seed's constants is the operator built there
+            mapping = {name: ex.Affine(const=value) for name, value in constants.items()}
+            for symbolic, built in ((a, x), (b, y)):
+                assert {mi: ex.substitute(c, mapping) for mi, c in symbolic.terms.items()} == built.terms
+
+        groups, real = [], sampling.seed_groups
+        monkeypatch.setattr(shiftops, "seed_groups",
+                            lambda count, entries: groups.append((entries, real(count, entries))) or groups[-1][1])
+        assert REGISTRY[check](params, seed) == want
+        entries, whole = groups[-1]
+        assert whole == [range(len(seeds))]
+        monkeypatch.setattr(sampling, "STACK_ENTRIES", entries * ((len(seeds) + 1) // 2))
+        assert REGISTRY[check](params, seed) == want
+        assert len(groups[-1][1]) == 2
