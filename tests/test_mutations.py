@@ -1,0 +1,80 @@
+"""A mutation matrix: planted defects that the checks must catch.
+
+Each row plants one defect in the library (monkeypatched, so nothing leaks
+into other tests) and names the checks that must FAIL at their default
+parameters, by more than 1e3 times their tolerance.  The ratios measured at
+the default seed are noted beside each row.  A defect no check catches yet
+is not a row; see CHANGES.md for the known gaps.
+"""
+
+import pytest
+
+from ellcert import expr as ex
+from ellcert import starprod, transfer
+from ellcert.checks import REGISTRY
+from ellcert.shiftops import ShiftAlgebra
+from ellcert.starprod import SymThetaFun
+
+MARGIN = 1e3
+
+
+def scale_star_by_degree(monkeypatch):
+    """The star product of f and g times 1 + 0.1 * deg f: not associative."""
+    real = starprod.star
+
+    def star(f, g):
+        fg = real(f, g)
+        return SymThetaFun(fg.degree, fg.order_n, ex.mul(ex.const(1 + 0.1 * f.degree), fg.body), fg.ctx)
+
+    monkeypatch.setattr(starprod, "star", star)
+
+
+def shift_star_by_one_more_eta(monkeypatch):
+    """theta(z_i - z_j - n*eta) / theta(z_i - z_j) of the star product at (n+1)*eta."""
+    real = starprod.star
+
+    def star(f, g):
+        bump = lambda x: SymThetaFun(x.degree, x.order_n + 1, x.body, x.ctx)
+        fg = real(bump(f), bump(g))
+        return SymThetaFun(fg.degree, f.order_n, fg.body, fg.ctx)
+
+    monkeypatch.setattr(starprod, "star", star)
+
+
+def flip_translation(monkeypatch):
+    """Every generator shifts its variables the wrong way."""
+    real = ShiftAlgebra.translation_of
+    monkeypatch.setattr(ShiftAlgebra, "translation_of",
+                        lambda self, exponents: {v: -s for v, s in real(self, exponents).items()})
+
+
+def move_transfer_kernel(monkeypatch):
+    """theta(u - z_b) -> theta(u - z_b + 0.05) in every transfer coefficient."""
+    real = transfer._transfer_coefficient
+
+    def coefficient(u, n, al, names, theta_of):
+        def moved(arg):  # theta(u - z_b) is the one factor whose argument is -z_b plus a constant
+            return theta_of(arg.shifted(0.05) if list(arg.coeffs.values()) == [-1] else arg)
+
+        return real(u, n, al, names, moved)
+
+    monkeypatch.setattr(transfer, "_transfer_coefficient", coefficient)
+
+
+# defect -> (plant, the checks that must fail); residual / tolerance at seed 42 in the comments
+MUTATIONS = {
+    "star-scaled-by-degree": (scale_star_by_degree, ["star-assoc"]),  # 8.3e6
+    "star-shift-one-more-eta": (shift_star_by_one_more_eta, ["star-closure"]),  # 1.9e8
+    "translation-sign-flipped": (flip_translation, ["bosonization-rank", "qnk-relation"]),  # 1.3e7, 2.5e10
+    "transfer-kernel-moved": (move_transfer_kernel, ["transfer-det", "sos-ratio"]),  # 2.8e7, 7.7e7
+}
+
+ROWS = [(defect, name) for defect, (_, names) in MUTATIONS.items() for name in names]
+
+
+@pytest.mark.parametrize("defect,name", ROWS, ids=[f"{d}-{n}" for d, n in ROWS])
+def test_planted_defect_fails_the_check(defect, name, monkeypatch):
+    check = REGISTRY[name]
+    assert check({}) <= check.tolerance  # the check passes without the defect
+    MUTATIONS[defect][0](monkeypatch)
+    assert check({}) > MARGIN * check.tolerance
