@@ -19,11 +19,11 @@ is an outer product of a partial determinant (sites 0..r-1) and a block.
 `tensor_minors` runs the recursion on a stack of grids (one per seed) with one
 array per level: level r+1 is one matmul of level r by a sign pattern of row
 r's blocks, and one axis permutation at the end gives the k^n x k^n minors, so
-no Kronecker product is formed.  `TensorBackend` verifies the ratios densely,
-slice by slice of the stack, with matrix products, one LU inverse per grid and
-Frobenius norms: no singular-value decomposition.  Every product acts on one
-slice at a time, so a seed's residual does not depend on the stack it is in;
-`sampling.seed_groups` bounds a stack's size.
+no Kronecker product is formed.  The ratios' relations for `sampling` are
+computed densely (`TensorBackend`), slice by slice, with matrix products, one
+LU inverse per grid and Frobenius norms: no singular-value decomposition.
+Every product acts on one slice at a time, so a seed's residual does not
+depend on the stack it is in; `sampling.seed_groups` bounds a stack's size.
 
 Also houses the multilinear Plucker identities used by the Poisson layer;
 these hold for decomposable alternating forms (partial determinants), which
@@ -40,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PoleError
+from .sampling import worst_residual
 
 
 class TensorBackend:
@@ -49,8 +50,8 @@ class TensorBackend:
     every operation acts slice by slice.  Distinct-site generators commute
     exactly, and inverses exist concretely, which makes this the reference
     model for the commuting-rows hypothesis.  `norm` is the Frobenius norm of
-    each slice.  It is submultiplicative, so a residual
-    rel_residual(|[x, y]|, |x| |y|) stays a relative residual, bounded by 2.
+    each slice.  It is submultiplicative, so the residual of a relation
+    (|[x, y]|, |x| |y|) (`commuting_relations`) stays relative, at most 2.
     A singular M^0 is a pole of the ratios: `invert` raises PoleError when
     some slice is singular or has kappa_F = |x| |x^-1| above 1e10 (since
     kappa_F >= kappa_2, for every x whose spectral condition number exceeds
@@ -185,49 +186,40 @@ def tensor_minors(grids) -> np.ndarray:
     return sites.reshape(width, *stack, k ** n, k ** n)
 
 
-def _commuting_residuals(ms) -> np.ndarray:
-    """Per stack slice, max over pairs of |[H_i, H_j]| / max(1, |H_i| |H_j|), H_i = ms[0]^-1 ms[i]."""
+def commuting_relations(ms) -> list:
+    """(|[H_i, H_j]|, |H_i| |H_j|) of every pair i < j, per stack slice, H_i = ms[0]^-1 ms[i]."""
     be = TensorBackend()
     inv0 = be.invert(ms[0])
     hs = [be.mul(inv0, d) for d in ms[1:]]
     norms = [be.norm(h) for h in hs]
-    worst = np.zeros(np.shape(ms[0])[:-2])
-    for i in range(len(hs)):
-        for j in range(i + 1, len(hs)):
-            comm = be.mul(hs[i], hs[j]) - be.mul(hs[j], hs[i])
-            worst = np.maximum(worst, be.norm(comm) / np.maximum(1.0, norms[i] * norms[j]))
-    return worst
+    return [(be.norm(be.mul(hs[i], hs[j]) - be.mul(hs[j], hs[i])), norms[i] * norms[j])
+            for i in range(len(hs)) for j in range(i + 1, len(hs))]
 
 
 def verify_commuting_family(ms) -> float:
-    """max over pairs, and over the stack, of rel_residual(|[H_i, H_j]|, |H_i| |H_j|), H_i = ms[0]^-1 ms[i]."""
-    return float(np.max(_commuting_residuals(ms)))
+    """max over pairs, and over the stack, of the commuting_relations' residuals."""
+    return worst_residual(commuting_relations(ms))
 
 
-def _triangle_residuals(ms) -> np.ndarray:
-    """Per stack slice, max over 1 <= i < j of |M^i (M^0)^-1 M^j - M^j (M^0)^-1 M^i|
-    / max(1, |M^i| |(M^0)^-1| |M^j|)."""
+def triangle_relations(ms) -> list:
+    """(|M^i (M^0)^-1 M^j - M^j (M^0)^-1 M^i|, |M^i| |(M^0)^-1| |M^j|) of every
+    pair 1 <= i < j, per stack slice."""
     be = TensorBackend()
     inv0, rest = be.invert(ms[0]), ms[1:]
     norms, norm0 = [be.norm(m) for m in rest], be.norm(inv0)
     ratios = [be.mul(inv0, m) for m in rest]
-    worst = np.zeros(np.shape(ms[0])[:-2])
-    for i in range(len(rest)):
-        for j in range(i + 1, len(rest)):
-            lhs = be.mul(rest[i], ratios[j])
-            rhs = be.mul(rest[j], ratios[i])
-            worst = np.maximum(worst, be.norm(lhs - rhs) / np.maximum(1.0, norms[i] * norm0 * norms[j]))
-    return worst
+    return [(be.norm(be.mul(rest[i], ratios[j]) - be.mul(rest[j], ratios[i])), norms[i] * norm0 * norms[j])
+            for i in range(len(rest)) for j in range(i + 1, len(rest))]
 
 
 def verify_triangle(ms) -> float:
-    """max over 1 <= i < j, and over the stack, of the residual of M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i,
-    rel_residual of the difference's norm against |M^i| |(M^0)^-1| |M^j|.
+    """max over 1 <= i < j, and over the stack, of the residual of M^i (M^0)^-1 M^j = M^j (M^0)^-1 M^i
+    (triangle_relations).
 
     The pairs with i = 0 are left out: M^0 (M^0)^-1 M^j = M^j (M^0)^-1 M^0
     holds for any invertible M^0, so they would test only the inverse.
     """
-    return float(np.max(_triangle_residuals(ms)))
+    return worst_residual(triangle_relations(ms))
 
 
 def delta_family(fgrid) -> float:
@@ -238,8 +230,13 @@ def delta_family(fgrid) -> float:
     commute.  Delta_I = sum over bijections sigma: I -> {1..n} of
     sign(sigma) * prod f_{i, sigma(i)}, and Delta_i omits the first index i.
     """
-    # row r of the transpose collects second index r+1, the blocks of site r
-    return verify_commuting_family(tensor_minors(np.swapaxes(fgrid, -4, -3)))
+    return verify_commuting_family(delta_minors(fgrid))
+
+
+def delta_minors(fgrid) -> np.ndarray:
+    """Delta_0 .. Delta_n of delta_family's grids: the tensor_minors of their
+    transpose, whose row r collects second index r+1, the blocks of site r."""
+    return tensor_minors(np.swapaxes(fgrid, -4, -3))
 
 
 def random_delta_grid(n: int, k: int, seed: int) -> np.ndarray:

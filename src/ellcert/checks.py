@@ -18,7 +18,7 @@ import cmath
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -26,7 +26,7 @@ import numpy as np
 from .context import ThetaContext
 from .errors import EvaluationOverflowError, InconclusiveRankError, ParameterError
 from . import expr as ex
-from .sampling import box, rel_residual, sampled_max, seed_groups
+from .sampling import box, relation_max, seed_groups
 from .shiftops import make_Vn
 from .theta import reduce_to_fundamental, theta1, theta_basis
 from . import cfdet
@@ -162,7 +162,13 @@ SEED = integer(DEFAULT_SEED, 0)
 TAU = Param(DEFAULT_TAU, _tau, "complex, Im >= 0.3")
 TAUS = Param("0.8j;0.3+1.1j", lambda raw: _items(raw, ";", _tau), "';'-list of complex tau, Im >= 0.3")
 ETA = Param(DEFAULT_ETA, _complex, f"complex, N*eta off the lattice for N = 1..{ETA_ORDERS}")
-SIZES = pairs("2x2;2x3;3x2", (1, 4), (2, 4))
+
+
+def _paired(param: Param, name: str) -> Param:  # at 1 a tensor check would compare nothing and read 0
+    return replace(param, allowed=f"{param.allowed}; {name} = 1 gives one ratio and no pair to compare")
+
+
+SIZES = _paired(pairs("2x2;2x3;3x2", (2, 4), (2, 4)), "N")
 
 
 def _parsed(key, value, parse):
@@ -234,56 +240,49 @@ def check_theta_quasiperiodicity(seed, n_max, points, taus) -> float:
             rng = np.random.default_rng(s)
             return {"z": rng.random(points) + 1j * ctx.tau.imag * rng.random(points)}
 
-        def measure(at):
+        def relations(at):  # lazily: a list holds every basis's values, 7 MiB at n_max 8 and 2,000 points
             z = at.env["z"]
             images = (z, z + 1, z + ctx.tau)
-            return max(starprod.periodicity_residual(z, n, *(theta_basis(i, w, ctx, n=n) for w in images))
-                       for n in range(1, n_max + 1) for i in range(n))
+            return (r for n in range(1, n_max + 1) for i in range(n)
+                    for r in starprod.periodicity_relations(z, n, *(theta_basis(i, w, ctx, n=n) for w in images)))
 
-        worst = max(worst, sampled_max(measure, draw, seed, ctx))
+        worst = max(worst, relation_max(relations, draw, seed, ctx))
     return worst
 
 
-def _cf_verdict(verify, draw, sizes, seeds, seed) -> float:
-    """max of verify over the grids draw(n, k, seed + s), for every (n, k) in sizes and s < seeds.
+def _cf_verdict(relations, draw, sizes, seeds, seed, minors=cfdet.tensor_minors) -> float:
+    """Largest residual of relations(minors(grids)), grids draw(n, k, seed + s), (n, k) in sizes, s < seeds.
 
     The seeds of a size come in seed_groups, bounded by the n+1 minors
-    of k^n x k^n a grid has, and each group is one batch of sampled_max: its
+    of k^n x k^n a grid has, and each group is one batch of relation_max: its
     draw at batch seed b stacks the grids drawn at b + s.  A grid whose M^0
-    verify cannot invert poles, and the whole group is redrawn.
+    the relations cannot invert poles, and the whole group is redrawn.
     """
-    worst = 0.0
-    for n, k in sizes:
-        for group in seed_groups(seeds, (n + 1) * k ** (2 * n)):
-            def stack(b, n=n, k=k, size=len(group)):
-                return {"grid": np.stack([draw(n, k, b + s) for s in range(size)])}
+    def stack(n, k, size):
+        return lambda b: {"grid": np.stack([draw(n, k, b + s) for s in range(size)])}
 
-            worst = max(worst, sampled_max(lambda at: verify(at.env["grid"]), stack, seed + group.start,
-                                           ThetaContext()))
-    return worst
-
-
-def _of_minors(verify):
-    """A verifier of a stack of grids' minors as a verifier of the stack."""
-    return lambda grids: verify(cfdet.tensor_minors(grids))
+    return max(relation_max(lambda at: relations(minors(at.env["grid"])), stack(n, k, len(group)),
+                            seed + group.start, ThetaContext())
+               for n, k in sizes for group in seed_groups(seeds, (n + 1) * k ** (2 * n)))
 
 
 @check("cf-commute", 1e-9, "determinant-ratio commuting family over the tensor backend",
        sizes=SIZES, seeds=count(20))
 def check_cf_commute(seed, sizes, seeds) -> float:
-    return _cf_verdict(_of_minors(cfdet.verify_commuting_family), cfdet.random_cf_matrix, sizes, seeds, seed)
+    return _cf_verdict(cfdet.commuting_relations, cfdet.random_cf_matrix, sizes, seeds, seed)
 
 
 @check("cf-triangle", 1e-9, "triangle exchange relations for the minors",
        sizes=SIZES, seeds=count(20))
 def check_cf_triangle(seed, sizes, seeds) -> float:
-    return _cf_verdict(_of_minors(cfdet.verify_triangle), cfdet.random_cf_matrix, sizes, seeds, seed)
+    return _cf_verdict(cfdet.triangle_relations, cfdet.random_cf_matrix, sizes, seeds, seed)
 
 
 @check("delta-family", 1e-9, "column-commuting grid variant of the commuting family",
-       n=integer(3, 1, 4), k=integer(2, 2, 3), seeds=count(5))
+       n=_paired(integer(3, 2, 4), "n"), k=integer(2, 2, 3), seeds=count(5))
 def check_delta_family(seed, n, k, seeds) -> float:
-    return _cf_verdict(cfdet.delta_family, cfdet.random_delta_grid, [(n, k)], seeds, seed)
+    return _cf_verdict(cfdet.commuting_relations, cfdet.random_delta_grid, [(n, k)], seeds, seed,
+                       minors=cfdet.delta_minors)
 
 
 @check("plucker", 1e-10, "3/4/6-term multilinear identities for decomposable forms",
@@ -342,11 +341,8 @@ def check_transfer_det(seed, n, samples, ctx) -> float:
 @check("star-assoc", 1e-8, "associativity of the star product",
        n=integers("2,3,4", 2, 6), samples=count(15), tau=TAU, eta=ETA)
 def check_star_assoc(seed, n, samples, ctx) -> float:
-    worst = 0.0
-    for order in n:
-        f, g, h = (starprod.theta_gen(i, order, ctx) for i in (0, 1 % order, order - 1))
-        worst = max(worst, starprod.star_assoc_residual(f, g, h, samples=samples, seed=seed))
-    return worst
+    fgh = ([starprod.theta_gen(i, order, ctx) for i in (0, 1 % order, order - 1)] for order in n)
+    return max(starprod.star_assoc_residual(f, g, h, samples=samples, seed=seed) for f, g, h in fgh)
 
 
 @check("star-closure", 1e-8, "star products stay symmetric and quasi-periodic",
@@ -403,10 +399,8 @@ def check_casimir_diagonal(seed, m, ctx) -> float:
             diagonal = {**pts, "z2": pts["z1"] + 2 * degree * ctx.eta}
             return {v: np.stack([x, diagonal[v]]) for v, x in pts.items()}
 
-        def measure(at):
-            return max(rel_residual(on, generic) for generic, on in map(at, bodies))
-
-        worst = max(worst, sampled_max(measure, draw, seed, ctx))
+        worst = max(worst, relation_max(lambda at: [(on, generic) for generic, on in at.values(bodies)],
+                                        draw, seed, ctx))
     return worst
 
 
@@ -444,13 +438,13 @@ def check_quotient_rule(seed, points, ctx) -> float:
     one = poisson.PoissonElement.function(alg, ex.const(1))
     rb = poisson.RatioBracket(one, h, g, one)
 
-    def measure(at):  # a pole of h raises PoleError in rb: the batch is redrawn, no point skipped
-        lhs = rb(at)
+    def relations(at):  # a pole of h raises PoleError in rb: the batch is redrawn, no point skipped
+        lhs = rb.residual_at(at)[0]
         hj, gj = poisson.jets([h, g], at)
         rhs = -poisson.jet_bracket(hj, gj) / hj.value ** 2
-        return rel_residual(lhs - rhs, lhs, rhs)
+        return [(lhs - rhs, lhs, rhs)]
 
-    return sampled_max(measure, lambda s: poisson._phase_space_points(alg, points, s), seed, ctx)
+    return relation_max(relations, lambda s: poisson._phase_space_points(alg, points, s), seed, ctx)
 
 
 @check("qnk-relation", 1e-10, "Feigin-Odesskii quadratic relations of Q_{n,1} hold under phi_p",

@@ -46,7 +46,7 @@ import numpy as np
 from .cfdet import minors
 from .context import ThetaContext
 from . import expr as ex
-from .sampling import box, rel_residual, sampled_max
+from .sampling import box, relation_max, sampled_max, worst_residual
 from .shiftops import TermMap, bosonize, make_Bpn, sum_to_zero_residual, theta_column_grid, theta_column_minors
 
 
@@ -232,9 +232,9 @@ class RatioBracket:
     each inner bracket bracket(x, y) of their jets (default `jet_bracket`).
     f, h, g and k are ring elements (PoissonElement), whose jets are taken
     on each batch from their trees, or jets already taken on the batch
-    (Jet).  Calling the object with the evaluator of a phase-space point, or
-    of a batch of them, returns the value; residual_batch measures it
-    against its four terms.
+    (Jet).  On the evaluator of a phase-space point, or of a batch of them,
+    residual_at gives the value with its four terms, a relation of
+    `sampling`; residual_batch measures it.
     """
 
     def __init__(self, f, h, g, k, bracket=jet_bracket):
@@ -246,12 +246,11 @@ class RatioBracket:
         self.bracket = bracket
 
     def residual_batch(self, at: ex.Evaluator) -> float:
-        """Largest |{f/h, g/k}| over the batch, relative to its terms (rel_residual)."""
-        value, terms = self.residual_at(at)
-        return rel_residual(value, *terms)
+        """Largest |{f/h, g/k}| over the batch, relative to its terms."""
+        return worst_residual([self.residual_at(at)])
 
-    def residual_at(self, at: ex.Evaluator):
-        """(value, its four terms), vectorized over array-valued assignments."""
+    def residual_at(self, at: ex.Evaluator) -> tuple:
+        """(value, *its four terms), vectorized over array-valued assignments."""
         f, h, g, k = (x.jet(at) for x in (self.f, self.h, self.g, self.k))
         pole = "ratio denominator vanishes at a sample point"
         hk = ex.nonpole(h.value, pole) * ex.nonpole(k.value, pole)
@@ -263,10 +262,7 @@ class RatioBracket:
             -gk * self.bracket(f, k) / hk,
             fh * gk * self.bracket(h, k) / hk,
         ]
-        return sum(terms), terms
-
-    def __call__(self, at: ex.Evaluator):
-        return self.residual_at(at)[0]
+        return (sum(terms), *terms)
 
 
 # Determinant hamiltonians ------------------------------------------------------
@@ -331,11 +327,8 @@ def classical_hamiltonians(n: int, ctx: ThetaContext, seed: int = 0, points: int
     """Max pairwise |{H_i, H_j}| residual for H_i = Delta_i / Delta_0 over all
     the points, sampled from the Delta jets; a batch where a bracket poles is redrawn."""
     alg, _ = _delta_grid(n, ctx)
-
-    def measure(at):
-        return max(rb.residual_batch(at) for rb in _hamiltonian_brackets(delta_jets(n, ctx, at)))
-
-    return sampled_max(measure, functools.partial(_phase_space_points, alg, points), seed, alg.ctx)
+    return relation_max(lambda at: [rb.residual_at(at) for rb in _hamiltonian_brackets(delta_jets(n, ctx, at))],
+                        functools.partial(_phase_space_points, alg, points), seed, alg.ctx)
 
 
 def _jacobi_delta_terms(n: int, ctx: ThetaContext, ijk):
@@ -353,12 +346,12 @@ def jacobi_delta_residual(n: int, ctx: ThetaContext, ijk, seed: int = 0, points:
     i, j, k = ijk
     alg, _ = _delta_grid(n, ctx)
 
-    def measure(at):
+    def relations(at):
         d = delta_jets(n, ctx, at)
         terms = [d[a].value * jet_bracket(d[b], d[c]) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
-        return rel_residual(sum(terms), *terms)
+        return [(sum(terms), *terms)]
 
-    return sampled_max(measure, functools.partial(_phase_space_points, alg, points), seed, alg.ctx)
+    return relation_max(relations, functools.partial(_phase_space_points, alg, points), seed, alg.ctx)
 
 
 # Classical bosonization ---------------------------------------------------------

@@ -7,11 +7,16 @@ a singular M^0 in cfdet).  sampled_max is the only code that draws a batch,
 builds its Evaluator and redraws, for sampled points and tensor grids alike.
 Seeds certified together are stacked into one draw, in groups of bounded
 size (`stacked`, `seed_groups`).
+
+A check states its identities as relations (difference, *parts), the parts
+the values the difference cancels.  Only this module scales a relation,
+|difference| / max(1, |parts|) elementwise (`rel_residual`), and takes the
+largest (`worst_residual`; `relation_max` on a sampled batch).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -123,3 +128,17 @@ def rel_residual(difference, *parts) -> float:
     for p in parts:
         scale = np.maximum(scale, np.abs(p))
     return float(np.max(np.abs(difference) / scale))
+
+
+def worst_residual(relations) -> float:
+    """The largest rel_residual over relations, each (difference, *parts);
+    0.0 for none.  A NaN residual is kept, never passed over."""
+    return float(np.max([rel_residual(*relation) for relation in relations], initial=0.0))
+
+
+def relation_max(relations: Callable[[ex.Evaluator], Iterable], draw: Callable[[int], Mapping],
+                 seed: int, ctx: ThetaContext) -> float:
+    """worst_residual(relations(at)) on the first batch of draw that does not
+    pole (`sampled_max`), relations(at) every relation the batch certifies,
+    as a list or a generator."""
+    return sampled_max(lambda at: worst_residual(relations(at)), draw, seed, ctx)

@@ -44,7 +44,7 @@ from .cfdet import minors
 from .context import ThetaContext
 from .errors import SingularOperatorError
 from . import expr as ex
-from .sampling import box, rel_residual, sampled_max, seed_groups, stacked
+from .sampling import box, relation_max, sampled_max, seed_groups, stacked
 
 
 @dataclass(frozen=True)
@@ -233,16 +233,12 @@ def sum_to_zero_residual(parts: Sequence, samples: int = 20, seed: int = 0,
         return 0.0
     alg = _left(parts[0]).algebra
 
-    def measure(at):
+    def relations_at(at):
         vals = dict(zip(used, sampled_coefficients([parts[k] for k in used], at)))
-        worst = 0.0
-        for mi in keys:
-            for row in rows:
-                terms = [w * vals[k].get(mi, 0j) for k, w in enumerate(row) if w]
-                worst = max(worst, rel_residual(sum(terms), *terms))
-        return worst
+        sums = ([w * vals[k].get(mi, 0j) for k, w in enumerate(row) if w] for mi in keys for row in rows)
+        return [(sum(terms), *terms) for terms in sums]
 
-    return sampled_max(measure, draw or box(samples, alg.var_names, alg.ctx), seed, alg.ctx)
+    return relation_max(relations_at, draw or box(samples, alg.var_names, alg.ctx), seed, alg.ctx)
 
 
 def _left(part) -> TermMap:

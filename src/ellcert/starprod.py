@@ -30,7 +30,7 @@ import numpy as np
 from .context import ThetaContext
 from .errors import InconclusiveRankError
 from . import expr as ex
-from .sampling import box, rel_residual, sampled_max
+from .sampling import box, relation_max, sampled_max
 from .shiftops import (
     ShiftOp,
     bosonize,
@@ -79,20 +79,20 @@ class SymThetaFun:
                 images.append({**pts, z1: pts[names[1]], names[1]: pts[z1]})
             return {v: np.stack([pts[v]] + [im[v] for im in images]) for v in names}
 
-        def measure(at):
+        def relations(at):
             v, per, qp, *swapped = np.broadcast_to(at(self.body), at.env[z1].shape)  # a constant body too
-            worst = periodicity_residual(at.env[z1][0], self.order_n, v, per, qp)
-            return max([worst] + [rel_residual(v - vs, v) for vs in swapped])
+            symmetry = [(v - vs, v) for vs in swapped]
+            return periodicity_relations(at.env[z1][0], self.order_n, v, per, qp) + symmetry
 
-        return sampled_max(measure, draw, seed, self.ctx)
+        return relation_max(relations, draw, seed, self.ctx)
 
 
-def periodicity_residual(z, n: int, v, per, qp) -> float:
-    """Residual of an order-n theta function's periodicity at z: v, per and qp
-    are its values at z, z + 1 and z + tau, and qp should be
+def periodicity_relations(z, n: int, v, per, qp) -> list:
+    """The relations of an order-n theta function's periodicity at z: v, per
+    and qp are its values at z, z + 1 and z + tau; per should be v and qp
     (-1)^n exp(-2*pi*i*n*z) v."""
     expect = (-1) ** n * np.exp(-2j * math.pi * n * z) * v
-    return max(rel_residual(per - v, v), rel_residual(qp - expect, qp, expect))
+    return [(per - v, v), (qp - expect, qp, expect)]
 
 
 def theta_gen(i: int, n: int, ctx: ThetaContext) -> SymThetaFun:
@@ -129,12 +129,11 @@ def star_assoc_residual(f: SymThetaFun, g: SymThetaFun, h: SymThetaFun,
     right = star(f, star(g, h)).body
     names = _zvars(f.degree + g.degree + h.degree)
 
-    def measure(at):
-        lv = np.asarray(at(left))
-        rv = np.asarray(at(right))
-        return rel_residual(lv - rv, lv, rv)
+    def relations(at):
+        lv, rv = at.values((left, right))
+        return [(lv - rv, lv, rv)]
 
-    return sampled_max(measure, box(samples, names, f.ctx), seed, f.ctx)
+    return relation_max(relations, box(samples, names, f.ctx), seed, f.ctx)
 
 
 def eta_flatness_ratio(n: int, ctx: ThetaContext, seed: int = 0) -> float:

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from .context import ThetaContext
 from . import expr as ex
-from .sampling import box, rel_residual, sampled_max
+from .sampling import box, relation_max
 from .shiftops import (
     ShiftOp,
     make_Btilde,
@@ -201,7 +201,7 @@ def sos_vs_T_coefficient_ratio(u: complex, n: int, ctx: ThetaContext, seed: int 
     shifts match under the reflection).  Neither kernel depends on eta, so
     only ctx.tau is read.  Their ratio is the constant -1 from reflecting the
     two global normalizations, so kernel + basic must vanish, measured
-    relative to both (rel_residual) at 10 sampled points.
+    relative to both at 10 sampled points.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -210,7 +210,8 @@ def sos_vs_T_coefficient_ratio(u: complex, n: int, ctx: ThetaContext, seed: int 
     basics = [_transfer_coefficient(u, n, al, names, ex.theta_odd_of) for al in range(n)]
     kernels = [ex.substitute(_sos_kernel(u, n, al, names), reflect) for al in range(n)]
 
-    def measure(at):
-        return max(rel_residual(k + b, k, b) for k, b in zip(map(at, kernels), map(at, basics)))
+    def relations(at):
+        values = at.values(kernels + basics)
+        return [(k + b, k, b) for k, b in zip(values[:n], values[n:])]
 
-    return sampled_max(measure, box(10, names, ctx), seed, ctx)
+    return relation_max(relations, box(10, names, ctx), seed, ctx)

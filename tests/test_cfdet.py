@@ -15,16 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellcert import sampling
-from ellcert.sampling import STACK_ENTRIES, seed_groups
+from ellcert.sampling import STACK_ENTRIES, seed_groups, worst_residual
 from ellcert.cfdet import (
     TensorBackend,
-    _commuting_residuals,
     _covectors,
     _forms,
     _plucker_residuals,
     _plucker_terms,
-    _triangle_residuals,
     cf_det,
+    commuting_relations,
     decomposable_form,
     delta_family,
     form_apply,
@@ -34,6 +33,7 @@ from ellcert.cfdet import (
     random_cf_matrix,
     random_delta_grid,
     tensor_minors,
+    triangle_relations,
     verify_commuting_family,
     verify_triangle,
 )
@@ -408,18 +408,18 @@ class TestSeedGroups:
     def test_cf_residuals_do_not_depend_on_the_stack(self, size, count):
         n, k = map(int, size.split("x"))
         grids = np.stack([random_cf_matrix(n, k, s) for s in seeds_of(count)])
-        for residuals in (_commuting_residuals, _triangle_residuals):
-            stacked = residuals(tensor_minors(grids))
-            alone = [residuals(tensor_minors(grids[slot:slot + 1]))[0] for slot in range(count)]
-            assert stacked.shape == (count,)
-            assert stacked.tolist() == alone
+        for relations in (commuting_relations, triangle_relations):
+            stacked = np.array(relations(tensor_minors(grids)))
+            alone = [worst_residual(relations(tensor_minors(grids[slot:slot + 1]))) for slot in range(count)]
+            assert stacked.shape[-1] == count
+            assert [worst_residual(stacked[..., slot]) for slot in range(count)] == alone
 
     @pytest.mark.parametrize("n,k,count", [(3, 2, 20), (4, 3, 2)])
     def test_delta_family_does_not_depend_on_the_stack(self, n, k, count):
         fgrids = np.stack([random_delta_grid(n, k, s) for s in seeds_of(count)])
-        stacked = _commuting_residuals(tensor_minors(fgrids.swapaxes(-4, -3)))
+        stacked = np.array(commuting_relations(tensor_minors(fgrids.swapaxes(-4, -3))))
         for slot in range(count):
-            assert delta_family(fgrids[slot:slot + 1]) == stacked[slot]
+            assert delta_family(fgrids[slot:slot + 1]) == worst_residual(stacked[..., slot])
 
     @pytest.mark.parametrize("order,count", [(2, 200), (3, 200), (4, 16)])
     def test_plucker_residuals_do_not_depend_on_the_stack(self, order, count):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import ellcert
 from ellcert.checks import REGISTRY, REPORT_SCHEMA, CheckSpec, parse_value, run_check
 from ellcert.cli import load_config, main
-from ellcert.errors import InconclusiveRankError, ParameterError, PoleError
+from ellcert.errors import EvaluationOverflowError, InconclusiveRankError, ParameterError, PoleError
 
 SMALL_SUITE = """
 [fay]
@@ -245,6 +245,85 @@ def test_bad_input_exits_three_with_one_line(argv, capsys):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+# One site (delta-family: one index) leaves one ratio and no pair to compare,
+# so these passed at exactly 0 without comparing anything
+ONE_RATIO = {
+    "cf-commute": {"sizes": "1x2"},
+    "cf-triangle": {"sizes": "1x3"},
+    "delta-family": {"n": "1", "k": "3"},
+}
+
+
+@pytest.mark.parametrize("name", ONE_RATIO)
+def test_one_ratio_is_a_parameter_error_record(name, tmp_path, capsys):
+    with pytest.raises(ParameterError, match=r"1 is not in \[2, 4\]"):
+        run_check(CheckSpec(name, ONE_RATIO[name]))
+    out = tmp_path / "r.json"
+    params = [arg for key, value in ONE_RATIO[name].items() for arg in ("--param", f"{key}={value}")]
+    assert main(["check", name, *params, "--json", str(out)]) == 3
+    (record,) = json.loads(out.read_text())
+    assert record["params"]["status"] == "error" and "1 is not in [2, 4]" in record["params"]["message"]
+
+
+NON_FINITE = "expression evaluation produced a non-finite value"
+MULTIPLIER = "quasi-periodicity multiplier overflowed"
+POLED = "sampled values pole at all 8 seeded batches"
+
+# The README's list of what a large Im tau does to a check at otherwise
+# default parameters: (check, params, PASS / FAIL / INCONCLUSIVE or the error message)
+LARGE_TAU = [
+    ("poisson-hamiltonians", {"n": "3", "tau": "3j"}, POLED),
+    ("poisson-hamiltonians", {"n": "2", "tau": "3j"}, "PASS"),
+    ("poisson-hamiltonians", {"n": "4", "tau": "2j", "seeds": "2"}, POLED),
+    ("poisson-hamiltonians", {"n": "4", "tau": "2j", "seeds": "1"}, "PASS"),
+    ("transfer-commute", {"tau": "13j"}, "PASS"),
+    ("transfer-commute", {"tau": "14j"}, NON_FINITE),
+    ("transfer-commute", {"tau": "15j"}, MULTIPLIER),
+    ("transfer-commute", {"n": "2,3,4", "tau": "15j"}, "PASS"),
+    ("theta-quasiperiodicity", {"taus": "15j"}, "PASS"),
+    ("theta-quasiperiodicity", {"taus": "20j"}, MULTIPLIER),
+    ("fu-commute", {"tau": "20j"}, "PASS"),
+    ("fu-commute", {"tau": "25j"}, NON_FINITE),
+    ("sos-commute", {"tau": "25j"}, "PASS"),
+    ("sos-commute", {"tau": "30j"}, NON_FINITE),
+    ("star-closure", {"tau": "25j"}, "PASS"),
+    ("star-closure", {"tau": "30j"}, MULTIPLIER),
+    ("casimir-diagonal", {"tau": "40j"}, "PASS"),
+    ("casimir-diagonal", {"tau": "50j"}, MULTIPLIER),
+    ("transfer-det", {"tau": "40j"}, "PASS"),
+    ("transfer-det", {"tau": "50j"}, NON_FINITE),
+    ("ttilde-commute", {"tau": "30j"}, "PASS"),
+    ("ttilde-commute", {"tau": "50j"}, "a sampled value is not finite"),
+    ("fay", {"taus": "30j"}, "PASS"),
+    ("fay", {"taus": "50j"}, "a sampled value is not finite"),
+    ("bosonization-rank", {"pairs": "5x2", "tau": "6j"}, "PASS"),
+    ("bosonization-rank", {"pairs": "5x2", "tau": "7j"}, "FAIL"),
+    ("bosonization-rank", {"pairs": "5x2", "tau": "8j"}, "FAIL"),
+    ("bosonization-rank", {"pairs": "5x2", "tau": "10j"}, "FAIL"),
+    ("bosonization-rank", {"pairs": "5x2", "tau": "12j"}, "INCONCLUSIVE"),
+]
+
+
+def large_tau_list() -> str:
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    return readme[readme.index("A large Im tau is accepted"):readme.index("Exit codes:")]
+
+
+@pytest.mark.parametrize("name,params,outcome", LARGE_TAU,
+                         ids=[f"{n}-{'-'.join(p.values())}" for n, p, _ in LARGE_TAU])
+def test_large_tau_outcome_is_the_listed_one(name, params, outcome):
+    listed = large_tau_list()
+    assert f"`{name}`" in listed and (params.get("tau") or params["taus"]) in listed
+    spec = CheckSpec(name, params)
+    if outcome in ("PASS", "FAIL", "INCONCLUSIVE"):
+        rec = run_check(spec)
+        assert {"PASS": rec.passed, "FAIL": not rec.passed and rec.status is None,
+                "INCONCLUSIVE": rec.inconclusive}[outcome]
+    else:
+        with pytest.raises((PoleError, EvaluationOverflowError), match=outcome):
+            run_check(spec)
 
 
 USAGE_ERRORS = {

@@ -1,11 +1,13 @@
 """One division contract: every failed division is a PoleError that sampling.sampled_max redraws.
 
 No seed poles naturally at default parameters, so the pole is planted: each
-sampled_max call made by the verdict gets a measure that measures a batch in
-full and then raises PoleError.  Planted in the first batch of every call,
+sampled_max call made by the verdict, through sampling.relation_max or by
+name, gets a measure that measures a batch in full and then raises
+PoleError.  Planted in the first batch of every call,
 the verdict must return what it measures when every call starts at batch
 seed + 7919; planted in all eight batches, it must raise PoleError.  The
 tensor-model checks are verdicts like the others: their batch is a grid.
+Every verdict that certifies relations hands them to sampling.relation_max.
 
 Every division that can meet a pole tests its denominator through the one
 function expr.nonpole; patched to pole, it makes each of them raise.
@@ -55,14 +57,16 @@ VERDICTS = {
 UNSAMPLED = {"plucker"}
 
 MODULES = [importlib.import_module(f"ellcert.{name}")
-           for name in ("checks", "poisson", "shiftops", "starprod", "transfer")]
+           for name in ("cfdet", "checks", "poisson", "sampling", "shiftops", "starprod", "transfer")]
 REAL = sampling.sampled_max
 
 
 def route(monkeypatch, sampled_max):
-    """Rebind sampled_max in every library module that calls it."""
+    """Rebind sampled_max in sampling, whose relation_max calls it, and in
+    every library module that calls it by name."""
     for module in MODULES:
-        monkeypatch.setattr(module, "sampled_max", sampled_max)
+        if hasattr(module, "sampled_max"):
+            monkeypatch.setattr(module, "sampled_max", sampled_max)
 
 
 def starting_at_second_batch(measure, draw, seed, ctx):
@@ -93,6 +97,25 @@ def plant(monkeypatch, poled):
 def test_every_sampled_check_is_covered():
     assert set(VERDICTS) | UNSAMPLED == set(REGISTRY)
     assert not set(VERDICTS) & UNSAMPLED
+
+
+# a ratio of two magnitudes, and Fay's three products with their own floor: no relations
+NOT_RELATIONS = {"eta-flatness", "fay"}
+
+
+@pytest.mark.parametrize("name", sorted(set(VERDICTS) - NOT_RELATIONS))
+def test_every_relation_check_reaches_the_engine(name, monkeypatch):
+    calls = []
+
+    def relation_max(relations, draw, seed, ctx):
+        calls.append(seed)
+        return sampling.relation_max(relations, draw, seed, ctx)
+
+    for module in MODULES:
+        if module is not sampling and hasattr(module, "relation_max"):
+            monkeypatch.setattr(module, "relation_max", relation_max)
+    REGISTRY[name](VERDICTS[name], SEED)
+    assert calls, "the verdict scaled no relation through sampling.relation_max"
 
 
 @pytest.mark.parametrize("name", sorted(VERDICTS))

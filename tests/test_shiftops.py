@@ -8,7 +8,7 @@ argument translation.
 import numpy as np
 import pytest
 
-from ellcert import ThetaContext, shiftops
+from ellcert import ThetaContext, sampling, shiftops
 from ellcert import expr as ex
 from ellcert.errors import SingularOperatorError
 from ellcert.sampling import box, rel_residual, sample_points, sampled_max
@@ -371,7 +371,7 @@ class TestSampledProduct:
         def recorded(measure, draw, seed, ctx):
             return sampled_max(measure, lambda s: draws.append(s) or draw(s), seed, ctx)
 
-        monkeypatch.setattr(shiftops, "sampled_max", recorded)
+        monkeypatch.setattr(sampling, "sampled_max", recorded)  # the loop of relation_max
         assert sum_to_zero_residual([(a, b), (a, b)], samples=1, seed=0, relations=[[1, -1]]) == 0.0
         assert draws == [0, 7919]
 

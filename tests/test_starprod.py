@@ -218,14 +218,16 @@ class TestQnk:
 
 
 def count_draws(monkeypatch):
-    """Record every sampled_max call made from shiftops and starprod."""
+    """Record every sampled_max call: those of sampling.relation_max, which
+    sum_to_zero_residual calls, and those made by name from shiftops and starprod."""
     calls = []
+    real = sampling.sampled_max
 
     def counted(measure, draw, seed, ctx):
         calls.append(seed)
-        return sampling.sampled_max(measure, draw, seed, ctx)
+        return real(measure, draw, seed, ctx)
 
-    for module in (shiftops, starprod):
+    for module in (sampling, shiftops, starprod):
         monkeypatch.setattr(module, "sampled_max", counted)
     return calls
 
