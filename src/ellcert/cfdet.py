@@ -23,7 +23,7 @@ no Kronecker product is formed.  The ratios' relations for `sampling` are
 computed densely (`TensorBackend`), slice by slice, with matrix products, one
 LU inverse per grid and Frobenius norms: no singular-value decomposition.
 Every product acts on one slice at a time, so a seed's residual does not
-depend on the stack it is in; `sampling.seed_groups` bounds a stack's size.
+depend on the stack it is in; `sampling.seeds_max` stacks a check's grids.
 
 Also houses the multilinear Plucker identities used by the Poisson layer;
 these hold for decomposable alternating forms (partial determinants), which

@@ -26,7 +26,7 @@ import numpy as np
 from .context import ThetaContext
 from .errors import EvaluationOverflowError, InconclusiveRankError, ParameterError
 from . import expr as ex
-from .sampling import box, relation_max, seed_groups
+from .sampling import box, relation_max, seed_groups, seeds_max
 from .shiftops import make_Vn
 from .theta import reduce_to_fundamental, theta1, theta_basis
 from . import cfdet
@@ -253,17 +253,13 @@ def check_theta_quasiperiodicity(seed, n_max, points, taus) -> float:
 def _cf_verdict(relations, draw, sizes, seeds, seed, minors=cfdet.tensor_minors) -> float:
     """Largest residual of relations(minors(grids)), grids draw(n, k, seed + s), (n, k) in sizes, s < seeds.
 
-    The seeds of a size come in seed_groups, bounded by the n+1 minors
-    of k^n x k^n a grid has, and each group is one batch of relation_max: its
-    draw at batch seed b stacks the grids drawn at b + s.  A grid whose M^0
-    the relations cannot invert poles, and the whole group is redrawn.
+    One `sampling.seeds_max` call per size, a seed's draw its grid and its
+    entries the n+1 minors of k^n x k^n.  A grid whose M^0 the relations
+    cannot invert poles, and its whole group is redrawn.
     """
-    def stack(n, k, size):
-        return lambda b: {"grid": np.stack([draw(n, k, b + s) for s in range(size)])}
-
-    return max(relation_max(lambda at: relations(minors(at.env["grid"])), stack(n, k, len(group)),
-                            seed + group.start, ThetaContext())
-               for n, k in sizes for group in seed_groups(seeds, (n + 1) * k ** (2 * n)))
+    return max(seeds_max(lambda at: relations(minors(at.env["grid"])), lambda s, b: {"grid": draw(n, k, b)[None]},
+                         seeds, seed, ThetaContext(), (n + 1) * k ** (2 * n))
+               for n, k in sizes)
 
 
 @check("cf-commute", 1e-9, "determinant-ratio commuting family over the tensor backend",

@@ -15,7 +15,8 @@ class UnboundVariableError(EllcertError):
 
 
 class EvaluationOverflowError(EllcertError):
-    """Argument reduction produced an ill-conditioned multiplier (|b| too large)."""
+    """A value is not finite: a theta argument needs too many lattice steps to reduce,
+    a theta value or its multiplier overflows, or an expression or sampled value is."""
 
 
 class SingularOperatorError(EllcertError):

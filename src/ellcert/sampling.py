@@ -4,9 +4,9 @@ A draw maps a batch seed to an assignment of variables to equally shaped
 arrays; `box` draws seeded points of Re in [0,1), Im in [0, Im tau).  No point
 is rejected: a division that meets a pole raises PoleError (expr.nonpole, or
 a singular M^0 in cfdet).  sampled_max is the only code that draws a batch,
-builds its Evaluator and redraws, for sampled points and tensor grids alike.
-Seeds certified together are stacked into one draw, in groups of bounded
-size (`stacked`, `seed_groups`).
+builds its Evaluator and redraws, for points and tensor grids alike; only
+cfdet.plucker_check draws its own forms, which cannot pole.  seeds_max alone
+stacks the seeds a check certifies into batches, in groups of bounded size.
 
 A check states its identities as relations (difference, *parts), the parts
 the values the difference cancels.  Only this module scales a relation,
@@ -65,21 +65,6 @@ def box(count: int, var_names: Sequence[str], ctx: ThetaContext) -> Callable[[in
     return lambda seed: dict(zip(var_names, np.ascontiguousarray(box_rows(count, var_names, seed, ctx).T)))
 
 
-def stacked(draw: Callable[[int], Mapping], constants: Sequence[Mapping]) -> Callable[[int], dict]:
-    """The draws of several seeds as one: batch seed b -> {name: array}, seed
-    s < len(constants) contributing draw(b + s) and, repeated over its
-    points, its own constants[s] ({name: value})."""
-    def draw_all(b):
-        parts = [draw(b + s) for s in range(len(constants))]
-        env = {v: np.concatenate([part[v] for part in parts]) for v in parts[0]}
-        counts = [np.size(next(iter(part.values()))) for part in parts]
-        for name in constants[0]:
-            env[name] = np.repeat([c[name] for c in constants], counts)
-        return env
-
-    return draw_all
-
-
 def sampled_max(measure: Callable[[ex.Evaluator], object],
                 draw: Callable[[int], Mapping],
                 seed: int,
@@ -95,9 +80,8 @@ def sampled_max(measure: Callable[[ex.Evaluator], object],
     sampled products do, at the batch shifted by a factor's monomials).  A
     PoleError raised by measure discards the whole batch with its evaluator,
     so no partial value of a poled batch leaks into the result.  A draw
-    may stack several seeds (`stacked`, or the tensor checks' stacks of
-    grids): then a pole anywhere redraws every seed of it, at batch seed +
-    7919 as one, and `seed_groups` bounds how many seeds one draw holds.  Raises
+    may stack several seeds (`seeds_max`): then a pole anywhere redraws
+    every seed of it, at batch seed + 7919 as one.  Raises
     PoleError when all 8 batches pole, and EvaluationOverflowError at once
     when the value is not finite, which is never a residual.
     """
@@ -142,3 +126,20 @@ def relation_max(relations: Callable[[ex.Evaluator], Iterable], draw: Callable[[
     pole (`sampled_max`), relations(at) every relation the batch certifies,
     as a list or a generator."""
     return sampled_max(lambda at: worst_residual(relations(at)), draw, seed, ctx)
+
+
+def seeds_max(relations: Callable[[ex.Evaluator], Iterable], draw: Callable[[int, int], Mapping],
+              seeds: int, seed: int, ctx: ThetaContext, entries: int) -> float:
+    """Max over s < seeds of relation_max(relations, lambda b: draw(s, b), seed + s, ctx):
+    bit for bit, unless a batch poles, for relations(at) that compute row by row.
+
+    draw(s, b) is seed s's arrays alone at batch seed b.  A group of `seed_groups`
+    (`entries` per seed) is one batch at seed + its first seed, its seeds' arrays
+    concatenated along their first axis: a pole redraws the whole group at + 7919.
+    """
+    def draw_group(group, b):
+        parts = [draw(s, b + s - group.start) for s in group]
+        return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+    return max(relation_max(relations, lambda b: draw_group(group, b), seed + group.start, ctx)
+               for group in seed_groups(seeds, entries))

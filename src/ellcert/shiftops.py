@@ -25,11 +25,11 @@ Operator arithmetic is exact and samples nothing (expr.add cancels x against
 neg(x)); operator equality is decided by seeded sampling of every coefficient,
 relative to the magnitude of the terms being cancelled; a poled batch is redrawn.
 A product that is only compared, such as the two sides of a commutator, is
-sampled, not built: sum_to_zero_residual takes it as a factor pair (a, b) and
+sampled, not built: sum_to_zero_relations takes it as a factor pair (a, b) and
 evaluates each coefficient of b once at the batch shifted by every monomial of a,
 each theta leaf only on the shifted rows that move it.  A commuting family is
-built once at symbolic spectral variables, and its seeds are stacked into one
-batch (stacked_commutator_residual).
+built once at symbolic spectral variables, and sampling.seeds_max stacks its
+seeds (stacked_commutator_residual).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .cfdet import minors
 from .context import ThetaContext
 from .errors import SingularOperatorError
 from . import expr as ex
-from .sampling import box, relation_max, sampled_max, seed_groups, stacked
+from .sampling import box, relation_max, sampled_max, seeds_max
 
 
 @dataclass(frozen=True)
@@ -213,9 +213,9 @@ def op_equal(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0) -> float:
     return sum_to_zero_residual([a, -b], samples=samples, seed=seed)
 
 
-def sum_to_zero_residual(parts: Sequence, samples: int = 20, seed: int = 0,
-                         relations=None, draw=None) -> float:
-    """Largest residual of the relations sum_k w_k * parts[k] == 0, all on one batch.
+def sum_to_zero_relations(parts: Sequence, relations=None) -> Callable[[ex.Evaluator], list]:
+    """The relations sum_k w_k * parts[k] == 0, as at -> [(difference, *terms)]
+    on at's batch, for `sampling.relation_max`.
 
     A part is a TermMap, or a factor pair (a, b) of ShiftOps that stands for
     the product a*b and is sampled without being built (`sampled_coefficients`).
@@ -223,22 +223,26 @@ def sum_to_zero_residual(parts: Sequence, samples: int = 20, seed: int = 0,
     ones: sum(parts) == 0).  Each multi-index coefficient of a relation is
     compared against the biggest term w_k * parts[k] that went into it.  A
     zero weight drops its term: a part weighted 0 in every row is never evaluated.
-    The batch is `samples` box points in the algebra's variables, or draw's
-    (`stacked_commutator_residual` passes the draw of a stack of seeds).
     """
     rows = np.ones((1, len(parts))) if relations is None else np.asarray(relations)
     used = [k for k in range(len(parts)) if np.any(rows[:, k])]
     keys = set().union(*(_multi_indices(parts[k]) for k in used))
-    if not keys:
-        return 0.0
-    alg = _left(parts[0]).algebra
 
     def relations_at(at):
+        if not keys:
+            return []
         vals = dict(zip(used, sampled_coefficients([parts[k] for k in used], at)))
         sums = ([w * vals[k].get(mi, 0j) for k, w in enumerate(row) if w] for mi in keys for row in rows)
         return [(sum(terms), *terms) for terms in sums]
 
-    return relation_max(relations_at, draw or box(samples, alg.var_names, alg.ctx), seed, alg.ctx)
+    return relations_at
+
+
+def sum_to_zero_residual(parts: Sequence, samples: int = 20, seed: int = 0, relations=None) -> float:
+    """sum_to_zero_relations(parts, relations) on one batch of `samples` box points."""
+    alg = _left(parts[0]).algebra
+    return relation_max(sum_to_zero_relations(parts, relations), box(samples, alg.var_names, alg.ctx),
+                        seed, alg.ctx)
 
 
 def _left(part) -> TermMap:
@@ -298,12 +302,12 @@ def sampled_coefficients(parts: Sequence, at: ex.Evaluator) -> list:
     return out
 
 
-def commutator_residual(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0, draw=None) -> float:
+def commutator_residual(a: ShiftOp, b: ShiftOp, samples: int = 20, seed: int = 0) -> float:
     """Residual of a*b == b*a, each coefficient against the two products' values.
 
     Both products are factor pairs of `sum_to_zero_residual`: sampled, not built.
     """
-    return sum_to_zero_residual([(a, b), (b, a)], samples=samples, seed=seed, relations=[[1, -1]], draw=draw)
+    return sum_to_zero_residual([(a, b), (b, a)], samples=samples, seed=seed, relations=[[1, -1]])
 
 
 def stacked_commutator_residual(a: ShiftOp, b: ShiftOp, constants: Sequence[Mapping],
@@ -313,22 +317,20 @@ def stacked_commutator_residual(a: ShiftOp, b: ShiftOp, constants: Sequence[Mapp
     (such as the spectral parameters "_u" and "_v"), and seed s draws
     `samples` box points at batch seed seed + s.
 
-    The seeds are certified in `sampling.seed_groups`, each group one batch
-    of `sampled_max` that stacks its seeds' points (`sampling.stacked`), so a
-    pole redraws the whole group at batch seed + 7919.  A seed adds at most
-    |a| * |distinct theta leaves of b| * samples points to a theta call of
-    the shifted batch (or the same for b * a), and a group keeps that count
-    within STACK_ENTRIES.  Every value is computed point by point, so a
-    seed's residual does not depend on its group: without a pole the result
-    is, bit for bit, the largest of the seeds' own `commutator_residual`s.
+    One `sampling.seeds_max` call: seed s's draw is its box points and, at
+    each of them, its constants.  A seed adds at most |a| * |distinct theta
+    leaves of b| * samples points to a theta call of the shifted batch (or
+    the same for b * a): that is its entry count.  Every value is computed
+    point by point, so without a pole the result is, bit for bit, the
+    largest of the seeds' own `commutator_residual`s.
     """
     alg = a.algebra
     points = box(samples, alg.var_names, alg.ctx)
     per_seed = samples * max(len(a.terms) * ex.theta_leaf_count(b.terms.values()),
                              len(b.terms) * ex.theta_leaf_count(a.terms.values()))
-    return max(commutator_residual(a, b, seed=seed + group.start,
-                                   draw=stacked(points, [constants[s] for s in group]))
-               for group in seed_groups(len(constants), per_seed))
+    return seeds_max(sum_to_zero_relations([(a, b), (b, a)], [[1, -1]]),
+                     lambda s, batch: {**points(batch), **{v: np.full(samples, c) for v, c in constants[s].items()}},
+                     len(constants), seed, alg.ctx, per_seed)
 
 
 # Algebra constructors ---------------------------------------------------------

@@ -7,10 +7,13 @@ the default seed are noted beside each row.  A defect no check catches yet
 is not a row; see CHANGES.md for the known gaps.
 """
 
+import functools
+
+import numpy as np
 import pytest
 
 from ellcert import expr as ex
-from ellcert import starprod, transfer
+from ellcert import starprod, theta, transfer
 from ellcert.checks import REGISTRY
 from ellcert.shiftops import ShiftAlgebra
 from ellcert.starprod import SymThetaFun
@@ -61,12 +64,36 @@ def move_transfer_kernel(monkeypatch):
     monkeypatch.setattr(transfer, "_transfer_coefficient", coefficient)
 
 
+def bend_series(monkeypatch):
+    """Every theta series, and each of its derivatives, times 1 + 0.1 * sin(2 pi w)
+    at the reduced argument w."""
+    real = theta._series
+
+    def series(kind, w, tau, order, index, deriv):
+        return [jet * (1 + 0.1 * np.sin(2 * np.pi * w)) for jet in real(kind, w, tau, order, index, deriv)]
+
+    monkeypatch.setattr(theta, "_series", series)
+
+
+def coarsen_window(monkeypatch):
+    """The theta series keeps the modes that reach 1e-4 of the largest term, not 1e-40.
+
+    The cached windows do not key on the cut-off, so the planted cut-off gets a
+    cache of its own, dropped with it: no window of either cut-off outlives its test.
+    """
+    monkeypatch.setattr(theta, "_TAIL", 1e-4)
+    monkeypatch.setattr(theta, "_window", functools.lru_cache(maxsize=1024)(theta._window.__wrapped__))
+
+
 # defect -> (plant, the checks that must fail); residual / tolerance at seed 42 in the comments
 MUTATIONS = {
     "star-scaled-by-degree": (scale_star_by_degree, ["star-assoc"]),  # 8.3e6
     "star-shift-one-more-eta": (shift_star_by_one_more_eta, ["star-closure"]),  # 1.9e8
     "translation-sign-flipped": (flip_translation, ["bosonization-rank", "qnk-relation"]),  # 1.3e7, 2.5e10
     "transfer-kernel-moved": (move_transfer_kernel, ["transfer-det", "sos-ratio"]),  # 2.8e7, 7.7e7
+    "theta-series-bent": (bend_series,  # 2.2e10, 2.5e9, 1.3e8, 1.4e8
+                          ["fay", "qnk-relation", "transfer-det", "sos-ratio"]),
+    "theta-window-coarse": (coarsen_window, ["qnk-relation", "psi2", "transfer-commute"]),  # 5.5e5, 5.9e4, 2.7e4
 }
 
 ROWS = [(defect, name) for defect, (_, names) in MUTATIONS.items() for name in names]

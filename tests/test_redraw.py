@@ -16,6 +16,7 @@ function expr.nonpole; patched to pole, it makes each of them raise.
 import importlib
 import itertools
 
+import numpy as np
 import pytest
 
 from ellcert import ThetaContext, sampling
@@ -105,14 +106,15 @@ NOT_RELATIONS = {"eta-flatness", "fay"}
 
 @pytest.mark.parametrize("name", sorted(set(VERDICTS) - NOT_RELATIONS))
 def test_every_relation_check_reaches_the_engine(name, monkeypatch):
-    calls = []
+    # rebound in sampling too, whose seeds_max calls it for the stacked checks
+    calls, real = [], sampling.relation_max
 
     def relation_max(relations, draw, seed, ctx):
         calls.append(seed)
-        return sampling.relation_max(relations, draw, seed, ctx)
+        return real(relations, draw, seed, ctx)
 
     for module in MODULES:
-        if module is not sampling and hasattr(module, "relation_max"):
+        if hasattr(module, "relation_max"):
             monkeypatch.setattr(module, "relation_max", relation_max)
     REGISTRY[name](VERDICTS[name], SEED)
     assert calls, "the verdict scaled no relation through sampling.relation_max"
@@ -193,3 +195,45 @@ def test_every_division_poles_through_nonpole(site, monkeypatch):
     with pytest.raises(PoleError):
         run()
     assert what in asked
+
+
+# sampling.seeds_max: the seeds of a stacked check, grouped, stacked and redrawn in one place
+
+def toy_draw(s, b):
+    """Seed s's four points at batch seed b, with b itself at each of them."""
+    rng = np.random.default_rng(b)
+    return {"x": rng.random(4) + 1j * rng.random(4) + s, "b": np.full(4, b)}
+
+
+def toy_relations(at):
+    x = at.env["x"]
+    return [(x * x * x - x, x * x * x, x), (x * x - 1, x * x)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_seeds_max_is_the_largest_per_seed_residual(size, monkeypatch):
+    # groups of one, of two (and a last one of one), and of all five seeds
+    monkeypatch.setattr(sampling, "STACK_ENTRIES", 4 * size)
+    assert [len(group) for group in sampling.seed_groups(5, 4)] == {1: [1] * 5, 2: [2, 2, 1], 5: [5]}[size]
+    alone = [sampling.relation_max(toy_relations, lambda b: toy_draw(s, b), SEED + s, CTX) for s in range(5)]
+    assert sampling.seeds_max(toy_relations, toy_draw, 5, SEED, CTX, 4) == max(alone)
+
+
+def test_seeds_max_redraws_a_poled_group_whole(monkeypatch):
+    # seed 1's first batch poles: its group of two is redrawn, seed 0 with it
+    monkeypatch.setattr(sampling, "STACK_ENTRIES", 8)
+    drawn = []
+
+    def draw(s, b):
+        drawn.append((s, b))
+        return toy_draw(s, b)
+
+    def relations(at):
+        if np.any(at.env["b"] == SEED + 1):
+            raise PoleError("planted pole")
+        return toy_relations(at)
+
+    redrawn = SEED + sampling._RETRY_STRIDE
+    want = max(sampling.relation_max(toy_relations, lambda b: toy_draw(s, b), redrawn + s, CTX) for s in range(2))
+    assert sampling.seeds_max(relations, draw, 2, SEED, CTX, 4) == want
+    assert drawn == [(0, SEED), (1, SEED + 1), (0, redrawn), (1, redrawn + 1)]

@@ -382,10 +382,10 @@ class TestRowSkip:
 
     def test_transfer_batch_points_and_bits(self, monkeypatch):
         # n = 4: a's monomials f_1..f_4 are four rows, row r shifting z_r only
-        from ellcert.sampling import stacked
         from ellcert.transfer import build_T
         a, b = build_T("_u", 4, CTX), build_T("_v", 4, CTX)
-        draw = stacked(box(20, a.algebra.var_names, CTX), [{"_u": 0.31 + 0.11j, "_v": 0.73 + 0.29j}])
+        box_draw = box(20, a.algebra.var_names, CTX)
+        draw = lambda s: {**box_draw(s), "_u": np.full(20, 0.31 + 0.11j), "_v": np.full(20, 0.73 + 0.29j)}
         points, made = [], []
         real_theta, real_evaluator = ex._theta.theta_value, ex.Evaluator
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ellcert import ThetaContext, sampling, shiftops, theta1, theta_basis
+from ellcert import ThetaContext, sampling, theta1, theta_basis
 from ellcert import expr as ex
 from ellcert.checks import REGISTRY, _spectral_points
 from ellcert.shiftops import commutator_residual
@@ -311,7 +311,7 @@ class TestStackedSeeds:
                 assert {mi: ex.substitute(c, mapping) for mi, c in symbolic.terms.items()} == built.terms
 
         groups, real = [], sampling.seed_groups
-        monkeypatch.setattr(shiftops, "seed_groups",
+        monkeypatch.setattr(sampling, "seed_groups",
                             lambda count, entries: groups.append((entries, real(count, entries))) or groups[-1][1])
         assert REGISTRY[check](params, seed) == want
         entries, whole = groups[-1]
