@@ -231,9 +231,14 @@ def check(name, tolerance, summary, **params):
 
 # Check implementations ---------------------------------------------------------
 
-@check("theta-quasiperiodicity", 1e-10, "basis theta periodicity and tau quasi-periodicity, orders 1..6",
+@check("theta-quasiperiodicity", 1e-10,
+       "basis theta covariance under z -> z + 1/n and tau quasi-periodicity, orders 1..n_max",
        n_max=integer(6, 1, 8), points=count(200), taus=TAUS)
 def check_theta_quasiperiodicity(seed, n_max, points, taus) -> float:
+    """theta_i(z + 1/n) = e^(2 pi i i/n) theta_i(z), which reads the series at
+    two points of the fundamental strip (at n = 1 it is the period 1), and
+    theta_i(z + tau) = (-1)^n e^(-2 pi i n z) theta_i(z), which reduces to
+    z's own strip point and so checks the multiplier."""
     worst = 0.0
     for ctx in taus:
         def draw(s):  # a stream of its own, not the box layout: the golden residuals depend on it
@@ -242,22 +247,27 @@ def check_theta_quasiperiodicity(seed, n_max, points, taus) -> float:
 
         def relations(at):  # lazily: a list holds every basis's values, 7 MiB at n_max 8 and 2,000 points
             z = at.env["z"]
-            images = (z, z + 1, z + ctx.tau)
-            return (r for n in range(1, n_max + 1) for i in range(n)
-                    for r in starprod.periodicity_relations(z, n, *(theta_basis(i, w, ctx, n=n) for w in images)))
+            for n in range(1, n_max + 1):
+                for i in range(n):
+                    v, step, qp = (theta_basis(i, w, ctx, n=n) for w in (z, z + 1 / n, z + ctx.tau))
+                    expect = (-1) ** n * np.exp(-2j * math.pi * n * z) * v
+                    yield from ((step - cmath.exp(2j * math.pi * i / n) * v, v), (qp - expect, qp, expect))
 
         worst = max(worst, relation_max(relations, draw, seed, ctx))
     return worst
 
 
-def _cf_verdict(relations, draw, sizes, seeds, seed, minors=cfdet.tensor_minors) -> float:
-    """Largest residual of relations(minors(grids)), grids draw(n, k, seed + s), (n, k) in sizes, s < seeds.
+def _cf_verdict(relations, draw, sizes, seeds, seed) -> float:
+    """Largest residual of relations(cfdet.tensor_minors(grids)), grids draw(n, k, seed + s),
+    (n, k) in sizes, s < seeds.
 
-    One `sampling.seeds_max` call per size, a seed's draw its grid and its
-    entries the n+1 minors of k^n x k^n.  A grid whose M^0 the relations
-    cannot invert poles, and its whole group is redrawn.
+    One `sampling.seeds_max` call per size, a seed's draw its grid (row r
+    the blocks of site r) and its entries the n+1 minors of k^n x k^n.  A
+    grid whose M^0 the relations cannot invert poles, and its whole group is
+    redrawn.
     """
-    return max(seeds_max(lambda at: relations(minors(at.env["grid"])), lambda s, b: {"grid": draw(n, k, b)[None]},
+    return max(seeds_max(lambda at: relations(cfdet.tensor_minors(at.env["grid"])),
+                         lambda s, b: {"grid": draw(n, k, b)[None]},
                          seeds, seed, ThetaContext(), (n + 1) * k ** (2 * n))
                for n, k in sizes)
 
@@ -277,8 +287,9 @@ def check_cf_triangle(seed, sizes, seeds) -> float:
 @check("delta-family", 1e-9, "column-commuting grid variant of the commuting family",
        n=_paired(integer(3, 2, 4), "n"), k=integer(2, 2, 3), seeds=count(5))
 def check_delta_family(seed, n, k, seeds) -> float:
-    return _cf_verdict(cfdet.commuting_relations, cfdet.random_delta_grid, [(n, k)], seeds, seed,
-                       minors=cfdet.delta_minors)
+    # each grid transposed, as cfdet.delta_minors takes it: row r holds the blocks of site r
+    return _cf_verdict(cfdet.commuting_relations,
+                       lambda n, k, s: np.swapaxes(cfdet.random_delta_grid(n, k, s), -4, -3), [(n, k)], seeds, seed)
 
 
 @check("plucker", 1e-10, "3/4/6-term multilinear identities for decomposable forms",
@@ -432,11 +443,10 @@ def check_quotient_rule(seed, points, ctx) -> float:
     h = poisson.PoissonElement.function(alg, ex.theta1_of(ex.aff("z1", (0.5, "z2"))))
     g = poisson.PoissonElement.generator(alg, "f2", ex.theta1_of("z2"))
     one = poisson.PoissonElement.function(alg, ex.const(1))
-    rb = poisson.RatioBracket(one, h, g, one)
 
-    def relations(at):  # a pole of h raises PoleError in rb: the batch is redrawn, no point skipped
-        lhs = rb.residual_at(at)[0]
-        hj, gj = poisson.jets([h, g], at)
+    def relations(at):  # a pole of h raises PoleError in the ratio bracket: the batch is redrawn, no point skipped
+        oj, hj, gj = poisson.jets([one, h, g], at)
+        lhs = poisson.RatioBracket(oj, hj, gj, oj).residual_at()[0]
         rhs = -poisson.jet_bracket(hj, gj) / hj.value ** 2
         return [(lhs - rhs, lhs, rhs)]
 

@@ -14,11 +14,6 @@ order, index, derivative and argument) with every equal leaf of the trees it
 evaluates, and an interior node's value by identity.  Before it evaluates a
 batch of trees, it evaluates their new theta leaves with one theta call per
 family (kind, order, index, derivative), the arguments stacked.
-
-A node caches its derivative by each variable, as it caches its key and
-hash, so a subtree is differentiated once however many derivatives contain
-it.  The cache is per node, not a global table, so what the process built
-before cannot change a tree or a residual.
 """
 
 from __future__ import annotations
@@ -116,18 +111,13 @@ def aff(*terms, const: complex = 0j) -> Affine:
 class MeroExpr:
     """Base node.  Nodes are immutable values: two are equal, and hash alike,
     when their types and fields (`_key`) are, so equality is structural.  The
-    key, the hash and the derivative by each variable are cached on the node.
+    key and the hash are cached on the node; there is no process-wide table of
+    nodes, so what the process built before cannot change a tree or a residual.
     Equality serves construction (`_cancel_pairs`, `quot`, term maps); an
     `Evaluator` keys values by node identity and by `Theta._leaf_key`.
-
-    The derivative cache lives on the node and dies with it; there is no
-    process-wide table of nodes.  A node's derivative is a function of that
-    node's own ordered structure, so a cached one is the tree a fresh
-    differentiation would build, and a residual cannot depend on what the
-    process differentiated before.
     """
 
-    __slots__ = ("_hash", "_fields", "_derivs")
+    __slots__ = ("_hash", "_fields")
 
     def _key(self):  # the operand tuple of a sum or product is a multiset: a + b == b + a
         if not hasattr(self, "_fields"):
@@ -143,17 +133,6 @@ class MeroExpr:
         if not hasattr(self, "_hash"):
             self._hash = hash((type(self), self._key()))
         return self._hash
-
-    def _derivative(self, var):
-        """d self / d var, built by `_diff` on the first request and kept.  Every
-        `_diff` differentiates its operands through here, never through the
-        public `diff`, so a shared subtree is differentiated once per variable."""
-        if not hasattr(self, "_derivs"):
-            self._derivs = {}
-        d = self._derivs.get(var)
-        if d is None:
-            d = self._derivs[var] = self._diff(var)
-        return d
 
     def _children(self):
         return ()
@@ -322,7 +301,7 @@ class Sum(MeroExpr):
         return v
 
     def _diff(self, var):
-        return add(*(t._derivative(var) for t in self.terms))
+        return add(*(t._diff(var) for t in self.terms))
 
     def _subst(self, mapping):
         return add(*(t._subst(mapping) for t in self.terms))
@@ -344,7 +323,7 @@ class Product(MeroExpr):
         return v
 
     def _diff(self, var):  # a factor with derivative zero makes its term zero, which add drops
-        return add(*(mul(*self.factors[:i], f._derivative(var), *self.factors[i + 1:])
+        return add(*(mul(*self.factors[:i], f._diff(var), *self.factors[i + 1:])
                      for i, f in enumerate(self.factors)))
 
     def _subst(self, mapping):
@@ -378,8 +357,8 @@ class Quotient(MeroExpr):
         return nv / nonpole(ev._value(self.den), "denominator magnitude below pole guard")
 
     def _diff(self, var):
-        dn = self.num._derivative(var)
-        dd = self.den._derivative(var)
+        dn = self.num._diff(var)
+        dd = self.den._diff(var)
         return quot(add(mul(dn, self.den), neg(mul(self.num, dd))), ipow(self.den, 2))
 
     def _subst(self, mapping):
@@ -399,7 +378,7 @@ class Neg(MeroExpr):
         return -ev._value(self.child)
 
     def _diff(self, var):
-        return neg(self.child._derivative(var))
+        return neg(self.child._diff(var))
 
     def _subst(self, mapping):
         return neg(self.child._subst(mapping))
@@ -421,10 +400,9 @@ class IntPow(MeroExpr):
         return ev._value(self.base) ** self.power
 
     def _diff(self, var):
-        db = self.base._derivative(var)
         if self.power == 0:
             return _ZERO
-        return mul(Const(self.power), ipow(self.base, self.power - 1), db)
+        return mul(Const(self.power), ipow(self.base, self.power - 1), self.base._diff(var))
 
     def _subst(self, mapping):
         return ipow(self.base._subst(mapping), self.power)
@@ -581,11 +559,10 @@ class Evaluator:
     for the batch.  A theta leaf is kept by key (kind, order, index,
     derivative and argument), so equal leaves of different trees share one
     evaluation.  Any other node is kept by identity, together with the node
-    so that its id is not reused: a subtree shared as an object, such as a
-    cached derivative or a ring element's tree, costs one evaluation, and
-    every other node evaluates as it is written.  The theta leaves of one
-    family (kind, order, index, derivative) with array-valued arguments are
-    evaluated together (`_stack_leaves`).  Evaluate everything compared on
+    so that its id is not reused: a subtree shared as an object costs one
+    evaluation, and every other node evaluates as it is written.  The theta
+    leaves of one family (kind, order, index, derivative) with array-valued
+    arguments are evaluated together (`_stack_leaves`).  Evaluate everything compared on
     one batch through one evaluator; a batch that raises PoleError is
     dropped with its evaluator.
 
@@ -724,13 +701,9 @@ def evaluate(expr: MeroExpr, assignment: Mapping, ctx: ThetaContext):
 
 
 def diff(expr: MeroExpr, variable: str) -> MeroExpr:
-    """Exact symbolic derivative; theta leaves bump their derivative order.
-
-    The node keeps its derivative (`MeroExpr._derivative`), so asking again,
-    directly or for a tree that contains the node, reuses the same object,
-    and an `Evaluator` finds equal derivatives by identity.
-    """
-    return expr._derivative(variable)
+    """Exact symbolic derivative, built afresh by each call; theta leaves bump
+    their derivative order."""
+    return expr._diff(variable)
 
 
 def substitute(expr: MeroExpr, mapping: Mapping[str, Affine]) -> MeroExpr:

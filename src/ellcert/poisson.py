@@ -24,6 +24,9 @@ gradients (`jet_bracket`):
 
     {A, B} = sum_{a,b} S[a][b] (g_a dA/dg_a dB/dv_b - g_a dB/dg_a dA/dv_b).
 
+A bracket of ratios is sampled from the jets of its four elements on one
+batch (`RatioBracket`).
+
 The determinant hamiltonians H_i = Delta_i / Delta_0 build no Delta and no
 bracket: cfdet.minors runs on the jets of the entries of
 shiftops.theta_column_grid (`delta_jets`), and their pairwise ratio brackets
@@ -53,7 +56,7 @@ from .shiftops import TermMap, bosonize, make_Bpn, sum_to_zero_residual, theta_c
 class PoissonElement(TermMap):
     """Term map whose generators commute: the product just adds exponents."""
 
-    __slots__ = ("_tree",)
+    __slots__ = ()
 
     def __mul__(self, other):
         if not isinstance(other, PoissonElement):
@@ -62,34 +65,22 @@ class PoissonElement(TermMap):
 
     @property
     def tree(self) -> ex.MeroExpr:
-        """The element as one expression, built once: the sum of its terms, each its
-        coefficient times IntPow(Var(g), e) per generator of its monomial, in order.
-        Built with the node constructors, so nothing is folded or reordered."""
-        if not hasattr(self, "_tree"):
-            terms = []
-            for mi, coeff in self.terms.items():
-                powers = [_generator_power(g, e) for g, e in zip(self.algebra.gen_names, mi) if e]
-                terms.append(ex.Product((coeff, *powers)) if powers else coeff)
-            self._tree = ex.Sum(tuple(terms)) if len(terms) > 1 else terms[0] if terms else ex._ZERO
-        return self._tree
+        """The element as one expression, built on each access: the sum of its terms,
+        each its coefficient times IntPow(Var(g), e) per generator of its monomial, in
+        order.  Built with the node constructors, so nothing is folded or reordered."""
+        terms = []
+        for mi, coeff in self.terms.items():
+            powers = [ex.IntPow(ex.Var(g), e) for g, e in zip(self.algebra.gen_names, mi) if e]
+            terms.append(ex.Product((coeff, *powers)) if powers else coeff)
+        return ex.Sum(tuple(terms)) if len(terms) > 1 else terms[0] if terms else ex._ZERO
 
     def evaluate(self, at: ex.Evaluator):
-        """Value at a point of the phase space, or a batch of them: the
-        evaluator's assignment binds variables and generators, and it keeps
-        the value by the identity of the element's `tree`."""
+        """Value of the element's `tree` at a point of the phase space, or a
+        batch of them: the evaluator's assignment binds variables and generators."""
         return at(self.tree)
-
-    def jet(self, at: ex.Evaluator) -> "Jet":
-        """The element's first-order jet on at's batch (`jets`)."""
-        return jets([self], at)[0]
 
     def __repr__(self):
         return f"PoissonElement<{len(self.terms)} terms>"
-
-
-@functools.cache  # one node per (generator, power) in every tree, so a batch computes it once
-def _generator_power(name: str, power: int) -> ex.MeroExpr:
-    return ex.IntPow(ex.Var(name), power)
 
 
 def _directional_derivative(algebra, exponents, G: ex.MeroExpr) -> ex.MeroExpr:
@@ -135,8 +126,7 @@ class Jet:
     The generator rows are Euler derivatives: they follow the Leibniz rule as
     the others do, and a bracket (`jet_bracket`) reads no generator value.
     +, unary - and * are the ring operations cfdet.minors uses, so the minors
-    of a grid of jets are the jets of its minors.  A jet is its own jet
-    (`jet`), so a RatioBracket takes elements and jets alike.
+    of a grid of jets are the jets of its minors.
     """
 
     __slots__ = ("algebra", "value", "grad", "_flow")
@@ -153,9 +143,6 @@ class Jet:
     def __mul__(self, other: "Jet") -> "Jet":
         return Jet(self.algebra, self.value * other.value, self.value * other.grad + other.value * self.grad)
 
-    def jet(self, at: ex.Evaluator) -> "Jet":
-        return self
-
     def is_multiplication(self) -> bool:
         """No generator row moves on this batch: a function of the variables alone."""
         return not np.any(self.grad[self.algebra.p:])
@@ -171,10 +158,11 @@ def jets(elements, at: ex.Evaluator) -> list:
     """The Jet of each element (PoissonElements of one algebra) on at's batch.
 
     The generators, every coefficient F and every derivative dF/dv_b that is
-    not the constant zero (ex.diff, kept on the node) go to one `values`
-    call, so each theta family is one stacked call.  A term F g^m adds
-    F g^m to the value, dF/dv_b g^m to the row of v_b and m_a F g^m to the
-    row of g_a; the terms of all the elements are combined as arrays.
+    not the constant zero go to one `values` call, so each theta family is
+    one stacked call; the derivatives are built once per tuple of elements
+    (`_jet_layout`).  A term F g^m adds F g^m to the value, dF/dv_b g^m to
+    the row of v_b and m_a F g^m to the row of g_a; the terms of all the
+    elements are combined as arrays.
     """
     elements = tuple(elements)
     trees, owner, exponents, d_term, d_row = _jet_layout(elements)
@@ -230,11 +218,10 @@ class RatioBracket:
     {f/h, g/k} = ({f,g} - (f/h){h,g} - (g/k){f,k} + (f/h)(g/k){h,k}) / (h k),
 
     each inner bracket bracket(x, y) of their jets (default `jet_bracket`).
-    f, h, g and k are ring elements (PoissonElement), whose jets are taken
-    on each batch from their trees, or jets already taken on the batch
-    (Jet).  On the evaluator of a phase-space point, or of a batch of them,
-    residual_at gives the value with its four terms, a relation of
-    `sampling`; residual_batch measures it.
+    f, h, g and k are the jets (Jet) of ring elements on one batch of
+    phase-space points, such as one `jets` call takes.  residual_at gives
+    the value on that batch with its four terms, a relation of `sampling`;
+    residual_batch measures it.
     """
 
     def __init__(self, f, h, g, k, bracket=jet_bracket):
@@ -245,13 +232,13 @@ class RatioBracket:
         self.f, self.h, self.g, self.k = f, h, g, k
         self.bracket = bracket
 
-    def residual_batch(self, at: ex.Evaluator) -> float:
+    def residual_batch(self) -> float:
         """Largest |{f/h, g/k}| over the batch, relative to its terms."""
-        return worst_residual([self.residual_at(at)])
+        return worst_residual([self.residual_at()])
 
-    def residual_at(self, at: ex.Evaluator) -> tuple:
-        """(value, *its four terms), vectorized over array-valued assignments."""
-        f, h, g, k = (x.jet(at) for x in (self.f, self.h, self.g, self.k))
+    def residual_at(self) -> tuple:
+        """(value, *its four terms) at each point of the batch."""
+        f, h, g, k = self.f, self.h, self.g, self.k
         pole = "ratio denominator vanishes at a sample point"
         hk = ex.nonpole(h.value, pole) * ex.nonpole(k.value, pole)
         fh = f.value / h.value
@@ -267,7 +254,6 @@ class RatioBracket:
 
 # Determinant hamiltonians ------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
 def classical_delta_elements(n: int, ctx: ThetaContext):
     """(cone algebra, [Delta_0 .. Delta_n]) as built elements: the minors of
     shiftops.theta_column_grid over the Poisson limit of V_n.
@@ -276,8 +262,8 @@ def classical_delta_elements(n: int, ctx: ThetaContext):
     deletes column i, the same grid whose quantum minors give the transfer
     operator.  Rows touch disjoint (z_r, f_r) pairs, so entries of different
     rows Poisson-commute and the ordinary determinant is well defined.  The
-    checks sample the same minors as jets (`delta_jets`); these trees are
-    the tests' oracle for them.
+    checks sample the same minors as jets (`delta_jets`); these trees, built
+    on each call, are the tests' oracle for them.
     """
     return theta_column_minors(n, ctx, PoissonElement)
 
@@ -327,7 +313,7 @@ def classical_hamiltonians(n: int, ctx: ThetaContext, seed: int = 0, points: int
     """Max pairwise |{H_i, H_j}| residual for H_i = Delta_i / Delta_0 over all
     the points, sampled from the Delta jets; a batch where a bracket poles is redrawn."""
     alg, _ = _delta_grid(n, ctx)
-    return relation_max(lambda at: [rb.residual_at(at) for rb in _hamiltonian_brackets(delta_jets(n, ctx, at))],
+    return relation_max(lambda at: [rb.residual_at() for rb in _hamiltonian_brackets(delta_jets(n, ctx, at))],
                         functools.partial(_phase_space_points, alg, points), seed, alg.ctx)
 
 

@@ -8,18 +8,29 @@ format, and a check rejects any key it does not declare, so every section it
 writes (and every section of `default.cfg`) must resolve against the check
 specs.  bench/worker.py reads each check's `gating` flag.  These tests only
 read bench/tracer.py and bench/workloads.py.
+
+Every record of each workload at seed 42 is also pinned bit for bit, in the
+form of tests/data/default_report.json, by tests/data/workload_<name>.json.
+A change that moves one on purpose regenerates the files from the repository
+root with
+
+    PYTHONPATH=src:tests python -c "import test_bench_contract as t; t.write_workload_goldens()"
 """
 
 import importlib
 import importlib.util
+import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from ellcert.checks import REGISTRY
+from ellcert.checks import REGISTRY, run_check
 from ellcert.cli import load_config
+from test_acceptance import golden_view
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _bench_module(name):
@@ -62,3 +73,23 @@ def test_suite_sections_resolve(suite, tmp_path):
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_every_check_gates(name):
     assert REGISTRY[name].gating is True
+
+
+def workload_view(workload, seed=42):
+    """golden_view of the records of `workload` at `seed`, each section through run_check."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{workload}.cfg"
+        path.write_text(WORKLOADS.config_text(workload, seed))
+        specs = load_config(str(path))
+    return golden_view([run_check(spec).to_json_dict() for spec in specs])
+
+
+def write_workload_goldens():
+    for workload in WORKLOADS.WORKLOADS:
+        (DATA / f"workload_{workload}.json").write_text(json.dumps(workload_view(workload), indent=1) + "\n")
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
+def test_workload_records_match_their_golden(workload):
+    golden = json.loads((DATA / f"workload_{workload}.json").read_text())
+    assert workload_view(workload) == golden, f"workload {workload!r} drifted from its golden file"

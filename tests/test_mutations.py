@@ -91,8 +91,8 @@ MUTATIONS = {
     "star-shift-one-more-eta": (shift_star_by_one_more_eta, ["star-closure"]),  # 1.9e8
     "translation-sign-flipped": (flip_translation, ["bosonization-rank", "qnk-relation"]),  # 1.3e7, 2.5e10
     "transfer-kernel-moved": (move_transfer_kernel, ["transfer-det", "sos-ratio"]),  # 2.8e7, 7.7e7
-    "theta-series-bent": (bend_series,  # 2.2e10, 2.5e9, 1.3e8, 1.4e8
-                          ["fay", "qnk-relation", "transfer-det", "sos-ratio"]),
+    "theta-series-bent": (bend_series,  # 2.2e10, 2.5e9, 1.3e8, 1.4e8, 3.7e10
+                          ["fay", "qnk-relation", "transfer-det", "sos-ratio", "theta-quasiperiodicity"]),
     "theta-window-coarse": (coarsen_window, ["qnk-relation", "psi2", "transfer-commute"]),  # 5.5e5, 5.9e4, 2.7e4
 }
 

@@ -29,6 +29,7 @@ from ellcert.poisson import (
     psi_p,
 )
 from ellcert.cfdet import minors
+from ellcert.checks import REGISTRY
 from ellcert.shiftops import make_Bpn, make_Vn, theta_column_grid
 CTX = ThetaContext()
 ID_TOL = 1e-8
@@ -115,16 +116,19 @@ class TestRatioBracket:
         one = PoissonElement.function(alg, ex.const(1))
         f = PoissonElement.generator(alg, "f1", ex.theta1_of("z1"))
         g = PoissonElement.generator(alg, "f2", ex.var("z2"))
-        rb = RatioBracket(f, one, g, one)
         at = phase_point(alg, np.random.default_rng(2))
-        assert abs(rb.residual_at(at)[0] - pbracket(f, g).evaluate(at)) < 1e-10
+        fj, oj, gj = jets([f, one, g], at)
+        rb = RatioBracket(fj, oj, gj, oj)
+        assert abs(rb.residual_at()[0] - pbracket(f, g).evaluate(at)) < 1e-10
 
     def test_constant_ratio_brackets_to_zero(self):
         alg = make_Vn(2, CTX)
         h = PoissonElement.function(alg, ex.theta1_of(ex.aff("z1", "z2")))
         g = PoissonElement.generator(alg, "f1", ex.var("z1"))
-        rb = RatioBracket(h, h, g, PoissonElement.function(alg, ex.const(1)))
-        assert rb.residual_batch(phase_point(alg, np.random.default_rng(3))) <= ID_TOL
+        one = PoissonElement.function(alg, ex.const(1))
+        hj, gj, oj = jets([h, g, one], phase_point(alg, np.random.default_rng(3)))
+        rb = RatioBracket(hj, hj, gj, oj)
+        assert rb.residual_batch() <= ID_TOL
 
     def test_quotient_rule(self):
         # {1/h, g} + {h, g} / h^2 = 0
@@ -132,18 +136,27 @@ class TestRatioBracket:
         h = PoissonElement.function(alg, ex.theta1_of(ex.aff("z1", (0.5, "z2"))))
         g = PoissonElement.generator(alg, "f2", ex.theta1_of("z2"))
         one = PoissonElement.function(alg, ex.const(1))
-        inv_bracket = RatioBracket(one, h, g, one)
         rng = np.random.default_rng(4)
         for _ in range(20):
             at = phase_point(alg, rng)
             hv = h.evaluate(at)
-            lhs = inv_bracket.residual_at(at)[0]
+            oj, hj, gj = jets([one, h, g], at)
+            lhs = RatioBracket(oj, hj, gj, oj).residual_at()[0]
             rhs = -pbracket(h, g).evaluate(at) / hv ** 2
             assert abs(lhs - rhs) <= 1e-9 * max(1, abs(lhs), abs(rhs))
 
+    def test_quotient_rule_check_takes_one_jets_call_per_batch(self, monkeypatch):
+        # the jets of 1, h and g come from one call on each batch's evaluator
+        calls, batches = [], []
+        real_jets, real_draw = poisson.jets, poisson._phase_space_points
+        monkeypatch.setattr(poisson, "jets", lambda elements, at: calls.append(at) or real_jets(elements, at))
+        monkeypatch.setattr(poisson, "_phase_space_points", lambda *args: batches.append(args) or real_draw(*args))
+        assert REGISTRY["quotient-rule"]({}) <= 1e-9
+        assert batches and len(calls) == len({id(at) for at in calls}) == len(batches)
+
     def test_rejects_non_multiplication_denominator(self):
         alg = make_Vn(2, CTX)
-        f = PoissonElement.generator(alg, "f1")
+        (f,) = jets([PoissonElement.generator(alg, "f1")], phase_point(alg, np.random.default_rng(5)))
         with pytest.raises(ValueError):
             RatioBracket(f, f, f, f)
 
@@ -188,12 +201,12 @@ class TestJets:
             scale = np.maximum(*(np.abs(half.evaluate(at)) for half in pbracket_halves(x, y)))
             assert_close(jet_bracket(jx, jy), pbracket(x, y).evaluate(at), scale)
 
-    def test_jet_is_its_own_jet_and_knows_its_generators(self):
+    def test_jet_knows_its_generators(self):
         alg = make_Vn(2, CTX)
         at = phase_point(alg, np.random.default_rng(0))
         f1, theta = jets([PoissonElement.generator(alg, "f1", ex.var("z2")),
                           PoissonElement.function(alg, ex.theta1_of("z1"))], at)
-        assert f1.jet(at) is f1 and theta.is_multiplication() and not f1.is_multiplication()
+        assert theta.is_multiplication() and not f1.is_multiplication()
         # z2 f1: value, d/dz1, d/dz2, f1 d/df1, f2 d/df2
         want = [at.env["z2"] * at.env["f1"], 0, at.env["f1"], at.env["z2"] * at.env["f1"], 0]
         assert np.allclose([f1.value, *f1.grad], want, rtol=1e-15, atol=0)
@@ -206,7 +219,7 @@ class TestHamiltonians:
 
     def test_poled_bracket_raises_instead_of_skipping_points(self, monkeypatch):
         # a residual measured at no point at all must not read as 0.0, a pass
-        def poles(self, at):
+        def poles(self):
             raise PoleError("ratio denominator vanishes at a sample point")
 
         monkeypatch.setattr(RatioBracket, "residual_at", poles)  # the relations relation_max takes
@@ -283,7 +296,7 @@ class TestHamiltonians:
         assert [list(map(id, e)) for e in taken] == [[id(e) for row in grid for e in row]]
         monkeypatch.setattr(theta_module, "theta_value", lambda *a, **kw: calls.append(a[0]) or real_theta(*a, **kw))
         for rb in poisson._hamiltonian_brackets(deltas):
-            rb.residual_batch(at)
+            rb.residual_batch()
         assert calls == [] and len(taken) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4])

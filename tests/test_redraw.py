@@ -23,7 +23,7 @@ from ellcert import ThetaContext, sampling
 from ellcert import expr as ex
 from ellcert.checks import REGISTRY
 from ellcert.errors import PoleError
-from ellcert.poisson import PoissonElement, RatioBracket, _phase_space_points
+from ellcert.poisson import PoissonElement, RatioBracket, _phase_space_points, jets
 from ellcert.shiftops import make_Vn
 from ellcert.starprod import qnk_relation_residual
 
@@ -166,7 +166,8 @@ def ratio_bracket_at_points():
     h = PoissonElement.function(alg, ex.theta1_of(ex.aff("z1", (0.5, "z2"))))
     g = PoissonElement.generator(alg, "f2", ex.theta1_of("z2"))
     one = PoissonElement.function(alg, ex.const(1))
-    return RatioBracket(one, h, g, one).residual_batch(ex.Evaluator(_phase_space_points(alg, 4, 0), CTX))
+    oj, hj, gj = jets([one, h, g], ex.Evaluator(_phase_space_points(alg, 4, 0), CTX))
+    return RatioBracket(oj, hj, gj, oj).residual_batch()
 
 
 # each division that can meet a pole, and the message it poles with
