@@ -19,7 +19,6 @@ family (kind, order, index, derivative), the arguments stacked.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Mapping
 
 import numpy as np
@@ -83,12 +82,6 @@ class Affine:
     def coeff(self, name: str) -> complex:
         return self.coeffs.get(name, 0j)
 
-    def __eq__(self, other):
-        return isinstance(other, Affine) and self.const == other.const and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.const, tuple(self.coeffs.items())))
-
     def __repr__(self):
         parts = [f"{c!r}*{n}" for n, c in self.coeffs.items()]
         if self.const != 0 or not parts:
@@ -109,30 +102,12 @@ def aff(*terms, const: complex = 0j) -> Affine:
 
 
 class MeroExpr:
-    """Base node.  Nodes are immutable values: two are equal, and hash alike,
-    when their types and fields (`_key`) are, so equality is structural.  The
-    key and the hash are cached on the node; there is no process-wide table of
-    nodes, so what the process built before cannot change a tree or a residual.
-    Equality serves construction (`_cancel_pairs`, `quot`, term maps); an
-    `Evaluator` keys values by node identity and by `Theta._leaf_key`.
+    """Base node.  Nodes are immutable objects, each equal only to itself, so a
+    tree evaluates exactly as it is written.  An `Evaluator` keys values by
+    node identity and by `Theta._leaf_key`.
     """
 
-    __slots__ = ("_hash", "_fields")
-
-    def _key(self):  # the operand tuple of a sum or product is a multiset: a + b == b + a
-        if not hasattr(self, "_fields"):
-            self._fields = tuple(frozenset(Counter(v).items()) if type(v) is tuple else v
-                                 for v in (getattr(self, name) for name in self.__slots__))
-        return self._fields
-
-    def __eq__(self, other):
-        return self is other or (type(self) is type(other) and hash(self) == hash(other)
-                                 and self._key() == other._key())
-
-    def __hash__(self):
-        if not hasattr(self, "_hash"):
-            self._hash = hash((type(self), self._key()))
-        return self._hash
+    __slots__ = ()
 
     def _children(self):
         return ()
@@ -412,6 +387,11 @@ _ZERO = Const(0)
 _ONE = Const(1)
 
 
+def is_const_zero(e: MeroExpr) -> bool:
+    """e is the constant zero: the one zero test of construction."""
+    return type(e) is Const and e.value == 0
+
+
 def _as_expr(x) -> MeroExpr:
     if isinstance(x, MeroExpr):
         return x
@@ -429,9 +409,12 @@ def _expr_of_affine(a: Affine) -> MeroExpr:
 # differentiation does not bloat the trees.
 
 def add(*terms) -> MeroExpr:
+    """The sum of terms, nested sums flattened and the constants folded into
+    one last term.  Nothing cancels: every other operand keeps its tree."""
     flat = []
     const = 0j
-    for t in _cancel_pairs([_as_expr(t) for t in terms]):
+    for t in terms:
+        t = _as_expr(t)
         if isinstance(t, Sum):
             flat.extend(t.terms)
         elif isinstance(t, Const):
@@ -445,21 +428,6 @@ def add(*terms) -> MeroExpr:
     if len(flat) == 1:
         return flat[0]
     return Sum(tuple(flat))
-
-
-def _cancel_pairs(terms: list) -> list:
-    """Drop each operand pair x, neg(x).  Only whole operands cancel, so the
-    others keep their order and their trees."""
-    if not any(isinstance(t, Neg) for t in terms):
-        return terms
-    kept = []
-    for t in terms:
-        partner = t.child if isinstance(t, Neg) else Neg(t)
-        if partner in kept:
-            kept.remove(partner)
-        else:
-            kept.append(t)
-    return kept
 
 
 def mul(*factors) -> MeroExpr:
@@ -496,7 +464,7 @@ def neg(x) -> MeroExpr:
 def quot(num, den) -> MeroExpr:
     num = _as_expr(num)
     den = _as_expr(den)
-    if num == _ZERO:
+    if is_const_zero(num):
         return _ZERO
     if isinstance(den, Const):
         if den.value == 1:

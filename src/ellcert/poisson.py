@@ -199,7 +199,7 @@ def _jet_layout(elements: tuple):
             exponents.append(m)
             coeffs.append(F)
     derivs = [(i, b, d) for i, F in enumerate(coeffs)
-              for b, v in enumerate(alg.var_names) if (d := ex.diff(F, v)) != ex._ZERO]
+              for b, v in enumerate(alg.var_names) if not ex.is_const_zero(d := ex.diff(F, v))]
     trees = (*map(ex.Var, alg.gen_names), *coeffs, *(d for *_, d in derivs))
     d_term, d_row = np.array([(i, b) for i, b, _ in derivs], dtype=np.intp).reshape(-1, 2).T
     return trees, np.array(owner, dtype=np.intp), np.array(exponents).reshape(-1, alg.r), d_term, d_row

@@ -21,9 +21,10 @@ chain algebra with e-generators that shift every *other* variable of their
 own layer by -n*eta plus t/f generator pairs; and the 2n-generator algebra of
 +/-2*eta elementary shifts used by the face-model transfer matrix.
 
-Operator arithmetic is exact and samples nothing (expr.add cancels x against
-neg(x)); operator equality is decided by seeded sampling of every coefficient,
-relative to the magnitude of the terms being cancelled; a poled batch is redrawn.
+Operator arithmetic builds trees and samples nothing; nothing cancels, so
+T - T has a coefficient tree per monomial of T.  Operator equality is decided
+by seeded sampling of every coefficient, relative to the magnitude of the
+terms being cancelled; a poled batch is redrawn.
 A product that is only compared, such as the two sides of a commutator, is
 sampled, not built: sum_to_zero_relations takes it as a factor pair (a, b) and
 evaluates each coefficient of b once at the batch shifted by every monomial of a,
@@ -108,7 +109,7 @@ class TermMap:
 
     def __init__(self, algebra: ShiftAlgebra, terms: Mapping[tuple, ex.MeroExpr]):
         self.algebra = algebra
-        self.terms = {tuple(mi): coeff for mi, coeff in terms.items() if coeff != ex._ZERO}
+        self.terms = {tuple(mi): coeff for mi, coeff in terms.items() if not ex.is_const_zero(coeff)}
 
     @classmethod
     def zero(cls, algebra):

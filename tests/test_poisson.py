@@ -342,18 +342,20 @@ class TestHamiltonians:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_element_value_is_the_coefficient_times_generator_loop(self, n, seed):
         def loop(element, at):  # the element's value before it was a tree
-            total = 0
+            terms = []
             for mi, v in zip(element.terms, at.values(element.terms.values())):
                 for gi, e in enumerate(mi):
                     if e:
                         v = v * at.env[element.algebra.gen_names[gi]] ** e
-                total = total + v
-            return total
+                terms.append(v)
+            # summed from the first term, as a Sum is: 0 + (-0.0) would read +0.0
+            return functools.reduce(operator.add, terms) if terms else 0
 
         alg, deltas, brackets = symbolic_path(n)
         elements = [*deltas, *brackets.values()]
-        assert any(e.is_zero() for e in elements)  # {Delta_0, Delta_0}
         env = poisson._phase_space_points(alg, 20, seed)
+        for i in range(n + 1):  # {Delta_i, Delta_i} is exactly 0, built and evaluated
+            assert np.all(brackets[i, i].evaluate(ex.Evaluator(env, CTX)) == 0)
         for e in elements:
             got, want = e.evaluate(ex.Evaluator(env, CTX)), loop(e, ex.Evaluator(env, CTX))
             assert np.asarray(got, dtype=complex).tobytes() == np.asarray(want, dtype=complex).tobytes()
@@ -379,19 +381,19 @@ class TestHamiltonians:
 
 
 def theta_leaves(trees):
-    """The distinct theta nodes reachable from the trees."""
-    seen, leaves, stack = set(), set(), list(trees)
+    """The theta nodes reachable from the trees, one per `Theta._leaf_key`."""
+    seen, leaves, stack = set(), {}, list(trees)
     while stack:
         node = stack.pop()
-        if node in seen:
+        if id(node) in seen:
             continue
-        seen.add(node)
+        seen.add(id(node))
         if isinstance(node, ex.Theta):
-            leaves.add(node)
+            leaves.setdefault(node._leaf_key(), node)
         for name in node.__slots__:
             value = getattr(node, name)
             stack.extend(c for c in (value if type(value) is tuple else (value,)) if isinstance(c, ex.MeroExpr))
-    return leaves
+    return list(leaves.values())
 
 
 class TestJacobiDelta:

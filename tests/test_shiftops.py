@@ -129,19 +129,19 @@ class TestCommutators:
     def test_self_commutator_is_structurally_zero(self):
         alg = make_Vn(2, CTX)
         a = ShiftOp.generator(alg, "f1", ex.theta1_of("z1")) + ShiftOp(alg, {(0, 2): ex.var("z2")})
-        assert (a * a - a * a).is_zero()
+        assert op_equal(a * a, a * a, samples=8, seed=0) == 0.0  # two builds of one tree, sampled alike
 
     def test_coordinate_functions_commute(self):
         alg = make_Vn(3, CTX)
         zi = ShiftOp.function(alg, ex.var("z1"))
         zj = ShiftOp.function(alg, ex.var("z2"))
-        assert (zi * zj - zj * zi).is_zero()
+        assert commutator_residual(zi, zj, samples=8, seed=0) == 0.0
 
     def test_fi_zj_commute_for_distinct_indices(self):
         alg = make_Vn(3, CTX)
         f1 = ShiftOp.generator(alg, "f1")
         z2 = ShiftOp.function(alg, ex.var("z2"))
-        assert (f1 * z2 - z2 * f1).is_zero()
+        assert commutator_residual(f1, z2, samples=8, seed=0) == 0.0
 
     def test_commutator_residual_detects_violation(self):
         # f1 and z1 genuinely do not commute.
@@ -232,7 +232,7 @@ class TestInstances:
         alg = make_Btilde((2, 2), CTX)
         e11 = ShiftOp.generator(alg, "e1_1")
         z11 = ShiftOp.function(alg, ex.var("z1_1"))
-        assert (e11 * z11 - z11 * e11).is_zero()
+        assert commutator_residual(e11, z11, samples=8, seed=0) == 0.0
 
     def test_sos_generators(self):
         alg = make_sos(2, CTX)

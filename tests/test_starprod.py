@@ -391,4 +391,4 @@ class TestFuFamily:
 
     def test_same_parameter_commutator_structurally_zero(self):
         op = build_fu_bosonized(0.5 + 0.2j, 3, 0.1, 0.3, CTX)
-        assert (op * op - op * op).is_zero()
+        assert shiftops.commutator_residual(op, op, samples=8, seed=0) == 0.0
