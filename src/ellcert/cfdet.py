@@ -25,9 +25,10 @@ LU inverse per grid and Frobenius norms: no singular-value decomposition.
 Every product acts on one slice at a time, so a seed's residual does not
 depend on the stack it is in; `sampling.seeds_max` stacks a check's grids.
 
-Also houses the multilinear Plucker identities used by the Poisson layer;
-these hold for decomposable alternating forms (partial determinants), which
-is how they arise, and fail for generic antisymmetric arrays.
+Also houses the multilinear Plucker identities, certified by their own check
+(`plucker_check`); these hold for decomposable alternating forms (partial
+determinants), which is how they arise, and fail for generic antisymmetric
+arrays.  The Poisson layer uses only `minors`.
 """
 
 from __future__ import annotations

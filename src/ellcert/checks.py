@@ -38,8 +38,10 @@ DEFAULT_SEED = 42
 DEFAULT_TAU = 0.8j
 DEFAULT_ETA = 0.171717 + 0.0323j
 
-# theta1(N*eta) must stay off the lattice for N = 1..ETA_ORDERS: twice the
-# largest order (6) any check builds, so that no shift it forms is degenerate.
+# theta1(N*eta) must stay off the lattice for N = 1..ETA_ORDERS, so that no
+# shift a check forms is degenerate.  A fixed 12, not derived from the
+# request, and less than twice the largest order a check builds: 8, from
+# casimir-diagonal's 2m at m = 4 and fu-commute's Psi (order m + 5) at m = 3.
 ETA_ORDERS = 12
 
 

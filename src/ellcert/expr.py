@@ -2,10 +2,12 @@
 
 Leaves are variables, constants, theta factors applied to affine combinations
 of variables, and exponentials exp(2*pi*i * affine).  Internal nodes are sums,
-products, quotients, negation and integer powers.  Trees evaluate bottom-up,
-support exact symbolic differentiation (theta leaves carry a derivative
-order), and affine substitution of variables, which is how shift operators
-translate coefficient arguments.
+products, quotients and negation, and each operation has one spelling: the
+constructors add, mul, quot and neg (nodes define no arithmetic operators).  A
+power is a product of one node repeated.  Trees evaluate bottom-up, support
+exact symbolic differentiation (theta leaves carry a derivative order), and
+affine substitution of variables, which is how shift operators translate
+coefficient arguments.
 
 Evaluation accepts scalar complex values or equally-shaped numpy arrays per
 variable, so a batch of sample points costs one tree walk.  An `Evaluator`
@@ -124,33 +126,6 @@ class MeroExpr:
     def _collect_vars(self, acc):
         for child in self._children():
             child._collect_vars(acc)
-
-    def __add__(self, other):
-        return add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_expr(other)))
-
-    def __rsub__(self, other):
-        return add(_as_expr(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return quot(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return quot(_as_expr(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Var(MeroExpr):
@@ -334,7 +309,8 @@ class Quotient(MeroExpr):
     def _diff(self, var):
         dn = self.num._diff(var)
         dd = self.den._diff(var)
-        return quot(add(mul(dn, self.den), neg(mul(self.num, dd))), ipow(self.den, 2))
+        square = Product((self.den, self.den))  # the node, not mul: a product den keeps its order
+        return quot(add(mul(dn, self.den), neg(mul(self.num, dd))), square)
 
     def _subst(self, mapping):
         return quot(self.num._subst(mapping), self.den._subst(mapping))
@@ -357,30 +333,6 @@ class Neg(MeroExpr):
 
     def _subst(self, mapping):
         return neg(self.child._subst(mapping))
-
-
-class IntPow(MeroExpr):
-    __slots__ = ("base", "power")
-
-    def __init__(self, base: MeroExpr, power: int):
-        if power < 0:
-            raise ValueError("negative powers are spelled as quotients")
-        self.base = base
-        self.power = int(power)
-
-    def _children(self):
-        return (self.base,)
-
-    def _eval(self, ev):
-        return ev._value(self.base) ** self.power
-
-    def _diff(self, var):
-        if self.power == 0:
-            return _ZERO
-        return mul(Const(self.power), ipow(self.base, self.power - 1), self.base._diff(var))
-
-    def _subst(self, mapping):
-        return ipow(self.base._subst(mapping), self.power)
 
 
 _ZERO = Const(0)
@@ -472,15 +424,6 @@ def quot(num, den) -> MeroExpr:
         if den.value != 0:
             return mul(Const(1 / den.value), num)
     return Quotient(num, den)
-
-
-def ipow(base, power: int) -> MeroExpr:
-    base = _as_expr(base)
-    if power == 0:
-        return _ONE
-    if power == 1:
-        return base
-    return IntPow(base, power)
 
 
 def var(name: str) -> MeroExpr:
@@ -670,7 +613,9 @@ def evaluate(expr: MeroExpr, assignment: Mapping, ctx: ThetaContext):
 
 def diff(expr: MeroExpr, variable: str) -> MeroExpr:
     """Exact symbolic derivative, built afresh by each call; theta leaves bump
-    their derivative order."""
+    their derivative order.  Total over the node kinds, so every tree has one
+    (a bracket of `poisson.psi_p` images at p >= 3 differentiates products); on
+    a check path only theta leaves, quotients and constants are differentiated."""
     return expr._diff(variable)
 
 

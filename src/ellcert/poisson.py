@@ -66,11 +66,11 @@ class PoissonElement(TermMap):
     @property
     def tree(self) -> ex.MeroExpr:
         """The element as one expression, built on each access: the sum of its terms,
-        each its coefficient times IntPow(Var(g), e) per generator of its monomial, in
-        order.  Built with the node constructors, so nothing is folded or reordered."""
+        each its coefficient times Var(g) repeated e times per generator g^e of its
+        monomial, in order.  Built with the node constructors, so nothing is folded or reordered."""
         terms = []
         for mi, coeff in self.terms.items():
-            powers = [ex.IntPow(ex.Var(g), e) for g, e in zip(self.algebra.gen_names, mi) if e]
+            powers = [ex.Var(g) for g, e in zip(self.algebra.gen_names, mi) for _ in range(e)]
             terms.append(ex.Product((coeff, *powers)) if powers else coeff)
         return ex.Sum(tuple(terms)) if len(terms) > 1 else terms[0] if terms else ex._ZERO
 

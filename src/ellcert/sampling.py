@@ -9,9 +9,11 @@ cfdet.plucker_check draws its own forms, which cannot pole.  seeds_max alone
 stacks the seeds a check certifies into batches, in groups of bounded size.
 
 A check states its identities as relations (difference, *parts), the parts
-the values the difference cancels.  Only this module scales a relation,
+the values the difference cancels.  This module scales a relation,
 |difference| / max(1, |parts|) elementwise (`rel_residual`), and takes the
-largest (`worst_residual`; `relation_max` on a sampled batch).
+largest (`worst_residual`; `relation_max` on a sampled batch).  Two residuals
+scale themselves, by their own largest term floored at 1e-300:
+`poisson.fay_residual` and `cfdet.plucker_residual`.
 """
 
 from __future__ import annotations

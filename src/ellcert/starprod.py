@@ -148,7 +148,7 @@ def eta_flatness_ratio(n: int, ctx: ThetaContext, seed: int = 0) -> float:
         cs = ctx.replace(eta=ctx.eta * t)  # eta enters the trees, not their evaluation
         f = theta_gen(0, n, cs)
         g = theta_gen(1 % n, n, cs)
-        comms.append(star(f, g).body - star(g, f).body)
+        comms.append(ex.add(star(f, g).body, ex.neg(star(g, f).body)))
 
     def measure(at):
         mags = [float(np.max(np.abs(np.asarray(at(comm))))) for comm in comms]
@@ -281,7 +281,7 @@ def fu_constants(m: int, a: complex, b: complex, ctx: ThetaContext) -> dict:
     return {"_a": a, "_b": b, "_psi": psi}
 
 
-def build_fu_bosonized(u, m: int, a, b, ctx: ThetaContext, psi=None) -> ShiftOp:
+def build_fu_bosonized(u, m: int, a, b, ctx: ThetaContext, psi) -> ShiftOp:
     """Image of the degree-m commuting family element in B_{m-1, 2m}.
 
     sum_al [theta(u + sum_{be != al} z_be) prod theta(u - z_be)
@@ -291,8 +291,8 @@ def build_fu_bosonized(u, m: int, a, b, ctx: ThetaContext, psi=None) -> ShiftOp:
            * exp(2 pi i (2(m-2) z_al + sum_{be != al} z_be)) * e_al e_1..e_{m-1},
     with Psi = theta_0, the first basis element of order m+5.  u, a, b and
     the Psi shift psi are constants, or names of variables that stand for
-    them (the family built once; `fu_commutator_residual`); psi=None takes
-    the shift of the constants a and b (`fu_constants`).
+    them (the family built once; `fu_commutator_residual`); for constants a
+    and b, psi is `fu_constants(m, a, b, ctx)["_psi"]`.
     """
     if m < 2:
         raise ValueError("need m >= 2")
@@ -300,8 +300,6 @@ def build_fu_bosonized(u, m: int, a, b, ctx: ThetaContext, psi=None) -> ShiftOp:
     n = 2 * m
     alg = make_Bpn(p, n, ctx)
     names = [f"u{i}" for i in range(1, p + 1)]  # B_{p,n} variables
-    if psi is None:
-        psi = fu_constants(m, a, b, ctx)["_psi"]
     terms = {}
     for al in range(1, p + 1):
         others = [be for be in range(1, p + 1) if be != al]

@@ -32,7 +32,7 @@ def test_unbound_variable_raises():
 
 
 def test_vectorized_evaluation_matches_scalar():
-    e = ex.theta1_of(ex.aff("z", const=0.1)) * ex.var("w") + ex.const(2)
+    e = ex.add(ex.mul(ex.theta1_of(ex.aff("z", const=0.1)), ex.var("w")), ex.const(2))
     pts = sample_points(8, ["z", "w"], 5, CTX)
     batch = ex.evaluate(e, stack_assignments(pts), CTX)
     singles = [ex.evaluate(e, p, CTX) for p in pts]
@@ -49,7 +49,7 @@ def test_quasi_oddness_through_expressions():
 
 
 def test_substitute_matches_transformed_assignment():
-    e = ex.theta1_of(ex.aff("a", (2, "b"), const=0.3)) * ex.var("a")
+    e = ex.mul(ex.theta1_of(ex.aff("a", (2, "b"), const=0.3)), ex.var("a"))
     sub = ex.substitute(e, {"a": ex.aff("x", const=0.1), "b": ex.aff((0.5, "y"))})
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -77,7 +77,7 @@ class TestDiff:
         assert isinstance(d, ex.Const) and d.value == 0
 
     def test_square_rule(self):
-        e = ex.var("z") * ex.var("z")
+        e = ex.mul(ex.var("z"), ex.var("z"))
         d = ex.diff(e, "z")
         assert abs(ex.evaluate(d, {"z": 2.0}, CTX) - 4.0) < 1e-14
 
@@ -178,14 +178,14 @@ def _random_tree(rng, depth):
     a = _random_tree(rng, depth - 1)
     b = _random_tree(rng, depth - 1)
     if kind == 0:
-        return a + b
+        return ex.add(a, b)
     if kind == 1:
-        return a * b
+        return ex.mul(a, b)
     if kind == 2:
-        return ex.quot(a, ex.const(1.5) + ex.ipow(b, 2))  # keep denominators away from 0
+        return ex.quot(a, ex.add(ex.const(1.5), ex.mul(b, b)))  # keep denominators away from 0
     if kind == 3:
         return ex.neg(a)
-    return ex.ipow(a, int(rng.integers(1, 4)))
+    return ex.mul(*[a] * int(rng.integers(1, 4)))  # a power: a repeated
 
 
 class TestSampling:
@@ -276,20 +276,20 @@ class TestEvaluator:
         u = ex.theta_odd_of(ex.aff("z", "w"))
         rebuilt = ex.theta1_of(ex.aff("z", const=0.1))  # equal to t, another object
         at = ex.Evaluator({"z": 0.3 + 0.2j, "w": 0.6 + 0.1j}, CTX)
-        first = at(t * u + ex.const(2))
-        second = at(ex.quot(rebuilt, u) - t)
+        first = at(ex.add(ex.mul(t, u), ex.const(2)))
+        second = at(ex.add(ex.quot(rebuilt, u), ex.neg(t)))
         assert theta_calls == ["order1", "odd"]
-        assert first == ex.evaluate(t * u + ex.const(2), at.env, CTX)
-        assert second == ex.evaluate(ex.quot(rebuilt, u) - t, at.env, CTX)
+        assert first == ex.evaluate(ex.add(ex.mul(t, u), ex.const(2)), at.env, CTX)
+        assert second == ex.evaluate(ex.add(ex.quot(rebuilt, u), ex.neg(t)), at.env, CTX)
         assert len(theta_calls) == 6  # each ex.evaluate call has a fresh evaluator
 
     def test_overflow_in_a_memoized_node_raises_for_every_root(self, theta_calls):
-        huge = ex.exp2pii(ex.aff((-200j, "z"))) * ex.theta1_of("z")  # exp(400*pi) overflows
+        huge = ex.mul(ex.exp2pii(ex.aff((-200j, "z"))), ex.theta1_of("z"))  # exp(400*pi) overflows
         at = ex.Evaluator({"z": 1.0 + 0.3j}, CTX)
         with pytest.raises(EvaluationOverflowError):
-            at(huge + ex.const(1))
+            at(ex.add(huge, ex.const(1)))
         with pytest.raises(EvaluationOverflowError):
-            at(huge * ex.var("z"))  # reuses the memoized non-finite product
+            at(ex.mul(huge, ex.var("z")))  # reuses the memoized non-finite product
         with pytest.raises(EvaluationOverflowError):
             at(huge)
         assert theta_calls == ["order1"]
@@ -297,7 +297,7 @@ class TestEvaluator:
     def test_pole_guard_holds_on_every_evaluation(self):
         at = ex.Evaluator({"z": 0.0}, CTX)
         pole = ex.quot(ex.const(1), ex.var("z"))
-        for root in (pole, pole + ex.const(1)):
+        for root in (pole, ex.add(pole, ex.const(1))):
             with pytest.raises(PoleError):
                 at(root)
 
@@ -315,7 +315,7 @@ class TestEvaluator:
         at = ex.Evaluator({"z": z, "w": w}, CTX)
         shifted = ex.Evaluator({"z": np.stack([z, z]), "w": np.stack([w + 0.1, w])}, CTX, base=(at, {"z": 0, "w": 1}))
         with pytest.raises(EvaluationOverflowError, match="lattice steps"):
-            shifted.values([ex.theta1_of("z") * ex.theta1_of("w")])
+            shifted.values([ex.mul(ex.theta1_of("z"), ex.theta1_of("w"))])
 
     def test_overflowing_family_is_left_to_its_leaves(self):
         far = 70 * CTX.tau  # more than 64 lattice steps: theta_value refuses to reduce it
@@ -326,7 +326,7 @@ class TestEvaluator:
                     "p": np.array([1.0, 0.0 if first else 1.0])}
 
         leaf = ex.theta1_of("z")
-        behind_pole = ex.quot(1, ex.var("p")) + leaf + ex.theta1_of(ex.aff("z", const=0.1))
+        behind_pole = ex.add(ex.quot(1, ex.var("p")), leaf, ex.theta1_of(ex.aff("z", const=0.1)))
         batches = []
 
         def measure(at):
@@ -341,8 +341,8 @@ def _bits(values):
     return [(type(v), np.shape(v), np.asarray(v).tobytes()) for v in values]
 
 
-_HUGE = ex.exp2pii(ex.aff((-200j, "z"))) * ex.theta1_of("z")  # exp(400*pi*Re z) overflows
-_FAR = ex.theta1_of("z") * ex.theta1_of(ex.aff("z", const=70 * CTX.tau))  # a leaf that overflows alone
+_HUGE = ex.mul(ex.exp2pii(ex.aff((-200j, "z"))), ex.theta1_of("z"))  # exp(400*pi*Re z) overflows
+_FAR = ex.mul(ex.theta1_of("z"), ex.theta1_of(ex.aff("z", const=70 * CTX.tau)))  # a leaf that overflows alone
 _POLE = ex.quot(1, ex.var("w"))
 
 

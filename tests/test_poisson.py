@@ -40,7 +40,7 @@ def random_element(alg, rng, max_exp=2):
     for _ in range(2):
         mi = tuple(int(rng.integers(0, max_exp)) for _ in range(alg.r))
         coeff = ex.theta1_of(ex.aff(alg.var_names[0], const=rng.random())) \
-            if rng.random() < 0.5 else ex.var(alg.var_names[-1]) * ex.const(rng.normal())
+            if rng.random() < 0.5 else ex.mul(ex.var(alg.var_names[-1]), ex.const(rng.normal()))
         terms[mi] = coeff
     return PoissonElement(alg, terms)
 

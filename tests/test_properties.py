@@ -49,7 +49,7 @@ def test_theta_odd_is_odd(z):
        z=box_z, w=box_z)
 def test_substitution_composes(c1, c2, z, w):
     # subst(subst(e, m1), m2) == subst(e, m1 after m2) on evaluation
-    e = ex.theta1_of(ex.aff("x", const=0.1)) + ex.var("x") * ex.var("y")
+    e = ex.add(ex.theta1_of(ex.aff("x", const=0.1)), ex.mul(ex.var("x"), ex.var("y")))
     m1 = {"x": ex.aff("y", const=c1)}
     m2 = {"y": ex.aff("x", const=c2)}
     once = ex.substitute(ex.substitute(e, m1), m2)

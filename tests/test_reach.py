@@ -1,9 +1,10 @@
 """Every function of the library runs, or is allowed not to for a stated reason.
 
 A fresh interpreter sets `sys.setprofile` before `import ellcert`, then runs
-the command line on `list`, on the default suite, on one usage error and on
-the three benchmark workloads, and records the code object of every Python
-call.  A fresh process, so no cache of another test hides a call.  Every
+the command line on `list`, on the default suite, on two usage errors (one
+that argparse rejects, one that a check's parameters reject), on an
+INCONCLUSIVE check and on the three benchmark workloads, and records the code
+object of every Python call.  A fresh process, so no cache of another test hides a call.  Every
 function defined in `src/ellcert` (a `def`, by its qualified name) must have
 run, be named in bench/tracer.py's SPANS (read as test_bench_contract reads
 it), or be in ALLOWED below under its reason.  ALLOWED is exact: a listed
@@ -30,16 +31,12 @@ ALLOWED = {
         "shiftops:TermMap.is_multiplication", "shiftops:TermMap.is_zero",
     ],
     "a test reference": [
-        "checks:CheckDef.__call__", "cli:_Parser.error", "errors:InconclusiveRankError.__init__",
-        "shiftops:ShiftOpBackend.__init__", "shiftops:commutator_residual",
+        "checks:CheckDef.__call__", "shiftops:ShiftOpBackend.__init__", "shiftops:commutator_residual",
     ],
-    "the generic expression API": [
-        "expr:ExpLin._diff", "expr:ExpLin._subst", "expr:IntPow._diff", "expr:IntPow._subst",
-        "expr:MeroExpr.__add__", "expr:MeroExpr.__mul__", "expr:MeroExpr.__neg__", "expr:MeroExpr.__radd__",
-        "expr:MeroExpr.__rmul__", "expr:MeroExpr.__rsub__", "expr:MeroExpr.__rtruediv__",
-        "expr:MeroExpr.__truediv__", "expr:MeroExpr._diff", "expr:MeroExpr._eval", "expr:MeroExpr._subst",
-        "expr:Neg._diff", "expr:Neg._subst", "expr:Product._diff", "expr:Sum._diff", "expr:Var._collect_vars",
-        "expr:Var._diff", "expr:Var._subst", "expr:_expr_of_affine", "expr:var",
+    "the _diff and _subst rules that keep diff and substitute total over the node kinds, and the var factory": [
+        "expr:ExpLin._diff", "expr:ExpLin._subst", "expr:MeroExpr._diff", "expr:MeroExpr._eval",
+        "expr:MeroExpr._subst", "expr:Neg._diff", "expr:Neg._subst", "expr:Product._diff", "expr:Sum._diff",
+        "expr:Var._collect_vars", "expr:Var._diff", "expr:Var._subst", "expr:_expr_of_affine", "expr:var",
     ],
     "a debug __repr__": ["expr:Affine.__repr__", "poisson:PoissonElement.__repr__", "shiftops:ShiftOp.__repr__"],
 }
@@ -51,8 +48,15 @@ sys.setprofile(lambda frame, event, arg: ran.add(frame.f_code) if event == "call
 import ellcert
 from ellcert import cli
 out, *commands = json.loads(sys.argv[1])
+
+def run(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as stop:  # an argparse usage error
+        return stop.code
+
 with open(os.devnull, "w") as null, contextlib.redirect_stdout(null), contextlib.redirect_stderr(null):
-    codes = [cli.main(argv) for argv in commands]
+    codes = [run(argv) for argv in commands]
 sys.setprofile(None)
 package = os.path.dirname(ellcert.__file__)
 names = sorted({f"{os.path.basename(c.co_filename)[:-3]}:{c.co_qualname}"
@@ -83,7 +87,8 @@ def defined_functions() -> set:
 
 def test_every_function_runs_or_is_allowed(tmp_path):
     commands = [["list"], ["run", "default", "--json", str(tmp_path / "default.json")],
-                ["check", "fay", "--param", "count=0"]]
+                ["check"], ["check", "fay", "--param", "count=0"],
+                ["check", "bosonization-rank", "--param", "pairs=4x2", "--param", "samples=6"]]
     for workload in sorted(WORKLOADS.WORKLOADS):
         config = tmp_path / f"{workload}.cfg"
         config.write_text(WORKLOADS.config_text(workload, 42))
@@ -92,7 +97,7 @@ def test_every_function_runs_or_is_allowed(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     subprocess.run([sys.executable, "-c", PROBE, json.dumps([str(out), *commands])], env=env, check=True)
     probe = json.loads(out.read_text())
-    assert probe["codes"] == [0, 0, 3, 0, 0, 0]  # the usage error exits 3, every suite passes
+    assert probe["codes"] == [0, 0, 3, 3, 2, 0, 0, 0]  # usage errors exit 3, INCONCLUSIVE 2, every suite passes
 
     defined = defined_functions()
     unreached = defined - set(probe["ran"]) - {f"{layer}:{qual}" for layer, qual in _spans()}

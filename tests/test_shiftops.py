@@ -74,7 +74,7 @@ class TestBasics:
         f1 = ShiftOp.generator(alg, "f1")
         z1 = ShiftOp.function(alg, ex.var("z1"))
         lhs = shift_mul(f1, z1)
-        rhs = ShiftOp.generator(alg, "f1", ex.var("z1") - ex.const(n * CTX.eta))
+        rhs = ShiftOp.generator(alg, "f1", ex.add(ex.var("z1"), ex.neg(ex.const(n * CTX.eta))))
         assert list(lhs.terms) == [(1, 0, 0)]
         assert op_equal(lhs, rhs, samples=8, seed=2) <= ID_TOL
 
@@ -110,11 +110,11 @@ class TestBasics:
             a = (ShiftOp(alg, {tuple(rng.integers(0, 3, size=2)):
                                ex.theta1_of(ex.aff("u1", const=rng.random()))})
                  + ShiftOp(alg, {tuple(rng.integers(0, 3, size=2)):
-                                 ex.var("u1") * ex.var("u2")}))
+                                 ex.mul(ex.var("u1"), ex.var("u2"))}))
             b = (ShiftOp(alg, {tuple(rng.integers(0, 3, size=2)):
                                ex.exp2pii(ex.aff("u1", (0.5, "u2")))})
                  + ShiftOp(alg, {tuple(rng.integers(0, 3, size=2)):
-                                 ex.const(rng.normal()) + ex.var("u2")}))
+                                 ex.add(ex.const(rng.normal()), ex.var("u2"))}))
             got = shift_mul(a, b)
             want = oracle_mul(alg, to_oracle(a), to_oracle(b))
             keys = set(got.terms) | set(want)
@@ -160,7 +160,7 @@ class TestOpEqual:
     def test_sensitivity_to_small_perturbation(self):
         alg = make_Vn(2, CTX)
         a = ShiftOp.function(alg, ex.theta1_of("z1"))
-        b = ShiftOp.function(alg, ex.theta1_of("z1") + ex.const(1e-6))
+        b = ShiftOp.function(alg, ex.add(ex.theta1_of("z1"), ex.const(1e-6)))
         r = op_equal(a, b, samples=20, seed=1)
         assert 1e-7 < r < 1e-5
 
@@ -185,8 +185,9 @@ class TestPoledBatchIsDiscarded:
         z1 = ex.var("z1")
         # f1: z1 - p2 is |p1 - p2| at batch 0 and exactly 0 at batch 1;
         # f2: poles at batch 0 and is exactly 0 at batch 1.
-        gap = ShiftOp.generator(alg, "f1", z1 - ex.const(p2))
-        poled = ShiftOp.generator(alg, "f2", (z1 - ex.const(p2)) / (z1 - ex.const(p1)))
+        gap = ShiftOp.generator(alg, "f1", ex.add(z1, ex.neg(ex.const(p2))))
+        poled = ShiftOp.generator(alg, "f2", ex.quot(ex.add(z1, ex.neg(ex.const(p2))),
+                                                     ex.add(z1, ex.neg(ex.const(p1)))))
         return alg, gap + poled, poled
 
     def test_op_equal(self):
@@ -335,9 +336,10 @@ class TestSampledProduct:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_degree_m_family(self, m):
-        from ellcert.starprod import build_fu_bosonized
-        a, b = (build_fu_bosonized(u, m, 0.23 + 0.07j, 0.41 + 0.13j, CTX) for u in (self.U, self.V))
-        assert sampled_product_gap([(a, b), (b, a)]) <= self.TOL
+        from ellcert.starprod import build_fu_bosonized, fu_constants
+        a, b = 0.23 + 0.07j, 0.41 + 0.13j
+        f, g = (build_fu_bosonized(u, m, a, b, CTX, fu_constants(m, a, b, CTX)["_psi"]) for u in (self.U, self.V))
+        assert sampled_product_gap([(f, g), (g, f)]) <= self.TOL
 
     def test_bosonized_generators(self):
         # every phi_2(x_a) phi_2(x_b) at n = 4, the right factors sharing one shifted batch
@@ -365,7 +367,7 @@ class TestSampledProduct:
         p1 = sample_points(1, alg.var_names, 0, CTX)[0]["z1"]
         shifted = p1 + alg.translation_of(alg.exponents("f1"))["z1"]
         a = ShiftOp.generator(alg, "f1")
-        b = ShiftOp.function(alg, ex.quot(ex.const(1), ex.var("z1") - ex.const(shifted)))
+        b = ShiftOp.function(alg, ex.quot(ex.const(1), ex.add(ex.var("z1"), ex.neg(ex.const(shifted)))))
         draws = []
 
         def recorded(measure, draw, seed, ctx):

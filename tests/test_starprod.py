@@ -19,6 +19,7 @@ from ellcert.starprod import (
     casimir,
     eta_flatness_ratio,
     fu_commutator_residual,
+    fu_constants,
     hom_welldefined_residual,
     phi_p,
     qnk_relation_residual,
@@ -369,12 +370,13 @@ class TestCasimir:
 
 class TestFuFamily:
     def test_m2_structure(self):
-        op = build_fu_bosonized(0.3 + 0.1j, 2, 0.2 + 0.1j, 0.4 + 0.2j, CTX)
+        psi = fu_constants(2, 0.2 + 0.1j, 0.4 + 0.2j, CTX)["_psi"]
+        op = build_fu_bosonized(0.3 + 0.1j, 2, 0.2 + 0.1j, 0.4 + 0.2j, CTX, psi)
         assert list(op.terms) == [(2,)]
 
     def test_monomial_degrees(self):
         for m in (2, 3):
-            op = build_fu_bosonized(0.3 + 0.1j, m, 0.2, 0.4, CTX)
+            op = build_fu_bosonized(0.3 + 0.1j, m, 0.2, 0.4, CTX, fu_constants(m, 0.2, 0.4, CTX)["_psi"])
             assert all(sum(mi) == m for mi in op.terms)
             for al, mi in enumerate(sorted(op.terms, reverse=True)):
                 assert sorted(mi, reverse=True)[0] == 2
@@ -390,5 +392,5 @@ class TestFuFamily:
         assert fu_commutator_residual(3, [(u, v, a, b)], CTX, samples=8, seed=0) <= 1e-7
 
     def test_same_parameter_commutator_structurally_zero(self):
-        op = build_fu_bosonized(0.5 + 0.2j, 3, 0.1, 0.3, CTX)
+        op = build_fu_bosonized(0.5 + 0.2j, 3, 0.1, 0.3, CTX, fu_constants(3, 0.1, 0.3, CTX)["_psi"])
         assert shiftops.commutator_residual(op, op, samples=8, seed=0) == 0.0

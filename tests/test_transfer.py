@@ -275,8 +275,9 @@ def _fu_case(m):
         out = []
         for s in range(3):
             u, v, a, b = _spectral_points(CTX, seed + s, 4)
-            out.append(({"_u": u, "_v": v, **fu_constants(m, a, b, CTX)},
-                        build_fu_bosonized(u, m, a, b, CTX), build_fu_bosonized(v, m, a, b, CTX)))
+            constants = fu_constants(m, a, b, CTX)
+            out.append(({"_u": u, "_v": v, **constants}, build_fu_bosonized(u, m, a, b, CTX, constants["_psi"]),
+                        build_fu_bosonized(v, m, a, b, CTX, constants["_psi"])))
         return out
 
     symbolic = tuple(build_fu_bosonized(x, m, "_a", "_b", CTX, psi="_psi") for x in ("_u", "_v"))
