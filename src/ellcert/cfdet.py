@@ -229,15 +229,11 @@ def delta_family(fgrid) -> float:
     fgrid[..., i, j-1] holds the k x k block of f_{i,j} for 0 <= i <= n,
     1 <= j <= n, acting on site j-1, so elements with different second index
     commute.  Delta_I = sum over bijections sigma: I -> {1..n} of
-    sign(sigma) * prod f_{i, sigma(i)}, and Delta_i omits the first index i.
+    sign(sigma) * prod f_{i, sigma(i)}, and Delta_i omits the first index i:
+    the tensor_minors of the transposed grid, whose row r collects second
+    index r+1, the blocks of site r.
     """
-    return verify_commuting_family(delta_minors(fgrid))
-
-
-def delta_minors(fgrid) -> np.ndarray:
-    """Delta_0 .. Delta_n of delta_family's grids: the tensor_minors of their
-    transpose, whose row r collects second index r+1, the blocks of site r."""
-    return tensor_minors(np.swapaxes(fgrid, -4, -3))
+    return verify_commuting_family(tensor_minors(np.swapaxes(fgrid, -4, -3)))
 
 
 def random_delta_grid(n: int, k: int, seed: int) -> np.ndarray:

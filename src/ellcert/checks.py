@@ -26,7 +26,7 @@ import numpy as np
 from .context import ThetaContext
 from .errors import EvaluationOverflowError, InconclusiveRankError, ParameterError
 from . import expr as ex
-from .sampling import box, relation_max, seed_groups, seeds_max
+from .sampling import box, relation_max, seed_groups, seeds_max, strip_points
 from .shiftops import make_Vn
 from .theta import reduce_to_fundamental, theta1, theta_basis
 from . import cfdet
@@ -289,7 +289,7 @@ def check_cf_triangle(seed, sizes, seeds) -> float:
 @check("delta-family", 1e-9, "column-commuting grid variant of the commuting family",
        n=_paired(integer(3, 2, 4), "n"), k=integer(2, 2, 3), seeds=count(5))
 def check_delta_family(seed, n, k, seeds) -> float:
-    # each grid transposed, as cfdet.delta_minors takes it: row r holds the blocks of site r
+    # each grid transposed, as cfdet.delta_family transposes it: row r holds the blocks of site r
     return _cf_verdict(cfdet.commuting_relations,
                        lambda n, k, s: np.swapaxes(cfdet.random_delta_grid(n, k, s), -4, -3), [(n, k)], seeds, seed)
 
@@ -317,8 +317,7 @@ def check_poisson_jacobi(seed, points, ctx) -> float:
 
 
 def _spectral_points(ctx, seed, count):
-    rng = np.random.default_rng(seed)
-    return tuple(complex(rng.random(), ctx.tau.imag * rng.random()) for _ in range(count))
+    return tuple(map(complex, strip_points(seed, (count,), ctx)))
 
 
 def _commutator_max(fam, ctx, seeds, samples, seed) -> float:

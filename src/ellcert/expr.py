@@ -469,31 +469,37 @@ class Evaluator:
     evaluator serves a whole sampled batch.  Each value it computes is kept
     for the batch.  A theta leaf is kept by key (kind, order, index,
     derivative and argument), so equal leaves of different trees share one
-    evaluation.  Any other node is kept by identity, together with the node
-    so that its id is not reused: a subtree shared as an object costs one
-    evaluation, and every other node evaluates as it is written.  The theta
-    leaves of one family (kind, order, index, derivative) with array-valued
-    arguments are evaluated together (`_stack_leaves`).  Evaluate everything compared on
-    one batch through one evaluator; a batch that raises PoleError is
-    dropped with its evaluator.
+    evaluation.  Any other node is kept by identity: a subtree shared as an
+    object costs one evaluation, and every other node evaluates as it is
+    written.  The theta leaves of one family (kind, order, index, derivative)
+    with array-valued arguments are evaluated together (`_stack_leaves`).
+    Evaluate everything compared on one batch through one evaluator; a batch
+    that raises PoleError is dropped with its evaluator.
 
-    A shifted evaluator has a base (at, moved): its env stacks at's batch as
-    rows, row r moving the variables v whose bit r is set in moved[v] and
-    reading the others exactly as at.env does.  A theta leaf is then
-    evaluated only on the rows that move one of its variables; the other
-    rows take at's value for the same leaf key, bit for bit the value an
-    all-rows evaluation would give them (shiftops.sampled_coefficients).
+    The evaluator `shifted` makes stacks this batch as rows, each moving some
+    variables.  A theta leaf is evaluated there only on the rows that move
+    one of its variables; the other rows take this evaluator's value for the
+    same leaf key, bit for bit the value an all-rows evaluation would give
+    them (shiftops.sampled_coefficients).
     """
 
     __slots__ = ("env", "ctx", "_memo", "_leaves", "_overflow", "_base")
 
-    def __init__(self, env: Mapping, ctx: ThetaContext, base=None):
+    def __init__(self, env: Mapping, ctx: ThetaContext):
         self.env = env
         self.ctx = ctx
-        self._memo: dict = {}  # id(node) -> (node, value)
+        self._memo: dict = {}  # node -> value
         self._leaves: dict = {}  # Theta._leaf_key() -> value
         self._overflow = None  # the first theta overflow of the running `values` call
-        self._base = base  # None, or (the evaluator of the unshifted batch, {variable: moved-row bits})
+        self._base = None  # set by `shifted`: (the unshifted evaluator, {variable: moved-row bits})
+
+    def shifted(self, shifts) -> "Evaluator":
+        """The evaluator of this batch stacked as rows, row r with each variable v
+        moved by shifts[r][v]; a variable that shifts[r] lacks reads as in env."""
+        ev = Evaluator({v: np.stack([x + s[v] if v in s else x for s in shifts]) for v, x in self.env.items()},
+                       self.ctx)
+        ev._base = self, {v: sum(1 << r for r, s in enumerate(shifts) if v in s) for v in self.env}
+        return ev
 
     def __call__(self, expr: MeroExpr):
         """Value of expr, raising as `values` does."""
@@ -526,16 +532,16 @@ class Evaluator:
         theta call per family of leaves with array-valued arguments, on the
         arguments raveled and stacked.  If that call overflows, each leaf of
         the family is evaluated alone (`_theta`).  A leaf with a scalar
-        argument is left to `Theta._eval`.  With a base, only the rows that
-        move a leaf's variables are stacked (`_from_base`)."""
+        argument is left to `Theta._eval`.  On a `shifted` evaluator, only the
+        rows that move a leaf's variables are stacked (`_from_base`)."""
         families: dict = {}
-        partial: dict = {}  # leaf key -> (leaf, its argument's shape, indices of its moved rows); with a base only
+        partial: dict = {}  # leaf key -> (leaf, its argument's shape, indices of its moved rows); shifted only
         seen, stack = set(), list(roots)
         while stack:
             node = stack.pop()
-            if id(node) in seen or id(node) in self._memo:
+            if node in seen or node in self._memo:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             if type(node) is not Theta:
                 stack.extend(node._children())
                 continue
@@ -575,9 +581,9 @@ class Evaluator:
 
     def _from_base(self, partial):
         """Complete each leaf of partial, evaluated on its moved rows only,
-        with the base evaluator's value of its key on every other row.  The
-        base evaluates the keys it lacks as `values` would, and an overflow
-        there is this call's to raise."""
+        with the unshifted evaluator's value of its key on every other row.
+        That evaluator evaluates the keys it lacks as `values` would, and an
+        overflow there is this call's to raise."""
         at = self._base[0]
         at._stack_leaves([node for node, _, _ in partial.values()])
         for key, (node, shape, rows) in partial.items():
@@ -600,10 +606,10 @@ class Evaluator:
             return np.full(np.shape(z), np.nan, dtype=complex)
 
     def _value(self, node: MeroExpr):
-        entry = self._memo.get(id(node))
-        if entry is None:
-            entry = self._memo[id(node)] = (node, node._eval(self))
-        return entry[1]
+        value = self._memo.get(node)
+        if value is None:
+            value = self._memo[node] = node._eval(self)
+        return value
 
 
 def evaluate(expr: MeroExpr, assignment: Mapping, ctx: ThetaContext):
@@ -637,8 +643,8 @@ def theta_leaf_count(roots) -> int:
     keys, seen, stack = set(), set(), list(roots)
     while stack:
         node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
+        if node not in seen:
+            seen.add(node)
             if type(node) is Theta:
                 keys.add(node._leaf_key())
             stack.extend(node._children())

@@ -49,7 +49,7 @@ import numpy as np
 from .cfdet import minors
 from .context import ThetaContext
 from . import expr as ex
-from .sampling import box, relation_max, sampled_max, worst_residual
+from .sampling import box, relation_max, sampled_max, strip_points, worst_residual
 from .shiftops import TermMap, bosonize, make_Bpn, sum_to_zero_residual, theta_column_grid, theta_column_minors
 
 
@@ -217,20 +217,19 @@ class RatioBracket:
 
     {f/h, g/k} = ({f,g} - (f/h){h,g} - (g/k){f,k} + (f/h)(g/k){h,k}) / (h k),
 
-    each inner bracket bracket(x, y) of their jets (default `jet_bracket`).
+    each inner bracket the `jet_bracket` of their jets.
     f, h, g and k are the jets (Jet) of ring elements on one batch of
     phase-space points, such as one `jets` call takes.  residual_at gives
     the value on that batch with its four terms, a relation of `sampling`;
     residual_batch measures it.
     """
 
-    def __init__(self, f, h, g, k, bracket=jet_bracket):
+    def __init__(self, f, h, g, k):
         if not h.is_multiplication():
             raise ValueError("h must be a multiplication operator")
         if not k.is_multiplication():
             raise ValueError("k must be a multiplication operator")
         self.f, self.h, self.g, self.k = f, h, g, k
-        self.bracket = bracket
 
     def residual_batch(self) -> float:
         """Largest |{f/h, g/k}| over the batch, relative to its terms."""
@@ -244,10 +243,10 @@ class RatioBracket:
         fh = f.value / h.value
         gk = g.value / k.value
         terms = [
-            self.bracket(f, g) / hk,
-            -fh * self.bracket(h, g) / hk,
-            -gk * self.bracket(f, k) / hk,
-            fh * gk * self.bracket(h, k) / hk,
+            jet_bracket(f, g) / hk,
+            -fh * jet_bracket(h, g) / hk,
+            -gk * jet_bracket(f, k) / hk,
+            fh * gk * jet_bracket(h, k) / hk,
         ]
         return (sum(terms), *terms)
 
@@ -302,10 +301,8 @@ def _phase_space_points(alg, count, seed):
 
 def _hamiltonian_brackets(deltas) -> list:
     """The ratio brackets {H_i, H_j} of every pair i < j, H_i = Delta_i / Delta_0,
-    over the Delta jets of one batch.  They share one cached jet_bracket, so
-    each ordered pair of jets is bracketed once (13 brackets at n = 4, not 24)."""
-    bracket = functools.cache(jet_bracket)  # jets hash by identity
-    return [RatioBracket(deltas[i], deltas[0], deltas[j], deltas[0], bracket)
+    over the Delta jets of one batch."""
+    return [RatioBracket(deltas[i], deltas[0], deltas[j], deltas[0])
             for i in range(1, len(deltas)) for j in range(i + 1, len(deltas))]
 
 
@@ -382,9 +379,5 @@ def fay_residual(a, b, c, d, ctx: ThetaContext):
 
 def fay_sweep(count: int, seed: int, ctx: ThetaContext) -> float:
     """Max residual over seeded random quadruples from the fundamental box, in one batch."""
-    def quadruples(s):
-        u = np.random.default_rng(s).random((count, 4, 2))
-        return dict(zip("abcd", (u[..., 0] + 1j * (ctx.tau.imag * u[..., 1])).T))
-
     return sampled_max(lambda at: float(np.max(fay_residual(*(at.env[v] for v in "abcd"), ctx))),
-                       quadruples, seed, ctx)
+                       lambda s: dict(zip("abcd", strip_points(s, (count, 4), ctx).T)), seed, ctx)

@@ -1,7 +1,8 @@
 """Deterministic sampling of complex points, and the one loop that measures on them.
 
 A draw maps a batch seed to an assignment of variables to equally shaped
-arrays; `box` draws seeded points of Re in [0,1), Im in [0, Im tau).  No point
+arrays; `box` draws seeded points of Re in [0,1), Im in [0, Im tau), and
+`strip_points` the spectral and Fay points of the same strip.  No point
 is rejected: a division that meets a pole raises PoleError (expr.nonpole, or
 a singular M^0 in cfdet).  sampled_max is the only code that draws a batch,
 builds its Evaluator and redraws, for points and tensor grids alike; only
@@ -54,6 +55,13 @@ def box_rows(count: int, var_names: Sequence[str], seed: int, ctx: ThetaContext)
     re = rng.random(shape)
     im = rng.random(shape) * ctx.tau.imag
     return (re + 1j * im)[:count]
+
+
+def strip_points(seed: int, shape: tuple, ctx: ThetaContext) -> np.ndarray:
+    """Seeded points of Re in [0,1), Im in [0, Im tau), as an array of `shape`;
+    each point draws its real part, then its imaginary part."""
+    u = np.random.default_rng(seed).random((*shape, 2))
+    return u[..., 0] + 1j * (ctx.tau.imag * u[..., 1])
 
 
 def sample_points(count: int, var_names: Sequence[str], seed: int, ctx: ThetaContext) -> list[dict]:

@@ -124,9 +124,6 @@ class TermMap:
     def generator(cls, algebra, name: str, coeff=1):
         return cls(algebra, {algebra.exponents(name): ex._as_expr(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_multiplication(self) -> bool:
         """Only the empty monomial occurs: a function, or zero."""
         zero = self.algebra.exponents()
@@ -197,7 +194,7 @@ def invert_multiplication(op: ShiftOp) -> ShiftOp:
     No check divides by an operator (transfer-det compares Delta_0 T(u) with
     the determinant sum); bench/tracer.py's SPANS still names this function.
     """
-    if not op.is_multiplication() or op.is_zero():
+    if not op.is_multiplication() or not op.terms:
         raise SingularOperatorError("only nonzero multiplication operators are invertible")
     (coeff,) = op.terms.values()
     return ShiftOp.function(op.algebra, ex.quot(ex.const(1), coeff))
@@ -268,11 +265,11 @@ def sampled_coefficients(parts: Sequence, at: ex.Evaluator) -> list:
     the product a*b, sampled: (a*b)_{m+k}(x) = sum F_m(x) * G_k(x + s_m),
     with s_m the shift of a's monomial m (`ShiftAlgebra.translation_of`),
     the contributions summed in the order of a's terms, then b's.  Each G_k
-    is evaluated once, by a second evaluator whose batch stacks at's batch
-    shifted by every s_m as rows; pairs whose left factors have the same
-    monomials share it.  That evaluator has at as its base: a theta leaf is
-    evaluated only on the rows whose s_m moves one of its variables, and
-    takes at's value of the same leaf on the others (for V_n, theta(z_a - z_b)
+    is evaluated once, by the evaluator at.shifted([s_m for m in a.terms]),
+    whose batch stacks at's batch shifted by every s_m as rows; pairs whose
+    left factors have the same monomials share it.  A theta leaf is evaluated
+    there only on the rows whose s_m moves one of its variables, and takes
+    at's value of the same leaf on the others (for V_n, theta(z_a - z_b)
     on rows a and b only).  A pole in any row raises PoleError, so the whole
     batch is redrawn.
     """
@@ -288,10 +285,7 @@ def sampled_coefficients(parts: Sequence, at: ex.Evaluator) -> list:
         a._check_same(b)
         ev = shifted.get(tuple(a.terms))
         if ev is None:
-            shifts = [a.algebra.translation_of(m) for m in a.terms]
-            env = {v: np.stack([x + s[v] if v in s else x for s in shifts]) for v, x in at.env.items()}
-            moved = {v: sum(1 << row for row, s in enumerate(shifts) if v in s) for v in at.env}
-            ev = shifted[tuple(a.terms)] = ex.Evaluator(env, at.ctx, base=(at, moved))
+            ev = shifted[tuple(a.terms)] = at.shifted([a.algebra.translation_of(m) for m in a.terms])
         rights = ev.values(b.terms.values())
         product: dict = {}
         for row, (m, f) in enumerate(first.items()):
@@ -445,7 +439,7 @@ class ShiftOpBackend:
 
     def norm(self, x) -> float:
         """Sampled sup-norm over coefficients at seeded points (sampled_max)."""
-        if x.is_zero():
+        if not x.terms:
             return 0.0
         alg = self.algebra
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import ThetaContext
-from .errors import InconclusiveRankError
+from .errors import EvaluationOverflowError, InconclusiveRankError
 from . import expr as ex
 from .sampling import box, relation_max, sampled_max
 from .shiftops import (
@@ -218,7 +218,10 @@ def _odesskii_gen(a: int, n: int, ctx: ThetaContext) -> SymThetaFun:
     even n: q^(a(a-n)/(2n)) theta_a(z + 1/(2n)); odd n: q^(a(a-n)/(2n)) e^(pi*i*a/n) theta_a(z),
     with q = exp(2*pi*i*tau).
     """
-    scale = cmath.exp(1j * math.pi * a * ((a - n) * ctx.tau + n % 2) / n)
+    try:
+        scale = cmath.exp(1j * math.pi * a * ((a - n) * ctx.tau + n % 2) / n)
+    except OverflowError:
+        raise EvaluationOverflowError(f"the normalization factor of Odesskii's basis element {a} overflows") from None
     shift = 0.0 if n % 2 else 1 / (2 * n)
     body = ex.mul(ex.const(scale), ex.theta_basis_of(a, n, ex.aff("z1", const=shift)))
     return SymThetaFun(1, n, body, ctx)

@@ -298,12 +298,24 @@ LARGE_TAU = [
     ("ttilde-commute", {"tau": "50j"}, "a sampled value is not finite"),
     ("fay", {"taus": "30j"}, "PASS"),
     ("fay", {"taus": "50j"}, "a sampled value is not finite"),
+    ("qnk-relation", {"tau": "130j"}, "PASS"),
+    ("qnk-relation", {"tau": "140j"}, MULTIPLIER),
+    ("qnk-relation", {"tau": "400j"}, "the normalization factor of Odesskii's basis element 1 overflows"),
     ("bosonization-rank", {"pairs": "5x2", "tau": "6j"}, "PASS"),
     ("bosonization-rank", {"pairs": "5x2", "tau": "7j"}, "FAIL"),
     ("bosonization-rank", {"pairs": "5x2", "tau": "8j"}, "FAIL"),
     ("bosonization-rank", {"pairs": "5x2", "tau": "10j"}, "FAIL"),
     ("bosonization-rank", {"pairs": "5x2", "tau": "12j"}, "INCONCLUSIVE"),
 ]
+
+
+@pytest.mark.parametrize("name", sorted(name for name, cd in REGISTRY.items() if {"tau", "taus"} & cd.params.keys()))
+def test_huge_tau_ends_in_a_verdict_or_one_error_line(name, capsys):
+    # an overflow at Im tau = 1000 is an error record (exit 3), never an uncaught exception
+    key = "tau" if "tau" in REGISTRY[name].params else "taus"
+    code = main(["check", name, "--param", f"{key}=1000j"])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3) and len(err.splitlines()) <= 1 and "Traceback" not in err
 
 
 def large_tau_list() -> str:

@@ -308,12 +308,12 @@ class TestEvaluator:
         assert theta_calls == ["order1"] * 3
 
     def test_shifted_evaluator_raises_its_base_overflow(self):
-        # theta(z) moves on no row, so the base evaluates it and meets the
-        # overflow; the shifted evaluator raises that theta's own error
+        # theta(z) moves on no row, so the unshifted evaluator evaluates it and
+        # meets the overflow; the shifted evaluator raises that theta's own error
         z = np.array([0.3 + 0.2j, 0.4 + 70 * CTX.tau])
         w = np.array([0.1 + 0.1j, 0.2 + 0.3j])
         at = ex.Evaluator({"z": z, "w": w}, CTX)
-        shifted = ex.Evaluator({"z": np.stack([z, z]), "w": np.stack([w + 0.1, w])}, CTX, base=(at, {"z": 0, "w": 1}))
+        shifted = at.shifted([{"w": 0.1}, {}])
         with pytest.raises(EvaluationOverflowError, match="lattice steps"):
             shifted.values([ex.mul(ex.theta1_of("z"), ex.theta1_of("w"))])
 

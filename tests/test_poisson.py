@@ -263,14 +263,6 @@ class TestHamiltonians:
                 rs = (s_vals[i] / s_vals[j])
                 assert abs(r - rs) <= ID_TOL * max(1, abs(r))
 
-    def test_hamiltonian_pairs_are_bracketed_once(self, monkeypatch):
-        bracketed = []
-        real = poisson.jet_bracket
-        monkeypatch.setattr(poisson, "jet_bracket", lambda a, b: bracketed.append((a, b)) or real(a, b))
-        classical_hamiltonians(4, CTX, seed=42)
-        # 6 pairs {Delta_i, Delta_j}, 3 {Delta_0, Delta_j}, 3 {Delta_i, Delta_0} and {Delta_0, Delta_0}
-        assert len(bracketed) == len({(id(a), id(b)) for a, b in bracketed}) == 13
-
     @pytest.mark.parametrize("seed", [42, 7, 2026])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_plan_keeps_the_recursive_bits(self, n, seed):

@@ -394,8 +394,8 @@ class TestRowSkip:
         class Recorded(real_evaluator):
             __slots__ = ()
 
-            def __init__(self, env, ctx, base=None):
-                super().__init__(env, ctx, base)
+            def __init__(self, env, ctx):
+                super().__init__(env, ctx)
                 made.append(self)
 
         monkeypatch.setattr(ex._theta, "theta_value",
