@@ -26,9 +26,9 @@ Every product acts on one slice at a time, so a seed's residual does not
 depend on the stack it is in; `sampling.seeds_max` stacks a check's grids.
 
 Also houses the multilinear Plucker identities, certified by their own check
-(`plucker_check`); these hold for decomposable alternating forms (partial
-determinants), which is how they arise, and fail for generic antisymmetric
-arrays.  The Poisson layer uses only `minors`.
+(`plucker_check`, stacked by `sampling.seeds_max` as the grids are); these hold
+for decomposable alternating forms (partial determinants), which is how they
+arise, and fail for generic antisymmetric arrays.  The Poisson layer uses only `minors`.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .context import ThetaContext
 from .errors import PoleError
-from .sampling import worst_residual
+from .sampling import seeds_max, worst_residual
 
 
 class TensorBackend:
@@ -313,8 +314,8 @@ def _plucker_residuals(order: int, lam: np.ndarray, vectors: Sequence[np.ndarray
 
 
 def plucker_residual(order: int, lam: np.ndarray, vectors: Sequence[np.ndarray]) -> float:
-    """|stated combination| / max term, for the 3-, 4- or 6-term identity; the max over the stack."""
-    return max(_plucker_residuals(order, lam, vectors))
+    """|stated combination| / max term, for the 3-, 4- or 6-term identity; the max over the stack, a NaN kept."""
+    return worst_residual([(np.array(_plucker_residuals(order, lam, vectors)),)])
 
 
 def _plucker_terms(order: int, L, vectors) -> list:
@@ -343,14 +344,15 @@ def _plucker_terms(order: int, L, vectors) -> list:
     raise ValueError("plucker identities implemented for orders 2, 3, 4")
 
 
-_PLUCKER_VECTOR_COUNT = {2: 4, 3: 5, 4: 6}
+def plucker_check(order: int, seeds: int, seed: int) -> float:
+    """Max residual over seeded decomposable forms and order + 2 generic vectors, seed s's from streams
+    seed + s and seed + s + 10_000, stacked by `sampling.seeds_max` as self-scaled relations of no parts."""
+    def draw(s, b):
+        parts = np.random.default_rng(b + 10_000).normal(size=(order + 2, 2, 2 * order))  # per vector: re, im
+        return {"us": _covectors(order, b)[None], "vectors": (parts[:, 0] + 1j * parts[:, 1])[None]}
 
+    def relations(at):
+        residuals = _plucker_residuals(order, _forms(at.env["us"]), list(at.env["vectors"].swapaxes(0, 1)))
+        return [(np.array(residuals),)]
 
-def plucker_check(order: int, *seeds: int) -> float:
-    """Max residual over seeded random decomposable forms and generic vectors,
-    one of each per seed, certified as one stack."""
-    lam = _forms(np.stack([_covectors(order, s) for s in seeds]))
-    shape = (_PLUCKER_VECTOR_COUNT[order], 2, 2 * order)  # vector by vector, its real then its imaginary part
-    draws = np.stack([np.random.default_rng(s + 10_000).normal(size=shape) for s in seeds])
-    vectors = draws[:, :, 0] + 1j * draws[:, :, 1]
-    return plucker_residual(order, lam, list(vectors.swapaxes(0, 1)))
+    return seeds_max(relations, draw, seeds, seed, ThetaContext(), (2 * order) ** order)

@@ -26,7 +26,7 @@ import numpy as np
 from .context import ThetaContext
 from .errors import EvaluationOverflowError, InconclusiveRankError, ParameterError
 from . import expr as ex
-from .sampling import box, relation_max, seed_groups, seeds_max, strip_points
+from .sampling import box, relation_max, seeds_max, strip_points
 from .shiftops import make_Vn
 from .theta import reduce_to_fundamental, theta1, theta_basis
 from . import cfdet
@@ -297,16 +297,13 @@ def check_delta_family(seed, n, k, seeds) -> float:
 @check("plucker", 1e-10, "3/4/6-term multilinear identities for decomposable forms",
        orders=integers("2,3,4", 2, 4), seeds=count(50))
 def check_plucker(seed, orders, seeds) -> float:
-    # each group of seeds is one stack of forms of (2 order)^order entries
-    return max(cfdet.plucker_check(order, *(seed + s for s in group))
-               for order in orders for group in seed_groups(seeds, (2 * order) ** order))
+    return max(cfdet.plucker_check(order, seeds, seed) for order in orders)
 
 
 @check("poisson-hamiltonians", 1e-9, "pairwise brackets of the determinant hamiltonians",
        n=integers("2,3,4", 2, 4), seeds=count(5), points=count(20), tau=TAU)
 def check_poisson_hamiltonians(seed, n, seeds, points, ctx) -> float:
-    return max(poisson.classical_hamiltonians(order, ctx, seed=seed + s, points=points)
-               for order in n for s in range(seeds))
+    return max(poisson.classical_hamiltonians(order, ctx, seeds, seed, points) for order in n)
 
 
 @check("poisson-jacobi", 1e-9, "cyclic determinant-bracket identity",

@@ -49,8 +49,9 @@ import numpy as np
 from .cfdet import minors
 from .context import ThetaContext
 from . import expr as ex
-from .sampling import box, relation_max, sampled_max, strip_points, worst_residual
+from .sampling import box, relation_max, seeds_max, strip_points, worst_residual
 from .shiftops import TermMap, bosonize, make_Bpn, sum_to_zero_residual, theta_column_grid, theta_column_minors
+from .theta import theta_odd
 
 
 class PoissonElement(TermMap):
@@ -306,12 +307,14 @@ def _hamiltonian_brackets(deltas) -> list:
             for i in range(1, len(deltas)) for j in range(i + 1, len(deltas))]
 
 
-def classical_hamiltonians(n: int, ctx: ThetaContext, seed: int = 0, points: int = 20) -> float:
-    """Max pairwise |{H_i, H_j}| residual for H_i = Delta_i / Delta_0 over all
-    the points, sampled from the Delta jets; a batch where a bracket poles is redrawn."""
+def classical_hamiltonians(n: int, ctx: ThetaContext, seeds: int, seed: int, points: int) -> float:
+    """Max pairwise |{H_i, H_j}| residual for H_i = Delta_i / Delta_0, sampled from the Delta jets
+    at `points` phase-space points of batch seed seed + s, s < seeds, stacked by `sampling.seeds_max`;
+    a seed's entries are those of the largest array, the jet gradient: n(n+1) x 2n x points."""
     alg, _ = _delta_grid(n, ctx)
-    return relation_max(lambda at: [rb.residual_at() for rb in _hamiltonian_brackets(delta_jets(n, ctx, at))],
-                        functools.partial(_phase_space_points, alg, points), seed, alg.ctx)
+    return seeds_max(lambda at: [rb.residual_at() for rb in _hamiltonian_brackets(delta_jets(n, ctx, at))],
+                     lambda s, b: _phase_space_points(alg, points, b), seeds, seed, alg.ctx,
+                     n * (n + 1) * 2 * n * points)
 
 
 def _jacobi_delta_terms(n: int, ctx: ThetaContext, ijk):
@@ -367,8 +370,6 @@ def fay_residual(a, b, c, d, ctx: ThetaContext):
     T2 = t(a+b) t(a-b) t(c+d) t(c-d),
     T3 = t(a+d) t(a-d) t(c+b) t(c-b).
     """
-    from .theta import theta_odd
-
     t = lambda z: theta_odd(z, ctx)
     t1 = t(a + c) * t(a - c) * t(b + d) * t(b - d)
     t2 = t(a + b) * t(a - b) * t(c + d) * t(c - d)
@@ -379,5 +380,5 @@ def fay_residual(a, b, c, d, ctx: ThetaContext):
 
 def fay_sweep(count: int, seed: int, ctx: ThetaContext) -> float:
     """Max residual over seeded random quadruples from the fundamental box, in one batch."""
-    return sampled_max(lambda at: float(np.max(fay_residual(*(at.env[v] for v in "abcd"), ctx))),
-                       lambda s: dict(zip("abcd", strip_points(s, (count, 4), ctx).T)), seed, ctx)
+    return relation_max(lambda at: [(fay_residual(*(at.env[v] for v in "abcd"), ctx),)],
+                        lambda s: dict(zip("abcd", strip_points(s, (count, 4), ctx).T)), seed, ctx)

@@ -1,20 +1,20 @@
 """Deterministic sampling of complex points, and the one loop that measures on them.
 
-A draw maps a batch seed to an assignment of variables to equally shaped
-arrays; `box` draws seeded points of Re in [0,1), Im in [0, Im tau), and
+A draw maps a batch seed to an assignment of variables to arrays (equally
+shaped for points); `box` draws seeded points of Re in [0,1), Im in [0, Im tau), and
 `strip_points` the spectral and Fay points of the same strip.  No point
 is rejected: a division that meets a pole raises PoleError (expr.nonpole, or
 a singular M^0 in cfdet).  sampled_max is the only code that draws a batch,
-builds its Evaluator and redraws, for points and tensor grids alike; only
-cfdet.plucker_check draws its own forms, which cannot pole.  seeds_max alone
-stacks the seeds a check certifies into batches, in groups of bounded size.
+builds its Evaluator, catches PoleError and redraws, for points, tensor grids
+and Plucker forms alike.  seeds_max alone stacks the seeds a check certifies
+into batches, in groups of bounded size.
 
 A check states its identities as relations (difference, *parts), the parts
 the values the difference cancels.  This module scales a relation,
 |difference| / max(1, |parts|) elementwise (`rel_residual`), and takes the
-largest (`worst_residual`; `relation_max` on a sampled batch).  Two residuals
-scale themselves, by their own largest term floored at 1e-300:
-`poisson.fay_residual` and `cfdet.plucker_residual`.
+largest (`worst_residual`; `relation_max` on a sampled batch).  Two residuals,
+`poisson.fay_residual` and `cfdet._plucker_residuals`, scale themselves by their
+own largest term floored at 1e-300 and come as relations of no parts (scale 1).
 """
 
 from __future__ import annotations

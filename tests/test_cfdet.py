@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellcert import sampling
+from ellcert import cfdet, cli, sampling
 from ellcert.sampling import STACK_ENTRIES, seed_groups, worst_residual
 from ellcert.cfdet import (
     TensorBackend,
@@ -38,7 +38,7 @@ from ellcert.cfdet import (
     verify_triangle,
 )
 from ellcert.checks import REGISTRY
-from ellcert.errors import PoleError
+from ellcert.errors import EvaluationOverflowError, PoleError
 
 
 class CountingMul:
@@ -290,7 +290,7 @@ class TestPlucker:
     def test_identities(self, order, d):
         assert decomposable_form(order, 0).shape == (d,) * order
         for seed in range(8):
-            assert plucker_check(order, seed) <= 1e-10
+            assert plucker_check(order, 1, seed) <= 1e-10
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_contraction_is_form_apply(self, order):
@@ -302,6 +302,23 @@ class TestPlucker:
             terms = _plucker_terms(order, lambda *xs: form_apply(lam, *xs), vs)
             want = abs(sum(terms)) / max(max(abs(t) for t in terms), 1e-300)
             assert plucker_residual(order, lam, vs) == want
+
+    def test_nan_in_a_later_slice_is_an_error(self, monkeypatch, capsys):
+        # one stack of five forms, slice 2's terms planted with a NaN: no max may pass over it
+        real, slices = cfdet._plucker_terms, []
+
+        def planted(order, L, vectors):
+            slices.append(order)
+            terms = real(order, L, vectors)
+            return [complex("nan"), *terms[1:]] if len(slices) == 3 else terms
+
+        monkeypatch.setattr(cfdet, "_plucker_terms", planted)
+        assert seed_groups(5, 4 ** 2) == [range(5)]
+        with pytest.raises(EvaluationOverflowError):
+            REGISTRY["plucker"]({"orders": "2", "seeds": 5}, 42)
+        slices.clear()
+        assert cli.main(["check", "plucker", "--param", "orders=2", "--param", "seeds=5"]) == 3
+        assert len(slices) == 5 and "PASS" not in capsys.readouterr().out
 
     def test_generic_antisymmetric_array_fails(self):
         # Confirms decomposability is what makes the identity true.
@@ -395,11 +412,16 @@ class TestStackedKernels:
             us, vectors = old_plucker_draws(order, s)
             assert np.array_equal(_covectors(order, s), us)
             wants.append(plucker_residual(order, decomposable_form(order, s), vectors))
-        assert plucker_check(order, *seeds) == max(wants)
+        assert plucker_check(order, len(seeds), seeds[0]) == max(wants)
 
 
 class TestSeedGroups:
     """A stack of seeds gives every seed's residual bit for bit as a stack of one."""
+
+    def test_plucker_stacks_are_the_seeds_one_at_a_time(self):
+        # order 4 holds 16 seeds a group, so 20 seeds cross a group boundary
+        assert seed_groups(20, 8 ** 4) == [range(0, 16), range(16, 20)]
+        assert plucker_check(4, 20, 42) == max(plucker_check(4, 1, 42 + s) for s in range(20))
 
     # the benchmark's dense sizes, with as many seeds as it stacks (4x3 holds one seed; two here)
     CF = [("2x2", 20), ("2x3", 20), ("3x2", 20), ("3x3", 20), ("4x2", 20), ("4x3", 2)]

@@ -146,7 +146,7 @@ class TestDiff:
                             lambda kind, z, ctx, **kw: calls.append((kw["index"], kw["deriv"], np.size(z)))
                             or real(kind, z, ctx, **kw))
         for seed in (42, 7):
-            assert poisson.classical_hamiltonians(n, CTX, seed=seed, points=points) <= 1e-9
+            assert poisson.classical_hamiltonians(n, CTX, 1, seed, points) <= 1e-9
         entries = [c for row in grid for e in row for c in e.terms.values()]
         assert len(asked) == len({(id(c), v) for c, v in asked}) == len(entries) * n
         assert {id(c) for c, _ in asked} == {id(c) for c in entries}

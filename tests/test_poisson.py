@@ -215,7 +215,12 @@ class TestJets:
 class TestHamiltonians:
     @pytest.mark.parametrize("n", [2, 3])
     def test_pairwise_commutation(self, n):
-        assert classical_hamiltonians(n, CTX, seed=0, points=8) <= 1e-9
+        assert classical_hamiltonians(n, CTX, 1, 0, 8) <= 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stacked_seeds_are_the_seeds_one_at_a_time(self, n):
+        assert classical_hamiltonians(n, CTX, 5, 42, 20) == max(classical_hamiltonians(n, CTX, 1, 42 + s, 20)
+                                                                for s in range(5))
 
     def test_poled_bracket_raises_instead_of_skipping_points(self, monkeypatch):
         # a residual measured at no point at all must not read as 0.0, a pass
@@ -224,7 +229,7 @@ class TestHamiltonians:
 
         monkeypatch.setattr(RatioBracket, "residual_at", poles)  # the relations relation_max takes
         with pytest.raises(PoleError):
-            classical_hamiltonians(2, CTX, seed=0, points=4)
+            classical_hamiltonians(2, CTX, 1, 0, 4)
 
     def test_row_swap_leaves_hamiltonians_invariant(self):
         n = 3
@@ -323,7 +328,7 @@ class TestHamiltonians:
         at = ex.Evaluator(poisson._phase_space_points(alg, 20, 42), CTX)
         assert np.max(np.abs(pbracket(row[1], grid[1][0]).evaluate(at))) > 0.1
         monkeypatch.setattr(poisson, "_delta_grid", lambda *_: (alg, planted))
-        assert classical_hamiltonians(n, CTX, seed=42) > 1e3 * 1e-9
+        assert classical_hamiltonians(n, CTX, 1, 42, 20) > 1e3 * 1e-9
         deltas = minors(planted, operator.mul)
         f, h, g = (deltas[i].evaluate(at) for i in (1, 0, 2))
         built = (pbracket(deltas[1], deltas[2]).evaluate(at) - f / h * pbracket(deltas[0], deltas[2]).evaluate(at)
